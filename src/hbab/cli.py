@@ -44,7 +44,7 @@ from .design import (
 from .estimate import hb_estimate, marginalize, mle_estimates
 from .glm import CountData, fit_posterior
 from .metaprior import EffectObservation, learn_tau
-from .sampler import SamplerConfig, sample
+from .sampler import SamplerConfig, effective_sample_size, sample
 from .seqtest import TauSpec, log_bayes_factor, resolve_tau, run_all_comparisons
 from .sim import (
     ScenarioConfig,
@@ -407,7 +407,6 @@ def cmd_analyze(args) -> int:
     marg_states = {pair: (1.0, 0) for pair in content_pairs}  # p_min, n_updates
     cum_a = np.zeros(spec.n_cells, dtype=np.int64)
     cum_r = np.zeros(spec.n_cells, dtype=np.int64)
-    warned = False
     for u, inc in enumerate(increments, start=1):
         cum_a += inc.assignments
         cum_r += inc.responses
@@ -418,9 +417,8 @@ def cmd_analyze(args) -> int:
                 seed=args.seed + u,
             )
             samples = fit_posterior(data, X, cfg)
-            if samples.diagnostics.warnings and not warned:
-                manifest.warn(f"update {u}: {samples.diagnostics.warnings[0]}")
-                warned = True
+            for w in samples.diagnostics.warnings:
+                manifest.warn(f"update {u}: {w}")
             ests = hb_estimate(samples, X)
         else:
             ests = mle_estimates(data)
@@ -644,10 +642,13 @@ def _oracle_checks(corrupt: bool, seed: int):
         for j in range(n):
             ess = samples.diagnostics.effective_sample_size[j]
             m, v = flat[:, j].mean(), flat[:, j].var(ddof=1)
+            # The sample variance is a mean of squared centred draws, so its
+            # Monte-Carlo error follows their ESS, not the ESS of the draws.
+            ess_sq = effective_sample_size((samples.draws[:, :, j] - m) ** 2)
             worst_z = max(
                 worst_z,
                 abs(m - post.beta_hat[j] * fudge) / math.sqrt(v / ess),
-                abs(v - post.sigma_hat_sq[j]) / (v * math.sqrt(2.0 / ess)),
+                abs(v - post.sigma_hat_sq[j]) / (v * math.sqrt(2.0 / ess_sq)),
             )
     yield ("sampler_vs_closed_form", "max |z| < 3 Monte-Carlo SE (5 instances)",
            worst_z, worst_z < 3.0)

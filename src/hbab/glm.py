@@ -14,13 +14,20 @@ are sparse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, gammaln
 
 from .design import DesignMatrix
-from .sampler import PosteriorSamples, SamplerConfig, TargetDensity, sample
+from .sampler import (
+    PosteriorSamples,
+    SamplerConfig,
+    TargetDensity,
+    effective_sample_size,
+    sample,
+    split_r_hat,
+)
 
 __all__ = [
     "Hyperparams",
@@ -142,7 +149,7 @@ def log_posterior(
     m, s = hyper.mu_prior_mean, hyper.mu_prior_sd
 
     lp = -0.5 * beta.size * np.log(2 * np.pi) - beta.size * ls
-    lp -= 0.5 * np.sum((beta - mu) ** 2) / sigma**2
+    lp -= 0.5 * np.sum(((beta - mu) / sigma) ** 2)
     lp += -0.5 * np.log(2 * np.pi) - np.log(s) - 0.5 * ((mu - m) / s) ** 2
     lp += half_cauchy_log_density_log_scale(ls, hyper.sigma_cauchy_scale)
     lp += -0.5 * np.log(2 * np.pi) - 0.5 * eps**2
@@ -162,13 +169,13 @@ def grad_log_posterior(
     eta = X.matrix @ beta + eps
     resid = data.responses - data.assignments * sigmoid(eta)
 
-    g_beta = X.matrix.T @ resid - (beta - mu) / sigma**2
-    g_mu = np.sum(beta - mu) / sigma**2 - (mu - m) / s**2
+    z = (beta - mu) / sigma
+    g_beta = X.matrix.T @ resid - z / sigma
+    g_mu = np.sum(z) / sigma - (mu - m) / s**2
     g_ls = (
         -beta.size
-        + np.sum((beta - mu) ** 2) / sigma**2
-        + 1.0
-        - 2.0 * sigma**2 / (b**2 + sigma**2)
+        + np.sum(z**2)
+        - math.tanh(ls - math.log(b))  # 1 - 2 sigma^2 / (b^2 + sigma^2)
     )
     g_eps = np.sum(resid) - eps
     return np.concatenate([g_beta, [g_mu, g_ls, g_eps]])
@@ -216,8 +223,7 @@ def make_target(
     rf = r.astype(float)
     binom_const = float(np.sum(gammaln(a + 1) - gammaln(r + 1) - gammaln(a - r + 1)))
     norm_const = -0.5 * (P + 2) * math.log(2 * math.pi) - math.log(s)
-    hc_const = math.log(2.0 / (math.pi * b))
-    b_sq = b * b
+    log_b = math.log(b)
     s_sq = s * s
 
     def raw(z):
@@ -234,12 +240,9 @@ def make_target(
         # r*log(p) + (a-r)*log(1-p) collapses to r*eta - a*softplus(eta).
         loglik = float(rf @ eta) - float(af @ np.logaddexp(0.0, eta)) + binom_const
 
-        sigma_sq = sigma * sigma
         lp = (
             norm_const
-            + hc_const
-            - math.log1p(sigma_sq / b_sq)
-            + ls
+            + half_cauchy_log_density_log_scale(ls, b)
             - 0.5 * float(beta_raw @ beta_raw)
             - 0.5 * (mu - m) ** 2 / s_sq
             - 0.5 * eps * eps
@@ -252,9 +255,8 @@ def make_target(
         np.multiply(g_beta, sigma, out=grad[:P])
         grad[:P] -= beta_raw
         grad[P] = float(g_beta.sum()) - (mu - m) / s_sq
-        grad[P + 1] = (
-            sigma * float(beta_raw @ g_beta) + 1.0 - 2.0 * sigma_sq / (b_sq + sigma_sq)
-        )
+        # 1 - 2 sigma^2 / (b^2 + sigma^2) is the half-Cauchy and Jacobian term.
+        grad[P + 1] = sigma * float(beta_raw @ g_beta) - math.tanh(ls - log_b)
         grad[P + 2] = float(resid.sum()) - eps
         return lp, grad
 
@@ -262,6 +264,25 @@ def make_target(
     kind = "raw" if noncentered else "beta"
     labels = tuple(f"{kind}[{j}]" for j in range(P)) + ("mu", "log_sigma", "epsilon")
     return TargetDensity(dim=P + 3, log_density_and_grad=fn, labels=labels)
+
+
+_MIN_CELL_ESS = 50.0
+_MAX_CELL_RHAT = 1.1
+
+
+def _cell_mixing_warning(logits: np.ndarray) -> str | None:
+    """A warning if the cell logits [draws, chains, cells] have an effective
+    sample size under ``_MIN_CELL_ESS`` or a split R-hat over
+    ``_MAX_CELL_RHAT`` in any cell, else None."""
+    cells = range(logits.shape[2])
+    ess = min(effective_sample_size(logits[:, :, k]) for k in cells)
+    rhat = max(split_r_hat(logits[:, :, k]) for k in cells)
+    if ess >= _MIN_CELL_ESS and rhat <= _MAX_CELL_RHAT:
+        return None
+    return (
+        f"cell logits mixed poorly (min ESS {ess:.0f} of {logits.shape[0] * logits.shape[1]} "
+        f"draws, max split R-hat {rhat:.3f}); cell estimates may be off"
+    )
 
 
 def fit_posterior(
@@ -275,7 +296,10 @@ def fit_posterior(
 
     Output labels are beta[j], mu, sigma, epsilon; the non-centered
     coefficients (if used) and log_sigma are mapped back before summaries,
-    and convergence diagnostics are recomputed on the reported scale.
+    and convergence diagnostics are recomputed on the reported scale. The
+    coefficients themselves are identified only through the prior, so the
+    diagnostics warnings also report a fit whose cell logits, the quantities
+    every estimate is built from, mixed too poorly to be trusted.
     """
     target = make_target(data, X, hyper, noncentered=noncentered)
     samples = sample(target, config)
@@ -288,4 +312,10 @@ def fit_posterior(
         draws[..., :P] = mu[..., None] + sigma[..., None] * draws[..., :P]
     draws[..., P + 1] = sigma
     labels = tuple(f"beta[{j}]" for j in range(P)) + ("mu", "sigma", "epsilon")
-    return samples.relabeled(draws, labels)
+    natural = samples.relabeled(draws, labels)
+    warning = _cell_mixing_warning(draws[..., :P] @ X.matrix.T + draws[..., P + 2:])
+    if warning is None:
+        return natural
+    diag = natural.diagnostics
+    return replace(natural, diagnostics=replace(diag, warnings=diag.warnings + (warning,)))
+

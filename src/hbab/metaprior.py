@@ -64,6 +64,7 @@ def tau_target(
     delta = np.array([e.delta for e in ordered])
     noise_var = np.array([e.noise_sd**2 for e in ordered])
     b = cauchy_scale
+    log_b = math.log(b)
 
     def log_density_and_grad(z):
         log_tau = z[0]
@@ -75,8 +76,9 @@ def tau_target(
         lp += np.sum(-0.5 * np.log(2 * np.pi * v) - delta**2 / (2 * v))
         if not math.isfinite(lp):
             return -math.inf, np.zeros(1)
-        d_tau = np.sum(delta**2 / (2 * v**2) - 1.0 / (2 * v))
-        grad = tau * d_tau + 1.0 - 2.0 * tau**2 / (b**2 + tau**2)
+        d_tau = np.sum(0.5 * (delta / v) ** 2 - 0.5 / v)
+        # 1 - 2 tau^2 / (b^2 + tau^2), without squaring tau.
+        grad = tau * d_tau - math.tanh(log_tau - log_b)
         return float(lp), np.array([grad])
 
     return TargetDensity(1, log_density_and_grad, ("log_tau",))

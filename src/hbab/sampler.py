@@ -3,10 +3,36 @@
 Self-contained numpy implementation of dynamic Hamiltonian Monte Carlo:
 multinomial sampling over a doubling trajectory with a U-turn stopping
 rule, dual-averaging step-size adaptation toward a target acceptance
-statistic, and windowed diagonal mass-matrix estimation during warmup.
+statistic, and a dense metric set at the end of each warmup window.
 Chains draw from counter-based random substreams spawned off the master
 seed, so results are bit-reproducible for a given seed and config and one
 chain's stream never depends on how many chains run.
+
+The metric (inverse mass matrix) starts as the identity. At each window
+end it is rebuilt from the window's ``n`` draws and the curvature of the
+log density at their mean: the negative Hessian, from central differences
+of the target's own gradient (``2 * dim`` density calls). The metric's axes
+are the curvature's eigenvectors, and along each the variance is
+``a * s + (1 - a) / c`` with ``a = n / (n + dim)``, where ``s`` is the
+window variance along the axis and ``c`` the curvature. Axes of
+non-positive curvature take the window variance alone, no axis gets more
+from the curvature than the window's widest direction, and where the
+Hessian is not finite the metric is the window covariance, shrunk slightly
+toward the identity. The curvature's axes follow the long, thin, correlated
+ridges of rank-deficient designs that a diagonal metric cannot. The window
+supplies the spread along them that the curvature at one point misses
+where the posterior is not Gaussian, as in the funnel of a sparse
+hierarchical fit. The window's covariance across the axes is left out: a
+window of 100 draws cannot estimate it in 100+ dimensions, and in a funnel
+it holds only where the window happened to be.
+
+A good metric allows long steps in the bulk of the posterior, and dual
+averaging tunes the step there. Where the posterior narrows, as in the
+high-sigma neck of a non-centred hierarchical fit, such a step makes the
+integrator unstable, and a chain that wanders in rejects nearly every
+trajectory until it finds its way out. So the kept step is also bounded by
+the curvature at the stiffest warmup states: a few, picked by their
+whitened gradients, each probed with a Hessian (``2 * dim`` density calls).
 """
 
 from __future__ import annotations
@@ -34,6 +60,9 @@ __all__ = [
 
 _DIVERGENCE_THRESHOLD = 1000.0
 _MASS_FLOOR = 1e-10
+_FD_STEP = 1e-4  # central-difference step, in posterior standard deviations
+_PROBES = 4  # warmup states whose curvature bounds the kept step
+_STABLE_STEP = 1.2  # bound on step * sqrt(stiffest whitened curvature)
 
 
 @dataclass(frozen=True)
@@ -55,7 +84,9 @@ class SamplerConfig:
     chains: int = 4
     warmup_draws: int = 500
     kept_draws: int = 500
-    target_accept: float = 0.8
+    # Above the usual 0.8: the dense metric's longer steps otherwise stall
+    # more often in the narrow high-sigma neck of sparse hierarchical fits.
+    target_accept: float = 0.9
     max_tree_depth: int = 10
     seed: int = 0
 
@@ -127,20 +158,23 @@ class Summary:
 
 
 def leapfrog(fn, q, p, grad, step, inv_mass):
-    """One leapfrog step of Hamiltonian dynamics with diagonal mass matrix.
+    """One leapfrog step of Hamiltonian dynamics.
 
+    ``inv_mass`` is the metric, a dense [dim, dim] inverse mass matrix.
     Returns (q, p, grad, logp) after the step; symplectic and reversible up
     to floating-point rounding, which the integrator tests rely on.
     """
     p_half = p + 0.5 * step * grad
-    q_new = q + step * inv_mass * p_half
+    q_new = q + step * (inv_mass @ p_half)
     logp_new, grad_new = fn(q_new)
     p_new = p_half + 0.5 * step * grad_new
     return q_new, p_new, grad_new, logp_new
 
 
 def _kinetic(p, inv_mass):
-    return 0.5 * float(np.dot(p, inv_mass * p))
+    """Kinetic energy and velocity ``inv_mass @ p`` of momentum ``p``."""
+    velocity = inv_mass @ p
+    return 0.5 * float(p @ velocity), velocity
 
 
 def _logaddexp(a, b):
@@ -152,14 +186,14 @@ def _logaddexp(a, b):
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _find_reasonable_step(fn, q, logp, grad, inv_mass, sqrt_mass, rng):
+def _find_reasonable_step(fn, q, logp, grad, inv_mass, mass_factor, rng):
     """Coarse step-size search: double/halve until one leapfrog step has
     acceptance probability near 1/2."""
     step = 1.0
-    p = rng.standard_normal(q.size) * sqrt_mass
-    h0 = -logp + _kinetic(p, inv_mass)
+    p = mass_factor @ rng.standard_normal(q.size)
+    h0 = -logp + _kinetic(p, inv_mass)[0]
     _, p1, _, logp1 = leapfrog(fn, q, p, grad, step, inv_mass)
-    h1 = -logp1 + _kinetic(p1, inv_mass)
+    h1 = -logp1 + _kinetic(p1, inv_mass)[0]
     delta = h0 - h1 if math.isfinite(h1) else -math.inf
     direction = 1.0 if delta > math.log(0.5) else -1.0
     for _ in range(100):
@@ -167,7 +201,7 @@ def _find_reasonable_step(fn, q, logp, grad, inv_mass, sqrt_mass, rng):
             break
         step *= 2.0**direction
         _, p1, _, logp1 = leapfrog(fn, q, p, grad, step, inv_mass)
-        h1 = -logp1 + _kinetic(p1, inv_mass)
+        h1 = -logp1 + _kinetic(p1, inv_mass)[0]
         delta = h0 - h1 if math.isfinite(h1) else -math.inf
     return step
 
@@ -206,9 +240,11 @@ class _DualAveraging:
 class _Tree:
     q_minus: np.ndarray
     p_minus: np.ndarray
+    v_minus: np.ndarray  # velocity M^-1 p at each end, for the U-turn check
     grad_minus: np.ndarray
     q_plus: np.ndarray
     p_plus: np.ndarray
+    v_plus: np.ndarray
     grad_plus: np.ndarray
     q_prop: np.ndarray
     grad_prop: np.ndarray
@@ -220,23 +256,23 @@ class _Tree:
     diverged: bool
 
 
-def _is_turning(q_minus, p_minus, q_plus, p_plus, inv_mass):
+def _is_turning(q_minus, v_minus, q_plus, v_plus):
     dq = q_plus - q_minus
-    return (
-        float(np.dot(dq, inv_mass * p_minus)) < 0
-        or float(np.dot(dq, inv_mass * p_plus)) < 0
-    )
+    return float(dq @ v_minus) < 0 or float(dq @ v_plus) < 0
 
 
 def _build_tree(fn, depth, q, p, grad, direction, step, inv_mass, h0, rng):
     if depth == 0:
         q1, p1, grad1, logp1 = leapfrog(fn, q, p, grad, direction * step, inv_mass)
-        h1 = -logp1 + _kinetic(p1, inv_mass)
+        kinetic, v1 = _kinetic(p1, inv_mass)
+        h1 = -logp1 + kinetic
+        # A non-finite density or gradient (the latter through p1) leaves h1
+        # non-finite, which ends the trajectory as a divergence.
         delta_h = h1 - h0 if math.isfinite(h1) else math.inf
         diverged = delta_h > _DIVERGENCE_THRESHOLD
         log_w = -math.inf if diverged else -delta_h
         alpha = 0.0 if diverged else (1.0 if delta_h <= 0 else math.exp(-delta_h))
-        return _Tree(q1, p1, grad1, q1, p1, grad1, q1, grad1, logp1,
+        return _Tree(q1, p1, v1, grad1, q1, p1, v1, grad1, q1, grad1, logp1,
                      log_w, alpha, 1, False, diverged)
 
     inner = _build_tree(fn, depth - 1, q, p, grad, direction, step, inv_mass, h0, rng)
@@ -245,13 +281,13 @@ def _build_tree(fn, depth, q, p, grad, direction, step, inv_mass, h0, rng):
     if direction == 1:
         outer = _build_tree(fn, depth - 1, inner.q_plus, inner.p_plus,
                             inner.grad_plus, direction, step, inv_mass, h0, rng)
-        inner.q_plus, inner.p_plus, inner.grad_plus = (
-            outer.q_plus, outer.p_plus, outer.grad_plus)
+        inner.q_plus, inner.p_plus, inner.v_plus, inner.grad_plus = (
+            outer.q_plus, outer.p_plus, outer.v_plus, outer.grad_plus)
     else:
         outer = _build_tree(fn, depth - 1, inner.q_minus, inner.p_minus,
                             inner.grad_minus, direction, step, inv_mass, h0, rng)
-        inner.q_minus, inner.p_minus, inner.grad_minus = (
-            outer.q_minus, outer.p_minus, outer.grad_minus)
+        inner.q_minus, inner.p_minus, inner.v_minus, inner.grad_minus = (
+            outer.q_minus, outer.p_minus, outer.v_minus, outer.grad_minus)
 
     inner.sum_alpha += outer.sum_alpha
     inner.n_alpha += outer.n_alpha
@@ -264,16 +300,18 @@ def _build_tree(fn, depth, q, p, grad, direction, step, inv_mass, h0, rng):
                 outer.q_prop, outer.grad_prop, outer.logp_prop)
         inner.log_sum_w = total
         inner.turning = outer.turning or _is_turning(
-            inner.q_minus, inner.p_minus, inner.q_plus, inner.p_plus, inv_mass)
+            inner.q_minus, inner.v_minus, inner.q_plus, inner.v_plus)
     return inner
 
 
-def _nuts_transition(fn, q, logp, grad, step, inv_mass, sqrt_mass, max_depth, rng):
-    p0 = rng.standard_normal(q.size) * sqrt_mass
-    h0 = -logp + _kinetic(p0, inv_mass)
+def _nuts_transition(fn, q, logp, grad, step, inv_mass, mass_factor, max_depth, rng):
+    p0 = mass_factor @ rng.standard_normal(q.size)
+    kinetic, v0 = _kinetic(p0, inv_mass)
+    h0 = -logp + kinetic
 
     q_minus = q_plus = q
     p_minus = p_plus = p0
+    v_minus = v_plus = v0
     grad_minus = grad_plus = grad
     q_prop, grad_prop, logp_prop = q, grad, logp
     log_sum_w = 0.0
@@ -285,11 +323,13 @@ def _nuts_transition(fn, q, logp, grad, step, inv_mass, sqrt_mass, max_depth, rn
         if direction == 1:
             tree = _build_tree(fn, depth, q_plus, p_plus, grad_plus,
                                1, step, inv_mass, h0, rng)
-            q_plus, p_plus, grad_plus = tree.q_plus, tree.p_plus, tree.grad_plus
+            q_plus, p_plus, v_plus, grad_plus = (
+                tree.q_plus, tree.p_plus, tree.v_plus, tree.grad_plus)
         else:
             tree = _build_tree(fn, depth, q_minus, p_minus, grad_minus,
                                -1, step, inv_mass, h0, rng)
-            q_minus, p_minus, grad_minus = tree.q_minus, tree.p_minus, tree.grad_minus
+            q_minus, p_minus, v_minus, grad_minus = (
+                tree.q_minus, tree.p_minus, tree.v_minus, tree.grad_minus)
 
         sum_alpha += tree.sum_alpha
         n_alpha += tree.n_alpha
@@ -302,7 +342,7 @@ def _nuts_transition(fn, q, logp, grad, step, inv_mass, sqrt_mass, max_depth, rn
         if math.log(rng.uniform()) < tree.log_sum_w - log_sum_w:
             q_prop, grad_prop, logp_prop = tree.q_prop, tree.grad_prop, tree.logp_prop
         log_sum_w = _logaddexp(log_sum_w, tree.log_sum_w)
-        if _is_turning(q_minus, p_minus, q_plus, p_plus, inv_mass):
+        if _is_turning(q_minus, v_minus, q_plus, v_plus):
             break
 
     accept_stat = sum_alpha / n_alpha if n_alpha > 0 else 0.0
@@ -330,24 +370,85 @@ def _adaptation_windows(warmup):
     return init_buffer, ends
 
 
-class _RunningVariance:
-    """Welford accumulator for the diagonal mass estimate."""
+def _neg_hessian(fn, x, h):
+    """Negative Hessian of the log density at ``x`` from central differences
+    of the gradient, step ``h[j]`` along coordinate ``j``; None if it is not
+    finite there."""
+    dim = x.size
+    hess = np.empty((dim, dim))
+    for j in range(dim):
+        shift = np.zeros(dim)
+        shift[j] = h[j]
+        logp_hi, grad_hi = fn(x + shift)
+        logp_lo, grad_lo = fn(x - shift)
+        if not (math.isfinite(logp_hi) and math.isfinite(logp_lo)):
+            return None
+        hess[j] = (grad_hi - grad_lo) / (2.0 * h[j])
+    if not np.isfinite(hess).all():
+        return None
+    return -0.5 * (hess + hess.T)
 
-    def __init__(self, dim):
-        self.n = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
 
-    def push(self, x):
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
+def _fd_steps(cov):
+    """Central-difference steps of ``_FD_STEP`` standard deviations."""
+    sd = np.sqrt(np.diag(cov))
+    return _FD_STEP * np.where(sd > 0, sd, 1.0)
 
-    def regularized(self):
-        var = self.m2 / max(self.n - 1, 1)
-        w = self.n / (self.n + 5.0)
-        return np.maximum(w * var + (1 - w) * 1e-3, _MASS_FLOOR)
+
+def _window_metric(fn, window):
+    """Dense inverse mass matrix from one adaptation window's draws.
+
+    Its axes are the curvature's at the window mean. Along each axis the
+    variance blends the window's with the inverse curvature, weighted by
+    the window's ``n`` draws against ``dim``; the window's covariance across
+    axes is left out.
+    """
+    n, dim = window.shape
+    mean = window.mean(axis=0)
+    centered = window - mean
+    cov = centered.T @ centered / max(n - 1, 1)
+    neg_hess = _neg_hessian(fn, mean, _fd_steps(cov))
+    if neg_hess is None:
+        # Sample covariance alone, shrunk toward a small multiple of the
+        # identity so that a short window still gives a positive definite metric.
+        w = n / (n + 5.0)
+        return w * cov + (1 - w) * 1e-3 * np.eye(dim)
+    curvature, axes = np.linalg.eigh(neg_hess)
+    window_var = np.einsum("ji,jk,ki->i", axes, cov, axes)
+    # Axes of non-positive curvature take the window variance alone. A nearly
+    # flat spot at the mean would claim more spread than the whole window
+    # shows, and a step small enough for it stalls the chain, so no axis gets
+    # more from the curvature than the window's widest direction.
+    curved_var = window_var.copy()
+    positive = curvature > 0
+    curved_var[positive] = np.minimum(1.0 / curvature[positive], np.linalg.eigvalsh(cov)[-1])
+    a = n / (n + dim)
+    var = np.maximum(a * window_var + (1 - a) * curved_var, _MASS_FLOOR)
+    return (axes * var) @ axes.T
+
+
+def _stable_step(fn, visited, inv_mass):
+    """Largest step that keeps leapfrog well inside its stability limit at
+    the stiffest of the ``visited`` warmup states (q, grad), or inf.
+
+    The whitened squared gradient ``g @ inv_mass @ g`` of a state has the
+    trace of the whitened curvature there as its expectation, so the states
+    where it is largest are where the posterior is narrowest for the metric,
+    such as the neck of a funnel. At the ``_PROBES`` largest, the stiffest
+    whitened curvature ``c`` bounds the step by ``_STABLE_STEP / sqrt(c)``.
+    A step adapted to the bulk alone is too long there, and a chain that
+    wanders in rejects nearly every trajectory until it finds its way out.
+    """
+    chol = np.linalg.cholesky(inv_mass)
+    grads = np.array([g for _, g in visited])
+    stiffness = np.einsum("ij,jk,ik->i", grads, inv_mass, grads)
+    h = _fd_steps(inv_mass)
+    stiffest = 0.0
+    for k in np.argsort(stiffness)[-_PROBES:]:
+        neg_hess = _neg_hessian(fn, visited[k][0], h)
+        if neg_hess is not None:
+            stiffest = max(stiffest, np.linalg.eigvalsh(chol.T @ neg_hess @ chol)[-1])
+    return _STABLE_STEP / math.sqrt(stiffest) if stiffest > 0 else math.inf
 
 
 def _run_chain(target, config, chain_seed):
@@ -357,37 +458,43 @@ def _run_chain(target, config, chain_seed):
 
     q = rng.uniform(-1.0, 1.0, dim)
     logp, grad = fn(q)
-    if not math.isfinite(logp):
-        raise ValueError("target density is not finite at the initial point")
+    if not (math.isfinite(logp) and np.isfinite(grad).all()):
+        raise ValueError("target density or gradient is not finite at the initial point")
 
-    inv_mass = np.ones(dim)
-    sqrt_mass = np.ones(dim)
-    step = _find_reasonable_step(fn, q, logp, grad, inv_mass, sqrt_mass, rng)
+    inv_mass = np.eye(dim)
+    mass_factor = np.eye(dim)
+    step = _find_reasonable_step(fn, q, logp, grad, inv_mass, mass_factor, rng)
     averager = _DualAveraging(step, config.target_accept)
     init_buffer, window_ends = _adaptation_windows(config.warmup_draws)
-    variance = _RunningVariance(dim)
+    visited = []  # (q, grad) of each warmup state after the initial buffer
+    window_start = 0
 
     for it in range(config.warmup_draws):
         q, logp, grad, accept_stat, _ = _nuts_transition(
-            fn, q, logp, grad, averager.step, inv_mass, sqrt_mass,
+            fn, q, logp, grad, averager.step, inv_mass, mass_factor,
             config.max_tree_depth, rng)
         averager.update(accept_stat)
-        if window_ends and it >= init_buffer:
-            variance.push(q)
-            if it + 1 == window_ends[0]:
-                inv_mass = variance.regularized()
-                sqrt_mass = 1.0 / np.sqrt(inv_mass)
-                variance = _RunningVariance(dim)
-                window_ends.pop(0)
-                step = _find_reasonable_step(fn, q, logp, grad, inv_mass, sqrt_mass, rng)
-                averager = _DualAveraging(step, config.target_accept)
+        if it < init_buffer:
+            continue
+        visited.append((q, grad))
+        if window_ends and it + 1 == window_ends[0]:
+            window = np.array([x for x, _ in visited[window_start:]])
+            inv_mass = _window_metric(fn, window)
+            # K with K @ K.T = inv(inv_mass): K @ z is a momentum draw.
+            mass_factor = np.linalg.inv(np.linalg.cholesky(inv_mass)).T
+            window_start = len(visited)
+            window_ends.pop(0)
+            step = _find_reasonable_step(fn, q, logp, grad, inv_mass, mass_factor, rng)
+            averager = _DualAveraging(step, config.target_accept)
 
     step = averager.adapted_step if config.warmup_draws > 0 else averager.step
+    if visited:
+        step = min(step, _stable_step(fn, visited, inv_mass))
     draws = np.empty((config.kept_draws, dim))
     divergences = 0
     for it in range(config.kept_draws):
         q, logp, grad, _, diverged = _nuts_transition(
-            fn, q, logp, grad, step, inv_mass, sqrt_mass,
+            fn, q, logp, grad, step, inv_mass, mass_factor,
             config.max_tree_depth, rng)
         divergences += int(diverged)
         draws[it] = q
@@ -405,10 +512,15 @@ def sample(target: TargetDensity, config: SamplerConfig = SamplerConfig()) -> Po
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     all_draws = np.empty((config.kept_draws, config.chains, target.dim))
     divergences = 0
-    for c in range(config.chains):
-        chain_draws, chain_div = _run_chain(target, config, seeds[c])
-        all_draws[:, c, :] = chain_draws
-        divergences += chain_div
+    # Diverging trajectories and trial steps can throw a state far enough to
+    # overflow the density or the kinetic energy. A non-finite energy rejects
+    # the step or ends the trajectory as a divergence, so there the overflow
+    # is expected, not an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(config.chains):
+            chain_draws, chain_div = _run_chain(target, config, seeds[c])
+            all_draws[:, c, :] = chain_draws
+            divergences += chain_div
 
     if np.any(~np.isfinite(all_draws)):
         raise RuntimeError("sampler produced non-finite draws")

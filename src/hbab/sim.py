@@ -485,7 +485,7 @@ class TauComparison:
 def tau_experiment(
     result: ScenarioResult,
     fixed_value: float = 0.1,
-    method: str = "hierarchical",
+    method: str | None = None,
     train_fraction: float = 0.5,
     tau_config: SamplerConfig | None = None,
 ) -> TauComparison:
@@ -493,10 +493,16 @@ def tau_experiment(
 
     The repetitions are split in half: the dispersion parameter is learnt
     from every pair's final difference in the first half and all three
-    strategies are scored on the second half only.
+    strategies are scored on the second half only. Effects come from
+    ``method``, by default the hierarchical estimates if the run has them
+    and its first method otherwise.
     """
     from .metaprior import EffectObservation, learn_tau
 
+    if method is None:
+        method = "hierarchical" if "hierarchical" in result.methods else result.methods[0]
+    if method not in result.methods:
+        raise ValueError(f"method {method!r} was not run; have {result.methods}")
     n = len(result.repetitions)
     if n < 2:
         raise ValueError("tau_experiment needs at least 2 repetitions")

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ class TestSimulate:
         names = {p.rsplit("/", 1)[-1] for p in manifest["outputs"]}
         assert {"metrics.csv", "decisions.csv", "manifest.json"} <= names
 
+    def test_tau_experiment_with_mle_only(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "methods": ["mle"]})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out),
+                     "--tau-experiment"]) == 0
+        learnt = json.loads((out / "learnt_tau.json").read_text())
+        assert learnt["posterior_mean"] > 0
+        with open(out / "tau_metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["tau_kind"] for r in rows} == {"fixed", "dynamic", "learnt"}
+        assert {r["method"] for r in rows} == {"mle"}
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--seed", "1", "--out", str(tmp_path / "o")]) == 2
@@ -113,6 +126,25 @@ class TestAnalyze:
         with open(out / "comparisons.csv") as fh:
             comps = list(csv.DictReader(fh))
         assert all(float(r["diff_var"]) > 0 for r in comps)
+
+    def test_hb_fit_warnings_reach_the_manifest(self, tmp_path, monkeypatch, capsys):
+        import hbab.cli
+
+        real_fit = hbab.cli.fit_posterior
+
+        def flagged_fit(*args, **kwargs):
+            s = real_fit(*args, **kwargs)
+            diag = replace(s.diagnostics, warnings=("cell logits mixed poorly",))
+            return replace(s, diagnostics=diag)
+
+        monkeypatch.setattr(hbab.cli, "fit_posterior", flagged_fit)
+        code, out = self.run_analyze(tmp_path, default_counts(updates=2), method="hb")
+        assert code == 0
+        with open(out / "manifest.json") as fh:
+            warnings = json.load(fh)["warnings"]
+        assert warnings == ["update 1: cell logits mixed poorly",
+                            "update 2: cell logits mixed poorly"]
+        assert "update 2: cell logits mixed poorly" in capsys.readouterr().err
 
     def test_methods_share_pair_ordering(self, tmp_path):
         _, out_mle = self.run_analyze(tmp_path, default_counts(), name="mle_out")

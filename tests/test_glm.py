@@ -8,12 +8,14 @@ from hbab.glm import (
     CountData,
     Hyperparams,
     ModelParams,
+    fit_posterior,
     grad_log_posterior,
     half_cauchy_log_density_log_scale,
     log_posterior,
     make_target,
     predict_rates,
 )
+from hbab.sampler import SamplerConfig
 from tests.test_design import make_spec
 
 SPEC6 = make_spec([2, 3], [])
@@ -204,6 +206,38 @@ class TestTarget:
                 lambda v: target.log_density_and_grad(v)[0], z
             )
             assert np.allclose(analytic, numeric, atol=1e-5, rtol=1e-5)
+
+
+@pytest.mark.parametrize("noncentered", [True, False])
+@pytest.mark.parametrize("log_sigma", [-600.0, 600.0])
+def test_target_finite_at_extreme_log_scale(noncentered, log_sigma):
+    # sigma^2 overflows here; the density and gradient must not.
+    rng = np.random.default_rng(10)
+    data = random_counts(rng, X6.rows)
+    target = make_target(data, X6, HYPER, noncentered=noncentered)
+    z = np.zeros(X6.cols + 3)
+    z[X6.cols + 1] = log_sigma
+    lp, grad = target.log_density_and_grad(z)
+    assert np.isfinite(lp)
+    assert np.isfinite(grad).all()
+
+
+class TestFitPosterior:
+    DATA = random_counts(np.random.default_rng(4), X6.rows)
+
+    def test_well_mixed_fit_has_no_warning(self):
+        s = fit_posterior(self.DATA, X6, SamplerConfig(chains=2, warmup_draws=200,
+                                                       kept_draws=200, seed=1))
+        assert s.parameter_labels[-3:] == ("mu", "sigma", "epsilon")
+        assert s.diagnostics.warnings == ()
+
+    def test_poorly_mixed_cells_are_reported(self):
+        # No warmup and one leapfrog per transition: a random walk whose
+        # cell logits keep only a handful of effective draws.
+        s = fit_posterior(self.DATA, X6, SamplerConfig(chains=2, warmup_draws=0,
+                                                       kept_draws=200, max_tree_depth=1,
+                                                       seed=1))
+        assert any("cell logits mixed poorly" in w for w in s.diagnostics.warnings)
 
 
 def test_half_cauchy_log_scale_normalized():

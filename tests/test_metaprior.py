@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hbab.metaprior import EffectObservation, collect_effects, learn_tau
+from hbab.metaprior import EffectObservation, collect_effects, learn_tau, tau_target
 from hbab.sampler import SamplerConfig
 from hbab.seqtest import ComparisonResult
 
@@ -69,6 +69,15 @@ class TestLearnTau:
         effects = synthetic_corpus(40, tau_true=0.02, noise_sd=0.05, seed=6)
         learnt = learn_tau(effects, CFG)
         assert learnt.q2_5 <= learnt.median <= learnt.q97_5
+
+
+@pytest.mark.parametrize("log_tau", [-600.0, 600.0])
+def test_tau_target_finite_at_extreme_log_scale(log_tau):
+    # tau^2 and (noise + tau)^2 overflow here; the density and gradient must not.
+    target = tau_target(synthetic_corpus(50, 0.01, 0.05, seed=3))
+    lp, grad = target.log_density_and_grad(np.array([log_tau]))
+    assert np.isfinite(lp)
+    assert np.isfinite(grad).all()
 
 
 class TestCollectEffects:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hbab.sampler import (
     sample,
     split_r_hat,
 )
+from hbab.sampler import _stable_step, _window_metric
 
 
 def std_normal_target(dim=1):
@@ -96,6 +99,53 @@ class TestSample:
         with pytest.raises(ValueError, match="not finite"):
             sample(bad, SamplerConfig(chains=1, warmup_draws=10, kept_draws=100))
 
+    def test_nonfinite_gradient_is_a_divergence(self):
+        # The density stays finite past |x[0]| = 1.5 but its gradient is NaN.
+        def broken(x):
+            grad = -x if abs(x[0]) < 1.5 else np.full(x.size, np.nan)
+            return -0.5 * float(x @ x), grad
+
+        s = sample(
+            TargetDensity(2, broken),
+            SamplerConfig(chains=2, warmup_draws=200, kept_draws=300, seed=3),
+        )
+        assert s.diagnostics.divergence_count > 0
+        assert np.isfinite(s.draws).all()
+        assert np.abs(s.draws[:, :, 0]).max() < 1.5
+
+    def test_dense_metric_follows_a_ridge(self):
+        # 10-D Gaussian with standard deviations from 1e-3 to 1 along rotated
+        # axes, where a diagonal metric takes over a hundred leapfrogs per
+        # transition.
+        rng = np.random.default_rng(21)
+        rot, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        cov = (rot * np.logspace(-3, 0, 10) ** 2) @ rot.T
+        base = mvn_target(cov).log_density_and_grad
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return base(x)
+
+        cfg = SamplerConfig(chains=2, warmup_draws=300, kept_draws=600,
+                            max_tree_depth=8, seed=4)
+        sample(TargetDensity(10, counted), replace(cfg, kept_draws=100))
+        short_calls, calls[0] = calls[0], 0
+        s = sample(TargetDensity(10, counted), cfg)
+        # Both runs share warmup and their first 100 kept draws, so the
+        # difference is the leapfrogs of the last 500 kept transitions.
+        assert (calls[0] - short_calls) / (cfg.chains * 500) < 32
+
+        # Whitened by the true covariance, the draws have identity
+        # covariance; entries agree within 4 Monte-Carlo SE.
+        white = s.draws @ np.linalg.inv(np.linalg.cholesky(cov)).T
+        emp = np.cov(white.reshape(-1, 10).T)
+        ess = min(
+            effective_sample_size((white[:, :, j] - white[:, :, j].mean()) ** 2)
+            for j in range(10)
+        )
+        assert np.max(np.abs(emp - np.eye(10))) < 4 * np.sqrt(2.0 / ess)
+
     def test_divergences_flagged(self):
         # Lying gradient beyond a cliff makes trajectories blow past the
         # energy threshold.
@@ -114,35 +164,118 @@ class TestSample:
         assert any("divergent" in w for w in s.diagnostics.warnings)
 
 
+def check_reversible_and_energy_bounded(inv_mass):
+    cov = np.array([[1.0, 0.4], [0.4, 2.0]])
+    target = mvn_target(cov)
+    fn = target.log_density_and_grad
+    rng = np.random.default_rng(0)
+    q0 = rng.normal(size=2)
+    p0 = rng.normal(size=2)
+    logp0, grad0 = fn(q0)
+
+    def energy(q, p, logp):
+        return -logp + 0.5 * p @ inv_mass @ p
+
+    q, p, grad, logp = q0, p0, grad0, logp0
+    for _ in range(25):
+        q, p, grad, logp = leapfrog(fn, q, p, grad, 0.05, inv_mass)
+    fwd_err = energy(q, p, logp) - energy(q0, p0, logp0)
+    assert abs(fwd_err) < 0.1
+
+    # Flip momentum and integrate back: returns to the start, and the
+    # energy error flips sign exactly.
+    qb, pb, gradb, logpb = q, -p, grad, logp
+    for _ in range(25):
+        qb, pb, gradb, logpb = leapfrog(fn, qb, pb, gradb, 0.05, inv_mass)
+    assert np.allclose(qb, q0, atol=1e-10)
+    assert np.allclose(pb, -p0, atol=1e-10)
+    back_err = energy(qb, pb, logpb) - energy(q, -p, logp)
+    assert back_err == pytest.approx(-fwd_err, abs=1e-10)
+
+
 class TestLeapfrog:
     def test_reversible_and_energy_bounded(self):
-        cov = np.array([[1.0, 0.4], [0.4, 2.0]])
-        target = mvn_target(cov)
-        fn = target.log_density_and_grad
-        inv_mass = np.ones(2)
-        rng = np.random.default_rng(0)
-        q0 = rng.normal(size=2)
-        p0 = rng.normal(size=2)
-        logp0, grad0 = fn(q0)
+        check_reversible_and_energy_bounded(np.eye(2))
 
-        def energy(q, p, logp):
-            return -logp + 0.5 * p @ p
+    def test_dense_metric_reversible_and_energy_bounded(self):
+        check_reversible_and_energy_bounded(np.array([[0.9, 0.35], [0.35, 1.8]]))
 
-        q, p, grad, logp = q0, p0, grad0, logp0
-        for _ in range(25):
-            q, p, grad, logp = leapfrog(fn, q, p, grad, 0.05, inv_mass)
-        fwd_err = energy(q, p, logp) - energy(q0, p0, logp0)
-        assert abs(fwd_err) < 0.1
 
-        # Flip momentum and integrate back: returns to the start, and the
-        # energy error flips sign exactly.
-        qb, pb, gradb, logpb = q, -p, grad, logp
-        for _ in range(25):
-            qb, pb, gradb, logpb = leapfrog(fn, qb, pb, gradb, 0.05, inv_mass)
-        assert np.allclose(qb, q0, atol=1e-10)
-        assert np.allclose(pb, -p0, atol=1e-10)
-        back_err = energy(qb, pb, logpb) - energy(q, -p, logp)
-        assert back_err == pytest.approx(-fwd_err, abs=1e-10)
+class TestWindowMetric:
+    WINDOW = np.random.default_rng(1).normal(size=(40, 2)) * [2.0, 0.5]
+
+    def test_blends_window_variance_with_curvature_along_its_axes(self):
+        # Curvature 1 along x[0] and none along x[1], which therefore takes
+        # the window variance. The curvature's axes are the coordinate axes,
+        # so the window's covariance between x[0] and x[1] is left out.
+        def fn(x):
+            return -x[0] ** 2 / 2.0, np.array([-x[0], 0.0])
+
+        cov = np.cov(self.WINDOW.T)
+        assert abs(cov[0, 1]) > 0.05
+        a = 40 / (40 + 2)
+        expected = np.diag([a * cov[0, 0] + (1 - a) * 1.0, cov[1, 1]])
+        assert np.allclose(_window_metric(fn, self.WINDOW), expected, rtol=1e-6, atol=1e-12)
+
+    def test_curvature_axes_rotate_with_the_target(self):
+        # Curvature 1 and 4 along axes rotated by 30 degrees: the metric is
+        # diagonal in those axes.
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        axes = np.array([[c, -s], [s, c]])
+        prec = (axes * [1.0, 4.0]) @ axes.T
+
+        def fn(x):
+            return -0.5 * float(x @ prec @ x), -prec @ x
+
+        cov = np.cov(self.WINDOW.T)
+        a = 40 / (40 + 2)
+        window_var = np.einsum("ji,jk,ki->i", axes, cov, axes)
+        var = a * window_var + (1 - a) * np.array([1.0, 0.25])
+        expected = (axes * var) @ axes.T
+        assert np.allclose(_window_metric(fn, self.WINDOW), expected, rtol=1e-6)
+
+    def test_curvature_variance_capped_at_widest_window_direction(self):
+        # Nearly flat along x[0]: 1 / curvature would be 1e4.
+        def fn(x):
+            return -1e-4 * x[0] ** 2 / 2.0, np.array([-1e-4 * x[0], 0.0])
+
+        cov = np.cov(self.WINDOW.T)
+        a = 40 / (40 + 2)
+        widest = np.linalg.eigvalsh(cov)[-1]
+        expected = np.diag([a * cov[0, 0] + (1 - a) * widest, cov[1, 1]])
+        assert np.allclose(_window_metric(fn, self.WINDOW), expected, rtol=1e-6, atol=1e-12)
+
+    def test_nonfinite_hessian_falls_back_to_window_covariance(self):
+        def fn(x):
+            return 0.0, np.full(2, np.nan)
+
+        w = 40 / 45
+        expected = w * np.cov(self.WINDOW.T) + (1 - w) * 1e-3 * np.eye(2)
+        assert np.allclose(_window_metric(fn, self.WINDOW), expected)
+
+
+class TestStableStep:
+    def test_gaussian_bound_is_set_by_the_stiffest_direction(self):
+        prec = np.diag([1.0, 100.0])
+
+        def fn(x):
+            return -0.5 * float(x @ prec @ x), -prec @ x
+
+        visited = [(x, fn(x)[1]) for x in np.random.default_rng(2).normal(size=(20, 2))]
+        assert _stable_step(fn, visited, np.eye(2)) == pytest.approx(1.2 / 10.0, rel=1e-4)
+        # Whitened by the true covariance every direction has curvature 1.
+        assert _stable_step(fn, visited, np.linalg.inv(prec)) == pytest.approx(1.2, rel=1e-4)
+
+    def test_probes_where_the_whitened_gradient_is_largest(self):
+        # Curvature 3 x^2 grows away from 0; the state at x = 3 has by far
+        # the largest gradient and sets the bound.
+        def fn(x):
+            return -0.25 * float(x[0] ** 4), -x ** 3
+
+        visited = [(np.array([x]), -np.array([x]) ** 3)
+                   for x in (0.1, -0.5, 1.0, 0.3, 3.0, 0.2, -0.8)]
+        assert _stable_step(fn, visited, np.eye(1)) == pytest.approx(
+            1.2 / np.sqrt(27.0), rel=1e-4)
 
 
 def constant_samples(value, k=120, chains=2, label="x"):

@@ -263,6 +263,8 @@ def test_tau_experiment_replays_traces():
     assert set(comparison.metrics) == {"fixed", "dynamic", "learnt"}
     assert comparison.train_reps == (0,) and comparison.test_reps == (1,)
     assert comparison.learnt_tau > 0
+    with pytest.raises(ValueError, match="was not run"):
+        tau_experiment(result, method="mle")
 
 
 def test_config_validation():
