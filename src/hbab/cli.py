@@ -47,6 +47,7 @@ from .metaprior import EffectObservation, learn_tau
 from .sampler import SamplerConfig, effective_sample_size, sample
 from .seqtest import TauSpec, log_bayes_factor, resolve_tau, run_all_comparisons
 from .sim import (
+    METHODS,
     ScenarioConfig,
     desk_scenario,
     paper_scenario,
@@ -66,12 +67,21 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _default_file_mode() -> int:
+    """The mode ``open()`` gives a new file under the current umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+            # mkstemp creates the file 0600; outputs get the usual mode.
+            os.fchmod(fh.fileno(), _default_file_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -157,6 +167,8 @@ def _load_json(path: str) -> dict:
 
 def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], dict]:
     overrides = _load_json(args.config) if args.config else {}
+    if not isinstance(overrides, dict):
+        raise InputError("scenario config must be a JSON object")
     power = overrides.get("power", args.power)
     base = desk_scenario(power) if args.scale == "desk" else paper_scenario(power)
 
@@ -173,22 +185,25 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
     ):
         if key in overrides:
             kwargs[key] = overrides[key]
-    if "spec" in overrides:
-        kwargs["spec"] = spec_from_dict(overrides["spec"])
-    if "sampler" in overrides:
-        kwargs["sampler"] = replace(base.sampler, **overrides["sampler"])
     try:
+        if "spec" in overrides:
+            kwargs["spec"] = spec_from_dict(overrides["spec"])
+        if "sampler" in overrides:
+            kwargs["sampler"] = replace(base.sampler, **overrides["sampler"])
         config = replace(base, power=power, **kwargs)
-    except (TypeError, ValueError) as exc:
+        tau = overrides.get("tau")
+        tau_spec = (
+            TauSpec(tau["kind"], tau.get("value"), tau.get("epsilon_floor", 1e-8))
+            if tau
+            else TauSpec.fixed(0.1)
+        )
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
         raise InputError(f"invalid scenario config: {exc}") from exc
-
-    tau = overrides.get("tau")
-    tau_spec = (
-        TauSpec(tau["kind"], tau.get("value"), tau.get("epsilon_floor", 1e-8))
-        if tau
-        else TauSpec.fixed(0.1)
-    )
-    methods = tuple(overrides.get("methods", ("hierarchical", "mle")))
+    methods = tuple(overrides.get("methods", METHODS))
+    if not methods or not set(methods) <= set(METHODS):
+        raise InputError(f"invalid scenario config: methods must be drawn from {METHODS}")
+    if args.tau_experiment and config.repetitions < 2:
+        raise InputError("--tau-experiment needs at least 2 repetitions")
 
     payload = {
         "scale": args.scale,
@@ -376,13 +391,32 @@ def _read_counts(path: str, spec: ExperimentSpec):
     return [CountData(per_update[u][0], per_update[u][1]) for u in updates]
 
 
+def _check_traffic(increments: list[CountData], spec: ExperimentSpec, method: str) -> None:
+    """The first update needs traffic in some cell, and the plain estimator
+    needs it in every cell: a cell without assignments has no proportion to
+    compare."""
+    cum_a = np.cumsum([inc.assignments for inc in increments], axis=0)
+    if not cum_a[0].any():
+        raise InputError("update 1 has no assignments in any cell")
+    if method == "mle" and not cum_a.all():
+        u, k = np.argwhere(cum_a == 0)[0]
+        raise InputError(
+            f"update {u + 1}: no assignments yet in cell "
+            f"({spec.describe_cell(enumerate_cells(spec)[k])}); "
+            "--method mle needs traffic in every cell"
+        )
+
+
 def cmd_analyze(args) -> int:
     try:
         spec = load_experiment_spec(args.design)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load design spec: {exc}") from exc
     tau_spec = _parse_tau(args.tau)
+    if not 0.0 < args.alpha < 1.0:
+        raise InputError(f"--alpha must lie in (0, 1), got {args.alpha}")
     increments = _read_counts(args.counts, spec)
+    _check_traffic(increments, spec, args.method)
 
     payload = {
         "design": spec_to_dict(spec),
@@ -517,7 +551,9 @@ def _effects_from_csv(path: str) -> list[EffectObservation]:
                 delta, sd = float(row[0]), float(row[1])
             except (ValueError, IndexError) as exc:
                 raise InputError(f"row {line_no}: {exc}") from exc
-            if sd <= 0:
+            if not math.isfinite(delta):
+                raise InputError(f"row {line_no}: delta must be finite")
+            if not (sd > 0 and math.isfinite(sd)):
                 raise InputError(f"row {line_no}: noise_sd must be positive")
             out.append(EffectObservation(delta, sd))
     return out
@@ -539,16 +575,21 @@ def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]
                 if not needed.issubset(fields):
                     continue
                 finals = {}
-                for row in reader:
-                    if "method" in fields and row["method"] != method:
-                        continue
-                    key = (row.get("rep", ""), row["context"], row["content_a"],
-                           row["content_b"])
-                    prev = finals.get(key)
-                    if prev is None or int(row["update"]) > int(prev["update"]):
-                        finals[key] = row
-            for row in finals.values():
-                d, v = float(row["diff_mean"]), float(row["diff_var"])
+                try:
+                    for row in reader:
+                        if "method" in fields and row["method"] != method:
+                            continue
+                        key = (row.get("rep", ""), row["context"], row["content_a"],
+                               row["content_b"])
+                        update = int(row["update"])
+                        prev = finals.get(key)
+                        if prev is None or update > prev[0]:
+                            finals[key] = (update, row)
+                    diffs = [(float(row["diff_mean"]), float(row["diff_var"]))
+                             for _, row in finals.values()]
+                except (ValueError, TypeError) as exc:
+                    raise InputError(f"malformed results file {full!r}: {exc}") from exc
+            for d, v in diffs:
                 if math.isfinite(d) and v > 0:
                     effects.append(EffectObservation(d, math.sqrt(v)))
     return effects
@@ -785,7 +826,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # sampler or other runtime failure

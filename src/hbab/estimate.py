@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .design import DesignMatrix, ExperimentSpec
-from .glm import CountData, sigmoid
+from .glm import CountData
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -79,7 +80,7 @@ def hb_estimate(samples: PosteriorSamples, X: DesignMatrix) -> list[CellEstimate
             f"samples carry {len(beta_cols)} coefficients, design has {X.cols} columns"
         )
     eps = flat[:, samples.parameter_index("epsilon")]
-    rates = sigmoid(flat[:, beta_cols] @ X.matrix.T + eps[:, None])
+    rates = expit(flat[:, beta_cols] @ X.matrix.T + eps[:, None])
     return [
         CellEstimate(
             float(rates[:, k].mean()),

@@ -33,7 +33,6 @@ __all__ = [
     "Hyperparams",
     "ModelParams",
     "CountData",
-    "sigmoid",
     "predict_rates",
     "log_posterior",
     "grad_log_posterior",
@@ -92,16 +91,6 @@ class CountData:
             raise ValueError("need 0 <= responses <= assignments per cell")
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
@@ -112,7 +101,7 @@ def predict_rates(params: ModelParams, X: DesignMatrix) -> np.ndarray:
         raise ValueError(
             f"beta has {params.beta.shape[0]} entries, design has {X.cols} columns"
         )
-    p = sigmoid(X.matrix @ params.beta + params.epsilon)
+    p = expit(X.matrix @ params.beta + params.epsilon)
     return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
@@ -167,7 +156,7 @@ def grad_log_posterior(
     b = hyper.sigma_cauchy_scale
 
     eta = X.matrix @ beta + eps
-    resid = data.responses - data.assignments * sigmoid(eta)
+    resid = data.responses - data.assignments * expit(eta)
 
     z = (beta - mu) / sigma
     g_beta = X.matrix.T @ resid - z / sigma

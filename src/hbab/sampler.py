@@ -8,6 +8,17 @@ Chains draw from counter-based random substreams spawned off the master
 seed, so results are bit-reproducible for a given seed and config and one
 chain's stream never depends on how many chains run.
 
+Warmup follows Stan's scheme of a step-only initial buffer, metric windows
+that double in length and a step-only tail, with a short buffer: 25
+transitions, a first window of 25 draws and a 50-transition tail, so 250
+warmup draws set metrics after transitions 50, 100 and 200. On the
+identity metric, a rank-deficient hierarchical fit needs a tiny step and
+runs nearly every trajectory to the depth cap; the buffer only has to bring
+the chain near the posterior bulk, since the curvature supplies most of the
+first metric. A curvature metric at the random starting point itself does
+not work: there many cell logits are saturated and the stiff directions
+are missed.
+
 The metric (inverse mass matrix) starts as the identity. At each window
 end it is rebuilt from the window's ``n`` draws and the curvature of the
 log density at their mean: the negative Hessian, from central differences
@@ -350,10 +361,15 @@ def _nuts_transition(fn, q, logp, grad, step, inv_mass, mass_factor, max_depth, 
 
 
 def _adaptation_windows(warmup):
-    """(step-only head, list of mass-window end indices)."""
+    """(step-only head, list of metric-window end indices).
+
+    A 25-transition head, windows doubling from 25 draws (the last one
+    stretched to the tail) and a 50-transition step-only tail, all scaled
+    down when warmup is shorter than their sum.
+    """
     if warmup < 20:
         return warmup, []
-    init_buffer, term_buffer, base_window = 75, 50, 25
+    init_buffer, term_buffer, base_window = 25, 50, 25
     if warmup < init_buffer + term_buffer + base_window:
         scale = warmup / (init_buffer + term_buffer + base_window)
         init_buffer = max(1, int(init_buffer * scale))

@@ -83,6 +83,10 @@ class ScenarioConfig:
     )
 
     def __post_init__(self):
+        if self.updates < 0 or self.repetitions < 1:
+            raise ValueError("need updates >= 0 and at least one repetition")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
         if self.assignments_per_update < self.spec.n_cells:
             raise ValueError("need at least one assignment per cell per update")
         if self.h0_mode not in ("combined", "separate"):

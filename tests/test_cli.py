@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +94,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_unknown_method_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "methods": ["bayes"]})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "methods" in capsys.readouterr().err
+
+    def test_bad_sampler_override_exits_2(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "sampler": {"kept_draws": 10}})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "o")])
@@ -181,6 +195,44 @@ class TestAnalyze:
         code, _ = self.run_analyze(tmp_path, rows)
         assert code == 2
         assert "responses" in capsys.readouterr().err
+
+    def test_mle_cell_without_traffic_exits_2(self, tmp_path, capsys):
+        rows = default_counts(updates=1)
+        rows[3] = (1, "m1", "c1", 0, 0)
+        code, _ = self.run_analyze(tmp_path, rows)
+        assert code == 2
+        assert "msg=m1, ctx=c1" in capsys.readouterr().err
+
+    def test_alpha_out_of_range_exits_2(self, tmp_path):
+        design = write_json(tmp_path / "design.json", TINY_DESIGN)
+        counts = write_counts(tmp_path / "counts.csv", default_counts(updates=1))
+        assert main(["analyze", "--design", design, "--counts", counts,
+                     "--alpha", "1.5", "--out", str(tmp_path / "o")]) == 2
+
+    def test_value_error_inside_fitting_exits_3(self, tmp_path, monkeypatch, capsys):
+        import hbab.cli
+
+        def broken_fit(*args, **kwargs):
+            raise ValueError("target density or gradient is not finite")
+
+        monkeypatch.setattr(hbab.cli, "fit_posterior", broken_fit)
+        code, _ = self.run_analyze(tmp_path, default_counts(updates=1), method="hb")
+        assert code == 3
+        assert "runtime failure" in capsys.readouterr().err
+
+    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+        old_umask = os.umask(0o022)
+        try:
+            code, out = self.run_analyze(tmp_path, default_counts(updates=1))
+            with open(tmp_path / "plain.csv", "w"):
+                pass
+        finally:
+            os.umask(old_umask)
+        assert code == 0
+        expected = stat.S_IMODE(os.stat(tmp_path / "plain.csv").st_mode)
+        assert expected == 0o644
+        for name in ("estimates.csv", "comparisons.csv", "manifest.json"):
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == expected
 
     def test_noncontiguous_updates_exit_2(self, tmp_path):
         rows = [(2, "m0", "c0", 10, 5)]

@@ -16,7 +16,8 @@ from hbab.sampler import (
     sample,
     split_r_hat,
 )
-from hbab.sampler import _stable_step, _window_metric
+from hbab import sampler as sampler_module
+from hbab.sampler import _adaptation_windows, _stable_step, _window_metric
 
 
 def std_normal_target(dim=1):
@@ -199,6 +200,64 @@ class TestLeapfrog:
 
     def test_dense_metric_reversible_and_energy_bounded(self):
         check_reversible_and_energy_bounded(np.array([[0.9, 0.35], [0.35, 1.8]]))
+
+
+class TestWarmupSchedule:
+    @pytest.mark.parametrize(
+        "warmup, expected",
+        [
+            (0, (0, [])),
+            (19, (19, [])),
+            # 25-transition buffer, 25-draw first window, 50-transition tail.
+            (100, (25, [50])),
+            (150, (25, [50, 100])),
+            (250, (25, [50, 100, 200])),
+            # The last window stretches to the tail instead of leaving a
+            # window too short to double.
+            (400, (25, [50, 100, 350])),
+        ],
+    )
+    def test_buffer_and_window_ends(self, warmup, expected):
+        assert _adaptation_windows(warmup) == expected
+
+    def test_short_identity_phase_on_a_rank_deficient_target(self, monkeypatch):
+        # Gaussian posterior of a linear model whose 12 coefficients see the
+        # data through 4 directions only: curvature 1.6e4 to 9.4e4 there and
+        # 1 in the null space. On the identity metric nearly every transition
+        # runs to the depth cap (255 leapfrogs), so the warmup cost is set by
+        # how long the chain waits for its first dense metric. A
+        # 100-transition identity phase costs over 23,000 density calls per
+        # chain here.
+        rng = np.random.default_rng(3)
+        design = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 12))
+        prec = 1e2 * design.T @ design + np.eye(12)
+        calls = [0]
+
+        def fn(x):
+            calls[0] += 1
+            grad = -prec @ x
+            return 0.5 * float(x @ grad), grad
+
+        # Count from the start of each chain to the step bound that follows
+        # its warmup.
+        warmup_calls = []
+        run_chain, stable_step = sampler_module._run_chain, sampler_module._stable_step
+
+        def counted_chain(*args):
+            calls[0] = 0
+            return run_chain(*args)
+
+        def at_warmup_end(*args):
+            warmup_calls.append(calls[0])
+            return stable_step(*args)
+
+        monkeypatch.setattr(sampler_module, "_run_chain", counted_chain)
+        monkeypatch.setattr(sampler_module, "_stable_step", at_warmup_end)
+        cfg = SamplerConfig(chains=2, warmup_draws=250, kept_draws=100,
+                            max_tree_depth=8, seed=0)
+        sample(TargetDensity(12, fn), cfg)
+        assert len(warmup_calls) == 2
+        assert max(warmup_calls) < 16_000
 
 
 class TestWindowMetric:

@@ -15,6 +15,7 @@ from hbab.sim import (
     naive_sequential_test_fpr,
     paper_scenario,
     run_repetition,
+    run_scenario,
     score,
     stream_updates,
     tau_experiment,
@@ -155,6 +156,21 @@ class TestRunRepetition:
         assert set(rep.estimate_mean) == {"mle"}
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_scenario_ignores_the_worker_count(monkeypatch, workers):
+    cfg = tiny_config(repetitions=3, updates=3)
+    monkeypatch.delenv("HBAB_WORKERS", raising=False)
+    serial = run_scenario(cfg, methods=("mle",))
+    monkeypatch.setenv("HBAB_WORKERS", workers)
+    pooled = run_scenario(cfg, methods=("mle",))
+    assert [r.rep for r in pooled.repetitions] == [0, 1, 2]
+    for a, b in zip(serial.repetitions, pooled.repetitions):
+        assert np.array_equal(a.truth.rates, b.truth.rates)
+        for field in ("estimate_mean", "estimate_var", "diff_mean", "diff_var", "p_min"):
+            assert np.array_equal(getattr(a, field)["mle"], getattr(b, field)["mle"],
+                                  equal_nan=True)
+
+
 def synthetic_result(p_min_h, p_min_m, labels, est_err=0.0):
     """ScenarioResult with hand-built traces for metric tests."""
     spec = TINY_SPEC
@@ -272,3 +288,7 @@ def test_config_validation():
         tiny_config(assignments_per_update=2)
     with pytest.raises(ValueError, match="h0_mode"):
         tiny_config(h0_mode="bogus")
+    with pytest.raises(ValueError, match="repetition"):
+        tiny_config(repetitions=0)
+    with pytest.raises(ValueError, match="alpha"):
+        tiny_config(alpha=1.5)
