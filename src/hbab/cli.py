@@ -438,6 +438,7 @@ def cmd_analyze(args) -> int:
 
     est_rows, marg_rows, cmp_rows = [], [], []
     states = None
+    warm_start = None  # each update's fit starts from the previous one's
     marg_states = {pair: (1.0, 0) for pair in content_pairs}  # p_min, n_updates
     cum_a = np.zeros(spec.n_cells, dtype=np.int64)
     cum_r = np.zeros(spec.n_cells, dtype=np.int64)
@@ -450,7 +451,8 @@ def cmd_analyze(args) -> int:
                 chains=2, warmup_draws=250, kept_draws=200, max_tree_depth=8,
                 seed=args.seed + u,
             )
-            samples = fit_posterior(data, X, cfg)
+            samples = fit_posterior(data, X, cfg, warm_start=warm_start)
+            warm_start = samples.warm_start
             for w in samples.diagnostics.warnings:
                 manifest.warn(f"update {u}: {w}")
             ests = hb_estimate(samples, X)
@@ -822,6 +824,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # seed sequences take non-negative integers only
+            raise InputError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from .sampler import (
     PosteriorSamples,
     SamplerConfig,
     TargetDensity,
+    WarmStart,
     effective_sample_size,
     sample,
     split_r_hat,
@@ -280,6 +281,7 @@ def fit_posterior(
     config: SamplerConfig,
     hyper: Hyperparams = Hyperparams(),
     noncentered: bool = True,
+    warm_start: WarmStart | None = None,
 ) -> PosteriorSamples:
     """Run the sampler on the model and return draws in natural coordinates.
 
@@ -289,9 +291,13 @@ def fit_posterior(
     coefficients themselves are identified only through the prior, so the
     diagnostics warnings also report a fit whose cell logits, the quantities
     every estimate is built from, mixed too poorly to be trusted.
+
+    ``warm_start`` is the ``warm_start`` of a fit of the same model and
+    parameterisation to earlier counts (see ``sampler.sample``); the result
+    carries its own for the next fit.
     """
     target = make_target(data, X, hyper, noncentered=noncentered)
-    samples = sample(target, config)
+    samples = sample(target, config, warm_start)
     P = X.cols
 
     draws = samples.draws.copy()

@@ -44,6 +44,20 @@ integrator unstable, and a chain that wanders in rejects nearly every
 trajectory until it finds its way out. So the kept step is also bounded by
 the curvature at the stiffest warmup states: a few, picked by their
 whitened gradients, each probed with a Hessian (``2 * dim`` density calls).
+
+A sequential test refits the same model to slightly more data at every
+look, and each posterior is close to the one before. A run therefore
+returns a ``WarmStart``: each chain's last kept position and all kept draws
+pooled, in the sampler's own coordinates. A later run given it starts each
+chain at its counterpart's position, on a first metric built by the window
+rule above from the pooled draws and the new target's curvature at their
+mean. It drops the first window end, so 250 warmup draws set metrics
+after transitions 100 and 200; the buffer, the tail, the step search and
+the step bound are a cold run's. What this skips is the identity-metric
+phase, which costs a cold run about 40% of its density calls. Warm
+chains are not dispersed starts, so their split R-hat checks that the
+chains agree with each other, not that they have forgotten where they
+started.
 """
 
 from __future__ import annotations
@@ -60,6 +74,7 @@ __all__ = [
     "SamplerConfig",
     "Diagnostics",
     "PosteriorSamples",
+    "WarmStart",
     "Summary",
     "sample",
     "posterior_summary",
@@ -121,12 +136,27 @@ class Diagnostics:
 
 
 @dataclass(frozen=True)
+class WarmStart:
+    """What a fit hands to the next fit of a nearby target, in the sampler's
+    own coordinates: each chain's last kept position [chains, dim] and all
+    kept draws pooled over chains [n, dim]."""
+
+    positions: np.ndarray
+    draws: np.ndarray
+
+
+@dataclass(frozen=True)
 class PosteriorSamples:
-    """Kept draws with shape [kept_draws, chains, dim] plus diagnostics."""
+    """Kept draws with shape [kept_draws, chains, dim] plus diagnostics.
+
+    ``warm_start`` carries the raw kept state of the run into a later
+    ``sample`` call; it is not relabeled with the draws.
+    """
 
     draws: np.ndarray
     parameter_labels: tuple[str, ...]
     diagnostics: Diagnostics
+    warm_start: WarmStart | None = None
 
     def flat(self) -> np.ndarray:
         """All chains pooled: [kept_draws * chains, dim]."""
@@ -156,7 +186,7 @@ class PosteriorSamples:
                 [effective_sample_size(draws[:, :, j]) for j in range(draws.shape[2])]
             ),
         )
-        return PosteriorSamples(draws, tuple(labels), diag)
+        return PosteriorSamples(draws, tuple(labels), diag, self.warm_start)
 
 
 @dataclass(frozen=True)
@@ -467,21 +497,37 @@ def _stable_step(fn, visited, inv_mass):
     return _STABLE_STEP / math.sqrt(stiffest) if stiffest > 0 else math.inf
 
 
-def _run_chain(target, config, chain_seed):
+def _momentum_factor(inv_mass):
+    """K with K @ K.T = inv(inv_mass): K @ z is a momentum draw."""
+    return np.linalg.inv(np.linalg.cholesky(inv_mass)).T
+
+
+def _run_chain(target, config, chain_seed, warm=None):
+    """Warmup and kept draws of one chain.
+
+    A cold chain (``warm`` None) starts at a uniform draw from [-1, 1]^dim
+    on the identity metric. A warm chain starts at ``warm = (position,
+    metric)`` and drops the first window end, whose only job is to leave
+    the identity metric; its first window runs on to the second end.
+    """
     fn = target.log_density_and_grad
     dim = target.dim
     rng = np.random.Generator(np.random.Philox(chain_seed))
+    init_buffer, window_ends = _adaptation_windows(config.warmup_draws)
+    if warm is None:
+        q = rng.uniform(-1.0, 1.0, dim)
+        inv_mass = mass_factor = np.eye(dim)
+    else:
+        q, inv_mass = warm
+        mass_factor = _momentum_factor(inv_mass)
+        window_ends = window_ends[1:]
 
-    q = rng.uniform(-1.0, 1.0, dim)
     logp, grad = fn(q)
     if not (math.isfinite(logp) and np.isfinite(grad).all()):
         raise ValueError("target density or gradient is not finite at the initial point")
 
-    inv_mass = np.eye(dim)
-    mass_factor = np.eye(dim)
     step = _find_reasonable_step(fn, q, logp, grad, inv_mass, mass_factor, rng)
     averager = _DualAveraging(step, config.target_accept)
-    init_buffer, window_ends = _adaptation_windows(config.warmup_draws)
     visited = []  # (q, grad) of each warmup state after the initial buffer
     window_start = 0
 
@@ -496,8 +542,7 @@ def _run_chain(target, config, chain_seed):
         if window_ends and it + 1 == window_ends[0]:
             window = np.array([x for x, _ in visited[window_start:]])
             inv_mass = _window_metric(fn, window)
-            # K with K @ K.T = inv(inv_mass): K @ z is a momentum draw.
-            mass_factor = np.linalg.inv(np.linalg.cholesky(inv_mass)).T
+            mass_factor = _momentum_factor(inv_mass)
             window_start = len(visited)
             window_ends.pop(0)
             step = _find_reasonable_step(fn, q, logp, grad, inv_mass, mass_factor, rng)
@@ -517,14 +562,34 @@ def _run_chain(target, config, chain_seed):
     return draws, divergences
 
 
-def sample(target: TargetDensity, config: SamplerConfig = SamplerConfig()) -> PosteriorSamples:
+def sample(
+    target: TargetDensity,
+    config: SamplerConfig = SamplerConfig(),
+    warm_start: WarmStart | None = None,
+) -> PosteriorSamples:
     """Draw from the target with per-chain adaptation, then freeze the step.
 
-    Deterministic for a fixed (seed, config, target): every chain owns a
-    counter-based substream spawned from the master seed by chain index.
-    More than 10% divergent kept transitions is flagged in the diagnostics
-    warnings rather than raised, since the draws may still be usable.
+    Deterministic for a fixed (seed, config, target, warm_start): every
+    chain owns a counter-based substream spawned from the master seed by
+    chain index. More than 10% divergent kept transitions is flagged in the
+    diagnostics warnings rather than raised, since the draws may still be
+    usable.
+
+    ``warm_start``, the ``warm_start`` of an earlier run on a nearby target
+    of the same dimension and chain count, starts each chain at its
+    counterpart's last kept position, on a first metric from the earlier
+    run's pooled draws and this target's curvature at their mean.
     """
+    if warm_start is not None and (
+        warm_start.positions.shape != (config.chains, target.dim)
+        or warm_start.draws.ndim != 2
+        or warm_start.draws.shape[1] != target.dim
+    ):
+        raise ValueError(
+            f"warm start (positions {warm_start.positions.shape}, draws "
+            f"{warm_start.draws.shape}) does not fit {config.chains} chains "
+            f"in {target.dim} dimensions"
+        )
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     all_draws = np.empty((config.kept_draws, config.chains, target.dim))
     divergences = 0
@@ -533,8 +598,12 @@ def sample(target: TargetDensity, config: SamplerConfig = SamplerConfig()) -> Po
     # the step or ends the trajectory as a divergence, so there the overflow
     # is expected, not an error.
     with np.errstate(over="ignore", invalid="ignore"):
+        warm = [None] * config.chains
+        if warm_start is not None:
+            inv_mass = _window_metric(target.log_density_and_grad, warm_start.draws)
+            warm = [(q, inv_mass) for q in warm_start.positions]
         for c in range(config.chains):
-            chain_draws, chain_div = _run_chain(target, config, seeds[c])
+            chain_draws, chain_div = _run_chain(target, config, seeds[c], warm[c])
             all_draws[:, c, :] = chain_draws
             divergences += chain_div
 
@@ -559,7 +628,8 @@ def sample(target: TargetDensity, config: SamplerConfig = SamplerConfig()) -> Po
         divergence_count=divergences,
         warnings=tuple(warnings),
     )
-    return PosteriorSamples(all_draws, tuple(labels), diag)
+    carried = WarmStart(all_draws[-1].copy(), all_draws.reshape(-1, target.dim).copy())
+    return PosteriorSamples(all_draws, tuple(labels), diag, carried)
 
 
 def split_r_hat(draws: np.ndarray) -> float:

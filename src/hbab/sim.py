@@ -285,8 +285,9 @@ def run_repetition(
     """Simulate one repetition end to end.
 
     At every update both estimators are fitted to the cumulative counts
-    and all pairwise comparisons advance one step. Fully deterministic
-    given the scenario seed and repetition index.
+    and all pairwise comparisons advance one step; each hierarchical fit
+    after the first is warm-started from the previous update's. Fully
+    deterministic given the scenario seed and repetition index.
     """
     spec = config.spec
     X = build_design_matrix(spec, interaction_order=2)
@@ -306,6 +307,7 @@ def run_repetition(
 
     cum_a = np.zeros(n_c, dtype=np.int64)
     cum_r = np.zeros(n_c, dtype=np.int64)
+    warm_start = None  # each update's fit starts from the previous one's
     for u in range(n_u):
         cum_a += updates[u].assignments
         cum_r += updates[u].responses
@@ -314,7 +316,8 @@ def run_repetition(
         per_method_estimates = {}
         if "hierarchical" in methods:
             cfg = replace(config.sampler, seed=_fit_seed(config, rep, u))
-            samples = fit_posterior(data, X, cfg)
+            samples = fit_posterior(data, X, cfg, warm_start=warm_start)
+            warm_start = samples.warm_start
             for w in samples.diagnostics.warnings:
                 warnings.append(f"rep {rep} update {u + 1} (hierarchical): {w}")
             per_method_estimates["hierarchical"] = hb_estimate(samples, X)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hbab.cli import main
+from hbab.sampler import SamplerConfig
 
 TINY_DESIGN = {
     "factors": [
@@ -159,6 +160,36 @@ class TestAnalyze:
         assert warnings == ["update 1: cell logits mixed poorly",
                             "update 2: cell logits mixed poorly"]
         assert "update 2: cell logits mixed poorly" in capsys.readouterr().err
+
+    def test_hb_fits_warm_start_from_the_previous_update(self, tmp_path, monkeypatch):
+        import hbab.cli
+
+        # A short sampler: this checks what each fit receives, not how well
+        # it mixes.
+        def short_config(**kwargs):
+            return SamplerConfig(**{**kwargs, "warmup_draws": 150, "kept_draws": 100,
+                                    "max_tree_depth": 4})
+
+        monkeypatch.setattr(hbab.cli, "SamplerConfig", short_config)
+        real_fit = hbab.cli.fit_posterior
+        received, returned = [], []
+
+        def recording_fit(*args, warm_start=None, **kwargs):
+            received.append(warm_start)
+            s = real_fit(*args, warm_start=warm_start, **kwargs)
+            returned.append(s.warm_start)
+            return s
+
+        monkeypatch.setattr(hbab.cli, "fit_posterior", recording_fit)
+        outs = [self.run_analyze(tmp_path, default_counts(updates=3), method="hb",
+                                 name=name) for name in ("a", "b")]
+        assert [code for code, _ in outs] == [0, 0]
+        assert received[0] is None and received[3] is None
+        for u in (1, 2):
+            assert received[u] is returned[u - 1]
+            assert received[3 + u] is returned[3 + u - 1]
+        for name in ("estimates.csv", "marginal_estimates.csv", "comparisons.csv"):
+            assert (outs[0][1] / name).read_bytes() == (outs[1][1] / name).read_bytes()
 
     def test_methods_share_pair_ordering(self, tmp_path):
         _, out_mle = self.run_analyze(tmp_path, default_counts(), name="mle_out")
@@ -313,3 +344,16 @@ class TestOracleCheck:
         assert main(["oracle-check", "--corrupt", "--out", str(out)]) == 1
         report = json.loads((out / "oracle_report.json").read_text())
         assert not report["all_passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scale", "desk"],
+    ["analyze", "--design", "design.json", "--counts", "counts.csv"],
+    ["learn-tau", "effects.csv"],
+    ["oracle-check"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    code = main([*argv, "--seed", "-3", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -220,44 +220,119 @@ class TestWarmupSchedule:
     def test_buffer_and_window_ends(self, warmup, expected):
         assert _adaptation_windows(warmup) == expected
 
-    def test_short_identity_phase_on_a_rank_deficient_target(self, monkeypatch):
-        # Gaussian posterior of a linear model whose 12 coefficients see the
-        # data through 4 directions only: curvature 1.6e4 to 9.4e4 there and
-        # 1 in the null space. On the identity metric nearly every transition
-        # runs to the depth cap (255 leapfrogs), so the warmup cost is set by
-        # how long the chain waits for its first dense metric. A
-        # 100-transition identity phase costs over 23,000 density calls per
-        # chain here.
-        rng = np.random.default_rng(3)
-        design = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 12))
-        prec = 1e2 * design.T @ design + np.eye(12)
-        calls = [0]
+    def test_short_identity_phase_on_a_rank_deficient_target(self):
+        # On the identity metric nearly every transition runs to the depth
+        # cap (255 leapfrogs), so the warmup cost is set by how long the
+        # chain waits for its first dense metric. A 100-transition identity
+        # phase costs over 23,000 density calls per chain here.
+        counts, _ = chain_warmup_calls(rank_deficient_target(1e2)[0], seed=0)
+        assert len(counts) == 2
+        assert max(counts) < 16_000
 
-        def fn(x):
-            calls[0] += 1
-            grad = -prec @ x
-            return 0.5 * float(x @ grad), grad
 
-        # Count from the start of each chain to the step bound that follows
-        # its warmup.
-        warmup_calls = []
-        run_chain, stable_step = sampler_module._run_chain, sampler_module._stable_step
+def rank_deficient_target(scale):
+    """Gaussian posterior of a linear model whose 12 coefficients see the
+    data through 4 directions only; at ``scale`` 1e2 the curvature is 1.6e4
+    to 9.4e4 there and 1 in the null space. Returns (target, covariance)."""
+    rng = np.random.default_rng(3)
+    design = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 12))
+    prec = scale * design.T @ design + np.eye(12)
 
-        def counted_chain(*args):
-            calls[0] = 0
-            return run_chain(*args)
+    def fn(x):
+        grad = -prec @ x
+        return 0.5 * float(x @ grad), grad
 
-        def at_warmup_end(*args):
-            warmup_calls.append(calls[0])
-            return stable_step(*args)
+    return TargetDensity(12, fn), np.linalg.inv(prec)
 
-        monkeypatch.setattr(sampler_module, "_run_chain", counted_chain)
-        monkeypatch.setattr(sampler_module, "_stable_step", at_warmup_end)
-        cfg = SamplerConfig(chains=2, warmup_draws=250, kept_draws=100,
-                            max_tree_depth=8, seed=0)
-        sample(TargetDensity(12, fn), cfg)
-        assert len(warmup_calls) == 2
-        assert max(warmup_calls) < 16_000
+
+def chain_warmup_calls(target, seed, warm_start=None):
+    """(density calls of each chain from its start to the step bound that
+    follows its warmup, the run's samples)."""
+    calls = [0]
+    fn = target.log_density_and_grad
+
+    def counted(x):
+        calls[0] += 1
+        return fn(x)
+
+    warmup_calls = []
+    run_chain, stable_step = sampler_module._run_chain, sampler_module._stable_step
+
+    def counted_chain(*args):
+        calls[0] = 0
+        return run_chain(*args)
+
+    def at_warmup_end(*args):
+        warmup_calls.append(calls[0])
+        return stable_step(*args)
+
+    cfg = SamplerConfig(chains=2, warmup_draws=250, kept_draws=300,
+                        max_tree_depth=8, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler_module, "_run_chain", counted_chain)
+        mp.setattr(sampler_module, "_stable_step", at_warmup_end)
+        samples = sample(replace(target, log_density_and_grad=counted), cfg, warm_start)
+    return warmup_calls, samples
+
+
+class TestWarmStart:
+    CFG = SamplerConfig(chains=2, warmup_draws=150, kept_draws=100, seed=8)
+
+    def cold(self, dim=3, chains=2):
+        return sample(std_normal_target(dim), replace(self.CFG, chains=chains))
+
+    def test_deterministic_given_seed(self):
+        warm_start = self.cold().warm_start
+        a = sample(std_normal_target(3), replace(self.CFG, seed=9), warm_start)
+        b = sample(std_normal_target(3), replace(self.CFG, seed=9), warm_start)
+        assert np.array_equal(a.draws, b.draws)
+        assert np.array_equal(a.warm_start.positions, b.warm_start.positions)
+
+    def test_carries_last_positions_and_pooled_draws(self):
+        s = self.cold()
+        assert np.array_equal(s.warm_start.positions, s.draws[-1])
+        assert np.array_equal(s.warm_start.draws, s.flat())
+        relabeled = s.relabeled(2.0 * s.draws, ("a", "b", "c"))
+        assert relabeled.warm_start is s.warm_start
+
+    @pytest.mark.parametrize("dim, chains", [(2, 2), (3, 3)])
+    def test_mismatched_dim_or_chain_count_raises(self, dim, chains):
+        warm_start = self.cold(dim=dim, chains=chains).warm_start
+        with pytest.raises(ValueError, match="warm start"):
+            sample(std_normal_target(3), self.CFG, warm_start)
+
+    def test_skips_the_identity_phase_on_a_rank_deficient_target(self):
+        # A cold fit, then a warm fit of the same model with 20% more data.
+        # The warm chains start near the bulk on a dense metric, so their
+        # warmup costs a fraction of the cold chains' (about 12,000 each).
+        _, cold = chain_warmup_calls(rank_deficient_target(1e2)[0], 0)
+        target, cov = rank_deficient_target(1.2e2)
+        counts, warm = chain_warmup_calls(target, 1, cold.warm_start)
+        assert len(counts) == 2
+        assert max(counts) < 4_000
+
+        # Whitened by the true covariance, the warm draws have identity
+        # covariance; entries agree within 4 Monte-Carlo SE.
+        white = warm.draws @ np.linalg.inv(np.linalg.cholesky(cov)).T
+        emp = np.cov(white.reshape(-1, 12).T)
+        ess = min(
+            effective_sample_size((white[:, :, j] - white[:, :, j].mean()) ** 2)
+            for j in range(12)
+        )
+        assert np.max(np.abs(emp - np.eye(12))) < 4 * np.sqrt(2.0 / ess)
+
+    def test_cold_start_draws_are_unchanged(self):
+        # Pinned from the sampler before warm starts were added: a run
+        # without a warm start draws exactly as it did.
+        cov = np.array([[2.0, 0.9, 0.6], [0.9, 1.5, 0.5], [0.6, 0.5, 1.0]])
+        s = sample(mvn_target(cov),
+                   SamplerConfig(chains=2, warmup_draws=150, kept_draws=100, seed=2024))
+        np.testing.assert_allclose(
+            s.draws[-1],
+            [[2.7781219215171373, 0.23776252452304858, -0.4329910902364146],
+             [-0.25913059339738587, 0.8854720333889984, 2.4857025745673953]],
+            rtol=1e-12,
+        )
 
 
 class TestWindowMetric:

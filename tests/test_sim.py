@@ -158,17 +158,24 @@ class TestRunRepetition:
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_run_scenario_ignores_the_worker_count(monkeypatch, workers):
-    cfg = tiny_config(repetitions=3, updates=3)
+    # Hierarchical fits carry a warm start from update to update inside a
+    # repetition, never across repetitions.
+    cfg = tiny_config(repetitions=3, updates=3, sampler=SamplerConfig(
+        chains=1, warmup_draws=150, kept_draws=100, max_tree_depth=4))
+    methods = ("mle", "hierarchical")
     monkeypatch.delenv("HBAB_WORKERS", raising=False)
-    serial = run_scenario(cfg, methods=("mle",))
+    serial = run_scenario(cfg, methods=methods)
     monkeypatch.setenv("HBAB_WORKERS", workers)
-    pooled = run_scenario(cfg, methods=("mle",))
+    pooled = run_scenario(cfg, methods=methods)
     assert [r.rep for r in pooled.repetitions] == [0, 1, 2]
     for a, b in zip(serial.repetitions, pooled.repetitions):
         assert np.array_equal(a.truth.rates, b.truth.rates)
-        for field in ("estimate_mean", "estimate_var", "diff_mean", "diff_var", "p_min"):
-            assert np.array_equal(getattr(a, field)["mle"], getattr(b, field)["mle"],
-                                  equal_nan=True)
+        assert a.warnings == b.warnings
+        for method in methods:
+            for field in ("estimate_mean", "estimate_var", "diff_mean", "diff_var",
+                          "p_min"):
+                assert np.array_equal(getattr(a, field)[method],
+                                      getattr(b, field)[method], equal_nan=True)
 
 
 def synthetic_result(p_min_h, p_min_m, labels, est_err=0.0):
