@@ -21,17 +21,20 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
-from . import conjugate
+from . import __version__, conjugate
 from .design import (
     ExperimentSpec,
     build_design_matrix,
@@ -45,7 +48,13 @@ from .estimate import hb_estimate, marginalize, mle_estimates
 from .glm import CountData, fit_posterior
 from .metaprior import EffectObservation, learn_tau
 from .sampler import SamplerConfig, effective_sample_size, sample
-from .seqtest import TauSpec, log_bayes_factor, resolve_tau, run_all_comparisons
+from .seqtest import (
+    TauSpec,
+    estimate_arrays,
+    pair_differences,
+    run_all_comparisons,
+    sequential_trace,
+)
 from .sim import (
     METHODS,
     ScenarioConfig,
@@ -74,12 +83,18 @@ def _default_file_mode() -> int:
     return 0o666 & ~umask
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, content) -> None:
+    """Write ``content``, a string or an iterable of strings written in
+    turn, to a temporary file and move it onto ``path``; on any failure the
+    old file stays and the temporary one is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                fh.writelines(content)
             # mkstemp creates the file 0600; outputs get the usual mode.
             os.fchmod(fh.fileno(), _default_file_mode())
         os.replace(tmp, path)
@@ -110,6 +125,12 @@ class _Manifest:
             "master_seed": seed,
             "started": datetime.now(timezone.utc).isoformat(),
             "finished": None,
+            "versions": {
+                "hbab": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
             "outputs": [],
             "warnings": [],
         }
@@ -231,41 +252,49 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
     return config, tau_spec, methods, payload
 
 
-def _decision_rows(result, tau_spec):
+def _csv_fields(fields) -> str:
+    """``fields`` joined and quoted as one ``csv.writer`` row, without the
+    line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+# rep, update, "method,tau_kind", "context,content_a,content_b", truth,
+# diff_mean, diff_var, bayes_factor, p_instant, p_min, significant
+_DECISION_ROW = "%d,%d,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+
+
+def _decision_lines(result, tau_spec):
+    """``decisions.csv`` body, one string per (repetition, method, pair).
+
+    The tests are replayed from the stored difference traces: a pair whose
+    difference variance is zero at an update repeats its previous
+    diff_mean, diff_var, bayes_factor and p_instant, and reads NaN there
+    before its first informative update.
+    """
     spec = result.config.spec
-    pairs = enumerate_comparisons(spec)
-    ctx_factors = spec.context_factors
-    cnt_factors = spec.content_factors
+    labels = [
+        _csv_fields([_combo_label(spec, spec.context_factors, ctx),
+                     _combo_label(spec, spec.content_factors, a),
+                     _combo_label(spec, spec.content_factors, b)])
+        for ctx, a, b in enumerate_comparisons(spec)
+    ]
+    updates = range(1, result.config.updates + 1)
     for rep in result.repetitions:
+        truth = ["h1" if h1 else "h0" for h1 in rep.truth.pair_is_h1]
         for m in result.methods:
-            for p, (ctx, a, b) in enumerate(pairs):
-                p_run = 1.0
-                for u in range(result.config.updates):
-                    d = rep.diff_mean[m][u, p]
-                    v = rep.diff_var[m][u, p]
-                    if v > 0 and np.isfinite(d):
-                        log_k = log_bayes_factor(d, v, resolve_tau(tau_spec, d))
-                        p_inst = math.exp(-max(log_k, 0.0))
-                        k = math.exp(min(log_k, 709.0))
-                        p_run = min(p_run, p_inst)
-                    else:
-                        k, p_inst = math.nan, math.nan
-                    yield (
-                        rep.rep,
-                        u + 1,
-                        m,
-                        tau_spec.kind,
-                        _combo_label(spec, ctx_factors, ctx),
-                        _combo_label(spec, cnt_factors, a),
-                        _combo_label(spec, cnt_factors, b),
-                        "h1" if rep.truth.pair_is_h1[p] else "h0",
-                        _fmt(d),
-                        _fmt(v),
-                        _fmt(k),
-                        _fmt(p_inst),
-                        _fmt(p_run),
-                        int(p_run < result.config.alpha),
-                    )
+            head = _csv_fields([m, tau_spec.kind])
+            t = sequential_trace(rep.diff_mean[m], rep.diff_var[m], tau_spec,
+                                 result.config.alpha)
+            columns = [np.ascontiguousarray(a.T) for a in (
+                t.diff_mean, t.diff_var, t.bayes_factor, t.p_instant, t.p_min,
+                t.significant)]
+            for p, label in enumerate(labels):
+                yield "".join(
+                    _DECISION_ROW % (rep.rep, u, head, label, truth[p], *values)
+                    for u, *values in zip(updates, *(c[p].tolist() for c in columns))
+                )
 
 
 def cmd_simulate(args) -> int:
@@ -283,12 +312,12 @@ def cmd_simulate(args) -> int:
         ["update", "method", "tau_kind", "metric", "value"],
         ((u, m, t, metric, _fmt(v)) for u, m, t, metric, v in metrics.rows()),
     )
-    _write_csv(
+    header = ["rep", "update", "method", "tau_kind", "context", "content_a",
+              "content_b", "truth", "diff_mean", "diff_var", "bayes_factor",
+              "p_instant", "p_min", "significant"]
+    _atomic_write(
         manifest.add_output(os.path.join(args.out, "decisions.csv")),
-        ["rep", "update", "method", "tau_kind", "context", "content_a", "content_b",
-         "truth", "diff_mean", "diff_var", "bayes_factor", "p_instant", "p_min",
-         "significant"],
-        _decision_rows(result, tau_spec),
+        itertools.chain([",".join(header) + "\n"], _decision_lines(result, tau_spec)),
     )
 
     if args.tau_experiment:
@@ -430,16 +459,15 @@ def cmd_analyze(args) -> int:
     manifest = _Manifest("analyze", payload, seed=args.seed)
 
     X = build_design_matrix(spec, 2 if len(spec.factors) >= 2 else 1)
-    contexts = spec.context_combinations()
+    n_contexts = len(spec.context_combinations())
     contents = spec.content_combinations()
-    content_pairs = [
-        (a, b) for i, a in enumerate(contents) for b in contents[i + 1:]
-    ]
+    marg_a, marg_b = np.triu_indices(len(contents), 1)  # content pairs, A before B
+    marg_labels = [_combo_label(spec, spec.content_factors, m) for m in contents]
 
     est_rows, marg_rows, cmp_rows = [], [], []
     states = None
     warm_start = None  # each update's fit starts from the previous one's
-    marg_states = {pair: (1.0, 0) for pair in content_pairs}  # p_min, n_updates
+    marg_p_min = np.ones(marg_a.size)
     cum_a = np.zeros(spec.n_cells, dtype=np.int64)
     cum_r = np.zeros(spec.n_cells, dtype=np.int64)
     for u, inc in enumerate(increments, start=1):
@@ -477,41 +505,28 @@ def cmd_analyze(args) -> int:
                  _fmt(res.p_instant), _fmt(res.p_min), int(res.significant))
             )
 
-        # Context-pooled comparisons per content pair.
-        traffic = np.array(
-            [cum_a[[spec.cell_index(m, ctx) for m in contents]].sum()
-             for ctx in contexts], dtype=float,
-        )
+        # Context-pooled comparisons per content pair. Content factors are
+        # the leading digits of the cell order, so a context's traffic is a
+        # column sum.
+        traffic = cum_a.reshape(len(contents), n_contexts).sum(axis=0).astype(float)
         marginals = marginalize(ests, spec, traffic)
         for i, m in enumerate(contents):
             marg_rows.append(
                 (u, *(f.values[v] for f, v in zip(spec.content_factors, m)),
                  args.method, _fmt(marginals[i].mean), _fmt(marginals[i].variance))
             )
-        for a_combo, b_combo in content_pairs:
-            ea = marginals[contents.index(a_combo)]
-            eb = marginals[contents.index(b_combo)]
-            if ea.draws is not None and eb.draws is not None:
-                diffs = ea.draws - eb.draws
-                d, v = float(diffs.mean()), float(diffs.var(ddof=1))
-            else:
-                d, v = ea.mean - eb.mean, ea.variance + eb.variance
-            p_min, n_upd = marg_states[(a_combo, b_combo)]
-            if v > 0:
-                log_k = log_bayes_factor(d, v, resolve_tau(tau_spec, d))
-                p_inst = math.exp(-max(log_k, 0.0))
-                p_min = min(p_min, p_inst)
-                k = math.exp(min(log_k, 709.0))
-                marg_states[(a_combo, b_combo)] = (p_min, n_upd + 1)
-            else:
-                k, p_inst = math.nan, math.nan
-            cmp_rows.append(
-                (u, "marginal",
-                 _combo_label(spec, spec.content_factors, a_combo),
-                 _combo_label(spec, spec.content_factors, b_combo),
-                 _fmt(d), _fmt(v), _fmt(k), _fmt(p_inst), _fmt(p_min),
-                 int(p_min < args.alpha))
-            )
+        d, v = pair_differences(*estimate_arrays(marginals), marg_a, marg_b)
+        # One update per call: a pair with zero variance now reads NaN
+        # factor and p_instant beside this update's d and v, and keeps p_min.
+        t = sequential_trace(d[None], v[None], tau_spec, args.alpha, marg_p_min)
+        marg_p_min = t.p_min[0]
+        for a, b, *values, significant in zip(
+            marg_a.tolist(), marg_b.tolist(), d.tolist(), v.tolist(),
+            t.bayes_factor[0].tolist(), t.p_instant[0].tolist(), marg_p_min.tolist(),
+            t.significant[0].tolist(),
+        ):
+            cmp_rows.append((u, "marginal", marg_labels[a], marg_labels[b],
+                             *map(_fmt, values), int(significant)))
 
     factor_names = [f.name for f in spec.factors]
     _write_csv(
@@ -561,8 +576,17 @@ def _effects_from_csv(path: str) -> list[EffectObservation]:
     return out
 
 
+_RESULT_COLUMNS = ("update", "context", "content_a", "content_b", "diff_mean",
+                   "diff_var")
+
+
 def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]:
-    """Scan comparison/decision CSVs for final-update effects per pair."""
+    """Scan comparison/decision CSVs for final-update effects per pair.
+
+    A file without the comparison columns is skipped; rows of other methods
+    are ignored when the file has a ``method`` column. Effects come in the
+    order their pairs first appear.
+    """
     effects = []
     for root, _, files in os.walk(path):
         for name in sorted(files):
@@ -570,26 +594,26 @@ def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]
                 continue
             full = os.path.join(root, name)
             with open(full, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.DictReader(fh)
-                fields = reader.fieldnames or []
-                needed = {"update", "context", "content_a", "content_b",
-                          "diff_mean", "diff_var"}
-                if not needed.issubset(fields):
+                reader = csv.reader(fh)
+                column = {field: i for i, field in enumerate(next(reader, []))}
+                if not set(_RESULT_COLUMNS) <= column.keys():
                     continue
+                i_update, i_ctx, i_a, i_b, i_d, i_v = map(column.get, _RESULT_COLUMNS)
+                i_rep, i_method = column.get("rep"), column.get("method")
                 finals = {}
                 try:
                     for row in reader:
-                        if "method" in fields and row["method"] != method:
+                        if not row or (i_method is not None and row[i_method] != method):
                             continue
-                        key = (row.get("rep", ""), row["context"], row["content_a"],
-                               row["content_b"])
-                        update = int(row["update"])
+                        key = ("" if i_rep is None else row[i_rep], row[i_ctx], row[i_a],
+                               row[i_b])
+                        update = int(row[i_update])
                         prev = finals.get(key)
                         if prev is None or update > prev[0]:
                             finals[key] = (update, row)
-                    diffs = [(float(row["diff_mean"]), float(row["diff_var"]))
+                    diffs = [(float(row[i_d]), float(row[i_v]))
                              for _, row in finals.values()]
-                except (ValueError, TypeError) as exc:
+                except (ValueError, IndexError) as exc:
                     raise InputError(f"malformed results file {full!r}: {exc}") from exc
             for d, v in diffs:
                 if math.isfinite(d) and v > 0:

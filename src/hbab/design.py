@@ -10,6 +10,7 @@ interaction effects) onto those cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ __all__ = [
     "enumerate_cells",
     "build_design_matrix",
     "enumerate_comparisons",
+    "comparison_cells",
     "load_experiment_spec",
     "spec_from_dict",
     "spec_to_dict",
@@ -233,6 +235,21 @@ def enumerate_comparisons(
         raise ValueError("need >= 2 content combinations to compare")
     pairs = list(itertools.combinations(contents, 2))
     return [(ctx, a, b) for ctx in spec.context_combinations() for a, b in pairs]
+
+
+@functools.lru_cache(maxsize=16)
+def comparison_cells(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Cell indices of both sides of every pair, in ``enumerate_comparisons``
+    order, as read-only ``(a, b)`` arrays.
+
+    Built once per spec (specs are frozen and hashable), so per-update
+    callers index arrays instead of calling ``cell_index`` per pair.
+    """
+    pairs = enumerate_comparisons(spec)
+    a_idx = np.array([spec.cell_index(a, ctx) for ctx, a, _ in pairs], dtype=np.intp)
+    b_idx = np.array([spec.cell_index(b, ctx) for ctx, _, b in pairs], dtype=np.intp)
+    a_idx.flags.writeable = b_idx.flags.writeable = False
+    return a_idx, b_idx
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:

@@ -10,30 +10,47 @@ an always-valid sequential p-value; the running minimum over updates is
 the reported evidence and needs no post hoc multiple-comparison
 correction, because shrinkage in the estimator already damps spurious
 differences.
+
+The kernel works on whole arrays: ``cell_differences`` turns per-cell
+means and variances (and a ``[cells, draws]`` matrix for draw-based
+estimates) into the difference summary of every pair, and
+``sequential_trace`` folds ``[updates, pairs]`` summaries into Bayes
+factors and running p-values. ``run_all_comparisons`` and ``replay_trace``
+are views of it. The scalar ``log_bayes_factor`` and ``update_comparison``
+are the reference the kernel is tested against bit for bit, so the kernel
+applies log, exp and squaring element by element through the same libm
+calls: numpy's vectorised forms can differ from them in the last bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .design import Cell, ExperimentSpec, enumerate_comparisons
+from .design import Cell, ExperimentSpec, comparison_cells, enumerate_comparisons
 from .estimate import CellEstimate
 
 __all__ = [
     "TauSpec",
     "ComparisonResult",
+    "SequentialTrace",
     "resolve_tau",
     "bayes_factor",
     "log_bayes_factor",
     "update_comparison",
+    "estimate_arrays",
+    "pair_differences",
+    "cell_differences",
+    "sequential_trace",
     "run_all_comparisons",
     "replay_trace",
 ]
 
 _MAX_LOG_K = 709.0  # exp saturates just below the double-precision ceiling
+_DRAW_BLOCK = 1 << 13  # draw differences held at once (64 KB)
 
 
 @dataclass(frozen=True)
@@ -143,11 +160,135 @@ def update_comparison(
     )
 
 
-def _difference_summary(a: CellEstimate, b: CellEstimate) -> tuple[float, float]:
-    if a.draws is not None and b.draws is not None:
-        diffs = a.draws - b.draws
-        return float(diffs.mean()), float(diffs.var(ddof=1))
-    return a.mean - b.mean, a.variance + b.variance
+def estimate_arrays(
+    estimates: list[CellEstimate],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Means, variances and, when every estimate carries draws, the
+    ``[cells, draws]`` matrix of a list of estimates: the kernel's inputs."""
+    means = np.array([e.mean for e in estimates], dtype=float)
+    variances = np.array([e.variance for e in estimates], dtype=float)
+    if all(e.draws is not None for e in estimates):
+        return means, variances, np.stack([e.draws for e in estimates])
+    return means, variances, None
+
+
+def pair_differences(
+    means: np.ndarray,
+    variances: np.ndarray,
+    draws: np.ndarray | None,
+    a_idx: np.ndarray,
+    b_idx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Difference mean and variance of every pair ``(a_idx[i], b_idx[i])``.
+
+    With draws, each pair is differenced draw-wise (capturing the
+    correlation of its two estimates); otherwise means are subtracted and
+    variances added.
+    """
+    if draws is None:
+        return means[a_idx] - means[b_idx], variances[a_idx] + variances[b_idx]
+    d = np.empty(a_idx.size)
+    v = np.empty(a_idx.size)
+    # Blocks of pairs keep the [pairs, draws] temporaries small.
+    step = max(1, _DRAW_BLOCK // draws.shape[1])
+    for s in range(0, a_idx.size, step):
+        diffs = draws[a_idx[s:s + step]]
+        diffs -= draws[b_idx[s:s + step]]
+        d[s:s + step] = diffs.mean(axis=1)
+        v[s:s + step] = diffs.var(axis=1, ddof=1)
+    return d, v
+
+
+def cell_differences(
+    spec: ExperimentSpec,
+    means: np.ndarray,
+    variances: np.ndarray,
+    draws: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_differences`` over the pairs of ``enumerate_comparisons``.
+
+    Raises ``ValueError`` naming the first cell, in pair order, that a
+    pair needs and that has no estimate (NaN mean).
+    """
+    a_idx, b_idx = comparison_cells(spec)
+    undefined = np.isnan(means)
+    missing = undefined[a_idx] | undefined[b_idx]
+    if missing.any():
+        i = int(np.argmax(missing))
+        ctx, a, b = enumerate_comparisons(spec)[i]
+        combo = a if undefined[a_idx[i]] else b
+        raise ValueError(
+            f"no estimate for cell ({spec.describe_cell(Cell(combo + ctx))})"
+        )
+    return pair_differences(means, variances, draws, a_idx, b_idx)
+
+
+def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
+    """``fn(element, *args)`` for every element of ``x`` as a Python float."""
+    values = map(fn, x.ravel().tolist(), *(itertools.repeat(a) for a in args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class SequentialTrace:
+    """Sequential tests over ``[updates, ...]`` arrays, one row per update.
+
+    A pair whose difference variance is not positive at an update
+    (``informative`` false) keeps its previous difference summary, so its
+    factor and p_instant repeat and its p_min stays; before its first
+    informative update all of these read NaN and p_min keeps its prior.
+    """
+
+    diff_mean: np.ndarray
+    diff_var: np.ndarray
+    informative: np.ndarray
+    log_k: np.ndarray
+    bayes_factor: np.ndarray
+    p_instant: np.ndarray
+    p_min: np.ndarray
+    significant: np.ndarray
+
+
+def sequential_trace(
+    diff_mean: np.ndarray,
+    diff_var: np.ndarray,
+    tau_spec: TauSpec,
+    alpha: float = 0.05,
+    prior_p_min: np.ndarray | float = 1.0,
+) -> SequentialTrace:
+    """Fold per-update difference summaries into running tests.
+
+    ``diff_mean`` and ``diff_var`` are indexed ``[update, ...]``; every
+    entry is one update of one pair. ``prior_p_min`` is each pair's running
+    minimum before the first row (1.0 for a fresh test). Every value
+    equals what ``update_comparison`` gives when folded over the same
+    informative updates.
+    """
+    raw_d = np.asarray(diff_mean, dtype=float)
+    raw_v = np.asarray(diff_var, dtype=float)
+    informative = raw_v > 0
+    rows = np.arange(raw_v.shape[0]).reshape((-1,) + (1,) * (raw_v.ndim - 1))
+    last = np.maximum.accumulate(np.where(informative, rows, -1), axis=0)
+    seen = last >= 0
+    d = np.where(seen, np.take_along_axis(raw_d, last.clip(0), axis=0), math.nan)
+    v = np.where(seen, np.take_along_axis(raw_v, last.clip(0), axis=0), math.nan)
+
+    d2 = _libm(pow, d, 2)
+    if tau_spec.kind == "dynamic":
+        tau = np.maximum(d2, tau_spec.epsilon_floor)
+    else:
+        tau = float(tau_spec.value)
+    with np.errstate(over="ignore"):  # float arithmetic overflows to inf
+        vt = v + tau
+        log_k = 0.5 * _libm(math.log, v / vt) + d2 * tau / (2.0 * v * vt)
+    p_instant = _libm(math.exp, -np.maximum(log_k, 0.0))
+    bf = _libm(math.exp, np.minimum(log_k, _MAX_LOG_K))
+
+    start = np.broadcast_to(np.asarray(prior_p_min, dtype=float), raw_v.shape[1:])
+    # fmin skips the NaN p_instant of pairs not yet informative.
+    p_min = np.fmin.accumulate(np.concatenate([start[None], p_instant]), axis=0)[1:]
+    return SequentialTrace(d, v, informative, log_k, bf, p_instant, p_min,
+                           p_min < alpha)
 
 
 def run_all_comparisons(
@@ -161,10 +302,11 @@ def run_all_comparisons(
 
     One result per pair from ``enumerate_comparisons``, in that order;
     pass the returned list back as ``prior`` on the next update. Draw-based
-    estimates are differenced draw-wise (capturing their correlation);
-    plain estimates use the difference of means and the sum of variances.
-    A pair whose difference variance is exactly zero (degenerate counts)
-    is carried forward unchanged for that update.
+    estimates (every cell carries draws) are differenced draw-wise
+    (capturing their correlation); plain estimates use the difference of
+    means and the sum of variances. A pair whose difference variance is
+    exactly zero (degenerate counts) is carried forward unchanged for that
+    update. A list view of ``cell_differences`` and ``sequential_trace``.
     """
     pairs = enumerate_comparisons(spec)
     if prior is not None and len(prior) != len(pairs):
@@ -172,21 +314,21 @@ def run_all_comparisons(
     if len(estimates) != spec.n_cells:
         raise ValueError("need one estimate per cell")
 
+    d, v = cell_differences(spec, *estimate_arrays(estimates))
+    if prior is None:
+        prior = [ComparisonResult(ctx, a, b) for ctx, a, b in pairs]
+    t = sequential_trace(d[None], v[None], tau_spec, alpha,
+                         np.array([s.p_min for s in prior]))
     out = []
-    for i, (ctx, a, b) in enumerate(pairs):
-        for combo in (a, b):
-            est = estimates[spec.cell_index(combo, ctx)]
-            if not est.is_defined:
-                raise ValueError(
-                    "no estimate for cell "
-                    f"({spec.describe_cell(Cell(combo + ctx))})"
-                )
-        state = prior[i] if prior is not None else ComparisonResult(ctx, a, b)
-        e_a = estimates[spec.cell_index(a, ctx)]
-        e_b = estimates[spec.cell_index(b, ctx)]
-        diff_mean, diff_var = _difference_summary(e_a, e_b)
-        if diff_var > 0:
-            state = update_comparison(state, diff_mean, diff_var, tau_spec, alpha)
+    for state, informative, dm, dv, k, p_inst, p_min, significant in zip(
+        prior, *(a[0].tolist() for a in (t.informative, t.diff_mean, t.diff_var,
+                                         t.bayes_factor, t.p_instant, t.p_min,
+                                         t.significant)),
+    ):
+        if informative:
+            state = ComparisonResult(state.context, state.content_a, state.content_b,
+                                     dm, dv, k, p_inst, p_min, significant,
+                                     state.updates + 1)
         out.append(state)
     return out
 
@@ -201,14 +343,7 @@ def replay_trace(
 
     Lets different tau strategies be evaluated on the same stored traces
     without re-estimating anything. Zero-variance entries are skipped, as
-    in the live path. Returns the p_min value after each update.
+    in the live path. Inputs are ``[updates]`` or ``[updates, pairs]``;
+    returns the p_min value after each update, in the same shape.
     """
-    p_min = 1.0
-    out = np.empty(len(diff_means))
-    for i, (d, v) in enumerate(zip(diff_means, diff_vars)):
-        if v > 0:
-            tau = resolve_tau(tau_spec, d)
-            log_k = log_bayes_factor(d, v, tau)
-            p_min = min(p_min, math.exp(-max(log_k, 0.0)))
-        out[i] = p_min
-    return out
+    return sequential_trace(diff_means, diff_vars, tau_spec, alpha).p_min

@@ -25,12 +25,18 @@ from .design import (
     ExperimentSpec,
     Factor,
     build_design_matrix,
-    enumerate_comparisons,
+    comparison_cells,
 )
 from .estimate import hb_estimate, mle_estimates
 from .glm import CountData, fit_posterior
 from .sampler import SamplerConfig
-from .seqtest import TauSpec, replay_trace, run_all_comparisons
+from .seqtest import (
+    TauSpec,
+    cell_differences,
+    estimate_arrays,
+    replay_trace,
+    sequential_trace,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -216,12 +222,8 @@ def generate_truth(config: ScenarioConfig, rep_seed) -> GroundTruth:
     eta = X.matrix @ beta
     rates = 1.0 / (1.0 + np.exp(-eta))
 
-    pairs = enumerate_comparisons(spec)
-    labels = np.empty(len(pairs), dtype=bool)
-    for i, (ctx, a, b) in enumerate(pairs):
-        ra = rates[spec.cell_index(a, ctx)]
-        rb = rates[spec.cell_index(b, ctx)]
-        labels[i] = abs(ra - rb) > 1e-12
+    a_idx, b_idx = comparison_cells(spec)
+    labels = np.abs(rates[a_idx] - rates[b_idx]) > 1e-12
     return GroundTruth(beta, rates, h1_content, labels)
 
 
@@ -285,8 +287,9 @@ def run_repetition(
     """Simulate one repetition end to end.
 
     At every update both estimators are fitted to the cumulative counts
-    and all pairwise comparisons advance one step; each hierarchical fit
-    after the first is warm-started from the previous update's. Fully
+    and every pair's difference summary is recorded; each hierarchical fit
+    after the first is warm-started from the previous update's. The
+    sequential tests then run over all updates at once. Fully
     deterministic given the scenario seed and repetition index.
     """
     spec = config.spec
@@ -294,15 +297,12 @@ def run_repetition(
     truth_seed, stream_seed = _rep_seed_sequences(config, rep)
     truth = generate_truth(config, truth_seed)
     updates = stream_updates(truth, config, stream_seed)
-    pairs = enumerate_comparisons(spec)
 
-    n_u, n_c, n_p = config.updates, spec.n_cells, len(pairs)
+    n_u, n_c, n_p = config.updates, spec.n_cells, comparison_cells(spec)[0].size
     est_mean = {m: np.full((n_u, n_c), np.nan) for m in methods}
     est_var = {m: np.full((n_u, n_c), np.nan) for m in methods}
     diff_mean = {m: np.full((n_u, n_p), np.nan) for m in methods}
     diff_var = {m: np.full((n_u, n_p), np.nan) for m in methods}
-    states = {m: None for m in methods}
-    p_min = {m: np.ones((n_u, n_p)) for m in methods}
     warnings = []
 
     cum_a = np.zeros(n_c, dtype=np.int64)
@@ -325,14 +325,17 @@ def run_repetition(
             per_method_estimates["mle"] = mle_estimates(data)
 
         for m, ests in per_method_estimates.items():
-            est_mean[m][u] = [e.mean for e in ests]
-            est_var[m][u] = [e.variance for e in ests]
-            states[m] = run_all_comparisons(
-                ests, spec, tau_spec, config.alpha, prior=states[m]
+            means, variances, draws = estimate_arrays(ests)
+            est_mean[m][u] = means
+            est_var[m][u] = variances
+            diff_mean[m][u], diff_var[m][u] = cell_differences(
+                spec, means, variances, draws
             )
-            diff_mean[m][u] = [r.diff_mean for r in states[m]]
-            diff_var[m][u] = [r.diff_var for r in states[m]]
-            p_min[m][u] = [r.p_min for r in states[m]]
+
+    p_min = {}
+    for m in methods:
+        trace = sequential_trace(diff_mean[m], diff_var[m], tau_spec, config.alpha)
+        diff_mean[m], diff_var[m], p_min[m] = trace.diff_mean, trace.diff_var, trace.p_min
 
     return RepetitionResult(
         rep, truth, est_mean, est_var, diff_mean, diff_var, p_min, tuple(warnings)
@@ -457,17 +460,8 @@ def score(
 
         if replay:
             traces = np.stack(
-                [
-                    np.stack(
-                        [
-                            replay_trace(r.diff_mean[m][:, p], r.diff_var[m][:, p],
-                                         tau, config.alpha)
-                            for p in range(r.diff_mean[m].shape[1])
-                        ],
-                        axis=1,
-                    )
-                    for r in reps
-                ]
+                [replay_trace(r.diff_mean[m], r.diff_var[m], tau, config.alpha)
+                 for r in reps]
             )
         else:
             traces = np.stack([r.p_min[m] for r in reps])

@@ -1,13 +1,16 @@
 import csv
 import json
 import os
+import platform
 import stat
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
-from hbab.cli import main
+import hbab
+from hbab.cli import _atomic_write, main
 from hbab.sampler import SamplerConfig
 
 TINY_DESIGN = {
@@ -73,6 +76,29 @@ class TestSimulate:
         assert manifest["master_seed"] == 1
         names = {p.rsplit("/", 1)[-1] for p in manifest["outputs"]}
         assert {"metrics.csv", "decisions.csv", "manifest.json"} <= names
+        assert manifest["versions"] == {
+            "hbab": hbab.__version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+        }
+
+    def test_decision_labels_round_trip_through_csv_quoting(self, tmp_path):
+        factors = [
+            {"name": "title", "role": "content", "values": ["a,b", 'say "hi"', "plain"]},
+            {"name": "where", "role": "context", "values": ['c"0', "c,1"]},
+        ]
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"spec": {"factors": factors}, "methods": ["mle"],
+                          "repetitions": 2, "updates": 2,
+                          "assignments_per_update": 60})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+        with open(out / "decisions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 2 * 2 * 2 * 3  # reps x updates x contexts x pairs
+        assert all(len(row) == 14 for row in rows)
+        assert {row[4] for row in rows[1:]} == {'c"0', "c,1"}
+        assert {(row[5], row[6]) for row in rows[1:]} == {
+            ("a,b", 'say "hi"'), ("a,b", "plain"), ('say "hi"', "plain")}
 
     def test_tau_experiment_with_mle_only(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "methods": ["mle"]})
@@ -110,6 +136,21 @@ class TestSimulate:
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "o")])
+
+
+def test_failed_streaming_write_keeps_the_old_file(tmp_path):
+    target = tmp_path / "decisions.csv"
+    target.write_text("old contents\n")
+
+    def lines():
+        yield "rep,update\n"
+        yield "0,1\n"
+        raise RuntimeError("row generation failed")
+
+    with pytest.raises(RuntimeError, match="row generation failed"):
+        _atomic_write(str(target), lines())
+    assert target.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["decisions.csv"]
 
 
 class TestAnalyze:
@@ -325,6 +366,18 @@ class TestLearnTau:
         assert main(["learn-tau", str(res), "--out", str(out)]) == 0
         payload = json.loads((out / "learnt_tau.json").read_text())
         assert payload["n_effects"] == 3  # 2 contexts + marginal
+
+
+    def test_short_row_in_results_directory_exits_2(self, tmp_path, capsys):
+        res = tmp_path / "res"
+        res.mkdir()
+        (res / "comparisons.csv").write_text(
+            "update,context,content_a,content_b,diff_mean,diff_var\n"
+            "1,c0,m0,m1,0.1,0.01\n"
+            "1,c1,m0\n"
+        )
+        assert main(["learn-tau", str(res), "--out", str(tmp_path / "o")]) == 2
+        assert "malformed results file" in capsys.readouterr().err
 
 
 class TestOracleCheck:

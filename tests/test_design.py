@@ -11,6 +11,7 @@ from hbab.design import (
     Factor,
     build_design_matrix,
     enumerate_cells,
+    comparison_cells,
     enumerate_comparisons,
     spec_from_dict,
     spec_to_dict,
@@ -119,6 +120,16 @@ class TestEnumerateComparisons:
         spec = make_spec([2], [2])
         comps = enumerate_comparisons(spec)
         assert comps == [((0,), (0,), (1,)), ((1,), (0,), (1,))]
+
+    def test_comparison_cells_index_both_sides_once_per_spec(self):
+        spec = make_spec([2, 3], [2])
+        a_idx, b_idx = comparison_cells(spec)
+        pairs = enumerate_comparisons(spec)
+        assert a_idx.tolist() == [spec.cell_index(a, ctx) for ctx, a, _ in pairs]
+        assert b_idx.tolist() == [spec.cell_index(b, ctx) for ctx, _, b in pairs]
+        assert comparison_cells(make_spec([2, 3], [2]))[0] is a_idx
+        with pytest.raises(ValueError):
+            a_idx[0] = 1
 
 
 @st.composite

@@ -6,16 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hbab.design import enumerate_comparisons
+from hbab.design import comparison_cells, enumerate_comparisons
 from hbab.estimate import CellEstimate
 from hbab.seqtest import (
     ComparisonResult,
     TauSpec,
     bayes_factor,
+    cell_differences,
     log_bayes_factor,
+    pair_differences,
     replay_trace,
     resolve_tau,
     run_all_comparisons,
+    sequential_trace,
     update_comparison,
 )
 from tests.test_design import make_spec
@@ -193,3 +196,115 @@ def test_replay_matches_live_updates():
     for i in range(20):
         state = update_comparison(state, d[i], v[i], spec)
         assert trace[i] == pytest.approx(state.p_min)
+
+
+def scalar_states(d, v, tau_spec, alpha=0.05):
+    """The scalar reference: every pair folded update by update through
+    ``update_comparison``, zero-variance updates skipped. Returns the
+    state of every pair after every update, indexed [update][pair]."""
+    states = [ComparisonResult((0,), (0,), (1,)) for _ in range(d.shape[1])]
+    out = []
+    for u in range(d.shape[0]):
+        for p in range(d.shape[1]):
+            if v[u, p] > 0:
+                states[p] = update_comparison(states[p], float(d[u, p]),
+                                              float(v[u, p]), tau_spec, alpha)
+        out.append(list(states))
+    return out
+
+
+def random_traces(seed, updates=30, pairs=400):
+    """Difference traces over several scales, with zero-variance and NaN
+    entries, as a stored trace may hold them."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(0.0, 0.05, (updates, pairs)) * rng.choice([1e-3, 1.0, 10.0],
+                                                             (updates, pairs))
+    v = np.exp(rng.uniform(math.log(1e-7), math.log(1e-1), (updates, pairs)))
+    v[rng.random((updates, pairs)) < 0.05] = 0.0
+    v[:3, :20] = 0.0  # pairs not informative at their first updates
+    missing = rng.random((updates, pairs)) < 0.02
+    d[missing] = np.nan
+    v[missing] = np.nan
+    return d, v
+
+
+def test_kernel_is_bit_identical_to_the_scalar_reference():
+    d, v = random_traces(20261018)
+    naive_differs = {"square": 0, "log": 0, "exp": 0}
+    for tau_spec in (TauSpec.fixed(0.1), TauSpec.dynamic(), TauSpec.learnt(0.007)):
+        trace = sequential_trace(d, v, tau_spec, alpha=0.05)
+        ref = scalar_states(d, v, tau_spec)
+        for name in ("diff_mean", "diff_var", "bayes_factor", "p_min", "significant"):
+            expected = np.array([[getattr(s, name) for s in row] for row in ref])
+            assert np.array_equal(getattr(trace, name), expected, equal_nan=True), name
+        seen = np.array([[s.updates > 0 for s in row] for row in ref])
+        p_inst = np.array([[s.p_instant for s in row] for row in ref])
+        assert np.array_equal(trace.p_instant, np.where(seen, p_inst, np.nan),
+                              equal_nan=True)
+        log_k = [[log_bayes_factor(s.diff_mean, s.diff_var,
+                                   resolve_tau(tau_spec, s.diff_mean))
+                  if s.updates else math.nan for s in row] for row in ref]
+        assert np.array_equal(trace.log_k, np.array(log_k), equal_nan=True)
+        assert np.array_equal(trace.informative, v > 0)
+
+        for p in range(0, d.shape[1], 37):
+            assert np.array_equal(replay_trace(d[:, p], v[:, p], tau_spec),
+                                  trace.p_min[:, p])
+        assert np.array_equal(replay_trace(d, v, tau_spec), trace.p_min)
+
+        # Where numpy's vectorised forms would differ from the scalar path.
+        for x, y in zip(trace.diff_mean[seen].tolist(), trace.diff_var[seen].tolist()):
+            tau = resolve_tau(tau_spec, x)
+            lk = log_bayes_factor(x, y, tau)
+            naive_differs["square"] += x * x != x**2
+            naive_differs["log"] += float(np.log(y / (y + tau))) != math.log(y / (y + tau))
+            naive_differs["exp"] += (
+                float(np.exp(-max(lk, 0.0))) != math.exp(-max(lk, 0.0))
+                or float(np.exp(min(lk, 709.0))) != math.exp(min(lk, 709.0))
+            )
+    assert all(naive_differs.values()), naive_differs
+
+
+def test_kernel_continues_from_a_prior_running_minimum():
+    d, v = random_traces(5, updates=6, pairs=50)
+    whole = sequential_trace(d, v, TauSpec.fixed(0.1))
+    head = sequential_trace(d[:2], v[:2], TauSpec.fixed(0.1))
+    tail = sequential_trace(d[2:], v[2:], TauSpec.fixed(0.1), prior_p_min=head.p_min[-1])
+    assert np.array_equal(tail.p_min, whole.p_min[2:])
+
+
+def test_draw_based_differences_equal_per_pair_moments():
+    spec = make_spec([3, 2], [2])
+    rng = np.random.default_rng(4)
+    draws = rng.beta(20, 30, (spec.n_cells, 30_000))  # pairs go in several blocks
+    means, variances = draws.mean(axis=1), draws.var(axis=1, ddof=1)
+    d, v = cell_differences(spec, means, variances, draws)
+    a_idx, b_idx = comparison_cells(spec)
+    for i, (a, b) in enumerate(zip(a_idx, b_idx)):
+        diffs = draws[a] - draws[b]
+        assert d[i] == diffs.mean() and v[i] == diffs.var(ddof=1)
+    plain_d, plain_v = pair_differences(means, variances, None, a_idx, b_idx)
+    for i, (a, b) in enumerate(zip(a_idx.tolist(), b_idx.tolist())):
+        assert plain_d[i] == float(means[a]) - float(means[b])
+        assert plain_v[i] == float(variances[a]) + float(variances[b])
+
+
+def test_list_view_matches_scalar_updates_over_looks():
+    spec = make_spec([2, 2], [2])
+    rng = np.random.default_rng(6)
+    results, scalar = None, None
+    for look in range(4):
+        ests = [CellEstimate(float(m), 0.0 if look == 0 and k < 4 else 1e-4)
+                for k, m in enumerate(rng.uniform(0.3, 0.7, spec.n_cells))]
+        results = run_all_comparisons(ests, spec, TauSpec.dynamic(), prior=results)
+        pairs = enumerate_comparisons(spec)
+        if scalar is None:
+            scalar = [ComparisonResult(ctx, a, b) for ctx, a, b in pairs]
+        for i, (ctx, a, b) in enumerate(pairs):
+            e_a = ests[spec.cell_index(a, ctx)]
+            e_b = ests[spec.cell_index(b, ctx)]
+            if e_a.variance + e_b.variance > 0:
+                scalar[i] = update_comparison(scalar[i], e_a.mean - e_b.mean,
+                                              e_a.variance + e_b.variance,
+                                              TauSpec.dynamic())
+        assert results == scalar
