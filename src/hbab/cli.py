@@ -46,7 +46,7 @@ from .design import (
 )
 from .estimate import hb_estimate, marginalize, mle_estimates
 from .glm import CountData, fit_posterior
-from .metaprior import EffectObservation, learn_tau
+from .metaprior import EffectObservation, effects_from_differences, learn_tau
 from .sampler import SamplerConfig, effective_sample_size, sample
 from .seqtest import (
     TauSpec,
@@ -175,6 +175,19 @@ def _combo_label(spec: ExperimentSpec, factors, combo) -> str:
     return "|".join(f.values[i] for f, i in zip(factors, combo))
 
 
+# The context of ``analyze``'s context-pooled rows in ``comparisons.csv``;
+# ``learn-tau`` skips these rows when it scans a results directory.
+_POOLED_CONTEXT = "marginal"
+
+
+def _check_context_labels(spec: ExperimentSpec) -> None:
+    """Reject a design whose rows would read as context-pooled rows."""
+    for combo in spec.context_combinations():
+        if _combo_label(spec, spec.context_factors, combo) == _POOLED_CONTEXT:
+            raise InputError(f"context label {_POOLED_CONTEXT!r} is reserved for "
+                             "the context-pooled rows of comparisons.csv")
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -225,6 +238,7 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
         raise InputError(f"invalid scenario config: methods must be drawn from {METHODS}")
     if args.tau_experiment and config.repetitions < 2:
         raise InputError("--tau-experiment needs at least 2 repetitions")
+    _check_context_labels(config.spec)
 
     payload = {
         "scale": args.scale,
@@ -441,6 +455,7 @@ def cmd_analyze(args) -> int:
         spec = load_experiment_spec(args.design)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load design spec: {exc}") from exc
+    _check_context_labels(spec)
     tau_spec = _parse_tau(args.tau)
     if not 0.0 < args.alpha < 1.0:
         raise InputError(f"--alpha must lie in (0, 1), got {args.alpha}")
@@ -525,7 +540,7 @@ def cmd_analyze(args) -> int:
             t.bayes_factor[0].tolist(), t.p_instant[0].tolist(), marg_p_min.tolist(),
             t.significant[0].tolist(),
         ):
-            cmp_rows.append((u, "marginal", marg_labels[a], marg_labels[b],
+            cmp_rows.append((u, _POOLED_CONTEXT, marg_labels[a], marg_labels[b],
                              *map(_fmt, values), int(significant)))
 
     factor_names = [f.name for f in spec.factors]
@@ -584,8 +599,10 @@ def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]
     """Scan comparison/decision CSVs for final-update effects per pair.
 
     A file without the comparison columns is skipped; rows of other methods
-    are ignored when the file has a ``method`` column. Effects come in the
-    order their pairs first appear.
+    are ignored when the file has a ``method`` column. ``analyze``'s
+    context-pooled rows are skipped too: each is a traffic-weighted mean of
+    the per-context rows already counted, not independent evidence.
+    Effects come in the order their pairs first appear.
     """
     effects = []
     for root, _, files in os.walk(path):
@@ -605,19 +622,19 @@ def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]
                     for row in reader:
                         if not row or (i_method is not None and row[i_method] != method):
                             continue
+                        if row[i_ctx] == _POOLED_CONTEXT:
+                            continue
                         key = ("" if i_rep is None else row[i_rep], row[i_ctx], row[i_a],
                                row[i_b])
                         update = int(row[i_update])
                         prev = finals.get(key)
                         if prev is None or update > prev[0]:
                             finals[key] = (update, row)
-                    diffs = [(float(row[i_d]), float(row[i_v]))
-                             for _, row in finals.values()]
+                    d = [float(row[i_d]) for _, row in finals.values()]
+                    v = [float(row[i_v]) for _, row in finals.values()]
                 except (ValueError, IndexError) as exc:
                     raise InputError(f"malformed results file {full!r}: {exc}") from exc
-            for d, v in diffs:
-                if math.isfinite(d) and v > 0:
-                    effects.append(EffectObservation(d, math.sqrt(v)))
+            effects += effects_from_differences(d, v)
     return effects
 
 
@@ -640,8 +657,7 @@ def cmd_learn_tau(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest("learn-tau", payload, seed=args.seed)
 
-    config = SamplerConfig(chains=2, warmup_draws=400, kept_draws=600, seed=args.seed)
-    learnt = learn_tau(effects, config)
+    learnt = learn_tau(effects)
     if learnt.point_value_for_testing <= 1e-8:
         manifest.warn(
             "corpus shows no excess dispersion; point value floored at 1e-8"
@@ -830,7 +846,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       "results directory holding comparison CSVs")
     p_lt.add_argument("--method", default="hierarchical",
                       help="method filter when scanning a results directory")
-    p_lt.add_argument("--seed", type=int, default=0)
+    p_lt.add_argument("--seed", type=int, default=0,
+                      help="recorded in the manifest; the quadrature result "
+                      "does not depend on it")
     p_lt.add_argument("--out", required=True)
     p_lt.set_defaults(func=cmd_learn_tau)
 

@@ -488,7 +488,6 @@ def tau_experiment(
     fixed_value: float = 0.1,
     method: str | None = None,
     train_fraction: float = 0.5,
-    tau_config: SamplerConfig | None = None,
 ) -> TauComparison:
     """Compare fixed, dynamic, and learnt tau settings.
 
@@ -498,7 +497,7 @@ def tau_experiment(
     ``method``, by default the hierarchical estimates if the run has them
     and its first method otherwise.
     """
-    from .metaprior import EffectObservation, learn_tau
+    from .metaprior import effects_from_differences, learn_tau
 
     if method is None:
         method = "hierarchical" if "hierarchical" in result.methods else result.methods[0]
@@ -513,15 +512,12 @@ def tau_experiment(
     if not test:
         raise ValueError("train fraction leaves no test repetitions")
 
-    effects = []
-    for i in train:
-        rep = result.repetitions[i]
-        d = rep.diff_mean[method][-1]
-        v = rep.diff_var[method][-1]
-        for dm, dv in zip(d, v):
-            if np.isfinite(dm) and dv > 0:
-                effects.append(EffectObservation(float(dm), float(np.sqrt(dv))))
-    learnt = learn_tau(effects, tau_config) if tau_config else learn_tau(effects)
+    reps = [result.repetitions[i] for i in train]
+    effects = effects_from_differences(
+        np.concatenate([rep.diff_mean[method][-1] for rep in reps]),
+        np.concatenate([rep.diff_var[method][-1] for rep in reps]),
+    )
+    learnt = learn_tau(effects)
 
     specs = {
         "fixed": TauSpec.fixed(fixed_value),

@@ -261,6 +261,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "row 4" in err and "m9" in err
 
+    def test_reserved_context_label_exits_2(self, tmp_path, capsys):
+        # A context named "marginal" would read as a context-pooled row.
+        factors = [TINY_DESIGN["factors"][0],
+                   {"name": "ctx", "role": "context", "values": ["marginal", "c1"]}]
+        design = write_json(tmp_path / "design.json", {"factors": factors})
+        counts = write_counts(tmp_path / "counts.csv", [
+            (u, m, "marginal" if c == "c0" else c, n, r)
+            for u, m, c, n, r in default_counts(updates=1)
+        ])
+        assert main(["analyze", "--design", design, "--counts", counts,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "reserved" in capsys.readouterr().err
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "spec": {"factors": factors}})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "s")]) == 2
+
     def test_excess_responses_exit_2(self, tmp_path, capsys):
         rows = default_counts(updates=1)
         rows[0] = (1, "m0", "c0", 10, 11)
@@ -338,6 +355,18 @@ class TestLearnTau:
         payload = json.loads((out / "learnt_tau.json").read_text())
         assert 0.005 <= payload["point_value_for_testing"] <= 0.02
 
+    def test_seed_does_not_change_the_result(self, tmp_path):
+        rng = np.random.default_rng(2)
+        path = self.effects_file(tmp_path, rng.normal(0, 0.1, 40), sd=0.05)
+        outs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"out{seed}"
+            assert main(["learn-tau", path, "--seed", seed, "--out", str(out)]) == 0
+            outs.append((out / "learnt_tau.json").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["master_seed"] == int(seed)
+        assert outs[0] == outs[1]
+
     def test_zero_corpus_floors_and_warns(self, tmp_path, capsys):
         path = self.effects_file(tmp_path, [0.0] * 50, sd=1e-5)
         out = tmp_path / "out"
@@ -365,7 +394,7 @@ class TestLearnTau:
         out = tmp_path / "tau"
         assert main(["learn-tau", str(res), "--out", str(out)]) == 0
         payload = json.loads((out / "learnt_tau.json").read_text())
-        assert payload["n_effects"] == 3  # 2 contexts + marginal
+        assert payload["n_effects"] == 2  # 2 contexts; the marginal row is skipped
 
 
     def test_short_row_in_results_directory_exits_2(self, tmp_path, capsys):

@@ -1,12 +1,19 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, stats
 
-from hbab.metaprior import EffectObservation, collect_effects, learn_tau, tau_target
-from hbab.sampler import SamplerConfig
+import hbab.metaprior
+from hbab.metaprior import (
+    EffectObservation,
+    collect_effects,
+    effects_from_differences,
+    learn_tau,
+    tau_target,
+)
 from hbab.seqtest import ComparisonResult
-
-CFG = SamplerConfig(chains=2, warmup_draws=400, kept_draws=600, seed=0)
 
 
 def synthetic_corpus(n, tau_true, noise_sd, seed):
@@ -16,8 +23,13 @@ def synthetic_corpus(n, tau_true, noise_sd, seed):
 
 
 def grid_posterior_mean(effects, cauchy_scale=5.0):
-    """Direct numerical integration of the 1-d tau posterior."""
-    log_tau = np.linspace(-30.0, 6.0, 40_001)
+    """Direct numerical integration of the 1-d tau posterior.
+
+    The right end sits at log tau 12: for a handful of effects the mean's
+    integrand falls only like tau^-2.5, and an end at 6 dropped about 1e-6
+    of it.
+    """
+    log_tau = np.linspace(-30.0, 12.0, 40_001)
     tau = np.exp(log_tau)
     log_post = np.log(stats.halfcauchy.pdf(tau, scale=cauchy_scale)) + log_tau
     for e in effects:
@@ -27,47 +39,118 @@ def grid_posterior_mean(effects, cauchy_scale=5.0):
     return float(np.trapezoid(w * tau, log_tau) / np.trapezoid(w, log_tau))
 
 
+def quad_posterior(effects, cauchy_scale=5.0):
+    """Mean and 2.5/50/97.5% quantiles of tau by adaptive quadrature.
+
+    Shares nothing with ``learn_tau`` but the model: scipy.stats densities,
+    a mode from a bounded scalar search, ``quad`` on either side of it over
+    200 units of log tau to the left (where the tail decays only like tau)
+    and 60 to the right, and quantiles by root-finding on the CDF.
+    """
+    delta = np.array([e.delta for e in effects])
+    noise_var = np.array([e.noise_sd**2 for e in effects])
+
+    def log_post(x):
+        tau = math.exp(x)
+        return (stats.halfcauchy.logpdf(tau, scale=cauchy_scale) + x
+                + stats.norm.logpdf(delta, 0.0, np.sqrt(noise_var + tau)).sum())
+
+    mode = optimize.minimize_scalar(lambda x: -log_post(x), bounds=(-60.0, 10.0),
+                                    method="bounded", options={"xatol": 1e-10}).x
+    peak = log_post(mode)
+    kw = dict(epsabs=0.0, epsrel=1e-12, limit=500)
+
+    def dens(x):
+        return math.exp(log_post(x) - peak)
+
+    left = integrate.quad(dens, mode - 200.0, mode, **kw)[0]
+    total = left + integrate.quad(dens, mode, mode + 60.0, **kw)[0]
+    mean = sum(integrate.quad(lambda x: math.exp(x) * dens(x), a, b, **kw)[0]
+               for a, b in ((mode - 200.0, mode), (mode, mode + 60.0))) / total
+
+    def cdf_minus(p):
+        return lambda x: (left + integrate.quad(dens, mode, x, **kw)[0]) / total - p
+
+    quantiles = [math.exp(optimize.brentq(cdf_minus(p), mode - 200.0, mode + 60.0,
+                                          xtol=1e-13))
+                 for p in (0.025, 0.5, 0.975)]
+    return mean, quantiles
+
+
 class TestLearnTau:
     def test_no_dispersion_concentrates_near_zero(self):
         effects = [EffectObservation(0.0, 1e-3) for _ in range(50)]
-        learnt = learn_tau(effects, CFG)
+        learnt = learn_tau(effects)
         assert learnt.q97_5 < 1e-3
         assert learnt.point_value_for_testing >= 1e-8
 
     def test_recovers_known_dispersion(self):
         effects = synthetic_corpus(200, tau_true=0.01, noise_sd=0.02, seed=1)
-        learnt = learn_tau(effects, CFG)
+        learnt = learn_tau(effects)
         assert 0.005 <= learnt.posterior_mean <= 0.02
 
     def test_matches_grid_integration(self):
         effects = synthetic_corpus(5, tau_true=0.05, noise_sd=0.1, seed=2)
-        learnt = learn_tau(effects, CFG)
+        learnt = learn_tau(effects)
         oracle = grid_posterior_mean(effects)
-        assert learnt.posterior_mean == pytest.approx(oracle, rel=0.15)
+        assert learnt.posterior_mean == pytest.approx(oracle, rel=1e-6)
 
     def test_permutation_invariant(self):
         effects = synthetic_corpus(30, tau_true=0.02, noise_sd=0.05, seed=3)
         rng = np.random.default_rng(4)
         shuffled = list(effects)
         rng.shuffle(shuffled)
-        a = learn_tau(effects, CFG)
-        b = learn_tau(shuffled, CFG)
+        a = learn_tau(effects)
+        b = learn_tau(shuffled)
         assert a.posterior_mean == b.posterior_mean
 
     def test_scale_equivariant_within_mc_error(self):
         effects = synthetic_corpus(200, tau_true=0.01, noise_sd=0.02, seed=5)
         scaled = [EffectObservation(2 * e.delta, 2 * e.noise_sd) for e in effects]
-        a = learn_tau(effects, CFG)
-        b = learn_tau(scaled, CFG)
+        a = learn_tau(effects)
+        b = learn_tau(scaled)
         assert b.posterior_mean / a.posterior_mean == pytest.approx(4.0, rel=0.12)
 
     def test_needs_at_least_two_effects(self):
         with pytest.raises(ValueError):
-            learn_tau([EffectObservation(0.1, 0.05)], CFG)
+            learn_tau([EffectObservation(0.1, 0.05)])
+
+    @pytest.mark.parametrize("effects", [
+        synthetic_corpus(5, tau_true=0.05, noise_sd=0.1, seed=2),
+        synthetic_corpus(200, tau_true=0.01, noise_sd=0.02, seed=1),
+        # No excess dispersion: the left tail decays only like tau.
+        synthetic_corpus(100, tau_true=0.0, noise_sd=0.05, seed=9),
+        # Paper-sized: the posterior sd of log tau is about 0.018.
+        synthetic_corpus(7680, tau_true=9e-4, noise_sd=0.01, seed=7),
+    ], ids=["5", "200", "no-dispersion", "7680"])
+    def test_matches_adaptive_quadrature(self, effects):
+        learnt = learn_tau(effects)
+        mean, (q2_5, median, q97_5) = quad_posterior(effects)
+        assert learnt.posterior_mean == pytest.approx(mean, rel=1e-6)
+        assert learnt.q2_5 == pytest.approx(q2_5, rel=1e-6)
+        assert learnt.median == pytest.approx(median, rel=1e-6)
+        assert learnt.q97_5 == pytest.approx(q97_5, rel=1e-6)
+
+    def test_evaluates_the_density_a_few_hundred_times(self, monkeypatch):
+        calls = []
+
+        def counting_target(*args, **kwargs):
+            target = tau_target(*args, **kwargs)
+            density = target.log_density_and_grad
+
+            def counted(z):
+                calls.append(z[0])
+                return density(z)
+
+            return dataclasses.replace(target, log_density_and_grad=counted)
+
+        monkeypatch.setattr(hbab.metaprior, "tau_target", counting_target)
+        learn_tau(synthetic_corpus(200, tau_true=0.01, noise_sd=0.02, seed=1))
+        assert 256 <= len(calls) <= 400
 
     def test_quantiles_ordered(self):
         effects = synthetic_corpus(40, tau_true=0.02, noise_sd=0.05, seed=6)
-        learnt = learn_tau(effects, CFG)
+        learnt = learn_tau(effects)
         assert learnt.q2_5 <= learnt.median <= learnt.q97_5
 
 
@@ -99,6 +182,17 @@ class TestCollectEffects:
 
     def test_skips_never_updated(self):
         assert collect_effects([ComparisonResult((0,), (0,), (1,))]) == []
+
+    def test_differences_need_finite_mean_and_positive_variance(self):
+        effects = effects_from_differences(
+            [0.1, np.nan, np.inf, 0.2, 0.3, -0.4],
+            [1e-4, 1e-4, 1e-4, 0.0, np.nan, 4e-4],
+        )
+        assert effects == [EffectObservation(0.1, 0.01), EffectObservation(-0.4, 0.02)]
+
+    def test_collect_effects_uses_the_same_filter(self):
+        results = [self.result(np.inf, 1e-4), self.result(0.02, 0.0), self.result(0.02, 1e-4)]
+        assert collect_effects(results) == [EffectObservation(0.02, 0.01)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hbab.design import ExperimentSpec, Factor, enumerate_comparisons
+from hbab.metaprior import effects_from_differences, learn_tau
 from hbab.sampler import SamplerConfig
 from hbab.seqtest import TauSpec
 from hbab.sim import (
@@ -280,12 +281,15 @@ def test_tau_experiment_replays_traces():
             )
         )
     result = ScenarioResult(cfg, TauSpec.fixed(0.1), ("hierarchical",), reps)
-    comparison = tau_experiment(
-        result, tau_config=SamplerConfig(chains=1, warmup_draws=200, kept_draws=300)
-    )
+    comparison = tau_experiment(result)
     assert set(comparison.metrics) == {"fixed", "dynamic", "learnt"}
     assert comparison.train_reps == (0,) and comparison.test_reps == (1,)
     assert comparison.learnt_tau > 0
+    # The corpus is the training rep's final differences, through the one
+    # metaprior path.
+    learnt = learn_tau(effects_from_differences(d[-1], v[-1]))
+    assert comparison.learnt_tau == learnt.posterior_mean
+    assert comparison.learnt_q97_5 == learnt.q97_5
     with pytest.raises(ValueError, match="was not run"):
         tau_experiment(result, method="mle")
 
