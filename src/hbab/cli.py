@@ -48,13 +48,7 @@ from .estimate import hb_estimate, marginalize, mle_estimates
 from .glm import CountData, fit_posterior
 from .metaprior import EffectObservation, effects_from_differences, learn_tau
 from .sampler import SamplerConfig, effective_sample_size, sample
-from .seqtest import (
-    TauSpec,
-    estimate_arrays,
-    pair_differences,
-    run_all_comparisons,
-    sequential_trace,
-)
+from .seqtest import TauSpec, cell_differences, estimate_arrays, sequential_trace
 from .sim import (
     METHODS,
     ScenarioConfig,
@@ -175,6 +169,15 @@ def _combo_label(spec: ExperimentSpec, factors, combo) -> str:
     return "|".join(f.values[i] for f, i in zip(factors, combo))
 
 
+def _pair_labels(spec: ExperimentSpec) -> list[tuple[str, str, str]]:
+    """(context, content_a, content_b) labels of every pair, in
+    ``enumerate_comparisons`` order."""
+    return [(_combo_label(spec, spec.context_factors, ctx),
+             _combo_label(spec, spec.content_factors, a),
+             _combo_label(spec, spec.content_factors, b))
+            for ctx, a, b in enumerate_comparisons(spec)]
+
+
 # The context of ``analyze``'s context-pooled rows in ``comparisons.csv``;
 # ``learn-tau`` skips these rows when it scans a results directory.
 _POOLED_CONTEXT = "marginal"
@@ -287,13 +290,7 @@ def _decision_lines(result, tau_spec):
     diff_mean, diff_var, bayes_factor and p_instant, and reads NaN there
     before its first informative update.
     """
-    spec = result.config.spec
-    labels = [
-        _csv_fields([_combo_label(spec, spec.context_factors, ctx),
-                     _combo_label(spec, spec.content_factors, a),
-                     _combo_label(spec, spec.content_factors, b)])
-        for ctx, a, b in enumerate_comparisons(spec)
-    ]
+    labels = [_csv_fields(label) for label in _pair_labels(result.config.spec)]
     updates = range(1, result.config.updates + 1)
     for rep in result.repetitions:
         truth = ["h1" if h1 else "h0" for h1 in rep.truth.pair_is_h1]
@@ -476,13 +473,13 @@ def cmd_analyze(args) -> int:
     X = build_design_matrix(spec, 2 if len(spec.factors) >= 2 else 1)
     n_contexts = len(spec.context_combinations())
     contents = spec.content_combinations()
-    marg_a, marg_b = np.triu_indices(len(contents), 1)  # content pairs, A before B
-    marg_labels = [_combo_label(spec, spec.content_factors, m) for m in contents]
+    # The context-pooled pairs are the comparisons of a spec without context.
+    pooled_spec = ExperimentSpec(spec.content_factors)
+    pair_labels = _pair_labels(spec) + [
+        (_POOLED_CONTEXT, a, b) for _, a, b in _pair_labels(pooled_spec)]
 
-    est_rows, marg_rows, cmp_rows = [], [], []
-    states = None
+    est_rows, marg_rows, diff_mean, diff_var = [], [], [], []
     warm_start = None  # each update's fit starts from the previous one's
-    marg_p_min = np.ones(marg_a.size)
     cum_a = np.zeros(spec.n_cells, dtype=np.int64)
     cum_r = np.zeros(spec.n_cells, dtype=np.int64)
     for u, inc in enumerate(increments, start=1):
@@ -509,20 +506,8 @@ def cmd_analyze(args) -> int:
                  args.method, _fmt(est.mean), _fmt(est.variance))
             )
 
-        states = run_all_comparisons(ests, spec, tau_spec, args.alpha, prior=states)
-        for res in states:
-            cmp_rows.append(
-                (u,
-                 _combo_label(spec, spec.context_factors, res.context),
-                 _combo_label(spec, spec.content_factors, res.content_a),
-                 _combo_label(spec, spec.content_factors, res.content_b),
-                 _fmt(res.diff_mean), _fmt(res.diff_var), _fmt(res.bayes_factor),
-                 _fmt(res.p_instant), _fmt(res.p_min), int(res.significant))
-            )
-
-        # Context-pooled comparisons per content pair. Content factors are
-        # the leading digits of the cell order, so a context's traffic is a
-        # column sum.
+        # Content factors are the leading digits of the cell order, so a
+        # context's traffic is a column sum.
         traffic = cum_a.reshape(len(contents), n_contexts).sum(axis=0).astype(float)
         marginals = marginalize(ests, spec, traffic)
         for i, m in enumerate(contents):
@@ -530,18 +515,21 @@ def cmd_analyze(args) -> int:
                 (u, *(f.values[v] for f, v in zip(spec.content_factors, m)),
                  args.method, _fmt(marginals[i].mean), _fmt(marginals[i].variance))
             )
-        d, v = pair_differences(*estimate_arrays(marginals), marg_a, marg_b)
-        # One update per call: a pair with zero variance now reads NaN
-        # factor and p_instant beside this update's d and v, and keeps p_min.
-        t = sequential_trace(d[None], v[None], tau_spec, args.alpha, marg_p_min)
-        marg_p_min = t.p_min[0]
-        for a, b, *values, significant in zip(
-            marg_a.tolist(), marg_b.tolist(), d.tolist(), v.tolist(),
-            t.bayes_factor[0].tolist(), t.p_instant[0].tolist(), marg_p_min.tolist(),
-            t.significant[0].tolist(),
-        ):
-            cmp_rows.append((u, _POOLED_CONTEXT, marg_labels[a], marg_labels[b],
-                             *map(_fmt, values), int(significant)))
+        d, v = cell_differences(spec, *estimate_arrays(ests))
+        pooled_d, pooled_v = cell_differences(pooled_spec, *estimate_arrays(marginals))
+        diff_mean.append(np.concatenate([d, pooled_d]))
+        diff_var.append(np.concatenate([v, pooled_v]))
+
+    # Every update of every pair in one call, so both row families follow
+    # the zero-variance rule of decisions.csv.
+    t = sequential_trace(np.array(diff_mean), np.array(diff_var), tau_spec, args.alpha)
+    columns = (t.diff_mean, t.diff_var, t.bayes_factor, t.p_instant, t.p_min,
+               t.significant)
+    cmp_rows = [
+        (u, *label, *map(_fmt, values), int(significant))
+        for u, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)
+        for label, *values, significant in zip(pair_labels, *row)
+    ]
 
     factor_names = [f.name for f in spec.factors]
     _write_csv(

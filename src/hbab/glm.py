@@ -4,11 +4,10 @@ Cell response probabilities are ``sigmoid(X @ beta + epsilon)`` where X is
 the binary design matrix, every coefficient shares a Gaussian prior
 ``Normal(mu, sigma^2)``, ``mu ~ Normal(0, 100)``, ``sigma ~ HalfCauchy(5)``
 and ``epsilon ~ Normal(0, 1)`` is a single latent offset drawn once per
-fit. The module exposes the joint log density and its analytic gradient
-(``sigma`` handled on the log scale with the change-of-variables term) both
-in the natural parameterization and in a non-centered one where
-``beta = mu + sigma * beta_raw``, which samples far better when the data
-are sparse.
+fit. The sampler's target is non-centered, ``beta = mu + sigma * beta_raw``
+with ``sigma`` on the log scale, which samples far better when the data are
+sparse; ``log_posterior`` is the same joint density in the natural
+parameters, kept as the reference the target is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "CountData",
     "predict_rates",
     "log_posterior",
-    "grad_log_posterior",
     "half_cauchy_log_density_log_scale",
     "make_target",
     "fit_posterior",
@@ -147,47 +145,18 @@ def log_posterior(
     return float(lp)
 
 
-def grad_log_posterior(
-    params: ModelParams, data: CountData, X: DesignMatrix, hyper: Hyperparams
-) -> np.ndarray:
-    """Gradient of ``log_posterior`` packed as [beta..., mu, log_sigma, epsilon]."""
-    beta, mu, ls, eps = params.beta, params.mu, params.log_sigma, params.epsilon
-    sigma = np.exp(ls)
-    m, s = hyper.mu_prior_mean, hyper.mu_prior_sd
-    b = hyper.sigma_cauchy_scale
-
-    eta = X.matrix @ beta + eps
-    resid = data.responses - data.assignments * expit(eta)
-
-    z = (beta - mu) / sigma
-    g_beta = X.matrix.T @ resid - z / sigma
-    g_mu = np.sum(z) / sigma - (mu - m) / s**2
-    g_ls = (
-        -beta.size
-        + np.sum(z**2)
-        - math.tanh(ls - math.log(b))  # 1 - 2 sigma^2 / (b^2 + sigma^2)
-    )
-    g_eps = np.sum(resid) - eps
-    return np.concatenate([g_beta, [g_mu, g_ls, g_eps]])
-
-
-def _labels(n_coef: int) -> tuple[str, ...]:
-    return tuple(f"beta[{j}]" for j in range(n_coef)) + ("mu", "log_sigma", "epsilon")
-
-
 def make_target(
     data: CountData,
     X: DesignMatrix,
     hyper: Hyperparams = Hyperparams(),
-    noncentered: bool = True,
 ) -> TargetDensity:
     """Differentiable target over the flat unconstrained vector
-    [beta..., mu, log_sigma, epsilon].
+    [beta_raw..., mu, log_sigma, epsilon].
 
-    With ``noncentered=True`` (default) the leading block holds the
-    standardized coefficients ``beta_raw = (beta - mu) / sigma``; the
-    posterior over the natural parameters is unchanged, but the geometry
-    avoids the funnel that defeats samplers when counts are thin.
+    The leading block holds the standardized coefficients
+    ``beta_raw = (beta - mu) / sigma``; the density is ``log_posterior`` at
+    the natural parameters plus the log-Jacobian ``P * log_sigma``, and its
+    geometry avoids the funnel that defeats samplers when counts are thin.
     """
     if data.assignments.shape[0] != X.rows:
         raise ValueError("count vectors must have one entry per design row")
@@ -197,15 +166,6 @@ def make_target(
     r = data.responses
     m, s = hyper.mu_prior_mean, hyper.mu_prior_sd
     b = hyper.sigma_cauchy_scale
-
-    def centered(z):
-        if z[P + 1] > 700.0:
-            return -math.inf, np.zeros(P + 3)
-        params = ModelParams(z[:P], z[P], z[P + 1], z[P + 2])
-        lp = log_posterior(params, data, X, hyper)
-        if not math.isfinite(lp):
-            return -math.inf, np.zeros(P + 3)
-        return lp, grad_log_posterior(params, data, X, hyper)
 
     # Constants hoisted out of the sampler's hot loop.
     XmT = np.ascontiguousarray(Xm.T)
@@ -250,10 +210,8 @@ def make_target(
         grad[P + 2] = float(resid.sum()) - eps
         return lp, grad
 
-    fn = raw if noncentered else centered
-    kind = "raw" if noncentered else "beta"
-    labels = tuple(f"{kind}[{j}]" for j in range(P)) + ("mu", "log_sigma", "epsilon")
-    return TargetDensity(dim=P + 3, log_density_and_grad=fn, labels=labels)
+    labels = tuple(f"raw[{j}]" for j in range(P)) + ("mu", "log_sigma", "epsilon")
+    return TargetDensity(dim=P + 3, log_density_and_grad=raw, labels=labels)
 
 
 _MIN_CELL_ESS = 50.0
@@ -280,31 +238,29 @@ def fit_posterior(
     X: DesignMatrix,
     config: SamplerConfig,
     hyper: Hyperparams = Hyperparams(),
-    noncentered: bool = True,
     warm_start: WarmStart | None = None,
 ) -> PosteriorSamples:
     """Run the sampler on the model and return draws in natural coordinates.
 
     Output labels are beta[j], mu, sigma, epsilon; the non-centered
-    coefficients (if used) and log_sigma are mapped back before summaries,
+    coefficients and log_sigma are mapped back before summaries,
     and convergence diagnostics are recomputed on the reported scale. The
     coefficients themselves are identified only through the prior, so the
     diagnostics warnings also report a fit whose cell logits, the quantities
     every estimate is built from, mixed too poorly to be trusted.
 
-    ``warm_start`` is the ``warm_start`` of a fit of the same model and
-    parameterisation to earlier counts (see ``sampler.sample``); the result
+    ``warm_start`` is the ``warm_start`` of a fit of the same model to
+    earlier counts (see ``sampler.sample``); the result
     carries its own for the next fit.
     """
-    target = make_target(data, X, hyper, noncentered=noncentered)
+    target = make_target(data, X, hyper)
     samples = sample(target, config, warm_start)
     P = X.cols
 
     draws = samples.draws.copy()
     mu = draws[..., P]
     sigma = np.exp(draws[..., P + 1])
-    if noncentered:
-        draws[..., :P] = mu[..., None] + sigma[..., None] * draws[..., :P]
+    draws[..., :P] = mu[..., None] + sigma[..., None] * draws[..., :P]
     draws[..., P + 1] = sigma
     labels = tuple(f"beta[{j}]" for j in range(P)) + ("mu", "sigma", "epsilon")
     natural = samples.relabeled(draws, labels)

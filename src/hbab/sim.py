@@ -483,19 +483,18 @@ class TauComparison:
     metrics: dict[str, MetricsReport]
 
 
-def tau_experiment(
-    result: ScenarioResult,
-    fixed_value: float = 0.1,
-    method: str | None = None,
-    train_fraction: float = 0.5,
-) -> TauComparison:
+_TAU_EXPERIMENT_FIXED_TAU = 0.1  # the fixed strategy's tau
+_TAU_EXPERIMENT_TRAIN_FRACTION = 0.5
+
+
+def tau_experiment(result: ScenarioResult, method: str | None = None) -> TauComparison:
     """Compare fixed, dynamic, and learnt tau settings.
 
     The repetitions are split in half: the dispersion parameter is learnt
     from every pair's final difference in the first half and all three
-    strategies are scored on the second half only. Effects come from
-    ``method``, by default the hierarchical estimates if the run has them
-    and its first method otherwise.
+    strategies are scored on the second half only (the fixed one at tau
+    0.1). Effects come from ``method``, by default the hierarchical
+    estimates if the run has them and its first method otherwise.
     """
     from .metaprior import effects_from_differences, learn_tau
 
@@ -506,11 +505,10 @@ def tau_experiment(
     n = len(result.repetitions)
     if n < 2:
         raise ValueError("tau_experiment needs at least 2 repetitions")
-    n_train = max(1, int(round(train_fraction * n)))
+    # At least one repetition on each side for any n >= 2.
+    n_train = int(round(_TAU_EXPERIMENT_TRAIN_FRACTION * n))
     train = list(range(n_train))
     test = list(range(n_train, n))
-    if not test:
-        raise ValueError("train fraction leaves no test repetitions")
 
     reps = [result.repetitions[i] for i in train]
     effects = effects_from_differences(
@@ -520,7 +518,7 @@ def tau_experiment(
     learnt = learn_tau(effects)
 
     specs = {
-        "fixed": TauSpec.fixed(fixed_value),
+        "fixed": TauSpec.fixed(_TAU_EXPERIMENT_FIXED_TAU),
         "dynamic": TauSpec.dynamic(),
         "learnt": TauSpec.learnt(learnt.point_value_for_testing),
     }

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import platform
 import stat
@@ -11,7 +12,11 @@ import scipy
 
 import hbab
 from hbab.cli import _atomic_write, main
+from hbab.design import enumerate_cells, spec_from_dict
+from hbab.estimate import mle_estimates
+from hbab.glm import CountData
 from hbab.sampler import SamplerConfig
+from hbab.seqtest import TauSpec, run_all_comparisons
 
 TINY_DESIGN = {
     "factors": [
@@ -244,6 +249,53 @@ class TestAnalyze:
                     for r in csv.DictReader(fh)
                 ]
         assert keys(out_mle) == keys(out_hb)
+
+    def test_rows_before_a_pairs_first_informative_update(self, tmp_path):
+        # Context c0 has no responses at updates 1-2 and c1 none at update
+        # 1: every pair is degenerate at update 1, c0's pair also at 2.
+        rows = [(u, m, c, n, 0 if (c == "c0" and u <= 2) or u == 1 else r)
+                for u, m, c, n, r in default_counts(updates=3)]
+        code, out = self.run_analyze(tmp_path, rows)
+        assert code == 0
+        with open(out / "comparisons.csv") as fh:
+            comps = list(csv.DictReader(fh))
+        assert len(comps) == 3 * 3
+        fields = ("diff_mean", "diff_var", "bayes_factor", "p_instant")
+        for r in comps:
+            degenerate = r["update"] == "1" or (r["update"] == "2" and r["context"] == "c0")
+            if degenerate:
+                assert [r[f] for f in fields] == ["nan"] * 4
+                assert (r["p_min"], r["significant"]) == ("1", "0")
+            else:
+                assert all(math.isfinite(float(r[f])) for f in fields)
+
+    def test_rows_equal_the_list_view_folded_over_the_updates(self, tmp_path):
+        rows = default_counts(updates=3)
+        code, out = self.run_analyze(tmp_path, rows)
+        assert code == 0
+        spec = spec_from_dict(TINY_DESIGN)
+        cells = {c.value_indices: k for k, c in enumerate(enumerate_cells(spec))}
+        cum_a = np.zeros(spec.n_cells, dtype=np.int64)
+        cum_r = np.zeros(spec.n_cells, dtype=np.int64)
+        states, expected = None, []
+        for u in (1, 2, 3):
+            for u_, m, c, n, r in rows:
+                if u_ == u:
+                    k = cells[(("m0", "m1").index(m), ("c0", "c1").index(c))]
+                    cum_a[k] += n
+                    cum_r[k] += r
+            states = run_all_comparisons(mle_estimates(CountData(cum_a, cum_r)), spec,
+                                         TauSpec.fixed(0.1), prior=states)
+            assert all(s.updates == u for s in states)  # informative every update
+            expected += [(str(u), ("c0", "c1")[s.context[0]],
+                          s.diff_mean, s.diff_var, s.bayes_factor, s.p_instant,
+                          s.p_min, s.significant) for s in states]
+        with open(out / "comparisons.csv") as fh:
+            got = [(r["update"], r["context"], float(r["diff_mean"]),
+                    float(r["diff_var"]), float(r["bayes_factor"]),
+                    float(r["p_instant"]), float(r["p_min"]), r["significant"] == "1")
+                   for r in csv.DictReader(fh) if r["context"] != "marginal"]
+        assert got == expected
 
     def test_malformed_header_exits_2(self, tmp_path, capsys):
         design = write_json(tmp_path / "design.json", TINY_DESIGN)
