@@ -16,7 +16,7 @@ from hbab import (
     build_design_matrix,
     fit_posterior,
     hb_estimate,
-    mle_estimate,
+    mle_estimates,
     posterior_summary,
 )
 
@@ -39,17 +39,17 @@ print("convergence: max split R-hat =",
       "| min ESS =", int(samples.diagnostics.effective_sample_size.min()),
       "| divergences =", samples.diagnostics.divergence_count)
 
+# One record per estimator: per-cell means and variances, and for the
+# hierarchical estimate the [cells, draws] matrix of posterior rate draws.
 hb = hb_estimate(samples, X)
+plain = mle_estimates(data)
 print(f"\ntrue rate everywhere: {true_rate}")
 print(f"{'cell':>4} {'plain':>7} {'pooled':>7}")
 for k in range(X.rows):
-    plain = mle_estimate(int(data.assignments[k]), int(data.responses[k]))
-    print(f"{k:>4} {plain.mean:>7.3f} {hb[k].mean:>7.3f}")
+    print(f"{k:>4} {plain[k].mean:>7.3f} {hb[k].mean:>7.3f}")
 
-plain_means = data.responses / data.assignments
-hb_means = np.array([e.mean for e in hb])
-print(f"\ncross-cell spread: plain sd = {plain_means.std():.4f}, "
-      f"pooled sd = {hb_means.std():.4f}")
+print(f"\ncross-cell spread: plain sd = {plain.means.std():.4f}, "
+      f"pooled sd = {hb.means.std():.4f}")
 
 print("\nshared-level posteriors:")
 for label in ("mu", "sigma", "epsilon"):

@@ -9,7 +9,7 @@ at every peek on two identical arms, whose false-positive rate balloons.
 
 import numpy as np
 
-from hbab import CellEstimate, TauSpec, naive_sequential_test_fpr
+from hbab import CellEstimates, TauSpec, naive_sequential_test_fpr
 from hbab.design import ExperimentSpec, Factor
 from hbab.seqtest import run_all_comparisons
 
@@ -27,10 +27,8 @@ state = None
 for update in range(1, 21):
     cum += n_per_update
     resp += rng.binomial(n_per_update, (rate_a, rate_b))
-    ests = [
-        CellEstimate(r / n, (r / n) * (1 - r / n) / n)
-        for r, n in zip(resp, cum)
-    ]
+    rates = resp / cum
+    ests = CellEstimates(rates, rates * (1 - rates) / cum)
     state = run_all_comparisons(ests, spec, TauSpec.fixed(0.1), prior=state)
     res = state[0]
     decision = "STOP: significant" if res.significant else "continue"

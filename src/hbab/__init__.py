@@ -24,7 +24,7 @@ from .design import (
     enumerate_comparisons,
     load_experiment_spec,
 )
-from .estimate import CellEstimate, hb_estimate, marginalize, mle_estimate
+from .estimate import CellEstimate, CellEstimates, hb_estimate, marginalize, mle_estimates
 from .glm import CountData, Hyperparams, ModelParams, fit_posterior, predict_rates
 from .metaprior import EffectObservation, LearntTau, collect_effects, learn_tau
 from .sampler import PosteriorSamples, SamplerConfig, posterior_summary, sample
@@ -48,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Cell",
     "CellEstimate",
+    "CellEstimates",
     "ComparisonResult",
     "ConjugateInstance",
     "ConjugatePosterior",
@@ -76,7 +77,7 @@ __all__ = [
     "learn_tau",
     "load_experiment_spec",
     "marginalize",
-    "mle_estimate",
+    "mle_estimates",
     "naive_sequential_test_fpr",
     "paper_scenario",
     "posterior_summary",

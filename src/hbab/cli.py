@@ -48,7 +48,7 @@ from .estimate import hb_estimate, marginalize, mle_estimates
 from .glm import CountData, fit_posterior
 from .metaprior import EffectObservation, effects_from_differences, learn_tau
 from .sampler import SamplerConfig, effective_sample_size, sample
-from .seqtest import TauSpec, cell_differences, estimate_arrays, sequential_trace
+from .seqtest import TauSpec, cell_differences, sequential_trace
 from .sim import (
     METHODS,
     ScenarioConfig,
@@ -241,6 +241,8 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
         raise InputError(f"invalid scenario config: methods must be drawn from {METHODS}")
     if args.tau_experiment and config.repetitions < 2:
         raise InputError("--tau-experiment needs at least 2 repetitions")
+    if args.tau_experiment and config.updates < 1:
+        raise InputError("--tau-experiment needs at least 1 update")
     _check_context_labels(config.spec)
 
     payload = {
@@ -499,24 +501,25 @@ def cmd_analyze(args) -> int:
         else:
             ests = mle_estimates(data)
 
-        cells = [c.value_indices for c in enumerate_cells(spec)]
-        for k, est in enumerate(ests):
+        for cell, mean, var in zip(enumerate_cells(spec), ests.means.tolist(),
+                                   ests.variances.tolist()):
             est_rows.append(
-                (u, *(f.values[i] for f, i in zip(spec.factors, cells[k])),
-                 args.method, _fmt(est.mean), _fmt(est.variance))
+                (u, *(f.values[i] for f, i in zip(spec.factors, cell.value_indices)),
+                 args.method, _fmt(mean), _fmt(var))
             )
 
         # Content factors are the leading digits of the cell order, so a
         # context's traffic is a column sum.
         traffic = cum_a.reshape(len(contents), n_contexts).sum(axis=0).astype(float)
         marginals = marginalize(ests, spec, traffic)
-        for i, m in enumerate(contents):
+        for m, mean, var in zip(contents, marginals.means.tolist(),
+                                marginals.variances.tolist()):
             marg_rows.append(
                 (u, *(f.values[v] for f, v in zip(spec.content_factors, m)),
-                 args.method, _fmt(marginals[i].mean), _fmt(marginals[i].variance))
+                 args.method, _fmt(mean), _fmt(var))
             )
-        d, v = cell_differences(spec, *estimate_arrays(ests))
-        pooled_d, pooled_v = cell_differences(pooled_spec, *estimate_arrays(marginals))
+        d, v = cell_differences(spec, ests)
+        pooled_d, pooled_v = cell_differences(pooled_spec, marginals)
         diff_mean.append(np.concatenate([d, pooled_d]))
         diff_var.append(np.concatenate([v, pooled_v]))
 

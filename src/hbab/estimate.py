@@ -3,14 +3,14 @@
 Two competing estimators over the same cells: the plain maximum-likelihood
 proportion with its binomial variance, and the hierarchical Bayesian
 estimate obtained by pushing every posterior draw through the model's rate
-transform. Marginalization pools cell estimates over context combinations
-with traffic-proportional weights, draw-wise for the Bayesian path so that
+transform; each returns one ``CellEstimates`` record of per-cell arrays.
+Marginalization pools cells over context combinations with
+traffic-proportional weights, draw-wise for the Bayesian path so that
 marginal uncertainty stays coherent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +22,8 @@ from .sampler import PosteriorSamples
 
 __all__ = [
     "CellEstimate",
+    "CellEstimates",
     "marginal_weights",
-    "mle_estimate",
     "mle_estimates",
     "hb_estimate",
     "marginalize",
@@ -32,44 +32,63 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CellEstimate:
-    """Mean and variance of one cell's response rate; hierarchical
-    estimates also carry the posterior draws they summarize."""
+    """One cell of a ``CellEstimates``: mean and variance of its response
+    rate and, for hierarchical estimates, a row view of the draws."""
 
     mean: float
     variance: float
     draws: np.ndarray | None = None
 
-    @property
-    def is_defined(self) -> bool:
-        return not math.isnan(self.mean)
 
+@dataclass(frozen=True, eq=False)
+class CellEstimates:
+    """Mean and variance of every cell's response rate, in cell order.
 
-def mle_estimate(assignments: int, responses: int) -> CellEstimate:
-    """Proportion estimate r/a with variance mean(1-mean)/a.
-
-    Zero assignments yield an undefined (NaN-valued) estimate rather than
-    an error, so sparse cells can be carried along and reported as such.
+    Hierarchical estimates also carry the ``[cells, draws]`` matrix of
+    posterior rate draws they summarize; an undefined cell reads NaN.
+    ``estimates[k]`` is cell ``k`` as a ``CellEstimate``, so ``len()`` and
+    iteration run over cells.
     """
-    if assignments < 0 or responses < 0 or responses > assignments:
-        raise ValueError("need 0 <= responses <= assignments")
-    if assignments == 0:
-        return CellEstimate(math.nan, math.nan)
-    mean = responses / assignments
-    return CellEstimate(mean, mean * (1.0 - mean) / assignments)
+
+    means: np.ndarray
+    variances: np.ndarray
+    draws: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("means", "variances", "draws"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        n = len(self.means)
+        if self.means.shape != (n,) or self.variances.shape != (n,) or not (
+                self.draws is None or self.draws.ndim == 2 and len(self.draws) == n):
+            raise ValueError("need [cells] means and variances, [cells, draws] draws")
+
+    def __len__(self) -> int:
+        return self.means.size
+
+    def __getitem__(self, k: int) -> CellEstimate:
+        draws = None if self.draws is None else self.draws[k]
+        return CellEstimate(float(self.means[k]), float(self.variances[k]), draws)
 
 
-def mle_estimates(data: CountData) -> list[CellEstimate]:
-    return [
-        mle_estimate(int(a), int(r))
-        for a, r in zip(data.assignments, data.responses)
-    ]
+def mle_estimates(data: CountData) -> CellEstimates:
+    """Proportion estimate r/a with variance mean(1-mean)/a per cell.
+
+    Cells with zero assignments get NaN rather than an error, so sparse
+    cells can be carried along and reported as such.
+    """
+    a = data.assignments
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 -> NaN
+        means = data.responses / a
+        variances = means * (1.0 - means) / a
+    return CellEstimates(means, variances)
 
 
-def hb_estimate(samples: PosteriorSamples, X: DesignMatrix) -> list[CellEstimate]:
+def hb_estimate(samples: PosteriorSamples, X: DesignMatrix) -> CellEstimates:
     """Posterior rate distribution per cell from coefficient draws.
 
     Every draw of (beta, epsilon) is pushed through sigmoid(X beta + eps);
-    the per-cell mean/variance/draws summarize the resulting rates.
+    the ``[cells, draws]`` rates are returned with their per-cell moments.
     """
     flat = samples.flat()
     beta_cols = [
@@ -80,15 +99,20 @@ def hb_estimate(samples: PosteriorSamples, X: DesignMatrix) -> list[CellEstimate
             f"samples carry {len(beta_cols)} coefficients, design has {X.cols} columns"
         )
     eps = flat[:, samples.parameter_index("epsilon")]
-    rates = expit(flat[:, beta_cols] @ X.matrix.T + eps[:, None])
-    return [
-        CellEstimate(
-            float(rates[:, k].mean()),
-            float(rates[:, k].var(ddof=1)) if rates.shape[0] > 1 else 0.0,
-            rates[:, k].copy(),
-        )
-        for k in range(X.rows)
-    ]
+    # The [draws, cells] product (this orientation fixes the bits) is
+    # dropped once its contiguous transpose exists.
+    rates = np.ascontiguousarray(
+        expit(flat[:, beta_cols] @ X.matrix.T + eps[:, None]).T
+    )
+    return _summarize(rates)
+
+
+def _summarize(draws: np.ndarray) -> CellEstimates:
+    """Per-row moments of a C-contiguous ``[cells, draws]`` matrix: a
+    contiguous row reduces to the same bits as a 1-D array of its draws, a
+    strided column or an axis-0 reduction need not."""
+    variances = draws.var(axis=1, ddof=1) if draws.shape[1] > 1 else np.zeros(len(draws))
+    return CellEstimates(draws.mean(axis=1), variances, draws)
 
 
 def marginal_weights(traffic: np.ndarray) -> np.ndarray:
@@ -103,10 +127,10 @@ def marginal_weights(traffic: np.ndarray) -> np.ndarray:
 
 
 def marginalize(
-    cell_estimates: list[CellEstimate],
+    estimates: CellEstimates,
     spec: ExperimentSpec,
     traffic: np.ndarray,
-) -> list[CellEstimate]:
+) -> CellEstimates:
     """Context-pooled estimate per content combination.
 
     ``traffic`` holds assignment counts per context combination (in
@@ -115,29 +139,21 @@ def marginalize(
     rate; plain estimates combine means linearly and variances with squared
     weights.
     """
-    contexts = spec.context_combinations()
-    contents = spec.content_combinations()
-    if len(cell_estimates) != len(contents) * len(contexts):
+    n_contexts = len(spec.context_combinations())
+    n_contents = len(spec.content_combinations())
+    if len(estimates) != n_contents * n_contexts:
         raise ValueError("need one estimate per cell")
     w = marginal_weights(traffic)
-    if w.size != len(contexts):
+    if w.size != n_contexts:
         raise ValueError("need one traffic count per context combination")
+    used = [j for j in range(n_contexts) if w[j] > 0]
 
-    draw_wise = all(e.draws is not None for e in cell_estimates)
-    out = []
-    for i in range(len(contents)):
-        block = [cell_estimates[i * len(contexts) + j] for j in range(len(contexts))]
-        if draw_wise:
-            pooled = sum(wj * e.draws for wj, e in zip(w, block) if wj > 0)
-            out.append(
-                CellEstimate(
-                    float(pooled.mean()),
-                    float(pooled.var(ddof=1)) if pooled.size > 1 else 0.0,
-                    pooled,
-                )
-            )
-        else:
-            mean = sum(wj * e.mean for wj, e in zip(w, block) if wj > 0)
-            var = sum(wj**2 * e.variance for wj, e in zip(w, block) if wj > 0)
-            out.append(CellEstimate(float(mean), float(var)))
-    return out
+    # Content factors lead the cell order: row i, column j is content i in
+    # context j.
+    if estimates.draws is not None:
+        block = estimates.draws.reshape(n_contents, n_contexts, -1)
+        return _summarize(sum(w[j] * block[:, j] for j in used))
+    means = estimates.means.reshape(n_contents, n_contexts)
+    variances = estimates.variances.reshape(n_contents, n_contexts)
+    return CellEstimates(sum(w[j] * means[:, j] for j in used),
+                         sum(w[j] ** 2 * variances[:, j] for j in used))

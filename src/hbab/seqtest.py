@@ -11,15 +11,16 @@ the reported evidence and needs no post hoc multiple-comparison
 correction, because shrinkage in the estimator already damps spurious
 differences.
 
-The kernel works on whole arrays: ``cell_differences`` turns per-cell
-means and variances (and a ``[cells, draws]`` matrix for draw-based
-estimates) into the difference summary of every pair, and
-``sequential_trace`` folds ``[updates, pairs]`` summaries into Bayes
-factors and running p-values. ``run_all_comparisons`` and ``replay_trace``
-are views of it. The scalar ``log_bayes_factor`` and ``update_comparison``
-are the reference the kernel is tested against bit for bit, so the kernel
-applies log, exp and squaring element by element through the same libm
-calls: numpy's vectorised forms can differ from them in the last bit.
+The kernel works on whole arrays: ``cell_differences`` turns one
+``CellEstimates`` record (per-cell means and variances, and the ``[cells,
+draws]`` matrix of draw-based estimates) into the difference summary of
+every pair, and ``sequential_trace`` folds ``[updates, pairs]`` summaries
+into Bayes factors and running p-values. ``run_all_comparisons`` and
+``replay_trace`` are views of it. The scalar ``log_bayes_factor`` and
+``update_comparison`` are the reference the kernel is tested against bit
+for bit, so the kernel applies log, exp and squaring element by element
+through the same libm calls: numpy's vectorised forms can differ from them
+in the last bit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design import Cell, ExperimentSpec, comparison_cells, enumerate_comparisons
-from .estimate import CellEstimate
+from .estimate import CellEstimates
 
 __all__ = [
     "TauSpec",
@@ -41,8 +42,6 @@ __all__ = [
     "bayes_factor",
     "log_bayes_factor",
     "update_comparison",
-    "estimate_arrays",
-    "pair_differences",
     "cell_differences",
     "sequential_trace",
     "run_all_comparisons",
@@ -69,11 +68,10 @@ class TauSpec:
     def __post_init__(self):
         if self.kind not in ("fixed", "dynamic", "learnt"):
             raise ValueError(f"unknown tau kind {self.kind!r}")
-        if self.kind in ("fixed", "learnt"):
-            if self.value is None or self.value <= 0:
-                raise ValueError(f"{self.kind} tau requires a positive value")
-        if self.epsilon_floor <= 0:
-            raise ValueError("epsilon_floor must be positive")
+        if self.kind in ("fixed", "learnt") and not 0 < (self.value or 0) < math.inf:
+            raise ValueError(f"{self.kind} tau requires a finite positive value")
+        if not 0 < self.epsilon_floor < math.inf:
+            raise ValueError("epsilon_floor must be finite and positive")
 
     @classmethod
     def fixed(cls, value: float) -> "TauSpec":
@@ -88,7 +86,7 @@ class TauSpec:
         return cls("learnt", value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonResult:
     """Running state of one pairwise test.
 
@@ -160,31 +158,27 @@ def update_comparison(
     )
 
 
-def estimate_arrays(
-    estimates: list[CellEstimate],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Means, variances and, when every estimate carries draws, the
-    ``[cells, draws]`` matrix of a list of estimates: the kernel's inputs."""
-    means = np.array([e.mean for e in estimates], dtype=float)
-    variances = np.array([e.variance for e in estimates], dtype=float)
-    if all(e.draws is not None for e in estimates):
-        return means, variances, np.stack([e.draws for e in estimates])
-    return means, variances, None
-
-
-def pair_differences(
-    means: np.ndarray,
-    variances: np.ndarray,
-    draws: np.ndarray | None,
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
+def cell_differences(
+    spec: ExperimentSpec, estimates: CellEstimates
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Difference mean and variance of every pair ``(a_idx[i], b_idx[i])``.
+    """Difference mean and variance of every pair of ``enumerate_comparisons``.
 
     With draws, each pair is differenced draw-wise (capturing the
     correlation of its two estimates); otherwise means are subtracted and
-    variances added.
+    variances added. Raises ``ValueError`` naming the first cell, in pair
+    order, that a pair needs and that has no estimate (NaN mean).
     """
+    a_idx, b_idx = comparison_cells(spec)
+    means, variances, draws = estimates.means, estimates.variances, estimates.draws
+    undefined = np.isnan(means)
+    missing = undefined[a_idx] | undefined[b_idx]
+    if missing.any():
+        i = int(np.argmax(missing))
+        ctx, a, b = enumerate_comparisons(spec)[i]
+        combo = a if undefined[a_idx[i]] else b
+        raise ValueError(
+            f"no estimate for cell ({spec.describe_cell(Cell(combo + ctx))})"
+        )
     if draws is None:
         return means[a_idx] - means[b_idx], variances[a_idx] + variances[b_idx]
     d = np.empty(a_idx.size)
@@ -197,30 +191,6 @@ def pair_differences(
         d[s:s + step] = diffs.mean(axis=1)
         v[s:s + step] = diffs.var(axis=1, ddof=1)
     return d, v
-
-
-def cell_differences(
-    spec: ExperimentSpec,
-    means: np.ndarray,
-    variances: np.ndarray,
-    draws: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``pair_differences`` over the pairs of ``enumerate_comparisons``.
-
-    Raises ``ValueError`` naming the first cell, in pair order, that a
-    pair needs and that has no estimate (NaN mean).
-    """
-    a_idx, b_idx = comparison_cells(spec)
-    undefined = np.isnan(means)
-    missing = undefined[a_idx] | undefined[b_idx]
-    if missing.any():
-        i = int(np.argmax(missing))
-        ctx, a, b = enumerate_comparisons(spec)[i]
-        combo = a if undefined[a_idx[i]] else b
-        raise ValueError(
-            f"no estimate for cell ({spec.describe_cell(Cell(combo + ctx))})"
-        )
-    return pair_differences(means, variances, draws, a_idx, b_idx)
 
 
 def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
@@ -292,7 +262,7 @@ def sequential_trace(
 
 
 def run_all_comparisons(
-    estimates: list[CellEstimate],
+    estimates: CellEstimates,
     spec: ExperimentSpec,
     tau_spec: TauSpec,
     alpha: float = 0.05,
@@ -302,11 +272,11 @@ def run_all_comparisons(
 
     One result per pair from ``enumerate_comparisons``, in that order;
     pass the returned list back as ``prior`` on the next update. Draw-based
-    estimates (every cell carries draws) are differenced draw-wise
-    (capturing their correlation); plain estimates use the difference of
-    means and the sum of variances. A pair whose difference variance is
-    exactly zero (degenerate counts) is carried forward unchanged for that
-    update. A list view of ``cell_differences`` and ``sequential_trace``.
+    estimates are differenced draw-wise (capturing their correlation);
+    plain estimates use the difference of means and the sum of variances.
+    A pair whose difference variance is exactly zero (degenerate counts) is
+    carried forward unchanged for that update. A list view of
+    ``cell_differences`` and ``sequential_trace``.
     """
     pairs = enumerate_comparisons(spec)
     if prior is not None and len(prior) != len(pairs):
@@ -314,7 +284,7 @@ def run_all_comparisons(
     if len(estimates) != spec.n_cells:
         raise ValueError("need one estimate per cell")
 
-    d, v = cell_differences(spec, *estimate_arrays(estimates))
+    d, v = cell_differences(spec, estimates)
     if prior is None:
         prior = [ComparisonResult(ctx, a, b) for ctx, a, b in pairs]
     t = sequential_trace(d[None], v[None], tau_spec, alpha,

@@ -30,13 +30,7 @@ from .design import (
 from .estimate import hb_estimate, mle_estimates
 from .glm import CountData, fit_posterior
 from .sampler import SamplerConfig
-from .seqtest import (
-    TauSpec,
-    cell_differences,
-    estimate_arrays,
-    replay_trace,
-    sequential_trace,
-)
+from .seqtest import TauSpec, cell_differences, replay_trace, sequential_trace
 
 __all__ = [
     "ScenarioConfig",
@@ -89,6 +83,9 @@ class ScenarioConfig:
     )
 
     def __post_init__(self):
+        for name in ("updates", "assignments_per_update", "repetitions"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.updates < 0 or self.repetitions < 1:
             raise ValueError("need updates >= 0 and at least one repetition")
         if not 0.0 < self.alpha < 1.0:
@@ -99,6 +96,9 @@ class ScenarioConfig:
             raise ValueError("h0_mode must be 'combined' or 'separate'")
         if not 0.0 <= self.h1_fraction <= 1.0:
             raise ValueError("h1_fraction must lie in [0, 1]")
+        if not (np.isfinite(self.interaction_effect_mean)
+                and 0 <= self.interaction_effect_sd < np.inf):
+            raise ValueError("need a finite interaction_effect_mean and a finite interaction_effect_sd >= 0")
 
 
 def _factorial_spec(values_per_factor: int) -> ExperimentSpec:
@@ -325,12 +325,9 @@ def run_repetition(
             per_method_estimates["mle"] = mle_estimates(data)
 
         for m, ests in per_method_estimates.items():
-            means, variances, draws = estimate_arrays(ests)
-            est_mean[m][u] = means
-            est_var[m][u] = variances
-            diff_mean[m][u], diff_var[m][u] = cell_differences(
-                spec, means, variances, draws
-            )
+            est_mean[m][u] = ests.means
+            est_var[m][u] = ests.variances
+            diff_mean[m][u], diff_var[m][u] = cell_differences(spec, ests)
 
     p_min = {}
     for m in methods:
@@ -505,6 +502,8 @@ def tau_experiment(result: ScenarioResult, method: str | None = None) -> TauComp
     n = len(result.repetitions)
     if n < 2:
         raise ValueError("tau_experiment needs at least 2 repetitions")
+    if result.config.updates < 1:
+        raise ValueError("tau_experiment needs at least 1 update to learn tau from")
     # At least one repetition on each side for any n >= 2.
     n_train = int(round(_TAU_EXPERIMENT_TRAIN_FRACTION * n))
     train = list(range(n_train))

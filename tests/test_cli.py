@@ -138,6 +138,28 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"interaction_effect_sd": -0.2},
+        {"assignments_per_update": 100.5},
+        {"interaction_effect_mean": float("nan")},
+    ])
+    def test_bad_scenario_value_exits_2(self, tmp_path, capsys, override):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "methods": ["mle"], **override})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "invalid scenario config" in capsys.readouterr().err
+
+    def test_tau_experiment_without_updates_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "methods": ["mle"], "updates": 0})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o"), "--tau-experiment"]) == 2
+        assert "at least 1 update" in capsys.readouterr().err
+        # Without the tau experiment a zero-update run stays valid.
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "o")])
@@ -379,6 +401,22 @@ class TestAnalyze:
         rows = [(2, "m0", "c0", 10, 5)]
         code, _ = self.run_analyze(tmp_path, rows)
         assert code == 2
+
+    @pytest.mark.parametrize("tau", ["fixed:nan", "fixed:inf", "fixed:-inf"])
+    def test_non_finite_fixed_tau_exits_2(self, tmp_path, capsys, tau):
+        code, out = self.run_analyze(tmp_path, default_counts(updates=1), tau=tau)
+        assert code == 2
+        assert "bad fixed tau value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_learnt_tau_exits_2(self, tmp_path, capsys):
+        learnt = tmp_path / "tau.json"
+        learnt.write_text('{"point_value_for_testing": NaN}')
+        code, _ = self.run_analyze(
+            tmp_path, default_counts(updates=1), tau=f"learnt:{learnt}"
+        )
+        assert code == 2
+        assert "cannot read learnt tau" in capsys.readouterr().err
 
     def test_learnt_tau_from_file(self, tmp_path):
         learnt = tmp_path / "tau.json"

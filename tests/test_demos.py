@@ -1,8 +1,9 @@
 """Smoke test: the fast demos run to completion.
 
 Each demo runs in its own interpreter with ``src`` on the import path, so
-a demo that breaks against the current API fails here. Demos 02 and 05 fit
-hierarchical models and take several seconds each; they are left out.
+a demo that breaks against the current API fails here. Demo 02 fits one
+small hierarchical model (a few seconds) and runs; demo 05 runs a whole
+simulation study and is left out.
 """
 
 import os
@@ -15,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 FAST_DEMOS = [
     "01_design_matrices.py",
+    "02_hierarchical_fit.py",
     "03_sequential_testing.py",
     "04_meta_prior_learning.py",
     "06_closed_form_reference.py",

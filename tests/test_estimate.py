@@ -6,11 +6,10 @@ from scipy.special import expit
 
 from hbab.design import build_design_matrix
 from hbab.estimate import (
-    CellEstimate,
+    CellEstimates,
     hb_estimate,
     marginal_weights,
     marginalize,
-    mle_estimate,
     mle_estimates,
 )
 from hbab.glm import CountData, fit_posterior
@@ -18,38 +17,52 @@ from hbab.sampler import Diagnostics, PosteriorSamples, SamplerConfig
 from tests.test_design import make_spec
 
 
+def mle(assignments, responses):
+    return mle_estimates(CountData(np.array(assignments), np.array(responses)))
+
+
 class TestMleEstimate:
     def test_basic_formula(self):
-        est = mle_estimate(10, 5)
+        est = mle([10], [5])[0]
         assert (est.mean, est.variance) == (0.5, 0.025)
 
     def test_boundary(self):
-        est = mle_estimate(10, 0)
+        est = mle([10], [0])[0]
         assert (est.mean, est.variance) == (0.0, 0.0)
 
     def test_larger_counts(self):
-        est = mle_estimate(100, 30)
+        est = mle([100], [30])[0]
         assert est.mean == pytest.approx(0.30)
         assert est.variance == pytest.approx(0.0021)
 
     def test_zero_assignments_undefined(self):
-        est = mle_estimate(0, 0)
-        assert not est.is_defined
-        assert math.isnan(est.mean)
+        ests = mle([0, 10], [0, 5])
+        assert math.isnan(ests[0].mean) and math.isnan(ests[0].variance)
+        assert (ests[1].mean, ests[1].variance) == (0.5, 0.025)
+        assert ests.draws is None
+
+    def test_matches_the_scalar_formula(self):
+        rng = np.random.default_rng(7)
+        a = rng.integers(1, 10_000, 500)
+        r = rng.integers(0, a + 1)
+        ests = mle(a, r)
+        for k, (ak, rk) in enumerate(zip(a.tolist(), r.tolist())):
+            mean = rk / ak
+            assert ests[k].mean == mean
+            assert ests[k].variance == mean * (1.0 - mean) / ak
 
     def test_label_swap_equivariance(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = int(rng.integers(1, 200))
-            r = int(rng.integers(0, a + 1))
-            est = mle_estimate(a, r)
-            flipped = mle_estimate(a, a - r)
-            assert flipped.mean == pytest.approx(1.0 - est.mean)
-            assert flipped.variance == pytest.approx(est.variance)
+        a = rng.integers(1, 200, 20)
+        r = rng.integers(0, a + 1)
+        ests, flipped = mle(a, r), mle(a, a - r)
+        for est, flip in zip(ests, flipped):
+            assert flip.mean == pytest.approx(1.0 - est.mean)
+            assert flip.variance == pytest.approx(est.variance)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            mle_estimate(3, 4)
+            mle([3], [4])
 
 
 def manual_samples(beta_draws, eps_draws):
@@ -101,13 +114,32 @@ class TestHbEstimate:
         flat = samples.flat()
         beta = flat[:, :X.cols]
         eps = flat[:, samples.parameter_index("epsilon")]
+        # The per-column 1-D reductions of the [draws, cells] rate product
+        # are the reference to the last bit.
+        product = expit(beta @ X.matrix.T + eps[:, None])
         for k in range(X.rows):
+            assert ests[k].mean == product[:, k].mean()
+            assert ests[k].variance == product[:, k].var(ddof=1)
             rates = np.array(
                 [1.0 / (1.0 + np.exp(-(X.matrix[k] @ b + e)))
                  for b, e in zip(beta, eps)]
             )
             assert ests[k].mean == pytest.approx(rates.mean(), rel=1e-12)
             assert ests[k].variance == pytest.approx(rates.var(ddof=1), rel=1e-10)
+
+    def test_draws_are_one_matrix_viewed_per_cell(self):
+        X = build_design_matrix(make_spec([2, 2], [2]), interaction_order=2)
+        rng = np.random.default_rng(8)
+        samples = manual_samples(rng.normal(0, 0.3, (120, X.cols)),
+                                 rng.normal(0, 0.1, 120))
+        ests = hb_estimate(samples, X)
+        assert len(ests) == X.rows
+        assert ests.draws.shape == (X.rows, 120)
+        assert ests.draws.flags.c_contiguous
+        for k, est in enumerate(ests):
+            assert est.draws.base is ests.draws
+            assert np.shares_memory(est.draws, ests.draws)
+            assert np.array_equal(est.draws, ests.draws[k])
 
     def test_dimension_mismatch(self):
         X = build_design_matrix(make_spec([2, 2], []), interaction_order=1)
@@ -116,22 +148,27 @@ class TestHbEstimate:
             hb_estimate(samples, X)
 
 
+def test_cell_estimates_take_one_row_per_cell():
+    ests = CellEstimates([0.1, 0.2], [0.01, 0.02], [[0.1, 0.1], [0.2, 0.2]])
+    assert len(ests) == 2 and ests.means.dtype == float
+    assert [e.mean for e in ests] == [0.1, 0.2]
+    with pytest.raises(ValueError):
+        CellEstimates([0.1, 0.2], [0.01])
+    with pytest.raises(ValueError):
+        CellEstimates([0.1, 0.2], [0.01, 0.02], np.zeros((3, 5)))
+
+
 class TestMarginalize:
     def test_identical_estimates_pass_through(self):
         spec = make_spec([2], [2])
-        ests = [CellEstimate(0.4, 0.01) for _ in range(4)]
+        ests = CellEstimates(np.full(4, 0.4), np.full(4, 0.01))
         out = marginalize(ests, spec, np.array([30.0, 70.0]))
         assert all(e.mean == pytest.approx(0.4) for e in out)
 
     def test_weighted_mean(self):
         spec = make_spec([2], [2])
         # content combo 0: rates 0.2 / 0.6 across contexts with 75/25 traffic.
-        ests = [
-            CellEstimate(0.2, 0.0004),
-            CellEstimate(0.6, 0.0004),
-            CellEstimate(0.5, 0.0004),
-            CellEstimate(0.5, 0.0004),
-        ]
+        ests = CellEstimates(np.array([0.2, 0.6, 0.5, 0.5]), np.full(4, 0.0004))
         out = marginalize(ests, spec, np.array([75.0, 25.0]))
         assert out[0].mean == pytest.approx(0.3)
         assert out[0].variance == pytest.approx(0.5625 * 4e-4 + 0.0625 * 4e-4)
@@ -141,7 +178,7 @@ class TestMarginalize:
         rng = np.random.default_rng(4)
         n_draws = 500
         draws = rng.uniform(0.1, 0.9, (8, n_draws))
-        ests = [CellEstimate(float(d.mean()), float(d.var(ddof=1)), d) for d in draws]
+        ests = CellEstimates(draws.mean(axis=1), draws.var(axis=1, ddof=1), draws)
         traffic = np.array([10.0, 30.0, 25.0, 35.0])
         out = marginalize(ests, spec, traffic)
         w = traffic / traffic.sum()
@@ -149,13 +186,16 @@ class TestMarginalize:
             manual = sum(w[j] * draws[4 * i + j] for j in range(4))
             assert out[i].mean == pytest.approx(float(manual.mean()), rel=1e-12)
             assert np.allclose(out[i].draws, manual)
+            # The per-content loop this replaced, to the last bit.
+            assert out[i].mean == manual.mean()
+            assert out[i].variance == manual.var(ddof=1)
 
     def test_marginal_within_context_range(self):
         spec = make_spec([2], [3])
         rng = np.random.default_rng(5)
         for _ in range(20):
             means = rng.uniform(0, 1, 6)
-            ests = [CellEstimate(float(m), 0.001) for m in means]
+            ests = CellEstimates(means, np.full(6, 0.001))
             traffic = rng.uniform(0, 10, 3)
             if traffic.sum() == 0:
                 continue
@@ -166,7 +206,7 @@ class TestMarginalize:
 
     def test_no_traffic_errors(self):
         spec = make_spec([2], [2])
-        ests = [CellEstimate(0.5, 0.01) for _ in range(4)]
+        ests = CellEstimates(np.full(4, 0.5), np.full(4, 0.01))
         with pytest.raises(ValueError, match="no traffic"):
             marginalize(ests, spec, np.zeros(2))
 
@@ -186,6 +226,6 @@ def test_hierarchical_estimates_shrink_under_null():
     samples = fit_posterior(
         data, X, SamplerConfig(chains=2, warmup_draws=250, kept_draws=200, seed=7)
     )
-    hb_means = np.array([e.mean for e in hb_estimate(samples, X)])
-    ml_means = np.array([e.mean for e in mle_estimates(data)])
+    hb_means = hb_estimate(samples, X).means
+    ml_means = mle_estimates(data).means
     assert hb_means.var() < ml_means.var()

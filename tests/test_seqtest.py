@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hbab.design import comparison_cells, enumerate_comparisons
-from hbab.estimate import CellEstimate
+from hbab.estimate import CellEstimates
 from hbab.seqtest import (
     ComparisonResult,
     TauSpec,
     bayes_factor,
     cell_differences,
     log_bayes_factor,
-    pair_differences,
     replay_trace,
     resolve_tau,
     run_all_comparisons,
@@ -42,6 +41,15 @@ class TestResolveTau:
             TauSpec.fixed(0.0)
         with pytest.raises(ValueError):
             TauSpec("bogus", 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="finite positive"):
+            TauSpec.fixed(value)
+        with pytest.raises(ValueError, match="finite positive"):
+            TauSpec.learnt(value)
+        with pytest.raises(ValueError, match="epsilon_floor"):
+            TauSpec.dynamic(epsilon_floor=value)
 
 
 class TestBayesFactor:
@@ -131,13 +139,13 @@ class TestRunAllComparisons:
     def test_paper_scale_result_count(self):
         spec = make_spec([4, 4], [4, 4])
         rng = np.random.default_rng(1)
-        ests = [CellEstimate(float(m), 1e-4) for m in rng.uniform(0.3, 0.7, 256)]
+        ests = CellEstimates(rng.uniform(0.3, 0.7, 256), np.full(256, 1e-4))
         results = run_all_comparisons(ests, spec, TauSpec.fixed(0.1))
         assert len(results) == 1920
 
     def test_identical_estimates_never_significant(self):
         spec = make_spec([2, 2], [2])
-        ests = [CellEstimate(0.5, 1e-4) for _ in range(spec.n_cells)]
+        ests = CellEstimates(np.full(spec.n_cells, 0.5), np.full(spec.n_cells, 1e-4))
         results = None
         for _ in range(5):
             results = run_all_comparisons(ests, spec, TauSpec.fixed(0.1), prior=results)
@@ -147,7 +155,7 @@ class TestRunAllComparisons:
         spec = make_spec([3], [])
         means = [0.50, 0.55, 0.40]
         var = 2e-4
-        ests = [CellEstimate(m, var) for m in means]
+        ests = CellEstimates(means, np.full(3, var))
         results = run_all_comparisons(ests, spec, TauSpec.fixed(0.1))
         pairs = enumerate_comparisons(spec)
         assert len(results) == 3
@@ -163,10 +171,11 @@ class TestRunAllComparisons:
         spec = make_spec([2], [])
         rng = np.random.default_rng(2)
         base = rng.normal(0.5, 0.01, 400)
-        ests = [
-            CellEstimate(float(base.mean()), float(base.var(ddof=1)), base),
-            CellEstimate(0.5, 1e-4, base + rng.normal(0.02, 0.005, 400)),
-        ]
+        ests = CellEstimates(
+            [float(base.mean()), 0.5],
+            [float(base.var(ddof=1)), 1e-4],
+            np.stack([base, base + rng.normal(0.02, 0.005, 400)]),
+        )
         (res,) = run_all_comparisons(ests, spec, TauSpec.fixed(0.1))
         diffs = ests[0].draws - ests[1].draws
         assert res.diff_mean == pytest.approx(float(diffs.mean()))
@@ -174,14 +183,13 @@ class TestRunAllComparisons:
 
     def test_missing_estimate_names_cell(self):
         spec = make_spec([2], [2])
-        ests = [CellEstimate(0.5, 1e-4) for _ in range(4)]
-        ests[2] = CellEstimate(math.nan, math.nan)
+        ests = CellEstimates([0.5, 0.5, math.nan, 0.5], [1e-4, 1e-4, math.nan, 1e-4])
         with pytest.raises(ValueError, match="m0=m0v1, c0=c0v0"):
             run_all_comparisons(ests, spec, TauSpec.fixed(0.1))
 
     def test_zero_variance_pair_carried_forward(self):
         spec = make_spec([2], [])
-        ests = [CellEstimate(0.0, 0.0), CellEstimate(0.0, 0.0)]
+        ests = CellEstimates(np.zeros(2), np.zeros(2))
         (res,) = run_all_comparisons(ests, spec, TauSpec.fixed(0.1))
         assert res.updates == 0 and res.p_min == 1.0
 
@@ -278,12 +286,12 @@ def test_draw_based_differences_equal_per_pair_moments():
     rng = np.random.default_rng(4)
     draws = rng.beta(20, 30, (spec.n_cells, 30_000))  # pairs go in several blocks
     means, variances = draws.mean(axis=1), draws.var(axis=1, ddof=1)
-    d, v = cell_differences(spec, means, variances, draws)
+    d, v = cell_differences(spec, CellEstimates(means, variances, draws))
     a_idx, b_idx = comparison_cells(spec)
     for i, (a, b) in enumerate(zip(a_idx, b_idx)):
         diffs = draws[a] - draws[b]
         assert d[i] == diffs.mean() and v[i] == diffs.var(ddof=1)
-    plain_d, plain_v = pair_differences(means, variances, None, a_idx, b_idx)
+    plain_d, plain_v = cell_differences(spec, CellEstimates(means, variances))
     for i, (a, b) in enumerate(zip(a_idx.tolist(), b_idx.tolist())):
         assert plain_d[i] == float(means[a]) - float(means[b])
         assert plain_v[i] == float(variances[a]) + float(variances[b])
@@ -294,8 +302,10 @@ def test_list_view_matches_scalar_updates_over_looks():
     rng = np.random.default_rng(6)
     results, scalar = None, None
     for look in range(4):
-        ests = [CellEstimate(float(m), 0.0 if look == 0 and k < 4 else 1e-4)
-                for k, m in enumerate(rng.uniform(0.3, 0.7, spec.n_cells))]
+        variances = np.full(spec.n_cells, 1e-4)
+        if look == 0:
+            variances[:4] = 0.0
+        ests = CellEstimates(rng.uniform(0.3, 0.7, spec.n_cells), variances)
         results = run_all_comparisons(ests, spec, TauSpec.dynamic(), prior=results)
         pairs = enumerate_comparisons(spec)
         if scalar is None:

@@ -303,3 +303,22 @@ def test_config_validation():
         tiny_config(repetitions=0)
     with pytest.raises(ValueError, match="alpha"):
         tiny_config(alpha=1.5)
+    for sd in (-0.2, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="interaction_effect_sd"):
+            tiny_config(interaction_effect_sd=sd)
+    for mean in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="interaction_effect_mean"):
+            tiny_config(interaction_effect_mean=mean)
+    for name, value in (("assignments_per_update", 100.5), ("updates", 2.0),
+                        ("repetitions", 2.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            tiny_config(**{name: value})
+    assert tiny_config(updates=np.int64(2), interaction_effect_sd=0.0).updates == 2
+
+
+def test_tau_experiment_needs_an_update():
+    cfg = tiny_config(updates=0)
+    reps = [run_repetition(cfg, i, methods=("mle",)) for i in range(2)]
+    result = ScenarioResult(cfg, TauSpec.fixed(0.1), ("mle",), reps)
+    with pytest.raises(ValueError, match="at least 1 update"):
+        tau_experiment(result)
