@@ -712,18 +712,18 @@ def _oracle_checks(corrupt: bool, seed: int):
             conjugate.pooling_target(inst),
             SamplerConfig(chains=2, warmup_draws=250, kept_draws=400, seed=seed + i),
         )
-        flat = samples.flat()
-        for j in range(n):
-            ess = samples.diagnostics.effective_sample_size[j]
-            m, v = flat[:, j].mean(), flat[:, j].var(ddof=1)
-            # The sample variance is a mean of squared centred draws, so its
-            # Monte-Carlo error follows their ESS, not the ESS of the draws.
-            ess_sq = effective_sample_size((samples.draws[:, :, j] - m) ** 2)
-            worst_z = max(
-                worst_z,
-                abs(m - post.beta_hat[j] * fudge) / math.sqrt(v / ess),
-                abs(v - post.sigma_hat_sq[j]) / (v * math.sqrt(2.0 / ess_sq)),
-            )
+        beta = samples.draws[:, :, :n]
+        flat = beta.reshape(-1, n)
+        m, v = flat.mean(axis=0), flat.var(axis=0, ddof=1)
+        ess = effective_sample_size(beta)
+        # The sample variance is a mean of squared centred draws, so its
+        # Monte-Carlo error follows their ESS, not the ESS of the draws.
+        ess_sq = effective_sample_size((beta - m) ** 2)
+        worst_z = max(
+            worst_z,
+            float(np.max(np.abs(m - post.beta_hat * fudge) / np.sqrt(v / ess))),
+            float(np.max(np.abs(v - post.sigma_hat_sq) / (v * np.sqrt(2.0 / ess_sq)))),
+        )
     yield ("sampler_vs_closed_form", "max |z| < 3 Monte-Carlo SE (5 instances)",
            worst_z, worst_z < 3.0)
 

@@ -20,13 +20,12 @@ from scipy.special import expit, gammaln
 
 from .design import DesignMatrix
 from .sampler import (
+    Diagnostics,
     PosteriorSamples,
     SamplerConfig,
     TargetDensity,
     WarmStart,
-    effective_sample_size,
     sample,
-    split_r_hat,
 )
 
 __all__ = [
@@ -218,21 +217,6 @@ _MIN_CELL_ESS = 50.0
 _MAX_CELL_RHAT = 1.1
 
 
-def _cell_mixing_warning(logits: np.ndarray) -> str | None:
-    """A warning if the cell logits [draws, chains, cells] have an effective
-    sample size under ``_MIN_CELL_ESS`` or a split R-hat over
-    ``_MAX_CELL_RHAT`` in any cell, else None."""
-    cells = range(logits.shape[2])
-    ess = min(effective_sample_size(logits[:, :, k]) for k in cells)
-    rhat = max(split_r_hat(logits[:, :, k]) for k in cells)
-    if ess >= _MIN_CELL_ESS and rhat <= _MAX_CELL_RHAT:
-        return None
-    return (
-        f"cell logits mixed poorly (min ESS {ess:.0f} of {logits.shape[0] * logits.shape[1]} "
-        f"draws, max split R-hat {rhat:.3f}); cell estimates may be off"
-    )
-
-
 def fit_posterior(
     data: CountData,
     X: DesignMatrix,
@@ -243,15 +227,16 @@ def fit_posterior(
     """Run the sampler on the model and return draws in natural coordinates.
 
     Output labels are beta[j], mu, sigma, epsilon; the non-centered
-    coefficients and log_sigma are mapped back before summaries,
-    and convergence diagnostics are recomputed on the reported scale. The
-    coefficients themselves are identified only through the prior, so the
-    diagnostics warnings also report a fit whose cell logits, the quantities
-    every estimate is built from, mixed too poorly to be trusted.
+    coefficients and log_sigma are mapped back before summaries. The
+    coefficients are identified only through the prior, so the diagnostics
+    cover the quantities the likelihood identifies instead: ``logit[k]``
+    for each cell, the quantities every estimate is built from, then
+    ``sigma`` and ``mu+epsilon``. Their warnings also report a fit whose
+    cell logits mixed too poorly to be trusted.
 
     ``warm_start`` is the ``warm_start`` of a fit of the same model to
-    earlier counts (see ``sampler.sample``); the result
-    carries its own for the next fit.
+    earlier counts (see ``sampler.sample``); the result carries the
+    sampler's own for the next fit.
     """
     target = make_target(data, X, hyper)
     samples = sample(target, config, warm_start)
@@ -263,10 +248,22 @@ def fit_posterior(
     draws[..., :P] = mu[..., None] + sigma[..., None] * draws[..., :P]
     draws[..., P + 1] = sigma
     labels = tuple(f"beta[{j}]" for j in range(P)) + ("mu", "sigma", "epsilon")
-    natural = samples.relabeled(draws, labels)
-    warning = _cell_mixing_warning(draws[..., :P] @ X.matrix.T + draws[..., P + 2:])
-    if warning is None:
-        return natural
-    diag = natural.diagnostics
-    return replace(natural, diagnostics=replace(diag, warnings=diag.warnings + (warning,)))
 
+    epsilon = draws[..., P + 2:]
+    identified = np.concatenate(
+        [draws[..., :P] @ X.matrix.T + epsilon, sigma[..., None], mu[..., None] + epsilon],
+        axis=2,
+    )
+    quantities = tuple(f"logit[{k}]" for k in range(X.rows)) + ("sigma", "mu+epsilon")
+    raw = samples.diagnostics
+    diag = Diagnostics.of(identified, quantities, raw.divergence_count, raw.warnings)
+    ess = diag.effective_sample_size[:X.rows].min()
+    rhat = diag.split_r_hat[:X.rows].max()
+    if not (ess >= _MIN_CELL_ESS and rhat <= _MAX_CELL_RHAT):
+        total = draws.shape[0] * draws.shape[1]
+        warning = (
+            f"cell logits mixed poorly (min ESS {ess:.0f} of {total} "
+            f"draws, max split R-hat {rhat:.3f}); cell estimates may be off"
+        )
+        diag = replace(diag, warnings=diag.warnings + (warning,))
+    return replace(samples, draws=draws, parameter_labels=labels, diagnostics=diag)

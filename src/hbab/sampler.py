@@ -58,13 +58,16 @@ phase, which costs a cold run about 40% of its density calls. Warm
 chains are not dispersed starts, so their split R-hat checks that the
 chains agree with each other, not that they have forgotten where they
 started.
+
+Split R-hat and effective sample size are vectorised over columns of
+draws [n_draws, n_chains, *k], a block of columns at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import wraps
 from typing import Callable
 
 import numpy as np
@@ -81,7 +84,6 @@ __all__ = [
     "split_r_hat",
     "effective_sample_size",
     "leapfrog",
-    "dump_draws",
 ]
 
 _DIVERGENCE_THRESHOLD = 1000.0
@@ -89,6 +91,10 @@ _MASS_FLOOR = 1e-10
 _FD_STEP = 1e-4  # central-difference step, in posterior standard deviations
 _PROBES = 4  # warmup states whose curvature bounds the kept step
 _STABLE_STEP = 1.2  # bound on step * sqrt(stiffest whitened curvature)
+# Columns per diagnostic pass. An FFT over every column of a paper-scale fit
+# at once holds about 6 MB of transforms, 16 columns about 0.4 MB; 32 still
+# raised a desk-scale run's peak RSS by about 1 MB.
+_COLUMN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("chains", "warmup_draws", "kept_draws", "max_tree_depth"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.chains < 1:
             raise ValueError("need at least one chain")
         if self.kept_draws < 100:
@@ -129,10 +138,26 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """Split R-hat and effective sample size of each quantity named in
+    ``quantities``, in that order, plus divergent kept transitions and
+    warnings. ``sample`` reports its own coordinates; a model can report
+    the quantities its estimates are built from instead."""
+
+    quantities: tuple[str, ...]
     split_r_hat: np.ndarray
     effective_sample_size: np.ndarray
     divergence_count: int
     warnings: tuple[str, ...] = ()
+
+    @classmethod
+    def of(cls, values, quantities, divergences, warnings=()) -> "Diagnostics":
+        """Diagnostics of ``values`` [draws, chains, len(quantities)]."""
+        if values.shape[2:] != (len(quantities),):
+            raise ValueError(
+                f"values of shape {values.shape} do not hold {len(quantities)} quantities"
+            )
+        return cls(tuple(quantities), split_r_hat(values), effective_sample_size(values),
+                   divergences, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -150,7 +175,7 @@ class PosteriorSamples:
     """Kept draws with shape [kept_draws, chains, dim] plus diagnostics.
 
     ``warm_start`` carries the raw kept state of the run into a later
-    ``sample`` call; it is not relabeled with the draws.
+    ``sample`` call, whatever coordinates the draws are reported in.
     """
 
     draws: np.ndarray
@@ -171,22 +196,6 @@ class PosteriorSamples:
 
     def parameter_draws(self, label: str) -> np.ndarray:
         return self.flat()[:, self.parameter_index(label)]
-
-    def relabeled(self, draws: np.ndarray, labels: tuple[str, ...]) -> "PosteriorSamples":
-        """Same sampler run reported in transformed coordinates; convergence
-        diagnostics are recomputed on the new scale."""
-        if draws.shape != self.draws.shape:
-            raise ValueError("transformed draws must keep the original shape")
-        diag = replace(
-            self.diagnostics,
-            split_r_hat=np.array(
-                [split_r_hat(draws[:, :, j]) for j in range(draws.shape[2])]
-            ),
-            effective_sample_size=np.array(
-                [effective_sample_size(draws[:, :, j]) for j in range(draws.shape[2])]
-            ),
-        )
-        return PosteriorSamples(draws, tuple(labels), diag, self.warm_start)
 
 
 @dataclass(frozen=True)
@@ -618,83 +627,80 @@ def sample(
             f"{divergences}/{total} divergent transitions; "
             "posterior geometry is likely pathological"
         )
-    diag = Diagnostics(
-        split_r_hat=np.array(
-            [split_r_hat(all_draws[:, :, j]) for j in range(target.dim)]
-        ),
-        effective_sample_size=np.array(
-            [effective_sample_size(all_draws[:, :, j]) for j in range(target.dim)]
-        ),
-        divergence_count=divergences,
-        warnings=tuple(warnings),
-    )
+    diag = Diagnostics.of(all_draws, labels, divergences, warnings)
     carried = WarmStart(all_draws[-1].copy(), all_draws.reshape(-1, target.dim).copy())
     return PosteriorSamples(all_draws, tuple(labels), diag, carried)
 
 
-def split_r_hat(draws: np.ndarray) -> float:
-    """Potential scale reduction with each chain split in half.
+def _by_column_block(statistic):
+    """``statistic`` of [n_draws, n_chains, columns] as a function of draws
+    [n_draws, n_chains, *k], taken ``_COLUMN_BLOCK`` columns at a time: an
+    array of shape k, or a float for [n_draws, n_chains]. NaN throughout
+    with fewer than 4 draws per chain."""
 
-    draws: [n_draws, n_chains]. Returns 1.0 for (near-)constant draws,
+    @wraps(statistic)
+    def by_column(draws):
+        n, m = draws.shape[:2]
+        columns = draws.reshape(n, m, math.prod(draws.shape[2:]))
+        out = np.full(columns.shape[2], np.nan)
+        if n >= 4:
+            for start in range(0, out.size, _COLUMN_BLOCK):
+                block = slice(start, start + _COLUMN_BLOCK)
+                out[block] = statistic(columns[:, :, block])
+        out = out.reshape(draws.shape[2:])
+        return float(out) if out.ndim == 0 else out
+
+    return by_column
+
+
+@_by_column_block
+def split_r_hat(x):
+    """Potential scale reduction with each chain split in half, per column of
+    draws [n_draws, n_chains, *k]. Returns 1.0 for (near-)constant columns,
     where the usual ratio is 0/0 but the chains trivially agree.
     """
-    n, m = draws.shape
-    half = n // 2
-    if half < 2:
-        return np.nan
-    split = np.concatenate([draws[:half], draws[half: 2 * half]], axis=1)
-    w = split.var(axis=0, ddof=1).mean()
-    b = half * split.mean(axis=0).var(ddof=1)
+    half = x.shape[0] // 2
+    split = np.concatenate([x[:half], x[half: 2 * half]], axis=1)
+    w = split.var(axis=0, ddof=1).mean(axis=0)
+    b = half * split.mean(axis=0).var(axis=0, ddof=1)
     var_plus = (half - 1) / half * w + b / half
-    if var_plus <= 0 or w <= 1e-300 * max(1.0, abs(var_plus)):
-        return 1.0
-    return float(np.sqrt(var_plus / w))
+    constant = (var_plus <= 0) | (w <= 1e-300 * np.maximum(1.0, np.abs(var_plus)))
+    return np.where(constant, 1.0, np.sqrt(var_plus / np.where(constant, 1.0, w)))
 
 
-def _autocovariance(x):
-    n = x.size
-    centered = x - x.mean()
-    size = int(2 ** np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(centered, size)
-    acov = np.fft.irfft(f * np.conj(f), size)[:n].real
-    return acov / n
+@_by_column_block
+def effective_sample_size(x):
+    """Effective sample size across chains from pairwise autocorrelation
+    sums, per column of draws [n_draws, n_chains, *k].
 
-
-def effective_sample_size(draws: np.ndarray) -> float:
-    """Effective sample size across chains from pairwise autocorrelation sums.
-
-    draws: [n_draws, n_chains]. Correlation estimates combine within- and
-    between-chain variance; the pair-sum truncation keeps the estimate
-    positive and monotone.
+    Correlation estimates combine within- and between-chain variance; the
+    pair-sum truncation keeps the estimate positive and monotone. Constant
+    columns get n_draws * n_chains.
     """
-    n, m = draws.shape
-    if n < 4:
-        return np.nan
-    chain_var = draws.var(axis=0, ddof=1)
-    w = chain_var.mean()
+    n, m, _ = x.shape
+    chain_mean = x.mean(axis=0)
+    w = x.var(axis=0, ddof=1).mean(axis=0)
     var_plus = (n - 1) / n * w
     if m > 1:
-        var_plus += draws.mean(axis=0).var(ddof=1)
-    if var_plus <= 0 or w <= 1e-300:
-        return float(n * m)
+        var_plus = var_plus + chain_mean.var(axis=0, ddof=1)
+    constant = (var_plus <= 0) | (w <= 1e-300)
 
-    acov = np.stack([_autocovariance(draws[:, c]) for c in range(m)]).mean(axis=0)
-    rho = 1.0 - (w - acov) / var_plus
+    # Autocovariance of every chain by FFT, zero-padded against wrap-around.
+    size = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x - chain_mean, size, axis=0)
+    acov = np.fft.irfft(f * np.conj(f), size, axis=0)[:n].mean(axis=1) / n
+    rho = 1.0 - (w - acov) / np.where(constant, 1.0, var_plus)
     rho[0] = 1.0
 
-    # Geyer initial positive + monotone sequence over lag pairs.
-    max_pairs = (n - 1) // 2
-    tau = 0.0
-    last = np.inf
-    for k in range(max_pairs):
-        pair = rho[2 * k] + rho[2 * k + 1]
-        if pair < 0:
-            break
-        pair = min(pair, last)
-        tau += pair
-        last = pair
-    tau = max(2 * tau - 1.0, 1.0 / (n * m))
-    return float(n * m / tau)
+    # Geyer initial positive + monotone sequence over lag pairs: the sum
+    # stops before the first negative pair, and each pair is capped by the
+    # one before.
+    pairs = (n - 1) // 2
+    sums = rho[0: 2 * pairs: 2] + rho[1: 2 * pairs: 2]
+    positive = np.logical_and.accumulate(sums >= 0, axis=0)
+    tau = np.minimum.accumulate(np.where(positive, sums, 0.0), axis=0).sum(axis=0)
+    tau = np.maximum(2 * tau - 1.0, 1.0 / (n * m))
+    return np.where(constant, float(n * m), n * m / tau)
 
 
 def posterior_summary(samples: PosteriorSamples, parameter: str) -> Summary:
@@ -702,18 +708,3 @@ def posterior_summary(samples: PosteriorSamples, parameter: str) -> Summary:
     x = samples.parameter_draws(parameter)
     q = np.quantile(x, [0.025, 0.5, 0.975])
     return Summary(float(x.mean()), float(x.std(ddof=0)), *map(float, q))
-
-
-def dump_draws(samples: PosteriorSamples, path) -> None:
-    """Write every draw as CSV rows (chain, draw, parameter, value)."""
-    k, c, d = samples.draws.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chain", "draw", "parameter", "value"])
-        for chain in range(c):
-            for draw in range(k):
-                for j, label in enumerate(samples.parameter_labels):
-                    writer.writerow(
-                        [chain, draw, label,
-                         format(samples.draws[draw, chain, j], ".17g")]
-                    )

@@ -138,6 +138,19 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("warmup_draws", 10.5),
+        ("chains", 2.0),
+        ("kept_draws", 150.0),
+        ("max_tree_depth", 1.5),
+    ])
+    def test_non_integer_sampler_count_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "sampler": {field: value}})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         {"interaction_effect_sd": -0.2},
         {"assignments_per_update": 100.5},

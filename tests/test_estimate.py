@@ -72,7 +72,7 @@ def manual_samples(beta_draws, eps_draws):
         [beta_draws, np.zeros((n, 2)), eps_draws[:, None]], axis=1
     ).reshape(n, 1, p + 3)
     labels = tuple(f"beta[{j}]" for j in range(p)) + ("mu", "sigma", "epsilon")
-    diag = Diagnostics(np.ones(p + 3), np.full(p + 3, float(n)), 0)
+    diag = Diagnostics(labels, np.ones(p + 3), np.full(p + 3, float(n)), 0)
     return PosteriorSamples(draws, labels, diag)
 
 

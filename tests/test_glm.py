@@ -14,7 +14,9 @@ from hbab.glm import (
     make_target,
     predict_rates,
 )
-from hbab.sampler import SamplerConfig
+from hbab import glm as glm_module
+from hbab import sampler as sampler_module
+from hbab.sampler import SamplerConfig, effective_sample_size, split_r_hat
 from tests.test_design import make_spec
 
 SPEC6 = make_spec([2, 3], [])
@@ -189,6 +191,38 @@ class TestFitPosterior:
                                                        kept_draws=200, seed=1))
         assert s.parameter_labels[-3:] == ("mu", "sigma", "epsilon")
         assert s.diagnostics.warnings == ()
+
+    def test_diagnostics_cover_the_identified_quantities(self, monkeypatch):
+        runs, passes = [], []
+        original, original_ess = glm_module.sample, sampler_module.effective_sample_size
+
+        def recorded(*args):
+            runs.append(original(*args))
+            return runs[-1]
+
+        def counted_ess(values):
+            passes.append(values.shape)
+            return original_ess(values)
+
+        monkeypatch.setattr(glm_module, "sample", recorded)
+        monkeypatch.setattr(sampler_module, "effective_sample_size", counted_ess)
+        s = fit_posterior(self.DATA, X6, SamplerConfig(chains=2, warmup_draws=100,
+                                                       kept_draws=100, seed=2))
+        names = tuple(f"logit[{k}]" for k in range(X6.rows)) + ("sigma", "mu+epsilon")
+        diag = s.diagnostics
+        assert diag.quantities == names
+        assert diag.split_r_hat.shape == diag.effective_sample_size.shape == (len(names),)
+        # The cell logits are the rows of X beta + epsilon, draw by draw.
+        logits = s.draws[..., :X6.cols] @ X6.matrix.T + s.draws[..., -1:]
+        np.testing.assert_array_equal(diag.effective_sample_size[:X6.rows],
+                                      effective_sample_size(logits))
+        assert diag.split_r_hat[-1] == split_r_hat(s.draws[..., -3] + s.draws[..., -1])
+        # The natural-scale result keeps the sampler's own warm start and
+        # divergence count.
+        assert s.warm_start is runs[0].warm_start
+        assert diag.divergence_count == runs[0].diagnostics.divergence_count
+        # One vectorised pass on the sampler's coordinates, one on these.
+        assert passes == [runs[0].draws.shape, s.draws.shape[:2] + (len(names),)]
 
     def test_poorly_mixed_cells_are_reported(self):
         # No warmup and one leapfrog per transition: a random walk whose

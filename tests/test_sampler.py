@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from hbab.sampler import (
     PosteriorSamples,
     SamplerConfig,
     TargetDensity,
-    dump_draws,
     effective_sample_size,
     leapfrog,
     posterior_summary,
@@ -76,6 +76,7 @@ class TestSample:
         assert np.all(s.diagnostics.split_r_hat < 1.01)
         assert np.all(s.diagnostics.effective_sample_size > 400)
         assert s.diagnostics.warnings == ()
+        assert s.diagnostics.quantities == s.parameter_labels
 
     def test_deterministic_given_seed(self):
         cfg = SamplerConfig(chains=3, warmup_draws=200, kept_draws=150, seed=123)
@@ -292,8 +293,6 @@ class TestWarmStart:
         s = self.cold()
         assert np.array_equal(s.warm_start.positions, s.draws[-1])
         assert np.array_equal(s.warm_start.draws, s.flat())
-        relabeled = s.relabeled(2.0 * s.draws, ("a", "b", "c"))
-        assert relabeled.warm_start is s.warm_start
 
     @pytest.mark.parametrize("dim, chains", [(2, 2), (3, 3)])
     def test_mismatched_dim_or_chain_count_raises(self, dim, chains):
@@ -414,7 +413,7 @@ class TestStableStep:
 
 def constant_samples(value, k=120, chains=2, label="x"):
     draws = np.full((k, chains, 1), float(value))
-    diag = Diagnostics(np.array([1.0]), np.array([float(k * chains)]), 0)
+    diag = Diagnostics((label,), np.array([1.0]), np.array([float(k * chains)]), 0)
     return PosteriorSamples(draws, (label,), diag)
 
 
@@ -426,7 +425,7 @@ class TestSummaries:
     def test_small_known_set(self):
         draws = np.array([1.0, 2.0, 3.0, 4.0] * 30).reshape(120, 1, 1)
         samples = PosteriorSamples(
-            draws, ("x",), Diagnostics(np.array([1.0]), np.array([120.0]), 0)
+            draws, ("x",), Diagnostics(("x",), np.array([1.0]), np.array([120.0]), 0)
         )
         assert posterior_summary(samples, "x").mean == 2.5
 
@@ -434,13 +433,83 @@ class TestSummaries:
         rng = np.random.default_rng(2)
         draws = rng.standard_normal((5000, 2, 1))
         samples = PosteriorSamples(
-            draws, ("x",), Diagnostics(np.array([1.0]), np.array([10_000.0]), 0)
+            draws, ("x",), Diagnostics(("x",), np.array([1.0]), np.array([10_000.0]), 0)
         )
         assert posterior_summary(samples, "x").q97_5 == pytest.approx(1.96, abs=0.1)
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             posterior_summary(constant_samples(0.0), "nope")
+
+
+def reference_split_r_hat(draws):
+    """Split R-hat of one column [n_draws, n_chains], computed directly."""
+    n, m = draws.shape
+    half = n // 2
+    if half < 2:
+        return np.nan
+    split = np.concatenate([draws[:half], draws[half: 2 * half]], axis=1)
+    w = split.var(axis=0, ddof=1).mean()
+    b = half * split.mean(axis=0).var(ddof=1)
+    var_plus = (half - 1) / half * w + b / half
+    if var_plus <= 0 or w <= 1e-300 * max(1.0, abs(var_plus)):
+        return 1.0
+    return float(np.sqrt(var_plus / w))
+
+
+def reference_autocovariance(x):
+    n = x.size
+    centered = x - x.mean()
+    size = int(2 ** np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(centered, size)
+    return np.fft.irfft(f * np.conj(f), size)[:n].real / n
+
+
+def reference_effective_sample_size(draws):
+    """ESS of one column [n_draws, n_chains], with Geyer's initial positive,
+    monotone pair sums taken one pair at a time."""
+    n, m = draws.shape
+    if n < 4:
+        return np.nan
+    w = draws.var(axis=0, ddof=1).mean()
+    var_plus = (n - 1) / n * w
+    if m > 1:
+        var_plus += draws.mean(axis=0).var(ddof=1)
+    if var_plus <= 0 or w <= 1e-300:
+        return float(n * m)
+    acov = np.stack([reference_autocovariance(draws[:, c]) for c in range(m)]).mean(axis=0)
+    rho = 1.0 - (w - acov) / var_plus
+    rho[0] = 1.0
+    tau, last = 0.0, np.inf
+    for k in range((n - 1) // 2):
+        pair = rho[2 * k] + rho[2 * k + 1]
+        if pair < 0:
+            break
+        pair = min(pair, last)
+        tau += pair
+        last = pair
+    tau = max(2 * tau - 1.0, 1.0 / (n * m))
+    return float(n * m / tau)
+
+
+def ar1_draws(rng, shape, phi):
+    x = np.empty(shape)
+    x[0] = rng.standard_normal(shape[1:])
+    for i in range(1, shape[0]):
+        x[i] = phi * x[i - 1] + rng.standard_normal(shape[1:]) * np.sqrt(1 - phi**2)
+    return x
+
+
+def diagnostic_inputs():
+    rng = np.random.default_rng(12)
+    mixed = rng.standard_normal((120, 3, 70)) * np.logspace(-8, 8, 70)
+    mixed[:, :, ::7] = ar1_draws(rng, (120, 3, 10), 0.8) * 1e5
+    return {
+        "random": rng.standard_normal((150, 2, 256)),
+        "ar1": ar1_draws(rng, (300, 4, 40), 0.95),
+        "single_chain": ar1_draws(rng, (200, 1, 33), 0.5),
+        "mixed_scale": mixed,
+    }
 
 
 class TestDiagnosticsFunctions:
@@ -471,15 +540,69 @@ class TestDiagnosticsFunctions:
             x[i] = 0.95 * x[i - 1] + rng.standard_normal() * np.sqrt(1 - 0.95**2)
         assert effective_sample_size(x) < n / 10
 
+    @pytest.mark.parametrize("name", sorted(diagnostic_inputs()))
+    def test_columns_match_the_one_column_reference(self, name):
+        draws = diagnostic_inputs()[name]
+        k = draws.shape[2]
+        for vectorised, reference in ((split_r_hat, reference_split_r_hat),
+                                      (effective_sample_size,
+                                       reference_effective_sample_size)):
+            expected = np.array([reference(draws[:, :, j]) for j in range(k)])
+            values = vectorised(draws)
+            assert values.shape == (k,)
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+            # A [draws, chains] column still gives the scalar.
+            assert vectorised(draws[:, :, 3]) == pytest.approx(expected[3], rel=1e-12)
 
-def test_dump_draws(tmp_path):
-    s = constant_samples(1.25, k=100, chains=2)
-    path = tmp_path / "draws.csv"
-    dump_draws(s, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "chain,draw,parameter,value"
-    assert len(lines) == 1 + 100 * 2
-    assert lines[1] == "0,0,x,1.25"
+    def test_columns_keep_their_shape(self):
+        draws = ar1_draws(np.random.default_rng(13), (100, 2, 3, 4), 0.5)
+        for fn in (split_r_hat, effective_sample_size):
+            values = fn(draws)
+            assert values.shape == (3, 4)
+            np.testing.assert_array_equal(values, fn(draws.reshape(100, 2, 12)).reshape(3, 4))
+
+    def test_constant_columns(self):
+        draws = np.random.default_rng(14).standard_normal((100, 3, 5))
+        draws[:, :, 1] = 2.5
+        draws[:, :, 3] = 0.0
+        rhat, ess = split_r_hat(draws), effective_sample_size(draws)
+        assert rhat[1] == rhat[3] == 1.0
+        assert ess[1] == ess[3] == 300.0
+        assert np.isfinite(rhat).all() and np.isfinite(ess).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_too_short_is_nan(self, n):
+        draws = np.random.default_rng(15).standard_normal((n, 2, 4))
+        for fn in (split_r_hat, effective_sample_size):
+            assert np.isnan(fn(draws)).all()
+            assert np.isnan(fn(draws[:, :, 0]))
+
+    def test_ess_memory_is_bounded_at_paper_scale(self):
+        # A paper-scale fit reports 256 cell logits and more from 150 draws
+        # of 2 chains; one FFT over all of them would hold about 6 MB.
+        draws = np.random.default_rng(16).standard_normal((150, 2, 256))
+        tracemalloc.start()
+        try:
+            effective_sample_size(draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+
+class TestDiagnosticsRecord:
+    def test_of_names_each_column(self):
+        draws = np.random.default_rng(17).standard_normal((120, 2, 3))
+        diag = Diagnostics.of(draws, ["a", "b", "c"], 4, ["w"])
+        assert diag.quantities == ("a", "b", "c")
+        assert diag.divergence_count == 4 and diag.warnings == ("w",)
+        np.testing.assert_array_equal(diag.split_r_hat, split_r_hat(draws))
+        np.testing.assert_array_equal(diag.effective_sample_size,
+                                      effective_sample_size(draws))
+
+    def test_of_rejects_a_name_count_mismatch(self):
+        with pytest.raises(ValueError, match="quantities"):
+            Diagnostics.of(np.zeros((120, 2, 3)), ("a", "b"), 0)
 
 
 def test_config_validation():
