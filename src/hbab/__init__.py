@@ -26,7 +26,7 @@ from .design import (
 )
 from .estimate import CellEstimate, CellEstimates, hb_estimate, marginalize, mle_estimates
 from .glm import CountData, Hyperparams, ModelParams, fit_posterior, predict_rates
-from .metaprior import EffectObservation, LearntTau, collect_effects, learn_tau
+from .metaprior import EffectObservation, LearntTau, learn_tau
 from .sampler import PosteriorSamples, SamplerConfig, posterior_summary, sample
 from .seqtest import ComparisonResult, TauSpec, bayes_factor, run_all_comparisons
 from .sim import (
@@ -67,7 +67,6 @@ __all__ = [
     "TauSpec",
     "bayes_factor",
     "build_design_matrix",
-    "collect_effects",
     "desk_scenario",
     "enumerate_cells",
     "enumerate_comparisons",

@@ -6,10 +6,17 @@ sequential-testing pipeline on an externally supplied count stream;
 ``learn-tau`` fits the effect-size dispersion from a corpus of observed
 effects; ``oracle-check`` runs the closed-form verification battery.
 
+Fitting and verification live elsewhere: the per-look fit loop is
+``sim.look_estimates``, shared by ``simulate`` and ``analyze``, and the
+verification battery is ``conjugate.oracle_checks``. Besides reading,
+checking and writing, ``analyze`` only pools each look over contexts.
+
 Every command writes a JSON run manifest listing its inputs, seed, config
-hash, and every artifact produced. Tabular outputs are CSV with floats
-serialized to 17 significant digits, so reruns with the same seed
-reproduce files byte for byte; all files are written atomically.
+hash (a hash of the command's settings and input contents, so the same
+inputs at another path hash the same), and every artifact produced.
+Tabular outputs are CSV with floats serialized to 17 significant digits,
+so reruns with the same seed reproduce files byte for byte; all files are
+written atomically.
 
 Exit codes: 0 success, 1 verification-check failure, 2 input error,
 3 runtime failure.
@@ -44,15 +51,16 @@ from .design import (
     spec_from_dict,
     spec_to_dict,
 )
-from .estimate import hb_estimate, marginalize, mle_estimates
-from .glm import CountData, fit_posterior
+from .estimate import marginalize
+from .glm import CountData
 from .metaprior import EffectObservation, effects_from_differences, learn_tau
-from .sampler import SamplerConfig, effective_sample_size, sample
 from .seqtest import TauSpec, cell_differences, sequential_trace
 from .sim import (
+    ANALYZE_SAMPLER,
     METHODS,
     ScenarioConfig,
     desk_scenario,
+    look_estimates,
     paper_scenario,
     run_scenario,
     score,
@@ -104,6 +112,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _config_hash(payload: dict) -> str:
@@ -226,6 +239,9 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
         if "spec" in overrides:
             kwargs["spec"] = spec_from_dict(overrides["spec"])
         if "sampler" in overrides:
+            if "seed" in overrides["sampler"]:
+                raise InputError("invalid scenario config: sampler.seed is not "
+                                 "settable; fit seeds come from --seed")
             kwargs["sampler"] = replace(base.sampler, **overrides["sampler"])
         config = replace(base, power=power, **kwargs)
         tau = overrides.get("tau")
@@ -463,7 +479,7 @@ def cmd_analyze(args) -> int:
 
     payload = {
         "design": spec_to_dict(spec),
-        "counts": os.path.abspath(args.counts),
+        "counts": _file_sha256(args.counts),
         "tau": args.tau,
         "alpha": args.alpha,
         "method": args.method,
@@ -480,27 +496,14 @@ def cmd_analyze(args) -> int:
     pair_labels = _pair_labels(spec) + [
         (_POOLED_CONTEXT, a, b) for _, a, b in _pair_labels(pooled_spec)]
 
+    method = "hierarchical" if args.method == "hb" else "mle"
+    looks = look_estimates(increments, X, (method,), ANALYZE_SAMPLER,
+                           itertools.count(args.seed + 1))
     est_rows, marg_rows, diff_mean, diff_var = [], [], [], []
-    warm_start = None  # each update's fit starts from the previous one's
-    cum_a = np.zeros(spec.n_cells, dtype=np.int64)
-    cum_r = np.zeros(spec.n_cells, dtype=np.int64)
-    for u, inc in enumerate(increments, start=1):
-        cum_a += inc.assignments
-        cum_r += inc.responses
-        data = CountData(cum_a.copy(), cum_r.copy())
-        if args.method == "hb":
-            cfg = SamplerConfig(
-                chains=2, warmup_draws=250, kept_draws=200, max_tree_depth=8,
-                seed=args.seed + u,
-            )
-            samples = fit_posterior(data, X, cfg, warm_start=warm_start)
-            warm_start = samples.warm_start
-            for w in samples.diagnostics.warnings:
-                manifest.warn(f"update {u}: {w}")
-            ests = hb_estimate(samples, X)
-        else:
-            ests = mle_estimates(data)
-
+    for u, (data, estimates, fit_warnings) in enumerate(looks, start=1):
+        for w in fit_warnings:
+            manifest.warn(f"update {u}: {w}")
+        ests = estimates[method]
         for cell, mean, var in zip(enumerate_cells(spec), ests.means.tolist(),
                                    ests.variances.tolist()):
             est_rows.append(
@@ -510,8 +513,8 @@ def cmd_analyze(args) -> int:
 
         # Content factors are the leading digits of the cell order, so a
         # context's traffic is a column sum.
-        traffic = cum_a.reshape(len(contents), n_contexts).sum(axis=0).astype(float)
-        marginals = marginalize(ests, spec, traffic)
+        traffic = data.assignments.reshape(len(contents), n_contexts).sum(axis=0)
+        marginals = marginalize(ests, spec, traffic.astype(float))
         for m, mean, var in zip(contents, marginals.means.tolist(),
                                 marginals.variances.tolist()):
             marg_rows.append(
@@ -639,8 +642,9 @@ def cmd_learn_tau(args) -> int:
             f"need at least 2 effect observations, found {len(effects)}"
         )
 
+    corpus = "".join("%.17g,%.17g\n" % (e.delta, e.noise_sd) for e in effects)
     payload = {
-        "effects": os.path.abspath(args.effects),
+        "effects": hashlib.sha256(corpus.encode("ascii")).hexdigest(),
         "n_effects": len(effects),
         "seed": args.seed,
         "method": args.method,
@@ -678,100 +682,12 @@ def cmd_learn_tau(args) -> int:
 # ------------------------------------------------------------ oracle-check
 
 
-def _oracle_checks(corrupt: bool, seed: int):
-    """Yield (name, tolerance_description, observed, passed) tuples."""
-    rng = np.random.default_rng(seed)
-    fudge = 1.001 if corrupt else 1.0
-
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        inst = conjugate.ConjugateInstance(
-            rng.uniform(-2, 2, n), rng.uniform(0.05, 2.0, n),
-            float(rng.uniform(0.1, 4.0)), float(rng.uniform(0.1, 4.0)),
-        )
-        post = conjugate.posterior(inst)
-        q_mean, q_var = conjugate.quadrature_posterior(inst)
-        worst = max(
-            worst,
-            float(np.max(np.abs(post.beta_hat * fudge - q_mean))),
-            float(np.max(np.abs(post.sigma_hat_sq - q_var))),
-        )
-    yield ("closed_form_vs_quadrature", "abs error < 1e-6 (50 instances)",
-           worst, worst < 1e-6)
-
-    worst_z = 0.0
-    for i in range(5):
-        n = int(rng.integers(2, 6))
-        inst = conjugate.ConjugateInstance(
-            rng.uniform(-2, 2, n), rng.uniform(0.05, 1.0, n),
-            float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)),
-        )
-        post = conjugate.posterior(inst)
-        samples = sample(
-            conjugate.pooling_target(inst),
-            SamplerConfig(chains=2, warmup_draws=250, kept_draws=400, seed=seed + i),
-        )
-        beta = samples.draws[:, :, :n]
-        flat = beta.reshape(-1, n)
-        m, v = flat.mean(axis=0), flat.var(axis=0, ddof=1)
-        ess = effective_sample_size(beta)
-        # The sample variance is a mean of squared centred draws, so its
-        # Monte-Carlo error follows their ESS, not the ESS of the draws.
-        ess_sq = effective_sample_size((beta - m) ** 2)
-        worst_z = max(
-            worst_z,
-            float(np.max(np.abs(m - post.beta_hat * fudge) / np.sqrt(v / ess))),
-            float(np.max(np.abs(v - post.sigma_hat_sq) / (v * np.sqrt(2.0 / ess_sq)))),
-        )
-    yield ("sampler_vs_closed_form", "max |z| < 3 Monte-Carlo SE (5 instances)",
-           worst_z, worst_z < 3.0)
-
-    inst = conjugate.ConjugateInstance(
-        rng.uniform(-1, 1, 4), rng.uniform(0.05, 1.0, 4), 0.8, 1.2
-    )
-    beta = rng.uniform(-1, 1, 4)
-    mc_mean, mc_var, se = conjugate.simulate_estimator_moments(
-        beta, inst, n_reps=100_000, seed=seed
-    )
-    z = float(np.max(np.abs(conjugate.estimator_mean(beta, inst) * fudge - mc_mean) / se))
-    yield ("estimator_mean_vs_monte_carlo", "max |z| < 3 (1e5 replications)", z, z < 3.0)
-
-    excess = float(np.max(mc_var / conjugate.variance_upper_bound(inst)))
-    yield ("variance_bound_vs_monte_carlo", "Var ratio <= 1", excess, excess <= 1.0)
-
-    h, c = 10.0, 1.0
-    coeffs = conjugate.shrinkage_coefficients(h, c)
-    yield ("shrinkage_c1_below_one", "c1(10, 1) < 1", coeffs.c1, coeffs.c1 < 1.0)
-
-    sb2 = 1.0
-    s_sq = np.concatenate([[h * sb2], rng.uniform(0.01, 1.0 / h, 3)])
-    inst_gap = conjugate.ConjugateInstance(np.zeros(4), s_sq, sb2, 0.5)
-    beta = rng.uniform(-1, 1, 4)
-    _, mc_var, _ = conjugate.simulate_estimator_moments(
-        beta, inst_gap, n_reps=100_000, seed=seed + 1
-    )
-    ratio = float(mc_var[0] / (coeffs.c1 * s_sq[0]))
-    yield ("shrinkage_bound_vs_monte_carlo", "Var(pooled)/(c1*s_f^2) <= 1",
-           ratio, ratio <= 1.0)
-
-    scaled = max(
-        conjugate.shrinkage_coefficients(hh, 1.0).c1 * hh for hh in (1e2, 1e3, 1e4)
-    )
-    yield ("c1_decays_like_1_over_h", "c1(h)*h < 3 for h up to 1e4",
-           scaled, scaled < 3.0)
-
-    c2_tail = conjugate.shrinkage_coefficients(1e4, 1.0).c2
-    yield ("c2_stays_order_one", "|c2(1e4) - 1| < 0.01", c2_tail,
-           abs(c2_tail - 1.0) < 0.01)
-
-
 def cmd_oracle_check(args) -> int:
     payload = {"seed": args.seed, "corrupt": bool(args.corrupt)}
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest("oracle-check", payload, seed=args.seed)
 
-    results = list(_oracle_checks(args.corrupt, args.seed))
+    results = list(conjugate.oracle_checks(args.corrupt, args.seed))
     lines = []
     for name, tolerance, observed, passed in results:
         status = "PASS" if passed else "FAIL"

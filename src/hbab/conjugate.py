@@ -7,7 +7,8 @@ Gaussian prior ``Normal(mu, sigma_beta^2)`` whose mean ``mu`` is itself
 ``Normal(0, sigma_mu^2)``. Everything here is exact algebra plus two
 numerical cross-checks (quadrature marginalization and Monte-Carlo
 replication), so the module doubles as the ground truth against which the
-MCMC engine and the shrinkage claims are validated.
+MCMC engine and the shrinkage claims are validated. ``oracle_checks`` is
+that validation battery, as ``hbab oracle-check`` reports it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import TargetDensity
+from .sampler import SamplerConfig, TargetDensity, effective_sample_size, sample
 
 __all__ = [
     "ConjugateInstance",
@@ -30,6 +31,7 @@ __all__ = [
     "shrinkage_coefficients",
     "simulate_estimator_moments",
     "pooling_target",
+    "oracle_checks",
 ]
 
 
@@ -257,3 +259,87 @@ def simulate_estimator_moments(
     mc_var = means.var(axis=0, ddof=1)
     se_mean = np.sqrt(mc_var / n_reps)
     return mc_mean, mc_var, se_mean
+
+
+def oracle_checks(corrupt: bool = False, seed: int = 20240501):
+    """Yield the (name, tolerance_description, observed, passed) tuples of
+    the verification battery. ``corrupt`` scales the closed-form posterior
+    mean by 1.001, a negative control that the quadrature check fails."""
+    rng = np.random.default_rng(seed)
+    fudge = 1.001 if corrupt else 1.0
+
+    worst = 0.0
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        inst = ConjugateInstance(
+            rng.uniform(-2, 2, n), rng.uniform(0.05, 2.0, n),
+            float(rng.uniform(0.1, 4.0)), float(rng.uniform(0.1, 4.0)),
+        )
+        post = posterior(inst)
+        q_mean, q_var = quadrature_posterior(inst)
+        worst = max(
+            worst,
+            float(np.max(np.abs(post.beta_hat * fudge - q_mean))),
+            float(np.max(np.abs(post.sigma_hat_sq - q_var))),
+        )
+    yield ("closed_form_vs_quadrature", "abs error < 1e-6 (50 instances)",
+           worst, worst < 1e-6)
+
+    worst_z = 0.0
+    for i in range(5):
+        n = int(rng.integers(2, 6))
+        inst = ConjugateInstance(
+            rng.uniform(-2, 2, n), rng.uniform(0.05, 1.0, n),
+            float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)),
+        )
+        post = posterior(inst)
+        samples = sample(
+            pooling_target(inst),
+            SamplerConfig(chains=2, warmup_draws=250, kept_draws=400, seed=seed + i),
+        )
+        beta = samples.draws[:, :, :n]
+        flat = beta.reshape(-1, n)
+        m, v = flat.mean(axis=0), flat.var(axis=0, ddof=1)
+        ess = effective_sample_size(beta)
+        # The sample variance is a mean of squared centred draws, so its
+        # Monte-Carlo error follows their ESS, not the ESS of the draws.
+        ess_sq = effective_sample_size((beta - m) ** 2)
+        worst_z = max(
+            worst_z,
+            float(np.max(np.abs(m - post.beta_hat * fudge) / np.sqrt(v / ess))),
+            float(np.max(np.abs(v - post.sigma_hat_sq) / (v * np.sqrt(2.0 / ess_sq)))),
+        )
+    yield ("sampler_vs_closed_form", "max |z| < 3 Monte-Carlo SE (5 instances)",
+           worst_z, worst_z < 3.0)
+
+    inst = ConjugateInstance(rng.uniform(-1, 1, 4), rng.uniform(0.05, 1.0, 4), 0.8, 1.2)
+    beta = rng.uniform(-1, 1, 4)
+    mc_mean, mc_var, se = simulate_estimator_moments(beta, inst, n_reps=100_000,
+                                                     seed=seed)
+    z = float(np.max(np.abs(estimator_mean(beta, inst) * fudge - mc_mean) / se))
+    yield ("estimator_mean_vs_monte_carlo", "max |z| < 3 (1e5 replications)", z, z < 3.0)
+
+    excess = float(np.max(mc_var / variance_upper_bound(inst)))
+    yield ("variance_bound_vs_monte_carlo", "Var ratio <= 1", excess, excess <= 1.0)
+
+    h, c = 10.0, 1.0
+    coeffs = shrinkage_coefficients(h, c)
+    yield ("shrinkage_c1_below_one", "c1(10, 1) < 1", coeffs.c1, coeffs.c1 < 1.0)
+
+    sb2 = 1.0
+    s_sq = np.concatenate([[h * sb2], rng.uniform(0.01, 1.0 / h, 3)])
+    inst_gap = ConjugateInstance(np.zeros(4), s_sq, sb2, 0.5)
+    beta = rng.uniform(-1, 1, 4)
+    _, mc_var, _ = simulate_estimator_moments(beta, inst_gap, n_reps=100_000,
+                                              seed=seed + 1)
+    ratio = float(mc_var[0] / (coeffs.c1 * s_sq[0]))
+    yield ("shrinkage_bound_vs_monte_carlo", "Var(pooled)/(c1*s_f^2) <= 1",
+           ratio, ratio <= 1.0)
+
+    scaled = max(shrinkage_coefficients(hh, 1.0).c1 * hh for hh in (1e2, 1e3, 1e4))
+    yield ("c1_decays_like_1_over_h", "c1(h)*h < 3 for h up to 1e4",
+           scaled, scaled < 3.0)
+
+    c2_tail = shrinkage_coefficients(1e4, 1.0).c2
+    yield ("c2_stays_order_one", "|c2(1e4) - 1| < 0.01", c2_tail,
+           abs(c2_tail - 1.0) < 0.01)

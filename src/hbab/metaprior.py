@@ -27,7 +27,6 @@ from scipy.special import sici
 
 from .glm import half_cauchy_log_density_log_scale
 from .sampler import TargetDensity
-from .seqtest import ComparisonResult
 
 __all__ = [
     "EffectObservation",
@@ -35,7 +34,6 @@ __all__ = [
     "tau_target",
     "learn_tau",
     "effects_from_differences",
-    "collect_effects",
 ]
 
 _TAU_FLOOR = 1e-8
@@ -239,15 +237,3 @@ def effects_from_differences(
         if math.isfinite(d) and v > 0
     ]
 
-
-def collect_effects(
-    results: Iterable[ComparisonResult],
-    policy: Callable[[ComparisonResult], bool] | None = None,
-) -> list[EffectObservation]:
-    """Turn finished comparisons into an effects corpus.
-
-    Takes each comparison's final difference summary as one observation;
-    ``policy`` filters which comparisons contribute (default: all).
-    """
-    kept = [res for res in results if policy is None or policy(res)]
-    return effects_from_differences([r.diff_mean for r in kept], [r.diff_var for r in kept])

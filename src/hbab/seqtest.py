@@ -15,8 +15,9 @@ The kernel works on whole arrays: ``cell_differences`` turns one
 ``CellEstimates`` record (per-cell means and variances, and the ``[cells,
 draws]`` matrix of draw-based estimates) into the difference summary of
 every pair, and ``sequential_trace`` folds ``[updates, pairs]`` summaries
-into Bayes factors and running p-values. ``run_all_comparisons`` and
-``replay_trace`` are views of it. The scalar ``log_bayes_factor`` and
+into Bayes factors and running p-values; re-scoring stored traces under
+another tau is one more ``sequential_trace`` call. ``run_all_comparisons``
+is a per-pair list view of it. The scalar ``log_bayes_factor`` and
 ``update_comparison`` are the reference the kernel is tested against bit
 for bit, so the kernel applies log, exp and squaring element by element
 through the same libm calls: numpy's vectorised forms can differ from them
@@ -45,7 +46,6 @@ __all__ = [
     "cell_differences",
     "sequential_trace",
     "run_all_comparisons",
-    "replay_trace",
 ]
 
 _MAX_LOG_K = 709.0  # exp saturates just below the double-precision ceiling
@@ -302,18 +302,3 @@ def run_all_comparisons(
         out.append(state)
     return out
 
-
-def replay_trace(
-    diff_means: np.ndarray,
-    diff_vars: np.ndarray,
-    tau_spec: TauSpec,
-    alpha: float = 0.05,
-) -> np.ndarray:
-    """Running p_min over a recorded sequence of difference summaries.
-
-    Lets different tau strategies be evaluated on the same stored traces
-    without re-estimating anything. Zero-variance entries are skipped, as
-    in the live path. Inputs are ``[updates]`` or ``[updates, pairs]``;
-    returns the p_min value after each update, in the same shape.
-    """
-    return sequential_trace(diff_means, diff_vars, tau_spec, alpha).p_min

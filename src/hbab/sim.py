@@ -4,7 +4,10 @@ Builds factorial experiments with known cell rates, streams binomial
 counts over sequential updates, runs the hierarchical and plain estimators
 on the accumulating data, and scores estimation error plus sequential
 decision accuracy (false negative / false positive / false discovery
-rates). Content combinations are split into an "effect" half, whose
+rates). ``look_estimates`` is the per-look fit loop that both
+``run_repetition`` and ``hbab analyze`` run on their count streams, and
+``SIMULATE_SAMPLER`` and ``ANALYZE_SAMPLER`` are the two commands' sampler
+settings. Content combinations are split into an "effect" half, whose
 interaction coefficients are drawn from a Normal(effect mean, sd^2), and a
 null half whose coefficients stay zero, so true-difference and
 no-difference pairs coexist in one simulated experiment and both error
@@ -15,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,10 +31,10 @@ from .design import (
     build_design_matrix,
     comparison_cells,
 )
-from .estimate import hb_estimate, mle_estimates
+from .estimate import CellEstimates, hb_estimate, mle_estimates
 from .glm import CountData, fit_posterior
 from .sampler import SamplerConfig
-from .seqtest import TauSpec, cell_differences, replay_trace, sequential_trace
+from .seqtest import TauSpec, cell_differences, sequential_trace
 
 __all__ = [
     "ScenarioConfig",
@@ -43,6 +47,7 @@ __all__ = [
     "desk_scenario",
     "generate_truth",
     "stream_updates",
+    "look_estimates",
     "run_repetition",
     "run_scenario",
     "score",
@@ -52,6 +57,12 @@ __all__ = [
 ]
 
 METHODS = ("hierarchical", "mle")
+
+# The hierarchical fit of each look: ``simulate``'s default, and
+# ``analyze``'s, which keeps more draws for its one stream.
+SIMULATE_SAMPLER = SamplerConfig(chains=2, warmup_draws=250, kept_draws=150,
+                                 max_tree_depth=8)
+ANALYZE_SAMPLER = replace(SIMULATE_SAMPLER, kept_draws=200)
 
 
 @dataclass(frozen=True)
@@ -76,11 +87,7 @@ class ScenarioConfig:
     h0_mode: str = "combined"
     power: str = "low"
     alpha: float = 0.05
-    sampler: SamplerConfig = field(
-        default_factory=lambda: SamplerConfig(
-            chains=2, warmup_draws=250, kept_draws=150, max_tree_depth=8
-        )
-    )
+    sampler: SamplerConfig = SIMULATE_SAMPLER
 
     def __post_init__(self):
         for name in ("updates", "assignments_per_update", "repetitions"):
@@ -278,6 +285,39 @@ def _fit_seed(config: ScenarioConfig, rep: int, update: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
+def look_estimates(
+    increments: Iterable[CountData],
+    X: DesignMatrix,
+    methods: tuple[str, ...],
+    sampler: SamplerConfig,
+    seeds: Iterable[int],
+) -> Iterator[tuple[CountData, dict[str, CellEstimates], tuple[str, ...]]]:
+    """Fit every look of a count stream.
+
+    ``increments`` are the per-look counts and ``seeds`` the hierarchical
+    fit's seed at each look. For each look, yields the cumulative counts,
+    one ``CellEstimates`` per method of ``methods`` (drawn from
+    ``METHODS``) and the warnings of the hierarchical fit, which is
+    warm-started from the previous look's.
+    """
+    cum_a = cum_r = 0  # new sums each look: a yielded CountData never changes
+    warm_start = None
+    for inc, seed in zip(increments, seeds):
+        cum_a = cum_a + inc.assignments
+        cum_r = cum_r + inc.responses
+        data = CountData(cum_a, cum_r)
+        estimates, warnings = {}, ()
+        if "hierarchical" in methods:
+            samples = fit_posterior(data, X, replace(sampler, seed=seed),
+                                    warm_start=warm_start)
+            warm_start = samples.warm_start
+            warnings = samples.diagnostics.warnings
+            estimates["hierarchical"] = hb_estimate(samples, X)
+        if "mle" in methods:
+            estimates["mle"] = mle_estimates(data)
+        yield data, estimates, warnings
+
+
 def run_repetition(
     config: ScenarioConfig,
     rep: int,
@@ -287,9 +327,8 @@ def run_repetition(
     """Simulate one repetition end to end.
 
     At every update both estimators are fitted to the cumulative counts
-    and every pair's difference summary is recorded; each hierarchical fit
-    after the first is warm-started from the previous update's. The
-    sequential tests then run over all updates at once. Fully
+    (``look_estimates``) and every pair's difference summary is recorded.
+    The sequential tests then run over all updates at once. Fully
     deterministic given the scenario seed and repetition index.
     """
     spec = config.spec
@@ -305,26 +344,11 @@ def run_repetition(
     diff_var = {m: np.full((n_u, n_p), np.nan) for m in methods}
     warnings = []
 
-    cum_a = np.zeros(n_c, dtype=np.int64)
-    cum_r = np.zeros(n_c, dtype=np.int64)
-    warm_start = None  # each update's fit starts from the previous one's
-    for u in range(n_u):
-        cum_a += updates[u].assignments
-        cum_r += updates[u].responses
-        data = CountData(cum_a.copy(), cum_r.copy())
-
-        per_method_estimates = {}
-        if "hierarchical" in methods:
-            cfg = replace(config.sampler, seed=_fit_seed(config, rep, u))
-            samples = fit_posterior(data, X, cfg, warm_start=warm_start)
-            warm_start = samples.warm_start
-            for w in samples.diagnostics.warnings:
-                warnings.append(f"rep {rep} update {u + 1} (hierarchical): {w}")
-            per_method_estimates["hierarchical"] = hb_estimate(samples, X)
-        if "mle" in methods:
-            per_method_estimates["mle"] = mle_estimates(data)
-
-        for m, ests in per_method_estimates.items():
+    seeds = (_fit_seed(config, rep, u) for u in itertools.count())
+    looks = look_estimates(updates, X, methods, config.sampler, seeds)
+    for u, (_, estimates, fit_warnings) in enumerate(looks):
+        warnings += [f"rep {rep} update {u + 1} (hierarchical): {w}" for w in fit_warnings]
+        for m, ests in estimates.items():
             est_mean[m][u] = ests.means
             est_var[m][u] = ests.variances
             diff_mean[m][u], diff_var[m][u] = cell_differences(spec, ests)
@@ -457,7 +481,7 @@ def score(
 
         if replay:
             traces = np.stack(
-                [replay_trace(r.diff_mean[m], r.diff_var[m], tau, config.alpha)
+                [sequential_trace(r.diff_mean[m], r.diff_var[m], tau, config.alpha).p_min
                  for r in reps]
             )
         else:

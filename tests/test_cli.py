@@ -12,11 +12,11 @@ import scipy
 
 import hbab
 from hbab.cli import _atomic_write, main
-from hbab.design import enumerate_cells, spec_from_dict
+from hbab.design import enumerate_cells, spec_from_dict, spec_to_dict
 from hbab.estimate import mle_estimates
 from hbab.glm import CountData
-from hbab.sampler import SamplerConfig
 from hbab.seqtest import TauSpec, run_all_comparisons
+from hbab.sim import _rep_seed_sequences, desk_scenario, run_repetition, stream_updates
 
 TINY_DESIGN = {
     "factors": [
@@ -46,6 +46,10 @@ def write_counts(path, rows):
         writer.writerow(["update", "msg", "ctx", "assignments", "responses"])
         writer.writerows(rows)
     return str(path)
+
+
+def config_hash(out):
+    return json.loads((out / "manifest.json").read_text())["config_hash"]
 
 
 def default_counts(updates=2, n=50):
@@ -177,6 +181,15 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "o")])
 
+    def test_sampler_seed_override_exits_2(self, tmp_path, capsys):
+        # Every fit is seeded from --seed, so a config seed would be ignored.
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "sampler": {"seed": 12345}})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "fit seeds come from --seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def test_failed_streaming_write_keeps_the_old_file(tmp_path):
     target = tmp_path / "decisions.csv"
@@ -224,16 +237,16 @@ class TestAnalyze:
         assert all(float(r["diff_var"]) > 0 for r in comps)
 
     def test_hb_fit_warnings_reach_the_manifest(self, tmp_path, monkeypatch, capsys):
-        import hbab.cli
+        import hbab.sim
 
-        real_fit = hbab.cli.fit_posterior
+        real_fit = hbab.sim.fit_posterior
 
         def flagged_fit(*args, **kwargs):
             s = real_fit(*args, **kwargs)
             diag = replace(s.diagnostics, warnings=("cell logits mixed poorly",))
             return replace(s, diagnostics=diag)
 
-        monkeypatch.setattr(hbab.cli, "fit_posterior", flagged_fit)
+        monkeypatch.setattr(hbab.sim, "fit_posterior", flagged_fit)
         code, out = self.run_analyze(tmp_path, default_counts(updates=2), method="hb")
         assert code == 0
         with open(out / "manifest.json") as fh:
@@ -244,15 +257,13 @@ class TestAnalyze:
 
     def test_hb_fits_warm_start_from_the_previous_update(self, tmp_path, monkeypatch):
         import hbab.cli
+        import hbab.sim
 
         # A short sampler: this checks what each fit receives, not how well
         # it mixes.
-        def short_config(**kwargs):
-            return SamplerConfig(**{**kwargs, "warmup_draws": 150, "kept_draws": 100,
-                                    "max_tree_depth": 4})
-
-        monkeypatch.setattr(hbab.cli, "SamplerConfig", short_config)
-        real_fit = hbab.cli.fit_posterior
+        monkeypatch.setattr(hbab.cli, "ANALYZE_SAMPLER", replace(
+            hbab.sim.ANALYZE_SAMPLER, warmup_draws=150, kept_draws=100, max_tree_depth=4))
+        real_fit = hbab.sim.fit_posterior
         received, returned = [], []
 
         def recording_fit(*args, warm_start=None, **kwargs):
@@ -261,7 +272,7 @@ class TestAnalyze:
             returned.append(s.warm_start)
             return s
 
-        monkeypatch.setattr(hbab.cli, "fit_posterior", recording_fit)
+        monkeypatch.setattr(hbab.sim, "fit_posterior", recording_fit)
         outs = [self.run_analyze(tmp_path, default_counts(updates=3), method="hb",
                                  name=name) for name in ("a", "b")]
         assert [code for code, _ in outs] == [0, 0]
@@ -332,6 +343,24 @@ class TestAnalyze:
                    for r in csv.DictReader(fh) if r["context"] != "marginal"]
         assert got == expected
 
+    def test_config_hash_follows_the_input_bytes(self, tmp_path):
+        # The same inputs under two directories, then one changed byte:
+        # 50 assignments in the first row become 60.
+        hashes = []
+        for name, changed in (("a", False), ("b", False), ("c", True)):
+            directory = tmp_path / name
+            directory.mkdir()
+            design = write_json(directory / "design.json", TINY_DESIGN)
+            counts = directory / "counts.csv"
+            write_counts(counts, default_counts())
+            if changed:
+                counts.write_bytes(counts.read_bytes().replace(b",50,", b",60,", 1))
+            out = directory / "out"
+            assert main(["analyze", "--design", design, "--counts", str(counts),
+                         "--method", "mle", "--out", str(out)]) == 0
+            hashes.append(config_hash(out))
+        assert hashes[0] == hashes[1] != hashes[2]
+
     def test_malformed_header_exits_2(self, tmp_path, capsys):
         design = write_json(tmp_path / "design.json", TINY_DESIGN)
         bad = tmp_path / "counts.csv"
@@ -386,12 +415,12 @@ class TestAnalyze:
                      "--alpha", "1.5", "--out", str(tmp_path / "o")]) == 2
 
     def test_value_error_inside_fitting_exits_3(self, tmp_path, monkeypatch, capsys):
-        import hbab.cli
+        import hbab.sim
 
         def broken_fit(*args, **kwargs):
             raise ValueError("target density or gradient is not finite")
 
-        monkeypatch.setattr(hbab.cli, "fit_posterior", broken_fit)
+        monkeypatch.setattr(hbab.sim, "fit_posterior", broken_fit)
         code, _ = self.run_analyze(tmp_path, default_counts(updates=1), method="hb")
         assert code == 3
         assert "runtime failure" in capsys.readouterr().err
@@ -440,6 +469,44 @@ class TestAnalyze:
         assert code == 0
 
 
+def test_analyze_reproduces_a_simulated_repetition(tmp_path):
+    """A desk repetition's counts, analysed as an external stream, give the
+    simulation's MLE estimates and per-context pair traces bit for bit."""
+    config = desk_scenario(seed=11)
+    rep = run_repetition(config, 0, methods=("mle",))
+    increments = stream_updates(rep.truth, config, _rep_seed_sequences(config, 0)[1])
+    spec = config.spec
+    counts = tmp_path / "counts.csv"
+    with open(counts, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["update", *(f.name for f in spec.factors), "assignments",
+                         "responses"])
+        for u, inc in enumerate(increments, start=1):
+            for cell, a, r in zip(enumerate_cells(spec), inc.assignments.tolist(),
+                                  inc.responses.tolist()):
+                writer.writerow([u, *(f.values[i] for f, i in zip(spec.factors,
+                                                                   cell.value_indices)),
+                                 a, r])
+    design = write_json(tmp_path / "design.json", spec_to_dict(spec))
+    out = tmp_path / "out"
+    assert main(["analyze", "--design", design, "--counts", str(counts), "--method",
+                 "mle", "--tau", "fixed:0.1", "--alpha", repr(config.alpha),
+                 "--out", str(out)]) == 0
+
+    def read(name, fields, keep=lambda row: True):
+        with open(out / name) as fh:
+            rows = [[float(r[f]) for f in fields] for r in csv.DictReader(fh) if keep(r)]
+        return np.array(rows).reshape(config.updates, -1, len(fields))
+
+    est = read("estimates.csv", ("mean", "variance"))
+    assert np.array_equal(est[..., 0], rep.estimate_mean["mle"], equal_nan=True)
+    assert np.array_equal(est[..., 1], rep.estimate_var["mle"], equal_nan=True)
+    traces = read("comparisons.csv", ("diff_mean", "diff_var", "p_min"),
+                  lambda row: row["context"] != "marginal")
+    for i, trace in enumerate((rep.diff_mean, rep.diff_var, rep.p_min)):
+        assert np.array_equal(traces[..., i], trace["mle"], equal_nan=True)
+
+
 class TestLearnTau:
     def effects_file(self, tmp_path, deltas, sd=0.02):
         path = tmp_path / "effects.csv"
@@ -469,6 +536,23 @@ class TestLearnTau:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["master_seed"] == int(seed)
         assert outs[0] == outs[1]
+
+    def test_config_hash_follows_the_corpus(self, tmp_path):
+        # The same corpus under two directories, then one changed byte: the
+        # first row's noise_sd 0.02 becomes 0.03.
+        deltas = np.random.default_rng(3).normal(0, 0.1, 20)
+        hashes = []
+        for name, changed in (("a", False), ("b", False), ("c", True)):
+            directory = tmp_path / name
+            directory.mkdir()
+            path = self.effects_file(directory, deltas)
+            if changed:
+                effects = directory / "effects.csv"
+                effects.write_bytes(effects.read_bytes().replace(b",0.02", b",0.03", 1))
+            out = directory / "out"
+            assert main(["learn-tau", path, "--out", str(out)]) == 0
+            hashes.append(config_hash(out))
+        assert hashes[0] == hashes[1] != hashes[2]
 
     def test_zero_corpus_floors_and_warns(self, tmp_path, capsys):
         path = self.effects_file(tmp_path, [0.0] * 50, sd=1e-5)

@@ -8,12 +8,10 @@ from scipy import integrate, optimize, stats
 import hbab.metaprior
 from hbab.metaprior import (
     EffectObservation,
-    collect_effects,
     effects_from_differences,
     learn_tau,
     tau_target,
 )
-from hbab.seqtest import ComparisonResult
 
 
 def synthetic_corpus(n, tau_true, noise_sd, seed):
@@ -164,24 +162,7 @@ def test_tau_target_finite_at_extreme_log_scale(log_tau):
 
 
 class TestCollectEffects:
-    def result(self, d, v, **kw):
-        return ComparisonResult(
-            (0,), (0,), (1,), diff_mean=d, diff_var=v, updates=1, **kw
-        )
-
-    def test_passthrough(self):
-        effects = collect_effects([self.result(0.02, 1e-4)])
-        assert len(effects) == 1
-        assert effects[0].delta == pytest.approx(0.02)
-        assert effects[0].noise_sd == pytest.approx(0.01)
-
-    def test_policy_filters(self):
-        results = [self.result(0.02, 1e-4), self.result(0.3, 1e-4)]
-        effects = collect_effects(results, policy=lambda r: abs(r.diff_mean) < 0.1)
-        assert len(effects) == 1
-
-    def test_skips_never_updated(self):
-        assert collect_effects([ComparisonResult((0,), (0,), (1,))]) == []
+    """Which differences enter an effects corpus."""
 
     def test_differences_need_finite_mean_and_positive_variance(self):
         effects = effects_from_differences(
@@ -189,10 +170,6 @@ class TestCollectEffects:
             [1e-4, 1e-4, 1e-4, 0.0, np.nan, 4e-4],
         )
         assert effects == [EffectObservation(0.1, 0.01), EffectObservation(-0.4, 0.02)]
-
-    def test_collect_effects_uses_the_same_filter(self):
-        results = [self.result(np.inf, 1e-4), self.result(0.02, 0.0), self.result(0.02, 1e-4)]
-        assert collect_effects(results) == [EffectObservation(0.02, 0.01)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from hbab.seqtest import (
     bayes_factor,
     cell_differences,
     log_bayes_factor,
-    replay_trace,
     resolve_tau,
     run_all_comparisons,
     sequential_trace,
@@ -199,7 +198,7 @@ def test_replay_matches_live_updates():
     d = rng.normal(0.0, 0.05, 20)
     v = rng.uniform(1e-5, 1e-3, 20)
     spec = TauSpec.dynamic()
-    trace = replay_trace(d, v, spec)
+    trace = sequential_trace(d, v, spec).p_min
     state = ComparisonResult((0,), (0,), (1,))
     for i in range(20):
         state = update_comparison(state, d[i], v[i], spec)
@@ -256,9 +255,9 @@ def test_kernel_is_bit_identical_to_the_scalar_reference():
         assert np.array_equal(trace.informative, v > 0)
 
         for p in range(0, d.shape[1], 37):
-            assert np.array_equal(replay_trace(d[:, p], v[:, p], tau_spec),
+            assert np.array_equal(sequential_trace(d[:, p], v[:, p], tau_spec).p_min,
                                   trace.p_min[:, p])
-        assert np.array_equal(replay_trace(d, v, tau_spec), trace.p_min)
+        assert np.array_equal(sequential_trace(d, v, tau_spec).p_min, trace.p_min)
 
         # Where numpy's vectorised forms would differ from the scalar path.
         for x, y in zip(trace.diff_mean[seen].tolist(), trace.diff_var[seen].tolist()):

@@ -6,6 +6,8 @@ from hbab.metaprior import effects_from_differences, learn_tau
 from hbab.sampler import SamplerConfig
 from hbab.seqtest import TauSpec
 from hbab.sim import (
+    ANALYZE_SAMPLER,
+    SIMULATE_SAMPLER,
     GroundTruth,
     MetricsReport,
     RepetitionResult,
@@ -155,6 +157,14 @@ class TestRunRepetition:
         cfg = tiny_config()
         rep = run_repetition(cfg, 0, methods=("mle",))
         assert set(rep.estimate_mean) == {"mle"}
+
+
+def test_sampler_defaults_of_the_two_commands():
+    settings = [(s.chains, s.warmup_draws, s.kept_draws, s.max_tree_depth)
+                for s in (SIMULATE_SAMPLER, ANALYZE_SAMPLER)]
+    assert settings == [(2, 250, 150, 8), (2, 250, 200, 8)]
+    assert SIMULATE_SAMPLER.target_accept == ANALYZE_SAMPLER.target_accept
+    assert desk_scenario().sampler == paper_scenario().sampler == SIMULATE_SAMPLER
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
