@@ -25,7 +25,7 @@ from .design import (
     load_experiment_spec,
 )
 from .estimate import CellEstimate, CellEstimates, hb_estimate, marginalize, mle_estimates
-from .glm import CountData, Hyperparams, ModelParams, fit_posterior, predict_rates
+from .glm import CountData, ModelParams, fit_posterior
 from .metaprior import EffectObservation, LearntTau, learn_tau
 from .sampler import PosteriorSamples, SamplerConfig, posterior_summary, sample
 from .seqtest import ComparisonResult, TauSpec, bayes_factor, run_all_comparisons
@@ -57,7 +57,6 @@ __all__ = [
     "EffectObservation",
     "ExperimentSpec",
     "Factor",
-    "Hyperparams",
     "LearntTau",
     "MetricsReport",
     "ModelParams",
@@ -80,7 +79,6 @@ __all__ = [
     "naive_sequential_test_fpr",
     "paper_scenario",
     "posterior_summary",
-    "predict_rates",
     "run_all_comparisons",
     "run_repetition",
     "run_scenario",

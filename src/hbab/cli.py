@@ -35,7 +35,7 @@ import os
 import platform
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -215,46 +215,60 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read config {path!r}: {exc}") from exc
 
 
+# Scenario fields a config sets as plain values; ``spec`` and ``sampler``
+# are parsed, and the seed comes from --seed.
+_SCENARIO_VALUES = tuple(f.name for f in fields(ScenarioConfig)
+                         if f.name not in ("spec", "sampler", "seed"))
+_CONFIG_KEYS = (*_SCENARIO_VALUES, "spec", "sampler", "tau", "methods")
+# Keys a config might be expected to hold, and why it does not.
+_NOT_SETTABLE = {
+    "seed": "fit seeds come from --seed",
+    "sampler.seed": "fit seeds come from --seed",
+    "power": "pick the preset with --power",
+}
+
+
+def _check_keys(mapping, known, prefix: str = "") -> None:
+    """Reject a config object that is not a JSON object or that holds a key
+    outside ``known``."""
+    if not isinstance(mapping, dict):
+        raise InputError(f"invalid scenario config: {prefix[:-1] or 'the config'} "
+                         "must be a JSON object")
+    for key in mapping:
+        name = prefix + key
+        if name in _NOT_SETTABLE:
+            raise InputError(f"invalid scenario config: {name} is not settable; "
+                             f"{_NOT_SETTABLE[name]}")
+        if key not in known:
+            raise InputError(f"invalid scenario config: unknown key {name!r}")
+
+
 def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], dict]:
     overrides = _load_json(args.config) if args.config else {}
-    if not isinstance(overrides, dict):
-        raise InputError("scenario config must be a JSON object")
-    power = overrides.get("power", args.power)
-    base = desk_scenario(power) if args.scale == "desk" else paper_scenario(power)
+    _check_keys(overrides, _CONFIG_KEYS)
+    preset = desk_scenario if args.scale == "desk" else paper_scenario
+    base = preset(args.power)
 
-    kwargs = {"seed": args.seed}
-    for key in (
-        "updates",
-        "assignments_per_update",
-        "repetitions",
-        "interaction_effect_mean",
-        "interaction_effect_sd",
-        "h1_fraction",
-        "h0_mode",
-        "alpha",
-    ):
-        if key in overrides:
-            kwargs[key] = overrides[key]
+    kwargs = {key: overrides[key] for key in _SCENARIO_VALUES if key in overrides}
     try:
         if "spec" in overrides:
             kwargs["spec"] = spec_from_dict(overrides["spec"])
         if "sampler" in overrides:
-            if "seed" in overrides["sampler"]:
-                raise InputError("invalid scenario config: sampler.seed is not "
-                                 "settable; fit seeds come from --seed")
+            _check_keys(overrides["sampler"], [f.name for f in fields(base.sampler)],
+                        "sampler.")
             kwargs["sampler"] = replace(base.sampler, **overrides["sampler"])
-        config = replace(base, power=power, **kwargs)
-        tau = overrides.get("tau")
-        tau_spec = (
-            TauSpec(tau["kind"], tau.get("value"), tau.get("epsilon_floor", 1e-8))
-            if tau
-            else TauSpec.fixed(0.1)
-        )
+        config = replace(base, seed=args.seed, **kwargs)
+        tau_spec = TauSpec.fixed(0.1)
+        if overrides.get("tau"):
+            _check_keys(overrides["tau"], ("kind", "value"), "tau.")
+            tau_spec = TauSpec(**overrides["tau"])
     except (TypeError, ValueError, KeyError, AttributeError) as exc:
         raise InputError(f"invalid scenario config: {exc}") from exc
     methods = tuple(overrides.get("methods", METHODS))
     if not methods or not set(methods) <= set(METHODS):
         raise InputError(f"invalid scenario config: methods must be drawn from {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise InputError(f"invalid scenario config: methods repeat in {list(methods)}")
     if args.tau_experiment and config.repetitions < 2:
         raise InputError("--tau-experiment needs at least 2 repetitions")
     if args.tau_experiment and config.updates < 1:
@@ -263,24 +277,12 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
 
     payload = {
         "scale": args.scale,
-        "power": power,
+        "power": args.power,
         "seed": args.seed,
         "spec": spec_to_dict(config.spec),
-        "updates": config.updates,
-        "assignments_per_update": config.assignments_per_update,
-        "repetitions": config.repetitions,
-        "interaction_effect_mean": config.interaction_effect_mean,
-        "interaction_effect_sd": config.interaction_effect_sd,
-        "h1_fraction": config.h1_fraction,
-        "h0_mode": config.h0_mode,
-        "alpha": config.alpha,
-        "sampler": {
-            "chains": config.sampler.chains,
-            "warmup_draws": config.sampler.warmup_draws,
-            "kept_draws": config.sampler.kept_draws,
-            "target_accept": config.sampler.target_accept,
-            "max_tree_depth": config.sampler.max_tree_depth,
-        },
+        **{key: getattr(config, key) for key in _SCENARIO_VALUES},
+        "sampler": {f.name: getattr(config.sampler, f.name)
+                    for f in fields(config.sampler) if f.name != "seed"},
         "tau": {"kind": tau_spec.kind, "value": tau_spec.value},
         "methods": list(methods),
     }

@@ -2,12 +2,13 @@
 
 Cell response probabilities are ``sigmoid(X @ beta + epsilon)`` where X is
 the binary design matrix, every coefficient shares a Gaussian prior
-``Normal(mu, sigma^2)``, ``mu ~ Normal(0, 100)``, ``sigma ~ HalfCauchy(5)``
-and ``epsilon ~ Normal(0, 1)`` is a single latent offset drawn once per
-fit. The sampler's target is non-centered, ``beta = mu + sigma * beta_raw``
-with ``sigma`` on the log scale, which samples far better when the data are
-sparse; ``log_posterior`` is the same joint density in the natural
-parameters, kept as the reference the target is tested against.
+``Normal(mu, sigma^2)`` and ``epsilon ~ Normal(0, 1)`` is a single latent
+offset drawn once per fit. The priors are the paper's and fixed:
+``mu ~ Normal(0, 10^2)`` and ``sigma ~ HalfCauchy(5)``. The sampler's
+target is non-centered, ``beta = mu + sigma * beta_raw`` with ``sigma`` on
+the log scale, which samples far better when the data are sparse;
+``log_posterior`` is the same joint density in the natural parameters,
+kept as the reference the target is tested against.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .sampler import (
 )
 
 __all__ = [
-    "Hyperparams",
     "ModelParams",
     "CountData",
-    "predict_rates",
     "log_posterior",
     "half_cauchy_log_density_log_scale",
     "make_target",
@@ -40,18 +39,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Hyperparams:
-    """Fixed prior settings: Normal(mean, sd^2) for the shared coefficient
-    mean, HalfCauchy(scale) for the coefficient spread."""
-
-    mu_prior_mean: float = 0.0
-    mu_prior_sd: float = 10.0
-    sigma_cauchy_scale: float = 5.0
-
-    def __post_init__(self):
-        if self.mu_prior_sd <= 0 or self.sigma_cauchy_scale <= 0:
-            raise ValueError("prior scales must be positive")
+# mu ~ Normal(_MU_PRIOR_MEAN, _MU_PRIOR_SD^2), sigma ~ HalfCauchy(_SIGMA_SCALE).
+_MU_PRIOR_MEAN = 0.0
+_MU_PRIOR_SD = 10.0
+_SIGMA_SCALE = 5.0
 
 
 @dataclass(frozen=True)
@@ -93,16 +84,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def predict_rates(params: ModelParams, X: DesignMatrix) -> np.ndarray:
-    """Cell response probabilities sigmoid(X beta + epsilon), in open (0, 1)."""
-    if params.beta.shape[0] != X.cols:
-        raise ValueError(
-            f"beta has {params.beta.shape[0]} entries, design has {X.cols} columns"
-        )
-    p = expit(X.matrix @ params.beta + params.epsilon)
-    return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-
-
 def half_cauchy_log_density_log_scale(log_sigma: float, scale: float) -> float:
     """Half-Cauchy log density of sigma = exp(log_sigma), including the
     log-scale change-of-variables term, so exp of it integrates to one over
@@ -121,9 +102,7 @@ def _binomial_loglik_terms(eta, data: CountData):
     return float(np.sum(const + r * log_p + (a - r) * log_1mp))
 
 
-def log_posterior(
-    params: ModelParams, data: CountData, X: DesignMatrix, hyper: Hyperparams
-) -> float:
+def log_posterior(params: ModelParams, data: CountData, X: DesignMatrix) -> float:
     """Joint log density of parameters and observed counts.
 
     Cells with zero assignments contribute nothing; the binomial
@@ -133,22 +112,18 @@ def log_posterior(
         raise ValueError("count vectors must have one entry per design row")
     beta, mu, ls, eps = params.beta, params.mu, params.log_sigma, params.epsilon
     sigma = np.exp(ls)
-    m, s = hyper.mu_prior_mean, hyper.mu_prior_sd
+    m, s = _MU_PRIOR_MEAN, _MU_PRIOR_SD
 
     lp = -0.5 * beta.size * np.log(2 * np.pi) - beta.size * ls
     lp -= 0.5 * np.sum(((beta - mu) / sigma) ** 2)
     lp += -0.5 * np.log(2 * np.pi) - np.log(s) - 0.5 * ((mu - m) / s) ** 2
-    lp += half_cauchy_log_density_log_scale(ls, hyper.sigma_cauchy_scale)
+    lp += half_cauchy_log_density_log_scale(ls, _SIGMA_SCALE)
     lp += -0.5 * np.log(2 * np.pi) - 0.5 * eps**2
     lp += _binomial_loglik_terms(X.matrix @ beta + eps, data)
     return float(lp)
 
 
-def make_target(
-    data: CountData,
-    X: DesignMatrix,
-    hyper: Hyperparams = Hyperparams(),
-) -> TargetDensity:
+def make_target(data: CountData, X: DesignMatrix) -> TargetDensity:
     """Differentiable target over the flat unconstrained vector
     [beta_raw..., mu, log_sigma, epsilon].
 
@@ -163,8 +138,7 @@ def make_target(
     Xm = X.matrix
     a = data.assignments
     r = data.responses
-    m, s = hyper.mu_prior_mean, hyper.mu_prior_sd
-    b = hyper.sigma_cauchy_scale
+    m, s, b = _MU_PRIOR_MEAN, _MU_PRIOR_SD, _SIGMA_SCALE
 
     # Constants hoisted out of the sampler's hot loop.
     XmT = np.ascontiguousarray(Xm.T)
@@ -221,7 +195,6 @@ def fit_posterior(
     data: CountData,
     X: DesignMatrix,
     config: SamplerConfig,
-    hyper: Hyperparams = Hyperparams(),
     warm_start: WarmStart | None = None,
 ) -> PosteriorSamples:
     """Run the sampler on the model and return draws in natural coordinates.
@@ -238,7 +211,7 @@ def fit_posterior(
     earlier counts (see ``sampler.sample``); the result carries the
     sampler's own for the next fit.
     """
-    target = make_target(data, X, hyper)
+    target = make_target(data, X)
     samples = sample(target, config, warm_start)
     P = X.cols
 

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _TAU_FLOOR = 1e-8
+_CAUCHY_SCALE = 5.0  # tau ~ HalfCauchy(5)
 _GRID_POINTS = 256
 _TAIL_NATS = 40.0
 # First bracketing step in log tau. The bracket ends lie about 9 posterior
@@ -66,9 +67,7 @@ class LearntTau:
     point_value_for_testing: float
 
 
-def tau_target(
-    effects: list[EffectObservation], cauchy_scale: float = 5.0
-) -> TargetDensity:
+def tau_target(effects: list[EffectObservation]) -> TargetDensity:
     """One-dimensional target over log(tau) for the dispersion model.
 
     Effects are sorted before summation so the result is exactly invariant
@@ -77,7 +76,7 @@ def tau_target(
     ordered = sorted(effects, key=lambda e: (e.delta, e.noise_sd))
     delta = np.array([e.delta for e in ordered])
     noise_var = np.array([e.noise_sd**2 for e in ordered])
-    b = cauchy_scale
+    b = _CAUCHY_SCALE
     log_b = math.log(b)
 
     def log_density_and_grad(z):
@@ -98,7 +97,7 @@ def tau_target(
     return TargetDensity(1, log_density_and_grad, ("log_tau",))
 
 
-def learn_tau(effects: list[EffectObservation], cauchy_scale: float = 5.0) -> LearntTau:
+def learn_tau(effects: list[EffectObservation]) -> LearntTau:
     """Posterior over tau from a corpus of observed effects.
 
     The log-tau posterior is integrated on a uniform grid of
@@ -115,7 +114,7 @@ def learn_tau(effects: list[EffectObservation], cauchy_scale: float = 5.0) -> Le
     """
     if len(effects) < 2:
         raise ValueError("learning tau requires at least 2 effect observations")
-    density = tau_target(effects, cauchy_scale).log_density_and_grad
+    density = tau_target(effects).log_density_and_grad
 
     def log_density(log_tau: float) -> float:
         return density(np.array([log_tau]))[0]

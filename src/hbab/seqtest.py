@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_LOG_K = 709.0  # exp saturates just below the double-precision ceiling
+_DYNAMIC_TAU_FLOOR = 1e-8  # keeps a dynamic alternative distinct from the null
 _DRAW_BLOCK = 1 << 13  # draw differences held at once (64 KB)
 
 
@@ -56,30 +57,27 @@ _DRAW_BLOCK = 1 << 13  # draw differences held at once (64 KB)
 class TauSpec:
     """How the alternative's effect-size variance tau is chosen.
 
-    fixed: a constant; dynamic: the squared observed difference, floored so
-    the hypotheses never coincide exactly; learnt: a value taken from a
-    meta-analysis of past experiments.
+    fixed: a constant; dynamic: the squared observed difference, floored at
+    1e-8 so the hypotheses never coincide exactly; learnt: a value taken
+    from a meta-analysis of past experiments.
     """
 
     kind: str
     value: float | None = None
-    epsilon_floor: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("fixed", "dynamic", "learnt"):
             raise ValueError(f"unknown tau kind {self.kind!r}")
         if self.kind in ("fixed", "learnt") and not 0 < (self.value or 0) < math.inf:
             raise ValueError(f"{self.kind} tau requires a finite positive value")
-        if not 0 < self.epsilon_floor < math.inf:
-            raise ValueError("epsilon_floor must be finite and positive")
 
     @classmethod
     def fixed(cls, value: float) -> "TauSpec":
         return cls("fixed", value)
 
     @classmethod
-    def dynamic(cls, epsilon_floor: float = 1e-8) -> "TauSpec":
-        return cls("dynamic", None, epsilon_floor)
+    def dynamic(cls) -> "TauSpec":
+        return cls("dynamic")
 
     @classmethod
     def learnt(cls, value: float) -> "TauSpec":
@@ -110,7 +108,7 @@ def resolve_tau(spec: TauSpec, diff_mean: float) -> float:
     """Concrete tau for one update; dynamic taus track the observed
     difference and are floored to keep the alternative distinct."""
     if spec.kind == "dynamic":
-        return max(diff_mean**2, spec.epsilon_floor)
+        return max(diff_mean**2, _DYNAMIC_TAU_FLOOR)
     return float(spec.value)
 
 
@@ -245,7 +243,7 @@ def sequential_trace(
 
     d2 = _libm(pow, d, 2)
     if tau_spec.kind == "dynamic":
-        tau = np.maximum(d2, tau_spec.epsilon_floor)
+        tau = np.maximum(d2, _DYNAMIC_TAU_FLOOR)
     else:
         tau = float(tau_spec.value)
     with np.errstate(over="ignore"):  # float arithmetic overflows to inf

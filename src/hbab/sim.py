@@ -69,10 +69,8 @@ ANALYZE_SAMPLER = replace(SIMULATE_SAMPLER, kept_draws=200)
 class ScenarioConfig:
     """One simulated-experiment setting.
 
-    ``power`` is a descriptive tag; the operative fields are the traffic
-    per update and the interaction-effect distribution. ``h0_mode``
-    selects whether the null half lives inside the same truth as the
-    effect half ("combined", default) or the whole truth is null
+    ``h0_mode`` selects whether the null half lives inside the same truth
+    as the effect half ("combined", default) or the whole truth is null
     ("separate").
     """
 
@@ -85,7 +83,6 @@ class ScenarioConfig:
     interaction_effect_sd: float = 0.2
     h1_fraction: float = 0.5
     h0_mode: str = "combined"
-    power: str = "low"
     alpha: float = 0.05
     sampler: SamplerConfig = SIMULATE_SAMPLER
 
@@ -124,9 +121,16 @@ def _factorial_spec(values_per_factor: int) -> ExperimentSpec:
     )
 
 
+def _is_high(power: str) -> bool:
+    if power not in ("low", "high"):
+        raise ValueError(f"power must be 'low' or 'high', got {power!r}")
+    return power == "high"
+
+
 def paper_scenario(power: str = "low", seed: int = 0, **overrides) -> ScenarioConfig:
-    """Full-scale setting: 4-value factors (256 cells), 30 updates, 80 reps."""
-    high = power == "high"
+    """Full-scale setting: 4-value factors (256 cells), 30 updates, 80 reps.
+    ``power`` picks the preset traffic and interaction effects."""
+    high = _is_high(power)
     cfg = ScenarioConfig(
         spec=_factorial_spec(4),
         updates=30,
@@ -135,7 +139,6 @@ def paper_scenario(power: str = "low", seed: int = 0, **overrides) -> ScenarioCo
         seed=seed,
         interaction_effect_mean=0.5 if high else 0.2,
         interaction_effect_sd=0.5 if high else 0.2,
-        power=power,
     )
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -144,7 +147,7 @@ def desk_scenario(power: str = "low", seed: int = 0, **overrides) -> ScenarioCon
     """Down-scaled setting for fast runs: 2-value factors (16 cells), 10
     updates, 8 repetitions, traffic scaled to keep per-cell counts in the
     same regime as the full-scale scenarios."""
-    high = power == "high"
+    high = _is_high(power)
     cfg = ScenarioConfig(
         spec=_factorial_spec(2),
         updates=10,
@@ -153,7 +156,6 @@ def desk_scenario(power: str = "low", seed: int = 0, **overrides) -> ScenarioCon
         seed=seed,
         interaction_effect_mean=0.5 if high else 0.2,
         interaction_effect_sd=0.5 if high else 0.2,
-        power=power,
     )
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -383,15 +385,15 @@ def run_scenario(
     config: ScenarioConfig,
     tau_spec: TauSpec = TauSpec.fixed(0.1),
     methods: tuple[str, ...] = METHODS,
-    workers: int | None = None,
 ) -> ScenarioResult:
-    """All repetitions of a scenario, optionally in parallel.
+    """All repetitions of a scenario, in parallel over ``default_workers()``
+    processes (``HBAB_WORKERS``).
 
     Repetitions are independent jobs with their own seed substreams, so
     the result does not depend on the worker count; they are merged by
     repetition index.
     """
-    workers = default_workers() if workers is None else workers
+    workers = default_workers()
     reps = range(config.repetitions)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

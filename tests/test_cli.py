@@ -190,6 +190,42 @@ class TestSimulate:
         assert "fit seeds come from --seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"repetitons": 1}, "unknown key 'repetitons'"),
+        ({"tau": {"kind": "dynamic", "epsilon_floor": 1e-6}},
+         "unknown key 'tau.epsilon_floor'"),
+        ({"sampler": {"chain": 2}}, "unknown key 'sampler.chain'"),
+        ({"seed": 3}, "seed is not settable; fit seeds come from --seed"),
+        ({"power": "high"}, "power is not settable; pick the preset with --power"),
+        ({"power": "medium"}, "power is not settable; pick the preset with --power"),
+        ({"methods": ["mle", "mle"]}, "methods repeat"),
+    ])
+    def test_config_beyond_the_scenario_exits_2(self, tmp_path, capsys, override,
+                                                message):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "methods": ["mle"], **override})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, args, expected", [
+        ({**TINY_SCENARIO, "methods": ["mle"]}, ["--scale", "desk"],
+         "873cbe3b250ead5ae0087c5dc84faeff58d292a37407e4368a169e940cbe2766"),
+        ({**TINY_SCENARIO, "methods": ["mle"]}, ["--scale", "paper", "--power", "high"],
+         "121a448f860194032010c2346bf7353ae131139382c78fd3b67bc55065ef5db3"),
+        ({"methods": ["mle"], "updates": 1, "repetitions": 1}, [],
+         "fee6305199359ed34417a53f4fd2271bdbaabb778f94995ba8768f48dbafeba1"),
+    ])
+    def test_config_hash_is_stable(self, tmp_path, overrides, args, expected):
+        # Pinned: renaming, adding or dropping a payload field changes every
+        # simulate run's config_hash, so it shows here first.
+        cfg = write_json(tmp_path / "cfg.json", overrides)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, *args, "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert config_hash(out) == expected
+
 
 def test_failed_streaming_write_keeps_the_old_file(tmp_path):
     target = tmp_path / "decisions.csv"

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import expit, logit
+from scipy.special import expit
 
-from hbab.design import ColumnLabel, DesignMatrix, build_design_matrix
+from hbab.design import DesignMatrix, build_design_matrix
 from hbab.glm import (
     CountData,
-    Hyperparams,
     ModelParams,
     fit_posterior,
     half_cauchy_log_density_log_scale,
     log_posterior,
     make_target,
-    predict_rates,
 )
 from hbab import glm as glm_module
 from hbab import sampler as sampler_module
@@ -21,7 +19,6 @@ from tests.test_design import make_spec
 
 SPEC6 = make_spec([2, 3], [])
 X6 = build_design_matrix(SPEC6, interaction_order=2)
-HYPER = Hyperparams()
 
 
 def random_params(rng, n_coef):
@@ -39,47 +36,18 @@ def random_counts(rng, n_cells, max_assign=200):
     return CountData(a, r)
 
 
-def straight_line_log_posterior(params, data, X, hyper):
-    """Independent re-implementation through scipy distributions."""
+def straight_line_log_posterior(params, data, X):
+    """Independent re-implementation through scipy distributions, with the
+    model's fixed priors mu ~ Normal(0, 10^2) and sigma ~ HalfCauchy(5)."""
     sigma = np.exp(params.log_sigma)
     p = expit(X.matrix @ params.beta + params.epsilon)
     lp = stats.norm.logpdf(params.beta, params.mu, sigma).sum()
-    lp += stats.norm.logpdf(params.mu, hyper.mu_prior_mean, hyper.mu_prior_sd)
-    lp += stats.halfcauchy.logpdf(sigma, scale=hyper.sigma_cauchy_scale)
+    lp += stats.norm.logpdf(params.mu, 0.0, 10.0)
+    lp += stats.halfcauchy.logpdf(sigma, scale=5.0)
     lp += params.log_sigma  # change of variables to the log scale
     lp += stats.norm.logpdf(params.epsilon, 0.0, 1.0)
     lp += stats.binom.logpmf(data.responses, data.assignments, p).sum()
     return float(lp)
-
-
-class TestPredictRates:
-    def test_zero_params_give_half(self):
-        params = ModelParams(np.zeros(X6.cols), 0.0, 0.0, 0.0)
-        assert np.allclose(predict_rates(params, X6), 0.5)
-
-    def test_intercept_only_recovers_rate(self):
-        X = DesignMatrix(np.ones((4, 1)), (ColumnLabel("intercept"),), 1)
-        params = ModelParams(np.array([logit(0.7)]), 0.0, 0.0, 0.0)
-        assert np.allclose(predict_rates(params, X), 0.7)
-
-    def test_matches_per_cell_brute_force(self):
-        rng = np.random.default_rng(0)
-        params = random_params(rng, X6.cols)
-        rates = predict_rates(params, X6)
-        for k in range(X6.rows):
-            eta = sum(
-                params.beta[j] for j in range(X6.cols) if X6.matrix[k, j] == 1.0
-            ) + params.epsilon
-            assert rates[k] == pytest.approx(float(expit(eta)), rel=1e-12)
-
-    def test_open_interval(self):
-        params = ModelParams(np.full(X6.cols, 50.0), 0.0, 0.0, 0.0)
-        rates = predict_rates(params, X6)
-        assert np.all(rates > 0) and np.all(rates < 1)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            predict_rates(ModelParams(np.zeros(3), 0, 0, 0), X6)
 
 
 class TestLogPosterior:
@@ -87,8 +55,8 @@ class TestLogPosterior:
         rng = np.random.default_rng(1)
         params = random_params(rng, X6.cols)
         empty = CountData(np.zeros(X6.rows, int), np.zeros(X6.rows, int))
-        assert log_posterior(params, empty, X6, HYPER) == pytest.approx(
-            straight_line_log_posterior(params, empty, X6, HYPER), rel=1e-12
+        assert log_posterior(params, empty, X6) == pytest.approx(
+            straight_line_log_posterior(params, empty, X6), rel=1e-12
         )
 
     def test_single_cell_binomial_term(self):
@@ -98,8 +66,8 @@ class TestLogPosterior:
         data = CountData(a, r)
         empty = CountData(np.zeros(X6.rows, int), np.zeros(X6.rows, int))
         params = ModelParams(np.zeros(X6.cols), 0.0, 0.0, 0.0)  # rate 0.5
-        lik = log_posterior(params, data, X6, HYPER) - log_posterior(
-            params, empty, X6, HYPER
+        lik = log_posterior(params, data, X6) - log_posterior(
+            params, empty, X6
         )
         from math import comb, log
 
@@ -110,8 +78,8 @@ class TestLogPosterior:
         for _ in range(20):
             params = random_params(rng, X6.cols)
             data = random_counts(rng, X6.rows)
-            assert log_posterior(params, data, X6, HYPER) == pytest.approx(
-                straight_line_log_posterior(params, data, X6, HYPER), rel=1e-10
+            assert log_posterior(params, data, X6) == pytest.approx(
+                straight_line_log_posterior(params, data, X6), rel=1e-10
             )
 
     def test_invariant_under_cell_permutation(self):
@@ -121,8 +89,8 @@ class TestLogPosterior:
         perm = rng.permutation(X6.rows)
         Xp = DesignMatrix(X6.matrix[perm], X6.column_labels, X6.interaction_order)
         datap = CountData(data.assignments[perm], data.responses[perm])
-        assert log_posterior(params, data, X6, HYPER) == pytest.approx(
-            log_posterior(params, datap, Xp, HYPER), rel=1e-12
+        assert log_posterior(params, data, X6) == pytest.approx(
+            log_posterior(params, datap, Xp), rel=1e-12
         )
 
 
@@ -147,20 +115,20 @@ class TestTarget:
         # the log-Jacobian of that map.
         rng = np.random.default_rng(7)
         data = random_counts(rng, X6.rows)
-        target = make_target(data, X6, HYPER)
+        target = make_target(data, X6)
         for _ in range(10):
             p = random_params(rng, X6.cols)
             natural = ModelParams(p.mu + p.sigma * p.beta, p.mu, p.log_sigma, p.epsilon)
             lp_raw, _ = target.log_density_and_grad(pack(p))
             assert lp_raw == pytest.approx(
-                log_posterior(natural, data, X6, HYPER) + X6.cols * p.log_sigma,
+                log_posterior(natural, data, X6) + X6.cols * p.log_sigma,
                 rel=1e-10,
             )
 
     def test_noncentered_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         data = random_counts(rng, X6.rows)
-        target = make_target(data, X6, HYPER)
+        target = make_target(data, X6)
         for _ in range(20):
             z = pack(random_params(rng, X6.cols))
             lp, analytic = target.log_density_and_grad(z)
@@ -175,7 +143,7 @@ def test_target_finite_at_extreme_log_scale(log_sigma):
     # sigma^2 overflows here; the density and gradient must not.
     rng = np.random.default_rng(10)
     data = random_counts(rng, X6.rows)
-    target = make_target(data, X6, HYPER)
+    target = make_target(data, X6)
     z = np.zeros(X6.cols + 3)
     z[X6.cols + 1] = log_sigma
     lp, grad = target.log_density_and_grad(z)

@@ -47,8 +47,6 @@ class TestResolveTau:
             TauSpec.fixed(value)
         with pytest.raises(ValueError, match="finite positive"):
             TauSpec.learnt(value)
-        with pytest.raises(ValueError, match="epsilon_floor"):
-            TauSpec.dynamic(epsilon_floor=value)
 
 
 class TestBayesFactor:

@@ -326,6 +326,16 @@ def test_config_validation():
     assert tiny_config(updates=np.int64(2), interaction_effect_sd=0.0).updates == 2
 
 
+@pytest.mark.parametrize("preset", [desk_scenario, paper_scenario])
+def test_presets_take_only_low_or_high_power(preset):
+    for power in ("medium", "HIGH", None):
+        with pytest.raises(ValueError, match="power must be 'low' or 'high'"):
+            preset(power)
+    low, high = preset("low"), preset("high")
+    assert high.assignments_per_update > low.assignments_per_update
+    assert high.interaction_effect_mean > low.interaction_effect_mean
+
+
 def test_tau_experiment_needs_an_update():
     cfg = tiny_config(updates=0)
     reps = [run_repetition(cfg, i, methods=("mle",)) for i in range(2)]
