@@ -54,11 +54,13 @@ from .design import (
 from .estimate import marginalize
 from .glm import CountData
 from .metaprior import EffectObservation, effects_from_differences, learn_tau
+from .sampler import available_cpus, chain_processes
 from .seqtest import TauSpec, cell_differences, sequential_trace
 from .sim import (
     ANALYZE_SAMPLER,
     METHODS,
     ScenarioConfig,
+    default_workers,
     desk_scenario,
     look_estimates,
     paper_scenario,
@@ -124,8 +126,29 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# Environment settings that change how many processes and threads a run
+# uses; a seed reproduces draws only at the same BLAS thread count.
+_PROCESS_SETTINGS = ("HBAB_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _processes(chains: int, workers: int) -> dict:
+    """The CPUs of a run whose fits have ``chains`` chains each (0 for a run
+    without fits) and whose repetitions run over ``workers`` processes, the
+    processes each fit runs its chains over, and the settings above."""
+    if chains == 0:
+        per_fit = 0
+    else:
+        per_fit = 1 if workers > 1 else chain_processes(chains)
+    return {
+        "cpus": available_cpus(),
+        "chain_processes": per_fit,
+        "environment": {name: os.environ.get(name) for name in _PROCESS_SETTINGS},
+    }
+
+
 class _Manifest:
-    def __init__(self, command: str, config_payload: dict, seed=None):
+    def __init__(self, command: str, config_payload: dict, seed=None, chains: int = 0,
+                 workers: int = 1):
         self.data = {
             "command": command,
             "config_hash": _config_hash(config_payload),
@@ -138,6 +161,7 @@ class _Manifest:
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
+            "processes": _processes(chains, workers),
             "outputs": [],
             "warnings": [],
         }
@@ -331,7 +355,9 @@ def _decision_lines(result, tau_spec):
 def cmd_simulate(args) -> int:
     config, tau_spec, methods, payload = _resolve_scenario(args)
     os.makedirs(args.out, exist_ok=True)
-    manifest = _Manifest("simulate", payload, seed=args.seed)
+    chains = config.sampler.chains if "hierarchical" in methods else 0
+    manifest = _Manifest("simulate", payload, seed=args.seed, chains=chains,
+                         workers=default_workers())
 
     result = run_scenario(config, tau_spec, methods)
     for w in result.warnings:
@@ -488,7 +514,8 @@ def cmd_analyze(args) -> int:
         "seed": args.seed,
     }
     os.makedirs(args.out, exist_ok=True)
-    manifest = _Manifest("analyze", payload, seed=args.seed)
+    manifest = _Manifest("analyze", payload, seed=args.seed,
+                         chains=ANALYZE_SAMPLER.chains if args.method == "hb" else 0)
 
     X = build_design_matrix(spec, 2 if len(spec.factors) >= 2 else 1)
     n_contexts = len(spec.context_combinations())
@@ -687,7 +714,8 @@ def cmd_learn_tau(args) -> int:
 def cmd_oracle_check(args) -> int:
     payload = {"seed": args.seed, "corrupt": bool(args.corrupt)}
     os.makedirs(args.out, exist_ok=True)
-    manifest = _Manifest("oracle-check", payload, seed=args.seed)
+    manifest = _Manifest("oracle-check", payload, seed=args.seed,
+                         chains=conjugate.ORACLE_SAMPLER.chains)
 
     results = list(conjugate.oracle_checks(args.corrupt, args.seed))
     lines = []

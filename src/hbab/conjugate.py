@@ -13,7 +13,7 @@ that validation battery, as ``hbab oracle-check`` reports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,6 +261,10 @@ def simulate_estimator_moments(
     return mc_mean, mc_var, se_mean
 
 
+# The sampler runs of ``oracle_checks``, each seeded from its seed.
+ORACLE_SAMPLER = SamplerConfig(chains=2, warmup_draws=250, kept_draws=400)
+
+
 def oracle_checks(corrupt: bool = False, seed: int = 20240501):
     """Yield the (name, tolerance_description, observed, passed) tuples of
     the verification battery. ``corrupt`` scales the closed-form posterior
@@ -295,7 +299,7 @@ def oracle_checks(corrupt: bool = False, seed: int = 20240501):
         post = posterior(inst)
         samples = sample(
             pooling_target(inst),
-            SamplerConfig(chains=2, warmup_draws=250, kept_draws=400, seed=seed + i),
+            replace(ORACLE_SAMPLER, seed=seed + i),
         )
         beta = samples.draws[:, :, :n]
         flat = beta.reshape(-1, n)

@@ -59,6 +59,19 @@ chains are not dispersed starts, so their split R-hat checks that the
 chains agree with each other, not that they have forgotten where they
 started.
 
+Chains share no state, so a fit runs them at the same time: over
+``chain_processes(chains)`` processes, one per chain up to the CPUs the
+process may use, forked so that the children inherit the target (often a
+closure, which cannot be pickled). The calling process runs its share of
+the chains itself and merges the rest by chain index, so the draws, the
+diagnostics and any exception are those of running the chains one after
+another. Chains run one after another on one CPU, where ``fork`` is not
+available, and inside a worker process, such as those that ``HBAB_WORKERS``
+gives ``sim.run_scenario``: the repetitions then already fill the CPUs.
+A fork copies only the calling thread, so a lock that another thread of
+the caller holds at that moment stays held in the workers; the target
+must not need one.
+
 Split R-hat and effective sample size are vectorised over columns of
 draws [n_draws, n_chains, *k], a block of columns at a time.
 """
@@ -66,6 +79,9 @@ draws [n_draws, n_chains, *k], a block of columns at a time.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import wraps
 from typing import Callable
@@ -84,6 +100,8 @@ __all__ = [
     "split_r_hat",
     "effective_sample_size",
     "leapfrog",
+    "available_cpus",
+    "chain_processes",
 ]
 
 _DIVERGENCE_THRESHOLD = 1000.0
@@ -95,6 +113,11 @@ _STABLE_STEP = 1.2  # bound on step * sqrt(stiffest whitened curvature)
 # at once holds about 6 MB of transforms, 16 columns about 0.4 MB; 32 still
 # raised a desk-scale run's peak RSS by about 1 MB.
 _COLUMN_BLOCK = 16
+# Diverging trajectories and trial steps can throw a state far enough to
+# overflow the density or the kinetic energy. A non-finite energy rejects
+# the step or ends the trajectory as a divergence, so there the overflow
+# is expected, not an error.
+_EXPECTED_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -124,7 +147,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name in ("chains", "warmup_draws", "kept_draws", "max_tree_depth"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if self.chains < 1:
             raise ValueError("need at least one chain")
@@ -176,12 +200,16 @@ class PosteriorSamples:
 
     ``warm_start`` carries the raw kept state of the run into a later
     ``sample`` call, whatever coordinates the draws are reported in.
+    ``gradient_evaluations`` counts each chain's density-and-gradient
+    calls, wherever the chain ran; the ``2 * dim`` calls of a warm start's
+    first metric are the run's, not a chain's, and are not counted.
     """
 
     draws: np.ndarray
     parameter_labels: tuple[str, ...]
     diagnostics: Diagnostics
     warm_start: WarmStart | None = None
+    gradient_evaluations: tuple[int, ...] = ()
 
     def flat(self) -> np.ndarray:
         """All chains pooled: [kept_draws * chains, dim]."""
@@ -512,14 +540,20 @@ def _momentum_factor(inv_mass):
 
 
 def _run_chain(target, config, chain_seed, warm=None):
-    """Warmup and kept draws of one chain.
+    """(kept draws, divergent kept transitions, density calls) of one chain.
 
     A cold chain (``warm`` None) starts at a uniform draw from [-1, 1]^dim
     on the identity metric. A warm chain starts at ``warm = (position,
     metric)`` and drops the first window end, whose only job is to leave
     the identity metric; its first window runs on to the second end.
     """
-    fn = target.log_density_and_grad
+    calls = 0
+
+    def fn(x):
+        nonlocal calls
+        calls += 1
+        return target.log_density_and_grad(x)
+
     dim = target.dim
     rng = np.random.Generator(np.random.Philox(chain_seed))
     init_buffer, window_ends = _adaptation_windows(config.warmup_draws)
@@ -568,7 +602,75 @@ def _run_chain(target, config, chain_seed, warm=None):
             config.max_tree_depth, rng)
         divergences += int(diverged)
         draws[it] = q
-    return draws, divergences
+    return draws, divergences, calls
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def chain_processes(chains: int) -> int:
+    """How many processes ``sample`` runs ``chains`` chains over when
+    called from this process: one per chain up to ``available_cpus()``, and
+    1 where ``fork`` is not available or inside a worker process."""
+    if (multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(chains, available_cpus())
+
+
+# In a chain worker process only: the function that runs chain ``c`` of the
+# fit that forked it. It is inherited, never pickled.
+_forked_chain_run = None
+
+
+def _install_chain_run(run):
+    global _forked_chain_run
+    _forked_chain_run = run
+
+
+def _forked_chain(c):
+    with np.errstate(**_EXPECTED_OVERFLOW):
+        return _forked_chain_run(c)
+
+
+def _run_chains(run, chains):
+    """``[run(c) for c in range(chains)]`` over ``chain_processes(chains)``
+    processes.
+
+    With ``n`` processes this process runs chains 0, n, 2n, ... and ``n -
+    1`` forked workers the rest. The first chain in index order to raise
+    ends the call with its exception, as it would one chain at a time, and
+    no worker outlives the call.
+    """
+    processes = chain_processes(chains)
+    if processes == 1:
+        return [run(c) for c in range(chains)]
+    pool = ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_install_chain_run, initargs=(run,))
+    try:
+        forked = {c: pool.submit(_forked_chain, c)
+                  for c in range(chains) if c % processes}
+        own = {}
+        for c in range(0, chains, processes):
+            try:
+                own[c] = run(c)
+            except Exception as exc:  # raised below, unless an earlier chain failed
+                own[c] = exc
+                break
+        results = []
+        for c in range(chains):
+            outcome = own[c] if c in own else forked[c].result()
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append(outcome)
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sample(
@@ -580,9 +682,10 @@ def sample(
 
     Deterministic for a fixed (seed, config, target, warm_start): every
     chain owns a counter-based substream spawned from the master seed by
-    chain index. More than 10% divergent kept transitions is flagged in the
-    diagnostics warnings rather than raised, since the draws may still be
-    usable.
+    chain index, and the chains run over ``chain_processes(config.chains)``
+    processes with the same draws as one after another. More than 10%
+    divergent kept transitions is flagged in the diagnostics warnings
+    rather than raised, since the draws may still be usable.
 
     ``warm_start``, the ``warm_start`` of an earlier run on a nearby target
     of the same dimension and chain count, starts each chain at its
@@ -600,21 +703,15 @@ def sample(
             f"in {target.dim} dimensions"
         )
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    all_draws = np.empty((config.kept_draws, config.chains, target.dim))
-    divergences = 0
-    # Diverging trajectories and trial steps can throw a state far enough to
-    # overflow the density or the kinetic energy. A non-finite energy rejects
-    # the step or ends the trajectory as a divergence, so there the overflow
-    # is expected, not an error.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_EXPECTED_OVERFLOW):
         warm = [None] * config.chains
         if warm_start is not None:
             inv_mass = _window_metric(target.log_density_and_grad, warm_start.draws)
             warm = [(q, inv_mass) for q in warm_start.positions]
-        for c in range(config.chains):
-            chain_draws, chain_div = _run_chain(target, config, seeds[c], warm[c])
-            all_draws[:, c, :] = chain_draws
-            divergences += chain_div
+        chains = _run_chains(lambda c: _run_chain(target, config, seeds[c], warm[c]),
+                             config.chains)
+    all_draws = np.stack([chain_draws for chain_draws, _, _ in chains], axis=1)
+    divergences = sum(chain_div for _, chain_div, _ in chains)
 
     if np.any(~np.isfinite(all_draws)):
         raise RuntimeError("sampler produced non-finite draws")
@@ -629,7 +726,8 @@ def sample(
         )
     diag = Diagnostics.of(all_draws, labels, divergences, warnings)
     carried = WarmStart(all_draws[-1].copy(), all_draws.reshape(-1, target.dim).copy())
-    return PosteriorSamples(all_draws, tuple(labels), diag, carried)
+    return PosteriorSamples(all_draws, tuple(labels), diag, carried,
+                            tuple(calls for _, _, calls in chains))
 
 
 def _by_column_block(statistic):

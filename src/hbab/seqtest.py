@@ -70,6 +70,8 @@ class TauSpec:
             raise ValueError(f"unknown tau kind {self.kind!r}")
         if self.kind in ("fixed", "learnt") and not 0 < (self.value or 0) < math.inf:
             raise ValueError(f"{self.kind} tau requires a finite positive value")
+        if self.kind == "dynamic" and self.value is not None:
+            raise ValueError("dynamic tau takes no value; it follows each observed difference")
 
     @classmethod
     def fixed(cls, value: float) -> "TauSpec":

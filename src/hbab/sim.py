@@ -88,7 +88,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("updates", "assignments_per_update", "repetitions"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if self.updates < 0 or self.repetitions < 1:
             raise ValueError("need updates >= 0 and at least one repetition")
@@ -391,7 +392,8 @@ def run_scenario(
 
     Repetitions are independent jobs with their own seed substreams, so
     the result does not depend on the worker count; they are merged by
-    repetition index.
+    repetition index. With more than one worker, each runs its fits'
+    chains one after another (``sampler.chain_processes``).
     """
     workers = default_workers()
     reps = range(config.repetitions)

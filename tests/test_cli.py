@@ -11,6 +11,7 @@ import pytest
 import scipy
 
 import hbab
+from hbab import sampler as sampler_module
 from hbab.cli import _atomic_write, main
 from hbab.design import enumerate_cells, spec_from_dict, spec_to_dict
 from hbab.estimate import mle_estimates
@@ -90,6 +91,34 @@ class TestSimulate:
             "numpy": np.__version__, "scipy": scipy.__version__,
         }
 
+    @pytest.mark.parametrize("workers, methods, processes", [
+        (None, ["mle", "hierarchical"], 2),
+        ("2", ["mle", "hierarchical"], 1),
+        (None, ["mle"], 0),
+    ])
+    def test_manifest_records_processes(self, tmp_path, monkeypatch, workers, methods,
+                                        processes):
+        # Each fit runs its 2 chains over 2 processes, or one after another
+        # inside a repetition worker; an MLE-only run fits nothing.
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
+        monkeypatch.delenv("HBAB_WORKERS", raising=False)
+        if workers is not None:
+            monkeypatch.setenv("HBAB_WORKERS", workers)
+        cfg = write_json(tmp_path / "cfg.json", {
+            **TINY_SCENARIO, "methods": methods,
+            "sampler": {**TINY_SCENARIO["sampler"], "chains": 2}})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(out)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["processes"]
+        assert recorded == {
+            "cpus": len(os.sched_getaffinity(0)),
+            "chain_processes": processes,
+            "environment": {name: os.environ.get(name) for name in (
+                "HBAB_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        }
+        assert recorded["environment"]["HBAB_WORKERS"] == workers
+
     def test_decision_labels_round_trip_through_csv_quoting(self, tmp_path):
         factors = [
             {"name": "title", "role": "content", "values": ["a,b", 'say "hi"', "plain"]},
@@ -145,6 +174,7 @@ class TestSimulate:
     @pytest.mark.parametrize("field, value", [
         ("warmup_draws", 10.5),
         ("chains", 2.0),
+        ("chains", True),
         ("kept_draws", 150.0),
         ("max_tree_depth", 1.5),
     ])
@@ -159,6 +189,8 @@ class TestSimulate:
         {"interaction_effect_sd": -0.2},
         {"assignments_per_update": 100.5},
         {"interaction_effect_mean": float("nan")},
+        {"repetitions": True},
+        {"tau": {"kind": "dynamic", "value": 0.3}},
     ])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, override):
         cfg = write_json(tmp_path / "cfg.json",
@@ -265,9 +297,12 @@ class TestAnalyze:
             margs = list(csv.DictReader(fh))
         assert len(margs) == 2
 
-    def test_hb_method_runs(self, tmp_path):
+    def test_hb_method_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
         code, out = self.run_analyze(tmp_path, default_counts(updates=1), method="hb")
         assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["processes"]["chain_processes"] == 2
         with open(out / "comparisons.csv") as fh:
             comps = list(csv.DictReader(fh))
         assert all(float(r["diff_var"]) > 0 for r in comps)

@@ -1,3 +1,6 @@
+import math
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -102,13 +105,8 @@ class TestSample:
             sample(bad, SamplerConfig(chains=1, warmup_draws=10, kept_draws=100))
 
     def test_nonfinite_gradient_is_a_divergence(self):
-        # The density stays finite past |x[0]| = 1.5 but its gradient is NaN.
-        def broken(x):
-            grad = -x if abs(x[0]) < 1.5 else np.full(x.size, np.nan)
-            return -0.5 * float(x @ x), grad
-
         s = sample(
-            TargetDensity(2, broken),
+            broken_gradient_target(),
             SamplerConfig(chains=2, warmup_draws=200, kept_draws=300, seed=3),
         )
         assert s.diagnostics.divergence_count > 0
@@ -122,21 +120,15 @@ class TestSample:
         rng = np.random.default_rng(21)
         rot, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         cov = (rot * np.logspace(-3, 0, 10) ** 2) @ rot.T
-        base = mvn_target(cov).log_density_and_grad
-        calls = [0]
-
-        def counted(x):
-            calls[0] += 1
-            return base(x)
-
+        target = mvn_target(cov)
         cfg = SamplerConfig(chains=2, warmup_draws=300, kept_draws=600,
                             max_tree_depth=8, seed=4)
-        sample(TargetDensity(10, counted), replace(cfg, kept_draws=100))
-        short_calls, calls[0] = calls[0], 0
-        s = sample(TargetDensity(10, counted), cfg)
+        short = sample(target, replace(cfg, kept_draws=100))
+        s = sample(target, cfg)
         # Both runs share warmup and their first 100 kept draws, so the
         # difference is the leapfrogs of the last 500 kept transitions.
-        assert (calls[0] - short_calls) / (cfg.chains * 500) < 32
+        extra = sum(s.gradient_evaluations) - sum(short.gradient_evaluations)
+        assert extra / (cfg.chains * 500) < 32
 
         # Whitened by the true covariance, the draws have identity
         # covariance; entries agree within 4 Monte-Carlo SE.
@@ -164,6 +156,148 @@ class TestSample:
         total = 2 * 200
         assert s.diagnostics.divergence_count > 0.1 * total
         assert any("divergent" in w for w in s.diagnostics.warnings)
+
+
+def half_space_target():
+    """Standard normal on x[0] > 0: a chain that starts at x[0] < 0 has a
+    non-finite initial density."""
+    def fn(x):
+        return (-0.5 * float(x @ x) if x[0] > 0 else -math.inf), -x
+
+    return TargetDensity(2, fn)
+
+
+def broken_gradient_target():
+    # The density stays finite past |x[0]| = 1.5 but its gradient is NaN.
+    def broken(x):
+        grad = -x if abs(x[0]) < 1.5 else np.full(x.size, np.nan)
+        return -0.5 * float(x @ x), grad
+
+    return TargetDensity(2, broken)
+
+
+def overflowing_target():
+    # Past |x[0]| = 1.5 the gradient is about 1e308 per unit, so a leapfrog
+    # there overflows the kinetic energy and ends as a divergence. Outside
+    # ``sample``'s error state the overflow would warn, and warnings fail
+    # the tests.
+    def fn(x):
+        scale = 1e308 if abs(x[0]) > 1.5 else 1.0
+        return -0.5 * float(x @ x), -scale * x
+
+    return TargetDensity(2, fn)
+
+
+class TestParallelChains:
+    """Chains in forked processes draw what they draw one after another."""
+
+    @staticmethod
+    def on_cpus(cpus, fit, *args):
+        """``fit(*args)`` as if this process could use ``cpus`` CPUs."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler_module, "available_cpus", lambda: cpus)
+            return fit(*args)
+
+    def check_same_run(self, serial, parallel):
+        assert np.array_equal(serial.draws, parallel.draws)
+        assert serial.gradient_evaluations == parallel.gradient_evaluations
+        assert serial.diagnostics.divergence_count == parallel.diagnostics.divergence_count
+        assert np.array_equal(serial.warm_start.draws, parallel.warm_start.draws)
+
+    @pytest.mark.parametrize("case", ["cold", "warm", "broken", "overflow",
+                                      "three_chains"])
+    def test_same_draws_as_one_chain_after_another(self, case):
+        cfg = SamplerConfig(chains=2, warmup_draws=150, kept_draws=100, seed=8)
+        target, warm_start = std_normal_target(3), None
+        if case == "warm":
+            warm_start = sample(target, replace(cfg, seed=7)).warm_start
+        elif case == "broken":
+            target, cfg = broken_gradient_target(), replace(cfg, seed=3)
+        elif case == "overflow":
+            target, cfg = overflowing_target(), replace(cfg, seed=3)
+        elif case == "three_chains":
+            cfg = replace(cfg, chains=3)
+        serial = self.on_cpus(1, sample, target, cfg, warm_start)
+        parallel = self.on_cpus(2, sample, target, cfg, warm_start)
+        self.check_same_run(serial, parallel)
+        assert len(parallel.gradient_evaluations) == cfg.chains
+        if case in ("broken", "overflow"):
+            assert parallel.diagnostics.divergence_count > 0
+
+    def test_desk_fit_posterior_same_draws(self):
+        from hbab.design import build_design_matrix
+        from hbab.glm import CountData, fit_posterior
+        from hbab.sim import desk_scenario
+
+        X = build_design_matrix(desk_scenario().spec, interaction_order=2)
+        rng = np.random.default_rng(30)
+        a = np.full(X.rows, 20)
+        data = CountData(a, rng.binomial(a, rng.uniform(0.3, 0.7, X.rows)))
+        cfg = SamplerConfig(chains=2, warmup_draws=100, kept_draws=100,
+                            max_tree_depth=6, seed=11)
+        self.check_same_run(*(self.on_cpus(cpus, fit_posterior, data, X, cfg)
+                              for cpus in (1, 2)))
+
+    def test_chains_run_in_forked_processes(self, tmp_path):
+        seen = set()
+
+        def fn(x):
+            if os.getpid() not in seen:
+                seen.add(os.getpid())
+                (tmp_path / str(os.getpid())).touch()
+            return -0.5 * float(x @ x), -x
+
+        cfg = SamplerConfig(chains=2, warmup_draws=50, kept_draws=100, seed=1)
+        self.on_cpus(2, sample, TargetDensity(1, fn), cfg)
+        assert len(list(tmp_path.iterdir())) == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("case", ["every_chain", "forked_chain"])
+    def test_nonfinite_initial_density_raises_the_same_error(self, case):
+        cfg = SamplerConfig(chains=2, warmup_draws=20, kept_draws=100, seed=6)
+        if case == "every_chain":
+            target = TargetDensity(1, lambda x: (float("-inf"), np.zeros(1)))
+        else:
+            # At seed 6 chain 0 starts at x[0] > 0 and runs; chain 1 starts
+            # at x[0] < 0, and on two CPUs it runs in the forked process.
+            target = half_space_target()
+            assert sample(target, replace(cfg, chains=1)).draws[:, :, 0].min() > 0
+        errors = []
+        for cpus in (1, 2):
+            with pytest.raises(ValueError) as info:
+                self.on_cpus(cpus, sample, target, cfg)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert "not finite at the initial point" in errors[0][1]
+        assert multiprocessing.active_children() == []
+
+    def test_chain_processes_follow_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
+        assert [sampler_module.chain_processes(c) for c in (1, 2, 3)] == [1, 2, 2]
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 1)
+        assert sampler_module.chain_processes(4) == 1
+
+    def test_repetition_workers_run_their_chains_serially(self, tmp_path, monkeypatch):
+        # Each chain leaves a file named by its process and that process's
+        # parent: with HBAB_WORKERS=2 every chain runs in a repetition
+        # worker, a child of this process, never in a worker's own child.
+        from hbab.sim import desk_scenario, run_scenario
+
+        run_chain = sampler_module._run_chain
+
+        def marked_chain(*args):
+            (tmp_path / f"{os.getppid()}-{os.getpid()}").touch()
+            return run_chain(*args)
+
+        monkeypatch.setattr(sampler_module, "_run_chain", marked_chain)
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
+        monkeypatch.setenv("HBAB_WORKERS", "2")
+        cfg = desk_scenario(updates=1, repetitions=2, sampler=SamplerConfig(
+            chains=2, warmup_draws=20, kept_draws=100, max_tree_depth=4))
+        run_scenario(cfg, methods=("hierarchical",))
+        parents = {int(p.name.split("-")[0]) for p in tmp_path.iterdir()}
+        assert parents == {os.getpid()}
+        assert multiprocessing.active_children() == []
 
 
 def check_reversible_and_energy_bounded(inv_mass):
@@ -248,7 +382,8 @@ def rank_deficient_target(scale):
 
 def chain_warmup_calls(target, seed, warm_start=None):
     """(density calls of each chain from its start to the step bound that
-    follows its warmup, the run's samples)."""
+    follows its warmup, the run's samples). The chains run in this process,
+    where the counters live."""
     calls = [0]
     fn = target.log_density_and_grad
 
@@ -272,6 +407,7 @@ def chain_warmup_calls(target, seed, warm_start=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler_module, "_run_chain", counted_chain)
         mp.setattr(sampler_module, "_stable_step", at_warmup_end)
+        mp.setattr(sampler_module, "available_cpus", lambda: 1)
         samples = sample(replace(target, log_density_and_grad=counted), cfg, warm_start)
     return warmup_calls, samples
 
@@ -612,3 +748,6 @@ def test_config_validation():
         SamplerConfig(chains=0)
     with pytest.raises(ValueError):
         SamplerConfig(target_accept=1.5)
+    for name in ("chains", "warmup_draws", "kept_draws", "max_tree_depth"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SamplerConfig(**{name: True})

@@ -40,6 +40,8 @@ class TestResolveTau:
             TauSpec.fixed(0.0)
         with pytest.raises(ValueError):
             TauSpec("bogus", 1.0)
+        with pytest.raises(ValueError, match="dynamic tau takes no value"):
+            TauSpec("dynamic", 0.3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, value):

@@ -320,7 +320,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="interaction_effect_mean"):
             tiny_config(interaction_effect_mean=mean)
     for name, value in (("assignments_per_update", 100.5), ("updates", 2.0),
-                        ("repetitions", 2.5)):
+                        ("repetitions", 2.5), ("repetitions", True), ("updates", False)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             tiny_config(**{name: value})
     assert tiny_config(updates=np.int64(2), interaction_effect_sd=0.0).updates == 2
