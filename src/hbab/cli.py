@@ -54,7 +54,7 @@ from .design import (
 from .estimate import marginalize
 from .glm import CountData
 from .metaprior import EffectObservation, effects_from_differences, learn_tau
-from .sampler import available_cpus, chain_processes
+from .sampler import available_cpus, fork_processes
 from .seqtest import TauSpec, cell_differences, sequential_trace
 from .sim import (
     ANALYZE_SAMPLER,
@@ -131,24 +131,23 @@ def _config_hash(payload: dict) -> str:
 _PROCESS_SETTINGS = ("HBAB_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _processes(chains: int, workers: int) -> dict:
-    """The CPUs of a run whose fits have ``chains`` chains each (0 for a run
-    without fits) and whose repetitions run over ``workers`` processes, the
-    processes each fit runs its chains over, and the settings above."""
-    if chains == 0:
-        per_fit = 0
-    else:
-        per_fit = 1 if workers > 1 else chain_processes(chains)
+def _processes(chains: int, repetitions: int, workers: int) -> dict:
+    """The CPUs of a run, the processes each of its fits runs ``chains``
+    chains over (0 for a run without fits) when its ``repetitions`` are
+    mapped over up to ``workers`` processes, and the settings above."""
+    # A fit in a forked repetition is in a worker process, where
+    # fork_processes gives 1.
+    limit = available_cpus() if fork_processes(repetitions, workers) <= 1 else 1
     return {
         "cpus": available_cpus(),
-        "chain_processes": per_fit,
+        "chain_processes": fork_processes(chains, limit),
         "environment": {name: os.environ.get(name) for name in _PROCESS_SETTINGS},
     }
 
 
 class _Manifest:
     def __init__(self, command: str, config_payload: dict, seed=None, chains: int = 0,
-                 workers: int = 1):
+                 repetitions: int = 1, workers: int = 1):
         self.data = {
             "command": command,
             "config_hash": _config_hash(config_payload),
@@ -161,7 +160,7 @@ class _Manifest:
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
-            "processes": _processes(chains, workers),
+            "processes": _processes(chains, repetitions, workers),
             "outputs": [],
             "warnings": [],
         }
@@ -354,10 +353,14 @@ def _decision_lines(result, tau_spec):
 
 def cmd_simulate(args) -> int:
     config, tau_spec, methods, payload = _resolve_scenario(args)
+    try:
+        workers = default_workers()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     chains = config.sampler.chains if "hierarchical" in methods else 0
     manifest = _Manifest("simulate", payload, seed=args.seed, chains=chains,
-                         workers=default_workers())
+                         repetitions=config.repetitions, workers=workers)
 
     result = run_scenario(config, tau_spec, methods)
     for w in result.warnings:

@@ -59,18 +59,17 @@ chains are not dispersed starts, so their split R-hat checks that the
 chains agree with each other, not that they have forgotten where they
 started.
 
-Chains share no state, so a fit runs them at the same time: over
-``chain_processes(chains)`` processes, one per chain up to the CPUs the
-process may use, forked so that the children inherit the target (often a
-closure, which cannot be pickled). The calling process runs its share of
-the chains itself and merges the rest by chain index, so the draws, the
-diagnostics and any exception are those of running the chains one after
-another. Chains run one after another on one CPU, where ``fork`` is not
-available, and inside a worker process, such as those that ``HBAB_WORKERS``
-gives ``sim.run_scenario``: the repetitions then already fill the CPUs.
+Chains share no state, so a fit runs them at the same time with
+``fork_map``: over one forked process per chain, up to the CPUs the
+process may use. The children inherit the target (often a closure, which
+cannot be pickled), and the draws, the diagnostics and any exception are
+those of running the chains one after another. ``fork_map`` also runs
+``sim.run_scenario``'s repetitions over ``HBAB_WORKERS`` processes. A map
+inside a worker process runs serially, so a fit in a repetition worker
+runs its chains one after another: the repetitions already fill the CPUs.
 A fork copies only the calling thread, so a lock that another thread of
-the caller holds at that moment stays held in the workers; the target
-must not need one.
+the caller holds at that moment stays held in the workers; the mapped
+function must not need one.
 
 Split R-hat and effective sample size are vectorised over columns of
 draws [n_draws, n_chains, *k], a block of columns at a time.
@@ -101,7 +100,8 @@ __all__ = [
     "effective_sample_size",
     "leapfrog",
     "available_cpus",
-    "chain_processes",
+    "fork_processes",
+    "fork_map",
 ]
 
 _DIVERGENCE_THRESHOLD = 1000.0
@@ -613,64 +613,46 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def chain_processes(chains: int) -> int:
-    """How many processes ``sample`` runs ``chains`` chains over when
-    called from this process: one per chain up to ``available_cpus()``, and
-    1 where ``fork`` is not available or inside a worker process."""
+def fork_processes(n: int, limit: int) -> int:
+    """How many processes ``fork_map(fn, n, limit)`` runs over when called
+    from this process: ``min(n, limit)``, and at most 1 where ``fork`` is
+    not available or inside a worker process, whose caller already fills
+    the CPUs."""
     if (multiprocessing.parent_process() is not None
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    return min(chains, available_cpus())
+        limit = 1
+    return min(n, limit)
 
 
-# In a chain worker process only: the function that runs chain ``c`` of the
-# fit that forked it. It is inherited, never pickled.
-_forked_chain_run = None
+# In a fork_map worker only: the function it maps. The pool's initializer
+# sets it in each worker, so maps in two threads do not share it.
+_mapped = None
 
 
-def _install_chain_run(run):
-    global _forked_chain_run
-    _forked_chain_run = run
+def _set_mapped(fn):
+    global _mapped
+    _mapped = fn
 
 
-def _forked_chain(c):
-    with np.errstate(**_EXPECTED_OVERFLOW):
-        return _forked_chain_run(c)
+def _call_mapped(i):
+    return _mapped(i)
 
 
-def _run_chains(run, chains):
-    """``[run(c) for c in range(chains)]`` over ``chain_processes(chains)``
+def fork_map(fn: Callable, n: int, limit: int) -> list:
+    """``[fn(i) for i in range(n)]`` over ``fork_processes(n, limit)``
     processes.
 
-    With ``n`` processes this process runs chains 0, n, 2n, ... and ``n -
-    1`` forked workers the rest. The first chain in index order to raise
-    ends the call with its exception, as it would one chain at a time, and
-    no worker outlives the call.
+    Forked workers inherit ``fn``, so it need not pickle; its results must.
+    Results come back in index order, the first item in index order to
+    raise ends the call with its exception, as on the serial path, and no
+    worker outlives the call.
     """
-    processes = chain_processes(chains)
-    if processes == 1:
-        return [run(c) for c in range(chains)]
-    pool = ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_install_chain_run, initargs=(run,))
-    try:
-        forked = {c: pool.submit(_forked_chain, c)
-                  for c in range(chains) if c % processes}
-        own = {}
-        for c in range(0, chains, processes):
-            try:
-                own[c] = run(c)
-            except Exception as exc:  # raised below, unless an earlier chain failed
-                own[c] = exc
-                break
-        results = []
-        for c in range(chains):
-            outcome = own[c] if c in own else forked[c].result()
-            if isinstance(outcome, Exception):
-                raise outcome
-            results.append(outcome)
-        return results
-    finally:
-        pool.shutdown(cancel_futures=True)
+    processes = fork_processes(n, limit)
+    if processes <= 1:
+        return [fn(i) for i in range(n)]
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_mapped, initargs=(fn,)) as pool:
+        return list(pool.map(_call_mapped, range(n)))
 
 
 def sample(
@@ -682,10 +664,11 @@ def sample(
 
     Deterministic for a fixed (seed, config, target, warm_start): every
     chain owns a counter-based substream spawned from the master seed by
-    chain index, and the chains run over ``chain_processes(config.chains)``
-    processes with the same draws as one after another. More than 10%
-    divergent kept transitions is flagged in the diagnostics warnings
-    rather than raised, since the draws may still be usable.
+    chain index, and ``fork_map`` runs the chains over up to
+    ``available_cpus()`` processes with the same draws as one after
+    another. More than 10% divergent kept transitions is flagged in the
+    diagnostics warnings rather than raised, since the draws may still be
+    usable.
 
     ``warm_start``, the ``warm_start`` of an earlier run on a nearby target
     of the same dimension and chain count, starts each chain at its
@@ -703,13 +686,17 @@ def sample(
             f"in {target.dim} dimensions"
         )
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    with np.errstate(**_EXPECTED_OVERFLOW):
-        warm = [None] * config.chains
-        if warm_start is not None:
+    warm = [None] * config.chains
+    if warm_start is not None:
+        with np.errstate(**_EXPECTED_OVERFLOW):
             inv_mass = _window_metric(target.log_density_and_grad, warm_start.draws)
-            warm = [(q, inv_mass) for q in warm_start.positions]
-        chains = _run_chains(lambda c: _run_chain(target, config, seeds[c], warm[c]),
-                             config.chains)
+        warm = [(q, inv_mass) for q in warm_start.positions]
+
+    def run(c):
+        with np.errstate(**_EXPECTED_OVERFLOW):
+            return _run_chain(target, config, seeds[c], warm[c])
+
+    chains = fork_map(run, config.chains, available_cpus())
     all_draws = np.stack([chain_draws for chain_draws, _, _ in chains], axis=1)
     divergences = sum(chain_div for _, chain_div, _ in chains)
 

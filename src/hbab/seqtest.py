@@ -68,8 +68,10 @@ class TauSpec:
     def __post_init__(self):
         if self.kind not in ("fixed", "dynamic", "learnt"):
             raise ValueError(f"unknown tau kind {self.kind!r}")
-        if self.kind in ("fixed", "learnt") and not 0 < (self.value or 0) < math.inf:
-            raise ValueError(f"{self.kind} tau requires a finite positive value")
+        if self.kind in ("fixed", "learnt") and (
+                isinstance(self.value, bool) or not 0 < (self.value or 0) < math.inf):
+            raise ValueError(f"{self.kind} tau requires a finite positive number, "
+                             f"got {self.value!r}")
         if self.kind == "dynamic" and self.value is not None:
             raise ValueError("dynamic tau takes no value; it follows each observed difference")
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,7 @@ from .design import (
 )
 from .estimate import CellEstimates, hb_estimate, mle_estimates
 from .glm import CountData, fit_posterior
-from .sampler import SamplerConfig
+from .sampler import SamplerConfig, fork_map
 from .seqtest import TauSpec, cell_differences, sequential_trace
 
 __all__ = [
@@ -379,7 +378,13 @@ class ScenarioResult:
 
 
 def default_workers() -> int:
-    return max(1, int(os.environ.get("HBAB_WORKERS", "1")))
+    """The repetition processes that ``HBAB_WORKERS`` asks for: 1 when it
+    is unset, and at least 1."""
+    value = os.environ.get("HBAB_WORKERS", "1")
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ValueError(f"HBAB_WORKERS must be an integer, got {value!r}") from None
 
 
 def run_scenario(
@@ -387,24 +392,17 @@ def run_scenario(
     tau_spec: TauSpec = TauSpec.fixed(0.1),
     methods: tuple[str, ...] = METHODS,
 ) -> ScenarioResult:
-    """All repetitions of a scenario, in parallel over ``default_workers()``
-    processes (``HBAB_WORKERS``).
+    """All repetitions of a scenario, mapped by ``sampler.fork_map`` over
+    up to ``default_workers()`` processes (``HBAB_WORKERS``), and never
+    more processes than repetitions.
 
     Repetitions are independent jobs with their own seed substreams, so
-    the result does not depend on the worker count; they are merged by
-    repetition index. With more than one worker, each runs its fits'
-    chains one after another (``sampler.chain_processes``).
+    the result does not depend on the worker count; they come back in
+    repetition order. A fit inside a repetition worker runs its chains one
+    after another; with one repetition process the fits fork their chains.
     """
-    workers = default_workers()
-    reps = range(config.repetitions)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(run_repetition, itertools.repeat(config), reps,
-                         itertools.repeat(tau_spec), itertools.repeat(methods))
-            )
-    else:
-        results = [run_repetition(config, rep, tau_spec, methods) for rep in reps]
+    results = fork_map(lambda rep: run_repetition(config, rep, tau_spec, methods),
+                       config.repetitions, default_workers())
     return ScenarioResult(config, tau_spec, tuple(methods), results)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import platform
 import stat
@@ -91,21 +92,23 @@ class TestSimulate:
             "numpy": np.__version__, "scipy": scipy.__version__,
         }
 
-    @pytest.mark.parametrize("workers, methods, processes", [
-        (None, ["mle", "hierarchical"], 2),
-        ("2", ["mle", "hierarchical"], 1),
-        (None, ["mle"], 0),
-    ])
-    def test_manifest_records_processes(self, tmp_path, monkeypatch, workers, methods,
-                                        processes):
+    @pytest.mark.parametrize("workers, repetitions, methods, processes", [
+        (None, 2, ["mle", "hierarchical"], 2),
+        ("2", 2, ["mle", "hierarchical"], 1),
+        (None, 2, ["mle"], 0),
+        ("2", 1, ["mle", "hierarchical"], 2),
+    ], ids=["None-methods0-2", "2-methods1-1", "None-methods2-0", "2-one_repetition-2"])
+    def test_manifest_records_processes(self, tmp_path, monkeypatch, chain_runs, workers,
+                                        repetitions, methods, processes):
         # Each fit runs its 2 chains over 2 processes, or one after another
-        # inside a repetition worker; an MLE-only run fits nothing.
+        # inside a repetition worker; an MLE-only run fits nothing. One
+        # repetition forks no repetition worker.
         monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
         monkeypatch.delenv("HBAB_WORKERS", raising=False)
         if workers is not None:
             monkeypatch.setenv("HBAB_WORKERS", workers)
         cfg = write_json(tmp_path / "cfg.json", {
-            **TINY_SCENARIO, "methods": methods,
+            **TINY_SCENARIO, "methods": methods, "repetitions": repetitions,
             "sampler": {**TINY_SCENARIO["sampler"], "chains": 2}})
         out = tmp_path / "run"
         assert main(["simulate", "--config", cfg, "--seed", "1",
@@ -118,6 +121,25 @@ class TestSimulate:
                 "HBAB_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         }
         assert recorded["environment"]["HBAB_WORKERS"] == workers
+        # What the chains left says the same.
+        if processes == 0:
+            assert chain_runs.fits() == {}
+        elif processes == 1:
+            assert chain_runs.serial()
+            assert os.getpid() not in chain_runs.callers()
+        else:
+            assert chain_runs.forked(processes)
+            assert chain_runs.callers() == {os.getpid()}
+        assert multiprocessing.active_children() == []
+
+    def test_non_integer_worker_count_exits_2_before_any_output(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.setenv("HBAB_WORKERS", "abc")
+        cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "methods": ["mle"]})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        assert "HBAB_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_decision_labels_round_trip_through_csv_quoting(self, tmp_path):
         factors = [
@@ -191,6 +213,7 @@ class TestSimulate:
         {"interaction_effect_mean": float("nan")},
         {"repetitions": True},
         {"tau": {"kind": "dynamic", "value": 0.3}},
+        {"tau": {"kind": "fixed", "value": True}},
     ])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, override):
         cfg = write_json(tmp_path / "cfg.json",

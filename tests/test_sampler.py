@@ -1,7 +1,9 @@
 import math
 import multiprocessing
 import os
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,8 @@ from hbab.sampler import (
     SamplerConfig,
     TargetDensity,
     effective_sample_size,
+    fork_map,
+    fork_processes,
     leapfrog,
     posterior_summary,
     sample,
@@ -259,7 +263,7 @@ class TestParallelChains:
             target = TargetDensity(1, lambda x: (float("-inf"), np.zeros(1)))
         else:
             # At seed 6 chain 0 starts at x[0] > 0 and runs; chain 1 starts
-            # at x[0] < 0, and on two CPUs it runs in the forked process.
+            # at x[0] < 0, and on two CPUs both run in forked processes.
             target = half_space_target()
             assert sample(target, replace(cfg, chains=1)).draws[:, :, 0].min() > 0
         errors = []
@@ -271,33 +275,101 @@ class TestParallelChains:
         assert "not finite at the initial point" in errors[0][1]
         assert multiprocessing.active_children() == []
 
-    def test_chain_processes_follow_the_cpus(self, monkeypatch):
-        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
-        assert [sampler_module.chain_processes(c) for c in (1, 2, 3)] == [1, 2, 2]
-        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 1)
-        assert sampler_module.chain_processes(4) == 1
+    def test_threads_sampling_at_once_get_the_serial_draws(self):
+        cfg = SamplerConfig(chains=2, warmup_draws=100, kept_draws=100, seed=4)
+        targets = [std_normal_target(2), mvn_target(np.array([[1.0, 0.6], [0.6, 2.0]]))]
+        serial = [self.on_cpus(1, sample, t, cfg) for t in targets]
 
-    def test_repetition_workers_run_their_chains_serially(self, tmp_path, monkeypatch):
-        # Each chain leaves a file named by its process and that process's
-        # parent: with HBAB_WORKERS=2 every chain runs in a repetition
-        # worker, a child of this process, never in a worker's own child.
+        def in_threads():
+            with ThreadPoolExecutor(2) as threads:
+                return list(threads.map(lambda t: sample(t, cfg), targets))
+
+        for a, b in zip(serial, self.on_cpus(2, in_threads)):
+            self.check_same_run(a, b)
+        assert not np.array_equal(serial[0].draws, serial[1].draws)
+        assert multiprocessing.active_children() == []
+
+    def test_chain_processes_follow_the_cpus(self, monkeypatch, chain_runs):
+        # ``sample`` maps its chains with the CPUs as the limit.
+        assert [fork_processes(c, 2) for c in (1, 2, 3)] == [1, 2, 2]
+        assert fork_processes(4, 1) == 1
+        cfg = SamplerConfig(chains=2, warmup_draws=20, kept_draws=100, seed=1)
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 1)
+        sample(std_normal_target(), cfg)
+        assert chain_runs.serial()
+        assert chain_runs.callers() == {os.getpid()}
+
+    def test_repetition_workers_run_their_chains_serially(self, monkeypatch, chain_runs):
+        # With HBAB_WORKERS=2 and 2 repetitions every fit runs in a
+        # repetition worker, a child of this process, and runs its chains
+        # there, never in a worker's own child.
         from hbab.sim import desk_scenario, run_scenario
 
-        run_chain = sampler_module._run_chain
-
-        def marked_chain(*args):
-            (tmp_path / f"{os.getppid()}-{os.getpid()}").touch()
-            return run_chain(*args)
-
-        monkeypatch.setattr(sampler_module, "_run_chain", marked_chain)
         monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
         monkeypatch.setenv("HBAB_WORKERS", "2")
         cfg = desk_scenario(updates=1, repetitions=2, sampler=SamplerConfig(
             chains=2, warmup_draws=20, kept_draws=100, max_tree_depth=4))
         run_scenario(cfg, methods=("hierarchical",))
-        parents = {int(p.name.split("-")[0]) for p in tmp_path.iterdir()}
+        assert chain_runs.serial()
+        assert os.getpid() not in chain_runs.callers()
+        parents = {parent for runs in chain_runs.fits().values() for _, parent in runs}
         assert parents == {os.getpid()}
         assert multiprocessing.active_children() == []
+
+    def test_one_repetition_runs_here_and_forks_its_chains(self, monkeypatch, chain_runs):
+        # HBAB_WORKERS=2 forks no repetition worker for 1 repetition.
+        from hbab.sim import desk_scenario, run_scenario
+
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
+        monkeypatch.setenv("HBAB_WORKERS", "2")
+        cfg = desk_scenario(updates=2, repetitions=1, sampler=SamplerConfig(
+            chains=2, warmup_draws=20, kept_draws=100, max_tree_depth=4))
+        run_scenario(cfg, methods=("hierarchical",))
+        assert chain_runs.callers() == {os.getpid()}
+        assert len(chain_runs.fits()) == 2
+        assert chain_runs.forked(2)
+        assert multiprocessing.active_children() == []
+
+
+class TestForkMap:
+    def test_results_come_back_in_index_order(self):
+        def fn(i):
+            time.sleep(0.02 * (4 - i))  # later items finish first
+            return i, os.getpid()
+
+        results = fork_map(fn, 5, 2)
+        assert [i for i, _ in results] == list(range(5))
+        pids = {pid for _, pid in results}
+        assert os.getpid() not in pids and len(pids) <= 2
+        assert multiprocessing.active_children() == []
+
+    def test_first_failure_in_index_order_is_raised(self):
+        def fn(i):
+            if i == 1:
+                time.sleep(0.2)  # item 2 fails first
+            if i in (1, 2):
+                raise KeyError(f"item {i}")
+            return i
+
+        errors = []
+        for limit in (1, 2):
+            with pytest.raises(KeyError) as info:
+                fork_map(fn, 4, limit)
+            errors.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] == (KeyError, "'item 1'")
+
+    def test_runs_here_with_a_limit_of_one(self):
+        assert fork_map(lambda i: os.getpid(), 3, 1) == [os.getpid()] * 3
+
+    def test_runs_serially_inside_a_worker(self):
+        def outer(i):
+            return os.getpid(), fork_processes(2, 2), fork_map(lambda j: os.getpid(), 2, 2)
+
+        for pid, processes, inner in fork_map(outer, 2, 2):
+            assert pid != os.getpid()
+            assert processes == 1
+            assert inner == [pid, pid]
 
 
 def check_reversible_and_energy_bounded(inv_mass):

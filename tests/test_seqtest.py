@@ -42,6 +42,9 @@ class TestResolveTau:
             TauSpec("bogus", 1.0)
         with pytest.raises(ValueError, match="dynamic tau takes no value"):
             TauSpec("dynamic", 0.3)
+        for kind in ("fixed", "learnt"):
+            with pytest.raises(ValueError, match="finite positive number, got True"):
+                TauSpec(kind, True)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, value):

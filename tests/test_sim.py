@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -167,17 +170,34 @@ def test_sampler_defaults_of_the_two_commands():
     assert desk_scenario().sampler == paper_scenario().sampler == SIMULATE_SAMPLER
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_run_scenario_ignores_the_worker_count(monkeypatch, workers):
+@pytest.mark.parametrize("workers", ["1", "2", "5"])
+def test_run_scenario_ignores_the_worker_count(monkeypatch, tmp_path, workers):
     # Hierarchical fits carry a warm start from update to update inside a
     # repetition, never across repetitions.
+    import hbab.sim
+
     cfg = tiny_config(repetitions=3, updates=3, sampler=SamplerConfig(
         chains=1, warmup_draws=150, kept_draws=100, max_tree_depth=4))
     methods = ("mle", "hierarchical")
     monkeypatch.delenv("HBAB_WORKERS", raising=False)
     serial = run_scenario(cfg, methods=methods)
+
+    # Each repetition leaves a file named by its index and process.
+    def marked_repetition(config, rep, *args):
+        (tmp_path / f"{rep}-{os.getpid()}").touch()
+        return run_repetition(config, rep, *args)
+
+    monkeypatch.setattr(hbab.sim, "run_repetition", marked_repetition)
     monkeypatch.setenv("HBAB_WORKERS", workers)
     pooled = run_scenario(cfg, methods=methods)
+    ran = {int(rep): int(pid) for rep, pid in (p.name.split("-") for p in tmp_path.iterdir())}
+    assert sorted(ran) == [0, 1, 2]
+    if workers == "1":
+        assert set(ran.values()) == {os.getpid()}
+    else:  # in forked repetition workers
+        assert os.getpid() not in ran.values()
+        assert len(set(ran.values())) <= min(int(workers), 3)
+    assert multiprocessing.active_children() == []
     assert [r.rep for r in pooled.repetitions] == [0, 1, 2]
     for a, b in zip(serial.repetitions, pooled.repetitions):
         assert np.array_equal(a.truth.rates, b.truth.rates)
@@ -187,6 +207,12 @@ def test_run_scenario_ignores_the_worker_count(monkeypatch, workers):
                           "p_min"):
                 assert np.array_equal(getattr(a, field)[method],
                                       getattr(b, field)[method], equal_nan=True)
+
+
+def test_worker_count_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("HBAB_WORKERS", "abc")
+    with pytest.raises(ValueError, match="HBAB_WORKERS must be an integer, got 'abc'"):
+        run_scenario(tiny_config(), methods=("mle",))
 
 
 def synthetic_result(p_min_h, p_min_m, labels, est_err=0.0):
