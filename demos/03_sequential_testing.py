@@ -5,13 +5,19 @@ the always-valid sequential p-value (running minimum of 1/K). The test can
 be stopped the moment p_min crosses the threshold without invalidating the
 error rate. Second: the cautionary baseline, a fixed-horizon z-test applied
 at every peek on two identical arms, whose false-positive rate balloons.
+
+The test runs on the incremental kernel: ``cell_differences`` gives each
+pair's difference summary at an update, and ``sequential_trace`` folds it
+into the running test, carrying the running minimum from one update to
+the next through ``prior_p_min``. ``run_all_comparisons`` computes the same
+test as a list of per-pair results.
 """
 
 import numpy as np
 
 from hbab import CellEstimates, TauSpec, naive_sequential_test_fpr
 from hbab.design import ExperimentSpec, Factor
-from hbab.seqtest import run_all_comparisons
+from hbab.seqtest import cell_differences, sequential_trace
 
 spec = ExperimentSpec(content_factors=(Factor("variant", ("A", "B")),))
 
@@ -23,18 +29,19 @@ print("two-arm test, true rates 0.50 vs 0.53, tau fixed at 0.1")
 print(f"{'update':>6} {'diff':>8} {'K':>12} {'p_min':>8}  decision")
 cum = np.zeros(2, dtype=int)
 resp = np.zeros(2, dtype=int)
-state = None
+p_min = 1.0  # one pair, fresh
 for update in range(1, 21):
     cum += n_per_update
     resp += rng.binomial(n_per_update, (rate_a, rate_b))
     rates = resp / cum
-    ests = CellEstimates(rates, rates * (1 - rates) / cum)
-    state = run_all_comparisons(ests, spec, TauSpec.fixed(0.1), prior=state)
-    res = state[0]
-    decision = "STOP: significant" if res.significant else "continue"
-    print(f"{update:>6} {res.diff_mean:>8.4f} {res.bayes_factor:>12.2f} "
-          f"{res.p_min:>8.4f}  {decision}")
-    if res.significant:
+    d, v = cell_differences(spec, CellEstimates(rates, rates * (1 - rates) / cum))
+    trace = sequential_trace(d[None], v[None], TauSpec.fixed(0.1), prior_p_min=p_min)
+    p_min = trace.p_min[-1]
+    significant = bool(trace.significant[-1, 0])
+    decision = "STOP: significant" if significant else "continue"
+    print(f"{update:>6} {trace.diff_mean[-1, 0]:>8.4f} {trace.bayes_factor[-1, 0]:>12.2f} "
+          f"{p_min[0]:>8.4f}  {decision}")
+    if significant:
         break
 
 print("\nnaive repeated z-testing on two IDENTICAL arms "

@@ -25,7 +25,7 @@ from .design import (
     load_experiment_spec,
 )
 from .estimate import CellEstimate, CellEstimates, hb_estimate, marginalize, mle_estimates
-from .glm import CountData, ModelParams, fit_posterior
+from .glm import CountData, fit_posterior
 from .metaprior import EffectObservation, LearntTau, learn_tau
 from .sampler import PosteriorSamples, SamplerConfig, posterior_summary, sample
 from .seqtest import ComparisonResult, TauSpec, bayes_factor, run_all_comparisons
@@ -59,7 +59,6 @@ __all__ = [
     "Factor",
     "LearntTau",
     "MetricsReport",
-    "ModelParams",
     "PosteriorSamples",
     "SamplerConfig",
     "ScenarioConfig",

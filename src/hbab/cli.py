@@ -460,7 +460,8 @@ def _read_counts(path: str, spec: ExperimentSpec):
                     ) from None
             if r > a or a < 0 or r < 0:
                 raise InputError(
-                    f"row {line_no}: need 0 <= responses <= assignments, got {r} > {a}"
+                    f"row {line_no}: need 0 <= responses <= assignments, "
+                    f"got responses {r}, assignments {a}"
                 )
             n_content = len(spec.content_factors)
             idx = spec.cell_index(tuple(combo[:n_content]), tuple(combo[n_content:]))
@@ -655,9 +656,9 @@ def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]
                         update = int(row[i_update])
                         prev = finals.get(key)
                         if prev is None or update > prev[0]:
-                            finals[key] = (update, row)
-                    d = [float(row[i_d]) for _, row in finals.values()]
-                    v = [float(row[i_v]) for _, row in finals.values()]
+                            finals[key] = (update, row[i_d], row[i_v])
+                    d = [float(mean) for _, mean, _ in finals.values()]
+                    v = [float(var) for _, _, var in finals.values()]
                 except (ValueError, IndexError) as exc:
                     raise InputError(f"malformed results file {full!r}: {exc}") from exc
             effects += effects_from_differences(d, v)

@@ -6,9 +6,7 @@ the binary design matrix, every coefficient shares a Gaussian prior
 offset drawn once per fit. The priors are the paper's and fixed:
 ``mu ~ Normal(0, 10^2)`` and ``sigma ~ HalfCauchy(5)``. The sampler's
 target is non-centered, ``beta = mu + sigma * beta_raw`` with ``sigma`` on
-the log scale, which samples far better when the data are sparse;
-``log_posterior`` is the same joint density in the natural parameters,
-kept as the reference the target is tested against.
+the log scale, which samples far better when the data are sparse.
 """
 
 from __future__ import annotations
@@ -30,9 +28,7 @@ from .sampler import (
 )
 
 __all__ = [
-    "ModelParams",
     "CountData",
-    "log_posterior",
     "half_cauchy_log_density_log_scale",
     "make_target",
     "fit_posterior",
@@ -43,23 +39,6 @@ __all__ = [
 _MU_PRIOR_MEAN = 0.0
 _MU_PRIOR_SD = 10.0
 _SIGMA_SCALE = 5.0
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """One point in parameter space; sigma is stored as log_sigma."""
-
-    beta: np.ndarray
-    mu: float
-    log_sigma: float
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-
-    @property
-    def sigma(self) -> float:
-        return float(np.exp(self.log_sigma))
 
 
 @dataclass(frozen=True)
@@ -80,10 +59,6 @@ class CountData:
             raise ValueError("need 0 <= responses <= assignments per cell")
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 def half_cauchy_log_density_log_scale(log_sigma: float, scale: float) -> float:
     """Half-Cauchy log density of sigma = exp(log_sigma), including the
     log-scale change-of-variables term, so exp of it integrates to one over
@@ -94,43 +69,16 @@ def half_cauchy_log_density_log_scale(log_sigma: float, scale: float) -> float:
     return math.log(2.0 / (math.pi * scale)) - softplus + log_sigma
 
 
-def _binomial_loglik_terms(eta, data: CountData):
-    a, r = data.assignments, data.responses
-    log_p = -_softplus(-eta)
-    log_1mp = -_softplus(eta)
-    const = gammaln(a + 1) - gammaln(r + 1) - gammaln(a - r + 1)
-    return float(np.sum(const + r * log_p + (a - r) * log_1mp))
-
-
-def log_posterior(params: ModelParams, data: CountData, X: DesignMatrix) -> float:
-    """Joint log density of parameters and observed counts.
-
-    Cells with zero assignments contribute nothing; the binomial
-    normalization constant is kept so the value is a proper log density.
-    """
-    if data.assignments.shape[0] != X.rows:
-        raise ValueError("count vectors must have one entry per design row")
-    beta, mu, ls, eps = params.beta, params.mu, params.log_sigma, params.epsilon
-    sigma = np.exp(ls)
-    m, s = _MU_PRIOR_MEAN, _MU_PRIOR_SD
-
-    lp = -0.5 * beta.size * np.log(2 * np.pi) - beta.size * ls
-    lp -= 0.5 * np.sum(((beta - mu) / sigma) ** 2)
-    lp += -0.5 * np.log(2 * np.pi) - np.log(s) - 0.5 * ((mu - m) / s) ** 2
-    lp += half_cauchy_log_density_log_scale(ls, _SIGMA_SCALE)
-    lp += -0.5 * np.log(2 * np.pi) - 0.5 * eps**2
-    lp += _binomial_loglik_terms(X.matrix @ beta + eps, data)
-    return float(lp)
-
-
 def make_target(data: CountData, X: DesignMatrix) -> TargetDensity:
     """Differentiable target over the flat unconstrained vector
     [beta_raw..., mu, log_sigma, epsilon].
 
     The leading block holds the standardized coefficients
-    ``beta_raw = (beta - mu) / sigma``; the density is ``log_posterior`` at
-    the natural parameters plus the log-Jacobian ``P * log_sigma``, and its
-    geometry avoids the funnel that defeats samplers when counts are thin.
+    ``beta_raw = (beta - mu) / sigma``; the density is the joint log density
+    of the natural parameters and the counts (binomial normalization
+    included, so it is proper) plus the log-Jacobian ``P * log_sigma``, and
+    its geometry avoids the funnel that defeats samplers when counts are
+    thin.
     """
     if data.assignments.shape[0] != X.rows:
         raise ValueError("count vectors must have one entry per design row")

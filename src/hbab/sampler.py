@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -150,6 +151,9 @@ class SamplerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
+        if isinstance(self.target_accept, bool) or not isinstance(self.target_accept,
+                                                                  numbers.Real):
+            raise ValueError("target_accept must be a number")
         if self.chains < 1:
             raise ValueError("need at least one chain")
         if self.kept_draws < 100:
@@ -316,14 +320,9 @@ class _DualAveraging:
 
 @dataclass(slots=True)
 class _Tree:
-    q_minus: np.ndarray
-    p_minus: np.ndarray
-    v_minus: np.ndarray  # velocity M^-1 p at each end, for the U-turn check
-    grad_minus: np.ndarray
-    q_plus: np.ndarray
-    p_plus: np.ndarray
-    v_plus: np.ndarray
-    grad_plus: np.ndarray
+    # ends[0] is the backward end and ends[1] the forward end, each
+    # (q, p, v, grad) with the velocity v = M^-1 p for the U-turn check.
+    ends: list
     q_prop: np.ndarray
     grad_prop: np.ndarray
     logp_prop: float
@@ -334,14 +333,18 @@ class _Tree:
     diverged: bool
 
 
-def _is_turning(q_minus, v_minus, q_plus, v_plus):
+def _is_turning(ends):
+    (q_minus, _, v_minus, _), (q_plus, _, v_plus, _) = ends
     dq = q_plus - q_minus
     return float(dq @ v_minus) < 0 or float(dq @ v_plus) < 0
 
 
-def _build_tree(fn, depth, q, p, grad, direction, step, inv_mass, h0, rng):
+def _build_tree(fn, depth, end, side, step, inv_mass, h0, rng):
+    """Grow ``2**depth`` leapfrog steps from ``end``, the tree's end on
+    ``side``: forward in time from ``ends[1]``, backward from ``ends[0]``."""
     if depth == 0:
-        q1, p1, grad1, logp1 = leapfrog(fn, q, p, grad, direction * step, inv_mass)
+        q, p, _, grad = end
+        q1, p1, grad1, logp1 = leapfrog(fn, q, p, grad, (2 * side - 1) * step, inv_mass)
         kinetic, v1 = _kinetic(p1, inv_mass)
         h1 = -logp1 + kinetic
         # A non-finite density or gradient (the latter through p1) leaves h1
@@ -350,22 +353,14 @@ def _build_tree(fn, depth, q, p, grad, direction, step, inv_mass, h0, rng):
         diverged = delta_h > _DIVERGENCE_THRESHOLD
         log_w = -math.inf if diverged else -delta_h
         alpha = 0.0 if diverged else (1.0 if delta_h <= 0 else math.exp(-delta_h))
-        return _Tree(q1, p1, v1, grad1, q1, p1, v1, grad1, q1, grad1, logp1,
-                     log_w, alpha, 1, False, diverged)
+        leaf = (q1, p1, v1, grad1)
+        return _Tree([leaf, leaf], q1, grad1, logp1, log_w, alpha, 1, False, diverged)
 
-    inner = _build_tree(fn, depth - 1, q, p, grad, direction, step, inv_mass, h0, rng)
+    inner = _build_tree(fn, depth - 1, end, side, step, inv_mass, h0, rng)
     if inner.diverged or inner.turning:
         return inner
-    if direction == 1:
-        outer = _build_tree(fn, depth - 1, inner.q_plus, inner.p_plus,
-                            inner.grad_plus, direction, step, inv_mass, h0, rng)
-        inner.q_plus, inner.p_plus, inner.v_plus, inner.grad_plus = (
-            outer.q_plus, outer.p_plus, outer.v_plus, outer.grad_plus)
-    else:
-        outer = _build_tree(fn, depth - 1, inner.q_minus, inner.p_minus,
-                            inner.grad_minus, direction, step, inv_mass, h0, rng)
-        inner.q_minus, inner.p_minus, inner.v_minus, inner.grad_minus = (
-            outer.q_minus, outer.p_minus, outer.v_minus, outer.grad_minus)
+    outer = _build_tree(fn, depth - 1, inner.ends[side], side, step, inv_mass, h0, rng)
+    inner.ends[side] = outer.ends[side]
 
     inner.sum_alpha += outer.sum_alpha
     inner.n_alpha += outer.n_alpha
@@ -377,8 +372,7 @@ def _build_tree(fn, depth, q, p, grad, direction, step, inv_mass, h0, rng):
             inner.q_prop, inner.grad_prop, inner.logp_prop = (
                 outer.q_prop, outer.grad_prop, outer.logp_prop)
         inner.log_sum_w = total
-        inner.turning = outer.turning or _is_turning(
-            inner.q_minus, inner.v_minus, inner.q_plus, inner.v_plus)
+        inner.turning = outer.turning or _is_turning(inner.ends)
     return inner
 
 
@@ -387,27 +381,16 @@ def _nuts_transition(fn, q, logp, grad, step, inv_mass, mass_factor, max_depth, 
     kinetic, v0 = _kinetic(p0, inv_mass)
     h0 = -logp + kinetic
 
-    q_minus = q_plus = q
-    p_minus = p_plus = p0
-    v_minus = v_plus = v0
-    grad_minus = grad_plus = grad
+    ends = [(q, p0, v0, grad)] * 2
     q_prop, grad_prop, logp_prop = q, grad, logp
     log_sum_w = 0.0
     sum_alpha, n_alpha = 0.0, 0
     diverged = False
 
     for depth in range(max_depth):
-        direction = 1 if rng.uniform() < 0.5 else -1
-        if direction == 1:
-            tree = _build_tree(fn, depth, q_plus, p_plus, grad_plus,
-                               1, step, inv_mass, h0, rng)
-            q_plus, p_plus, v_plus, grad_plus = (
-                tree.q_plus, tree.p_plus, tree.v_plus, tree.grad_plus)
-        else:
-            tree = _build_tree(fn, depth, q_minus, p_minus, grad_minus,
-                               -1, step, inv_mass, h0, rng)
-            q_minus, p_minus, v_minus, grad_minus = (
-                tree.q_minus, tree.p_minus, tree.v_minus, tree.grad_minus)
+        side = int(rng.uniform() < 0.5)
+        tree = _build_tree(fn, depth, ends[side], side, step, inv_mass, h0, rng)
+        ends[side] = tree.ends[side]
 
         sum_alpha += tree.sum_alpha
         n_alpha += tree.n_alpha
@@ -420,7 +403,7 @@ def _nuts_transition(fn, q, logp, grad, step, inv_mass, mass_factor, max_depth, 
         if math.log(rng.uniform()) < tree.log_sum_w - log_sum_w:
             q_prop, grad_prop, logp_prop = tree.q_prop, tree.grad_prop, tree.logp_prop
         log_sum_w = _logaddexp(log_sum_w, tree.log_sum_w)
-        if _is_turning(q_minus, v_minus, q_plus, v_plus):
+        if _is_turning(ends):
             break
 
     accept_stat = sum_alpha / n_alpha if n_alpha > 0 else 0.0

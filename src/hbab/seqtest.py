@@ -17,18 +17,18 @@ draws]`` matrix of draw-based estimates) into the difference summary of
 every pair, and ``sequential_trace`` folds ``[updates, pairs]`` summaries
 into Bayes factors and running p-values; re-scoring stored traces under
 another tau is one more ``sequential_trace`` call. ``run_all_comparisons``
-is a per-pair list view of it. The scalar ``log_bayes_factor`` and
-``update_comparison`` are the reference the kernel is tested against bit
-for bit, so the kernel applies log, exp and squaring element by element
-through the same libm calls: numpy's vectorised forms can differ from them
-in the last bit.
+is a per-pair list view of it. The tests fold ``log_bayes_factor`` over
+one pair at a time as the reference the kernel must match bit for bit, so
+the kernel applies log, exp and squaring element by element through the
+same libm calls: numpy's vectorised forms can differ from them in the last
+bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +39,8 @@ __all__ = [
     "TauSpec",
     "ComparisonResult",
     "SequentialTrace",
-    "resolve_tau",
     "bayes_factor",
     "log_bayes_factor",
-    "update_comparison",
     "cell_differences",
     "sequential_trace",
     "run_all_comparisons",
@@ -108,14 +106,6 @@ class ComparisonResult:
     updates: int = 0
 
 
-def resolve_tau(spec: TauSpec, diff_mean: float) -> float:
-    """Concrete tau for one update; dynamic taus track the observed
-    difference and are floored to keep the alternative distinct."""
-    if spec.kind == "dynamic":
-        return max(diff_mean**2, _DYNAMIC_TAU_FLOOR)
-    return float(spec.value)
-
-
 def log_bayes_factor(diff_mean: float, diff_var: float, tau: float) -> float:
     """log of Normal(d; 0, var+tau) / Normal(d; 0, var)."""
     if diff_var <= 0:
@@ -134,30 +124,6 @@ def bayes_factor(diff_mean: float, diff_var: float, tau: float) -> float:
     derived from the exact log value.
     """
     return math.exp(min(log_bayes_factor(diff_mean, diff_var, tau), _MAX_LOG_K))
-
-
-def update_comparison(
-    state: ComparisonResult,
-    diff_mean: float,
-    diff_var: float,
-    tau_spec: TauSpec,
-    alpha: float = 0.05,
-) -> ComparisonResult:
-    """Fold one update's difference summary into the running test."""
-    tau = resolve_tau(tau_spec, diff_mean)
-    log_k = log_bayes_factor(diff_mean, diff_var, tau)
-    p_instant = math.exp(-max(log_k, 0.0))
-    p_min = min(state.p_min, p_instant)
-    return replace(
-        state,
-        diff_mean=diff_mean,
-        diff_var=diff_var,
-        bayes_factor=math.exp(min(log_k, _MAX_LOG_K)),
-        p_instant=p_instant,
-        p_min=p_min,
-        significant=p_min < alpha,
-        updates=state.updates + 1,
-    )
 
 
 def cell_differences(
@@ -232,9 +198,7 @@ def sequential_trace(
 
     ``diff_mean`` and ``diff_var`` are indexed ``[update, ...]``; every
     entry is one update of one pair. ``prior_p_min`` is each pair's running
-    minimum before the first row (1.0 for a fresh test). Every value
-    equals what ``update_comparison`` gives when folded over the same
-    informative updates.
+    minimum before the first row (1.0 for a fresh test).
     """
     raw_d = np.asarray(diff_mean, dtype=float)
     raw_v = np.asarray(diff_var, dtype=float)

@@ -17,6 +17,7 @@ rates are measured from the same runs.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -90,6 +91,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
+        for name in ("interaction_effect_mean", "interaction_effect_sd", "h1_fraction",
+                     "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number")
         if self.updates < 0 or self.repetitions < 1:
             raise ValueError("need updates >= 0 and at least one repetition")
         if not 0.0 < self.alpha < 1.0:
@@ -168,10 +174,6 @@ class GroundTruth:
     rates: np.ndarray
     h1_content: tuple[int, ...]
     pair_is_h1: np.ndarray
-
-    @property
-    def n_h1_pairs(self) -> int:
-        return int(self.pair_is_h1.sum())
 
 
 def _drawable_interaction_columns(spec: ExperimentSpec, X: DesignMatrix, h1_content):

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import platform
 import stat
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ import scipy
 
 import hbab
 from hbab import sampler as sampler_module
-from hbab.cli import _atomic_write, main
+from hbab.cli import _atomic_write, _effects_from_results_dir, main
 from hbab.design import enumerate_cells, spec_from_dict, spec_to_dict
 from hbab.estimate import mle_estimates
 from hbab.glm import CountData
@@ -214,6 +215,11 @@ class TestSimulate:
         {"repetitions": True},
         {"tau": {"kind": "dynamic", "value": 0.3}},
         {"tau": {"kind": "fixed", "value": True}},
+        {"h1_fraction": True},
+        {"interaction_effect_mean": True},
+        {"interaction_effect_sd": True},
+        {"alpha": True},
+        {"sampler": {"target_accept": True}},
     ])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, override):
         cfg = write_json(tmp_path / "cfg.json",
@@ -495,6 +501,16 @@ class TestAnalyze:
         assert code == 2
         assert "responses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignments, responses", [(5, -1), (-1, 0)])
+    def test_negative_count_names_both_values(self, tmp_path, capsys, assignments,
+                                              responses):
+        rows = default_counts(updates=1)
+        rows[0] = (1, "m0", "c0", assignments, responses)
+        code, _ = self.run_analyze(tmp_path, rows)
+        assert code == 2
+        assert (f"row 2: need 0 <= responses <= assignments, got responses {responses}, "
+                f"assignments {assignments}") in capsys.readouterr().err
+
     def test_mle_cell_without_traffic_exits_2(self, tmp_path, capsys):
         rows = default_counts(updates=1)
         rows[3] = (1, "m1", "c1", 0, 0)
@@ -677,6 +693,29 @@ class TestLearnTau:
         payload = json.loads((out / "learnt_tau.json").read_text())
         assert payload["n_effects"] == 2  # 2 contexts; the marginal row is skipped
 
+    def test_results_directory_keeps_only_each_pairs_final_difference(self, tmp_path):
+        # 3,000 pairs over two updates in simulate's 14-column layout. Kept
+        # whole, the final rows peak at about 3.8 MB; their two difference
+        # fields at about 2.2 MB.
+        lines = ["rep,update,method,tau_kind,context,content_a,content_b,truth,"
+                 "diff_mean,diff_var,bayes_factor,p_instant,p_min,significant\n"]
+        for rep in range(5):
+            for ctx in range(100):
+                for pair in range(6):
+                    for update in (1, 2):
+                        lines.append(f"{rep},{update},mle,fixed,c{ctx},m{pair},m{pair + 1},"
+                                     f"h1,0.{rep}{ctx:03d}{pair}{update}1234567,"
+                                     "0.0012345678901234567,1.2345678901234567,1,1,0\n")
+        (tmp_path / "decisions.csv").write_text("".join(lines))
+        tracemalloc.start()
+        try:
+            effects = _effects_from_results_dir(str(tmp_path), "mle")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(effects) == 3000
+        assert effects[-1].delta == pytest.approx(0.4099521234567)
+        assert peak < 3.0e6
 
     def test_short_row_in_results_directory_exits_2(self, tmp_path, capsys):
         res = tmp_path / "res"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -541,6 +542,30 @@ class TestWarmStart:
             rtol=1e-12,
         )
 
+    def test_hierarchical_cold_and_warm_draws_are_pinned(self):
+        # Bit for bit: the SHA-256 of a desk-scale cold fit's draws and of
+        # the warm fit that follows it at the next look. Paper-scale draws
+        # depend on the BLAS thread count, so the pin is at desk scale.
+        from hbab.design import build_design_matrix
+        from hbab.glm import CountData, fit_posterior
+        from hbab.sim import _rep_seed_sequences, desk_scenario, generate_truth, stream_updates
+
+        config = desk_scenario(seed=7)
+        truth_seed, stream_seed = _rep_seed_sequences(config, 0)
+        looks = stream_updates(generate_truth(config, truth_seed), config, stream_seed)
+        X = build_design_matrix(config.spec, interaction_order=2)
+
+        def counts(n):
+            return CountData(sum(u.assignments for u in looks[:n]),
+                             sum(u.responses for u in looks[:n]))
+
+        cfg = SamplerConfig(chains=2, warmup_draws=150, kept_draws=100, max_tree_depth=8,
+                            seed=5)
+        cold = fit_posterior(counts(2), X, cfg)
+        warm = fit_posterior(counts(3), X, cfg, warm_start=cold.warm_start)
+        digest = hashlib.sha256(cold.draws.tobytes() + warm.draws.tobytes()).hexdigest()
+        assert digest == "cb674d3a718f29edba241bf2bdc4d687b5ea332c604f10a714ab977ad876d45b"
+
 
 class TestWindowMetric:
     WINDOW = np.random.default_rng(1).normal(size=(40, 2)) * [2.0, 0.5]
@@ -823,3 +848,6 @@ def test_config_validation():
     for name in ("chains", "warmup_draws", "kept_draws", "max_tree_depth"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SamplerConfig(**{name: True})
+    for value in (True, "0.9"):
+        with pytest.raises(ValueError, match="target_accept must be a number"):
+            SamplerConfig(target_accept=value)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,26 +15,52 @@ from hbab.seqtest import (
     bayes_factor,
     cell_differences,
     log_bayes_factor,
-    resolve_tau,
     run_all_comparisons,
     sequential_trace,
-    update_comparison,
 )
 from tests.test_design import make_spec
 
 
+def resolve_tau(spec, diff_mean):
+    """Concrete tau for one update: a dynamic tau is the squared difference,
+    floored at 1e-8; a fixed or learnt tau is its value."""
+    if spec.kind == "dynamic":
+        return max(diff_mean**2, 1e-8)
+    return float(spec.value)
+
+
+def update_comparison(state, diff_mean, diff_var, tau_spec, alpha=0.05):
+    """The scalar reference of ``sequential_trace``: one update of one
+    pair's running test, through the public ``log_bayes_factor``."""
+    log_k = log_bayes_factor(diff_mean, diff_var, resolve_tau(tau_spec, diff_mean))
+    p_instant = math.exp(-max(log_k, 0.0))
+    p_min = min(state.p_min, p_instant)
+    return replace(state, diff_mean=diff_mean, diff_var=diff_var,
+                   bayes_factor=math.exp(min(log_k, 709.0)), p_instant=p_instant,
+                   p_min=p_min, significant=p_min < alpha, updates=state.updates + 1)
+
+
+def kernel_log_k(tau_spec, diff_mean, diff_var=1e-3):
+    """The kernel's log factor for one update of one pair."""
+    return float(sequential_trace(np.array([diff_mean]), np.array([diff_var]),
+                                  tau_spec).log_k[0])
+
+
 class TestResolveTau:
+    """The tau the kernel tests each update against."""
+
     def test_fixed(self):
-        assert resolve_tau(TauSpec.fixed(0.1), 0.5) == 0.1
+        assert kernel_log_k(TauSpec.fixed(0.1), 0.5) == log_bayes_factor(0.5, 1e-3, 0.1)
 
     def test_dynamic_squares_difference(self):
-        assert resolve_tau(TauSpec.dynamic(), 0.05) == pytest.approx(0.0025)
+        assert kernel_log_k(TauSpec.dynamic(), 0.05) == pytest.approx(
+            log_bayes_factor(0.05, 1e-3, 0.0025))
 
     def test_dynamic_floored_at_zero_difference(self):
-        assert resolve_tau(TauSpec.dynamic(), 0.0) == 1e-8
+        assert kernel_log_k(TauSpec.dynamic(), 0.0) == log_bayes_factor(0.0, 1e-3, 1e-8)
 
     def test_learnt(self):
-        assert resolve_tau(TauSpec.learnt(0.007), 0.1) == 0.007
+        assert kernel_log_k(TauSpec.learnt(0.007), 0.1) == log_bayes_factor(0.1, 1e-3, 0.007)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,39 +129,39 @@ def d_for_factor(k, v=1.0, tau=1.0):
 
 
 class TestUpdateComparison:
-    def fresh(self):
-        return ComparisonResult((0,), (0,), (1,))
+    """One pair's running test, folded by the kernel."""
+
+    @staticmethod
+    def trace(diffs, alpha=0.05):
+        return sequential_trace(np.array(diffs), np.ones(len(diffs)), TauSpec.fixed(1.0),
+                                alpha)
 
     def test_factor_forty_gives_p_025(self):
-        state = update_comparison(self.fresh(), d_for_factor(40.0), 1.0,
-                                  TauSpec.fixed(1.0), alpha=0.05)
-        assert state.bayes_factor == pytest.approx(40.0)
-        assert state.p_instant == pytest.approx(0.025)
-        assert state.significant
+        t = self.trace([d_for_factor(40.0)], alpha=0.05)
+        assert t.bayes_factor[0] == pytest.approx(40.0)
+        assert t.p_instant[0] == pytest.approx(0.025)
+        assert t.significant[0]
 
     def test_subunit_factor_clamps_to_one(self):
-        state = update_comparison(self.fresh(), 0.0, 1.0, TauSpec.fixed(1.0))
-        assert state.bayes_factor < 1.0
-        assert state.p_instant == 1.0
+        t = self.trace([0.0])
+        assert t.bayes_factor[0] < 1.0
+        assert t.p_instant[0] == 1.0
 
     def test_running_minimum_is_sticky(self):
-        state = self.fresh()
-        for k in (2.0, 25.0, 10.0):
-            state = update_comparison(state, d_for_factor(k), 1.0, TauSpec.fixed(1.0))
-        assert state.p_min == pytest.approx(0.04)
-        assert state.updates == 3
+        t = self.trace([d_for_factor(k) for k in (2.0, 25.0, 10.0)])
+        assert t.p_min[-1] == pytest.approx(0.04)
+        assert t.informative.sum() == 3
 
 
 @given(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(1e-6, 1e-2)),
                 min_size=1, max_size=30))
 @settings(max_examples=50, deadline=None)
 def test_p_min_monotone_non_increasing(updates_seq):
-    state = ComparisonResult((0,), (0,), (1,))
+    d, v = np.array(updates_seq).T
     last = 1.0
-    for d, v in updates_seq:
-        state = update_comparison(state, d, v, TauSpec.fixed(0.1))
-        assert state.p_min <= last + 1e-15
-        last = state.p_min
+    for p_min in sequential_trace(d, v, TauSpec.fixed(0.1)).p_min.tolist():
+        assert p_min <= last + 1e-15
+        last = p_min
 
 
 class TestRunAllComparisons:

@@ -349,7 +349,13 @@ def test_config_validation():
                         ("repetitions", 2.5), ("repetitions", True), ("updates", False)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             tiny_config(**{name: value})
+    for name, value in (("h1_fraction", True), ("interaction_effect_mean", True),
+                        ("interaction_effect_sd", False), ("alpha", True),
+                        ("alpha", "0.1")):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            tiny_config(**{name: value})
     assert tiny_config(updates=np.int64(2), interaction_effect_sd=0.0).updates == 2
+    assert tiny_config(h1_fraction=1, alpha=np.float32(0.1)).h1_fraction == 1
 
 
 @pytest.mark.parametrize("preset", [desk_scenario, paper_scenario])
