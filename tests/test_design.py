@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -90,6 +91,17 @@ class TestBuildDesignMatrix:
         mains = [(l.factor_a, l.value_a) for l in X.column_labels if l.kind == "main"]
         expected = [(f.name, v) for f in spec.factors for v in f.values]
         assert sorted(mains) == sorted(expected)
+
+    def test_paper_scale_matrix_is_pinned(self):
+        # SHA-256 of the matrix bytes and of the labels' reprs, so a change
+        # of column order, coding or labelling shows here.
+        X = build_design_matrix(PAPER_SPEC, interaction_order=2)
+        labels = "\n".join(map(repr, X.column_labels)).encode()
+        assert X.matrix.dtype == np.float64
+        assert hashlib.sha256(X.matrix.tobytes()).hexdigest() == (
+            "b063d3962cc54cddf3a5ed852cfa53ca19bcee0fa592c6cdb55b39ba26c8b7de")
+        assert hashlib.sha256(labels).hexdigest() == (
+            "865049a557005e3348567491986faabb3cb48dd5a29bfe258d84e9040fe6763a")
 
     def test_rows_recover_cells(self):
         spec = make_spec([2, 3], [2])
