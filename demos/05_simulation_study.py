@@ -4,7 +4,7 @@ Runs two repetitions of the down-scaled scenario: half the content
 combinations carry real interaction effects, half are exact nulls. Both
 estimators are fitted at every sequential update and every content pair is
 tested; the scorer turns the traces into estimation-error and decision-
-accuracy curves. Takes about half a minute, most of it sampling.
+accuracy curves. Takes about 15 seconds on 2 CPUs, most of it sampling.
 """
 
 import numpy as np

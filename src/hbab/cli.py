@@ -192,9 +192,11 @@ def _parse_tau(text: str) -> TauSpec:
     if kind == "learnt" and sep:
         try:
             with open(rest, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return TauSpec.learnt(float(payload["point_value_for_testing"]))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+                value = json.load(fh)["point_value_for_testing"]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"point_value_for_testing {value!r} is not a number")
+            return TauSpec.learnt(float(value))
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"cannot read learnt tau from {rest!r}: {exc}") from exc
     raise InputError(
         f"bad --tau {text!r}: expected fixed:VALUE, dynamic, or learnt:FILE"
@@ -351,6 +353,14 @@ def _decision_lines(result, tau_spec):
                 )
 
 
+def _write_metrics(path: str, reports) -> None:
+    """``metrics.csv`` and ``tau_metrics.csv``: the long-format rows of
+    each ``MetricsReport`` in turn."""
+    _write_csv(path, ["update", "method", "tau_kind", "metric", "value"],
+               ((u, m, kind, metric, _fmt(v))
+                for report in reports for u, m, kind, metric, v in report.rows()))
+
+
 def cmd_simulate(args) -> int:
     config, tau_spec, methods, payload = _resolve_scenario(args)
     try:
@@ -366,12 +376,8 @@ def cmd_simulate(args) -> int:
     for w in result.warnings:
         manifest.warn(w)
 
-    metrics = score(result)
-    _write_csv(
-        manifest.add_output(os.path.join(args.out, "metrics.csv")),
-        ["update", "method", "tau_kind", "metric", "value"],
-        ((u, m, t, metric, _fmt(v)) for u, m, t, metric, v in metrics.rows()),
-    )
+    _write_metrics(manifest.add_output(os.path.join(args.out, "metrics.csv")),
+                   [score(result)])
     header = ["rep", "update", "method", "tau_kind", "context", "content_a",
               "content_b", "truth", "diff_mean", "diff_var", "bayes_factor",
               "p_instant", "p_min", "significant"]
@@ -382,16 +388,8 @@ def cmd_simulate(args) -> int:
 
     if args.tau_experiment:
         comparison = tau_experiment(result)
-        rows = []
-        for kind, report in comparison.metrics.items():
-            rows.extend(
-                (u, m, kind, metric, _fmt(v)) for u, m, kind_, metric, v in report.rows()
-            )
-        _write_csv(
-            manifest.add_output(os.path.join(args.out, "tau_metrics.csv")),
-            ["update", "method", "tau_kind", "metric", "value"],
-            rows,
-        )
+        _write_metrics(manifest.add_output(os.path.join(args.out, "tau_metrics.csv")),
+                       comparison.metrics.values())
         _atomic_write(
             manifest.add_output(os.path.join(args.out, "learnt_tau.json")),
             json.dumps(

@@ -167,10 +167,11 @@ def enumerate_cells(spec: ExperimentSpec) -> list[Cell]:
 def build_design_matrix(spec: ExperimentSpec, interaction_order: int = 2) -> DesignMatrix:
     """One-hot design matrix over all cells.
 
-    Columns: one intercept, one main-effect column per factor value (full
-    one-hot, no reference level dropped; identifiability comes from the
-    hierarchical prior, not the coding), and, with ``interaction_order=2``,
-    one column per pair of values of each pair of distinct factors.
+    Columns, in this order: one intercept, one main-effect column per
+    factor value (full one-hot, no reference level dropped; identifiability
+    comes from the hierarchical prior, not the coding), and, with
+    ``interaction_order=2``, one column per pair of values of each pair of
+    distinct factors, the first factor's value major.
 
     Every row therefore has exactly ``1 + F`` ones at order 1 and
     ``1 + F + C(F, 2)`` ones at order 2, with F the number of factors.
@@ -181,44 +182,20 @@ def build_design_matrix(spec: ExperimentSpec, interaction_order: int = 2) -> Des
     if interaction_order == 2 and len(factors) < 2:
         raise ValueError("interactions require >= 2 factors")
 
+    # [cells, factors] value indices, in ``enumerate_cells`` order.
+    values = np.array([cell.value_indices for cell in enumerate_cells(spec)])
     labels: list[ColumnLabel] = [ColumnLabel("intercept")]
-    for fac in factors:
-        labels.extend(
-            ColumnLabel("main", factor_a=fac.name, value_a=v) for v in fac.values
-        )
+    blocks = [np.ones((len(values), 1))]
+    for i, fac in enumerate(factors):
+        labels.extend(ColumnLabel("main", fac.name, v) for v in fac.values)
+        blocks.append(np.eye(len(fac.values))[values[:, i]])
     if interaction_order == 2:
-        for fa, fb in itertools.combinations(factors, 2):
-            labels.extend(
-                ColumnLabel("interaction", fa.name, va, fb.name, vb)
-                for va in fa.values
-                for vb in fb.values
-            )
-
-    cells = enumerate_cells(spec)
-    # Column offsets: intercept | main blocks per factor | interaction blocks.
-    main_offset = {}
-    off = 1
-    for fac in factors:
-        main_offset[fac.name] = off
-        off += len(fac.values)
-    inter_offset = {}
-    if interaction_order == 2:
-        for fa, fb in itertools.combinations(factors, 2):
-            inter_offset[(fa.name, fb.name)] = off
-            off += len(fa.values) * len(fb.values)
-
-    X = np.zeros((len(cells), len(labels)))
-    for k, cell in enumerate(cells):
-        X[k, 0] = 1.0
-        for fac, vi in zip(factors, cell.value_indices):
-            X[k, main_offset[fac.name] + vi] = 1.0
-        if interaction_order == 2:
-            for (ia, fa), (ib, fb) in itertools.combinations(enumerate(factors), 2):
-                va = cell.value_indices[ia]
-                vb = cell.value_indices[ib]
-                X[k, inter_offset[(fa.name, fb.name)] + va * len(fb.values) + vb] = 1.0
-
-    return DesignMatrix(X, tuple(labels), interaction_order)
+        for (a, fa), (b, fb) in itertools.combinations(enumerate(factors), 2):
+            labels.extend(ColumnLabel("interaction", fa.name, va, fb.name, vb)
+                          for va in fa.values for vb in fb.values)
+            n_b = len(fb.values)
+            blocks.append(np.eye(len(fa.values) * n_b)[values[:, a] * n_b + values[:, b]])
+    return DesignMatrix(np.hstack(blocks), tuple(labels), interaction_order)
 
 
 def enumerate_comparisons(
@@ -253,18 +230,23 @@ def comparison_cells(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    """Build a spec from the documented config mapping (see ``load_experiment_spec``)."""
-    try:
-        entries = d["factors"]
-    except KeyError:
+    """Build a spec from the documented config mapping (see
+    ``load_experiment_spec``); raises ``ValueError`` on any other shape."""
+    if not isinstance(d, dict) or not isinstance(d.get("factors"), list):
         raise ValueError("experiment spec config needs a top-level 'factors' list")
     content, context = [], []
-    for entry in entries:
+    for entry in d["factors"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"factor entry {entry!r} is not an object")
         try:
-            fac = Factor(entry["name"], tuple(entry["values"]))
-            role = entry["role"]
+            name, values, role = entry["name"], entry["values"], entry["role"]
         except KeyError as exc:
             raise ValueError(f"factor entry missing key {exc}")
+        if not isinstance(name, str):
+            raise ValueError(f"factor name {name!r} is not a string")
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValueError(f"factor {name!r}: values must be a list of strings")
+        fac = Factor(name, tuple(values))
         if role == "content":
             content.append(fac)
         elif role == "context":

@@ -11,7 +11,10 @@ settings. Content combinations are split into an "effect" half, whose
 interaction coefficients are drawn from a Normal(effect mean, sd^2), and a
 null half whose coefficients stay zero, so true-difference and
 no-difference pairs coexist in one simulated experiment and both error
-rates are measured from the same runs.
+rates are measured from the same runs. A repetition records the
+estimators' pair differences at every update; ``score``, ``tau_experiment``
+and the CLI's ``decisions.csv`` derive the sequential tests from them with
+``seqtest.sequential_trace``.
 """
 
 from __future__ import annotations
@@ -176,35 +179,18 @@ class GroundTruth:
     pair_is_h1: np.ndarray
 
 
-def _drawable_interaction_columns(spec: ExperimentSpec, X: DesignMatrix, h1_content):
-    """Interaction columns whose activating content combinations all lie in
-    the effect half (so drawing them cannot touch any null cell)."""
-    contents = spec.content_combinations()
-    h1_set = {contents[i] for i in h1_content}
-    n_content = len(spec.content_factors)
-    factor_index = {f.name: i for i, f in enumerate(spec.factors)}
-    value_index = {
-        (f.name, v): j for f in spec.factors for j, v in enumerate(f.values)
-    }
+def _drawable_interaction_columns(X: DesignMatrix, n_contents: int, n_h1: int) -> np.ndarray:
+    """Interaction columns that switch on cells of the effect half (the
+    first ``n_h1`` content combinations) only, so drawing them cannot touch
+    any null cell. Context-by-context columns switch on cells of every
+    content combination and are never drawn.
 
-    cols = []
-    for j, lab in enumerate(X.column_labels):
-        if lab.kind != "interaction":
-            continue
-        ia, ib = factor_index[lab.factor_a], factor_index[lab.factor_b]
-        if ia >= n_content and ib >= n_content:
-            continue  # context-context: shared by every content combo
-        va, vb = value_index[(lab.factor_a, lab.value_a)], value_index[
-            (lab.factor_b, lab.value_b)
-        ]
-        activating = [
-            m
-            for m in contents
-            if (ia >= n_content or m[ia] == va) and (ib >= n_content or m[ib] == vb)
-        ]
-        if activating and all(m in h1_set for m in activating):
-            cols.append(j)
-    return cols
+    Rows are content-major (``enumerate_cells``), so ``active[m, j]`` says
+    whether column ``j`` switches on some cell of content combination ``m``.
+    """
+    active = X.matrix.reshape(n_contents, -1, X.cols).any(axis=1)
+    interaction = np.array([label.kind == "interaction" for label in X.column_labels])
+    return np.flatnonzero(interaction & ~active.all(0) & ~active[n_h1:].any(0))
 
 
 def generate_truth(config: ScenarioConfig, rep_seed) -> GroundTruth:
@@ -218,13 +204,12 @@ def generate_truth(config: ScenarioConfig, rep_seed) -> GroundTruth:
     """
     spec = config.spec
     X = build_design_matrix(spec, interaction_order=2)
-    contents = spec.content_combinations()
-    n_h1 = round(config.h1_fraction * len(contents))
-    h1_content = tuple(range(n_h1)) if config.h0_mode == "combined" else ()
+    n_contents = len(spec.content_combinations())
+    n_h1 = round(config.h1_fraction * n_contents) if config.h0_mode == "combined" else 0
 
     beta = np.zeros(X.cols)
-    if h1_content:
-        cols = _drawable_interaction_columns(spec, X, h1_content)
+    if n_h1:
+        cols = _drawable_interaction_columns(X, n_contents, n_h1)
         rng = np.random.Generator(np.random.Philox(rep_seed))
         beta[cols] = rng.normal(
             config.interaction_effect_mean, config.interaction_effect_sd, len(cols)
@@ -235,7 +220,7 @@ def generate_truth(config: ScenarioConfig, rep_seed) -> GroundTruth:
 
     a_idx, b_idx = comparison_cells(spec)
     labels = np.abs(rates[a_idx] - rates[b_idx]) > 1e-12
-    return GroundTruth(beta, rates, h1_content, labels)
+    return GroundTruth(beta, rates, tuple(range(n_h1)), labels)
 
 
 def stream_updates(
@@ -262,8 +247,11 @@ class RepetitionResult:
     """Everything recorded for one repetition.
 
     Arrays are indexed [update, cell] or [update, pair]; methods are keys
-    of the dicts. Difference traces are stored so alternative tau settings
-    can be re-scored without re-fitting.
+    of the dicts. ``diff_mean`` and ``diff_var`` are every pair's
+    difference summary as ``cell_differences`` computed it from the
+    estimates at each update, zero variances included. The sequential
+    tests are not stored: ``sequential_trace`` derives them from these
+    differences under any tau, without refitting.
     """
 
     rep: int
@@ -272,7 +260,6 @@ class RepetitionResult:
     estimate_var: dict[str, np.ndarray]
     diff_mean: dict[str, np.ndarray]
     diff_var: dict[str, np.ndarray]
-    p_min: dict[str, np.ndarray]
     warnings: tuple[str, ...]
 
 
@@ -325,15 +312,14 @@ def look_estimates(
 def run_repetition(
     config: ScenarioConfig,
     rep: int,
-    tau_spec: TauSpec = TauSpec.fixed(0.1),
     methods: tuple[str, ...] = METHODS,
 ) -> RepetitionResult:
     """Simulate one repetition end to end.
 
-    At every update both estimators are fitted to the cumulative counts
-    (``look_estimates``) and every pair's difference summary is recorded.
-    The sequential tests then run over all updates at once. Fully
-    deterministic given the scenario seed and repetition index.
+    At every update each estimator of ``methods`` is fitted to the
+    cumulative counts (``look_estimates``) and every pair's difference
+    summary is recorded. Fully deterministic given the scenario seed and
+    repetition index.
     """
     spec = config.spec
     X = build_design_matrix(spec, interaction_order=2)
@@ -356,15 +342,8 @@ def run_repetition(
             est_mean[m][u] = ests.means
             est_var[m][u] = ests.variances
             diff_mean[m][u], diff_var[m][u] = cell_differences(spec, ests)
-
-    p_min = {}
-    for m in methods:
-        trace = sequential_trace(diff_mean[m], diff_var[m], tau_spec, config.alpha)
-        diff_mean[m], diff_var[m], p_min[m] = trace.diff_mean, trace.diff_var, trace.p_min
-
-    return RepetitionResult(
-        rep, truth, est_mean, est_var, diff_mean, diff_var, p_min, tuple(warnings)
-    )
+    return RepetitionResult(rep, truth, est_mean, est_var, diff_mean, diff_var,
+                            tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -403,7 +382,7 @@ def run_scenario(
     repetition order. A fit inside a repetition worker runs its chains one
     after another; with one repetition process the fits fork their chains.
     """
-    results = fork_map(lambda rep: run_repetition(config, rep, tau_spec, methods),
+    results = fork_map(lambda rep: run_repetition(config, rep, methods),
                        config.repetitions, default_workers())
     return ScenarioResult(config, tau_spec, tuple(methods), results)
 
@@ -466,14 +445,14 @@ def score(
     tau_spec: TauSpec | None = None,
     repetitions: list[int] | None = None,
 ) -> MetricsReport:
-    """Metrics for a finished scenario, optionally re-scored under a
-    different tau or restricted to a subset of repetitions (as used by the
-    train/test splits)."""
+    """Metrics for a finished scenario, optionally scored under a tau other
+    than the run's or restricted to a subset of repetitions (as used by the
+    train/test splits). The tests are ``sequential_trace`` of the stored
+    differences."""
     config = result.config
     reps = result.repetitions
     if repetitions is not None:
         reps = [reps[i] for i in repetitions]
-    replay = tau_spec is not None and tau_spec != result.tau_spec
     tau = tau_spec or result.tau_spec
 
     rmse, fnr, fpr, fdr = {}, {}, {}, {}
@@ -482,14 +461,10 @@ def score(
             [np.abs(r.estimate_mean[m] - r.truth.rates[None, :]) for r in reps]
         )
         rmse[m] = errors.mean(axis=(0, 2))
-
-        if replay:
-            traces = np.stack(
-                [sequential_trace(r.diff_mean[m], r.diff_var[m], tau, config.alpha).p_min
-                 for r in reps]
-            )
-        else:
-            traces = np.stack([r.p_min[m] for r in reps])
+        traces = np.stack(
+            [sequential_trace(r.diff_mean[m], r.diff_var[m], tau, config.alpha).p_min
+             for r in reps]
+        )
         labels = np.stack([r.truth.pair_is_h1 for r in reps])
         fnr[m], fpr[m], fdr[m] = _decision_metrics(traces, labels, config.alpha)
 
@@ -537,11 +512,13 @@ def tau_experiment(result: ScenarioResult, method: str | None = None) -> TauComp
     train = list(range(n_train))
     test = list(range(n_train, n))
 
-    reps = [result.repetitions[i] for i in train]
-    effects = effects_from_differences(
-        np.concatenate([rep.diff_mean[method][-1] for rep in reps]),
-        np.concatenate([rep.diff_var[method][-1] for rep in reps]),
-    )
+    # Each pair's final difference as the tests carry it: its last
+    # informative one. One trace is alive at a time.
+    traces = (sequential_trace(result.repetitions[i].diff_mean[method],
+                               result.repetitions[i].diff_var[method],
+                               result.tau_spec, result.config.alpha) for i in train)
+    d, v = zip(*((t.diff_mean[-1].copy(), t.diff_var[-1].copy()) for t in traces))
+    effects = effects_from_differences(np.concatenate(d), np.concatenate(v))
     learnt = learn_tau(effects)
 
     specs = {

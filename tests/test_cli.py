@@ -18,7 +18,7 @@ from hbab.cli import _atomic_write, _effects_from_results_dir, main
 from hbab.design import enumerate_cells, spec_from_dict, spec_to_dict
 from hbab.estimate import mle_estimates
 from hbab.glm import CountData
-from hbab.seqtest import TauSpec, run_all_comparisons
+from hbab.seqtest import TauSpec, run_all_comparisons, sequential_trace
 from hbab.sim import _rep_seed_sequences, desk_scenario, run_repetition, stream_updates
 
 TINY_DESIGN = {
@@ -494,6 +494,26 @@ class TestAnalyze:
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("design", [
+        {"factors": [{**TINY_DESIGN["factors"][0], "values": [1, 2]},
+                     TINY_DESIGN["factors"][1]]},
+        {"factors": [{**TINY_DESIGN["factors"][0], "values": "AB"},
+                     TINY_DESIGN["factors"][1]]},
+        TINY_DESIGN["factors"],
+        {"factors": ["msg", TINY_DESIGN["factors"][1]]},
+    ], ids=["integer-values", "string-values", "top-level-array", "string-factor"])
+    def test_malformed_design_exits_2_and_writes_nothing(self, tmp_path, capsys, design):
+        path = write_json(tmp_path / "design.json", design)
+        counts = write_counts(tmp_path / "counts.csv", default_counts(updates=1))
+        assert main(["analyze", "--design", path, "--counts", counts,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "cannot load design spec" in capsys.readouterr().err
+        cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "spec": design})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert "invalid scenario config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
     def test_excess_responses_exit_2(self, tmp_path, capsys):
         rows = default_counts(updates=1)
         rows[0] = (1, "m0", "c0", 10, 11)
@@ -562,13 +582,27 @@ class TestAnalyze:
         assert not out.exists()
 
     def test_non_finite_learnt_tau_exits_2(self, tmp_path, capsys):
-        learnt = tmp_path / "tau.json"
-        learnt.write_text('{"point_value_for_testing": NaN}')
-        code, _ = self.run_analyze(
-            tmp_path, default_counts(updates=1), tau=f"learnt:{learnt}"
-        )
-        assert code == 2
-        assert "cannot read learnt tau" in capsys.readouterr().err
+        # NaN, or anything but a JSON number that is not a boolean.
+        for i, payload in enumerate([
+            '{"point_value_for_testing": NaN}',
+            '{"point_value_for_testing": true}',
+            '{"point_value_for_testing": "0.5"}',
+            '{"point_value_for_testing": null}',
+            '{"point_value_for_testing": [0.5]}',
+            '{"point_value_for_testing": {"value": 0.5}}',
+            '{"point_value_for_testing": 1%s}' % ("0" * 400),
+            '[{"point_value_for_testing": 0.5}]',
+            '0.5',
+        ]):
+            learnt = tmp_path / f"tau{i}.json"
+            learnt.write_text(payload)
+            code, out = self.run_analyze(
+                tmp_path, default_counts(updates=1), tau=f"learnt:{learnt}",
+                name=f"out{i}",
+            )
+            assert code == 2, payload
+            assert "cannot read learnt tau" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_learnt_tau_from_file(self, tmp_path):
         learnt = tmp_path / "tau.json"
@@ -613,8 +647,10 @@ def test_analyze_reproduces_a_simulated_repetition(tmp_path):
     assert np.array_equal(est[..., 1], rep.estimate_var["mle"], equal_nan=True)
     traces = read("comparisons.csv", ("diff_mean", "diff_var", "p_min"),
                   lambda row: row["context"] != "marginal")
-    for i, trace in enumerate((rep.diff_mean, rep.diff_var, rep.p_min)):
-        assert np.array_equal(traces[..., i], trace["mle"], equal_nan=True)
+    t = sequential_trace(rep.diff_mean["mle"], rep.diff_var["mle"], TauSpec.fixed(0.1),
+                         config.alpha)
+    for i, trace in enumerate((t.diff_mean, t.diff_var, t.p_min)):
+        assert np.array_equal(traces[..., i], trace, equal_nan=True)
 
 
 class TestLearnTau:

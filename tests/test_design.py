@@ -181,6 +181,24 @@ def test_spec_dict_round_trip():
     assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
+MSG = {"name": "msg", "role": "content", "values": ["m0", "m1"]}
+
+
+@pytest.mark.parametrize("config, message", [
+    ([MSG], "top-level 'factors' list"),
+    ({"factors": MSG}, "top-level 'factors' list"),
+    ({"factors": ["msg"]}, "is not an object"),
+    ({"factors": [{**MSG, "values": [1, 2]}]}, "values must be a list of strings"),
+    ({"factors": [{**MSG, "values": "AB"}]}, "values must be a list of strings"),
+    ({"factors": [{**MSG, "name": 3}]}, "is not a string"),
+    ({"factors": [{"name": "msg", "role": "content"}]}, "missing key 'values'"),
+    ({"factors": [{**MSG, "role": "both"}]}, "role must be"),
+])
+def test_malformed_spec_config_raises_value_error(config, message):
+    with pytest.raises(ValueError, match=message):
+        spec_from_dict(config)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         Factor("f", ("only",))

@@ -7,7 +7,7 @@ import pytest
 from hbab.design import ExperimentSpec, Factor, enumerate_comparisons
 from hbab.metaprior import effects_from_differences, learn_tau
 from hbab.sampler import SamplerConfig
-from hbab.seqtest import TauSpec
+from hbab.seqtest import TauSpec, sequential_trace
 from hbab.sim import (
     ANALYZE_SAMPLER,
     SIMULATE_SAMPLER,
@@ -31,6 +31,11 @@ TINY_SPEC = ExperimentSpec(
     content_factors=(Factor("msg", ("m0", "m1")),),
     context_factors=(Factor("ctx", ("c0", "c1")),),
 )
+
+
+def p_min(rep, method, tau=TauSpec.fixed(0.1)):
+    """The running p-values of a repetition's stored differences."""
+    return sequential_trace(rep.diff_mean[method], rep.diff_var[method], tau).p_min
 
 
 def tiny_config(**overrides):
@@ -147,9 +152,10 @@ class TestRunRepetition:
         n_pairs = len(enumerate_comparisons(cfg.spec))
         for m in ("hierarchical", "mle"):
             assert rep1.estimate_mean[m].shape == (2, 4)
-            assert rep1.p_min[m].shape == (2, n_pairs)
+            assert rep1.diff_mean[m].shape == rep1.diff_var[m].shape == (2, n_pairs)
+            assert p_min(rep1, m).shape == (2, n_pairs)
             assert np.array_equal(rep1.estimate_mean[m], rep2.estimate_mean[m])
-            assert np.array_equal(rep1.p_min[m], rep2.p_min[m])
+            assert np.array_equal(p_min(rep1, m), p_min(rep2, m))
 
     def test_zero_updates_give_empty_trace(self):
         cfg = tiny_config(updates=0)
@@ -203,10 +209,10 @@ def test_run_scenario_ignores_the_worker_count(monkeypatch, tmp_path, workers):
         assert np.array_equal(a.truth.rates, b.truth.rates)
         assert a.warnings == b.warnings
         for method in methods:
-            for field in ("estimate_mean", "estimate_var", "diff_mean", "diff_var",
-                          "p_min"):
+            for field in ("estimate_mean", "estimate_var", "diff_mean", "diff_var"):
                 assert np.array_equal(getattr(a, field)[method],
                                       getattr(b, field)[method], equal_nan=True)
+            assert np.array_equal(p_min(a, method), p_min(b, method))
 
 
 def test_worker_count_must_be_an_integer(monkeypatch):
@@ -215,41 +221,50 @@ def test_worker_count_must_be_an_integer(monkeypatch):
         run_scenario(tiny_config(), methods=("mle",))
 
 
-def synthetic_result(p_min_h, p_min_m, labels, est_err=0.0):
-    """ScenarioResult with hand-built traces for metric tests."""
+def synthetic_result(significant_h, significant_m, labels, est_err=0.0):
+    """ScenarioResult whose stored differences give the wanted tests at the
+    run's tau 0.1: a difference of 1 at variance 1e-4 is significant at
+    once, one of 0 never is. The grids are [updates, pairs] booleans, and a
+    pair stays significant once it is."""
     spec = TINY_SPEC
     cfg = ScenarioConfig(
-        spec=spec, updates=p_min_h.shape[0], assignments_per_update=40,
+        spec=spec, updates=significant_h.shape[0], assignments_per_update=40,
         repetitions=1, seed=0,
         sampler=SamplerConfig(chains=1, warmup_draws=10, kept_draws=100),
     )
     rates = np.full(4, 0.5)
     truth = GroundTruth(np.zeros(1), rates, (0,), labels)
-    n_u, n_p = p_min_h.shape
+    n_u, n_p = significant_h.shape
     est = np.full((n_u, 4), 0.5 + est_err)
-    zeros = np.zeros((n_u, n_p))
+    variances = np.full((n_u, n_p), 1e-4)
+    diffs = {"hierarchical": np.where(significant_h, 1.0, 0.0),
+             "mle": np.where(significant_m, 1.0, 0.0)}
     rep = RepetitionResult(
         0, truth,
         {"hierarchical": est, "mle": est},
         {"hierarchical": est * 0, "mle": est * 0},
-        {"hierarchical": zeros, "mle": zeros},
-        {"hierarchical": zeros + 1e-4, "mle": zeros + 1e-4},
-        {"hierarchical": p_min_h, "mle": p_min_m},
+        diffs,
+        {"hierarchical": variances, "mle": variances},
         (),
     )
+    for m, significant in (("hierarchical", significant_h), ("mle", significant_m)):
+        assert np.array_equal(p_min(rep, m) < cfg.alpha, significant)
     return ScenarioResult(cfg, TauSpec.fixed(0.1), ("hierarchical", "mle"), [rep])
+
+
+NEVER = np.zeros((3, 2), dtype=bool)
 
 
 class TestScore:
     def test_perfect_estimates_zero_error(self):
         labels = np.array([True, False])
-        result = synthetic_result(np.ones((3, 2)), np.ones((3, 2)), labels)
+        result = synthetic_result(NEVER, NEVER, labels)
         report = score(result)
         assert np.allclose(report.rmse["hierarchical"], 0.0)
 
     def test_no_significance_means_fnr_one_fpr_zero(self):
         labels = np.array([True, False])
-        result = synthetic_result(np.ones((3, 2)), np.ones((3, 2)), labels)
+        result = synthetic_result(NEVER, NEVER, labels)
         report = score(result)
         assert np.allclose(report.fnr["hierarchical"], 1.0)
         assert np.allclose(report.fpr["hierarchical"], 0.0)
@@ -257,21 +272,21 @@ class TestScore:
 
     def test_detections_counted_once_significant(self):
         labels = np.array([True, False])
-        p_h = np.array([[1.0, 1.0], [0.01, 1.0], [0.01, 1.0]])
-        result = synthetic_result(p_h, np.ones((3, 2)), labels)
+        sig_h = np.array([[False, False], [True, False], [True, False]])
+        result = synthetic_result(sig_h, NEVER, labels)
         report = score(result)
         assert np.allclose(report.fnr["hierarchical"], [1.0, 0.0, 0.0])
 
     def test_fdr_pools_counts(self):
         labels = np.array([True, False])
-        p_h = np.array([[0.01, 0.01]])
-        result = synthetic_result(p_h, np.ones((1, 2)), labels)
+        sig_h = np.array([[True, True]])
+        result = synthetic_result(sig_h, NEVER[:1], labels)
         report = score(result)
         assert report.fdr["hierarchical"][0] == pytest.approx(0.5)
 
     def test_rows_long_format(self):
         labels = np.array([True, False])
-        result = synthetic_result(np.ones((2, 2)), np.ones((2, 2)), labels)
+        result = synthetic_result(NEVER[:2], NEVER[:2], labels)
         rows = list(score(result).rows())
         assert len(rows) == 4 * 2 * 2  # metrics x methods x updates
         assert rows[0][:4] == (1, "hierarchical", "fixed", "rmse")
@@ -299,6 +314,7 @@ def test_tau_experiment_replays_traces():
     n_u = 4
     d = rng.normal(0, 0.05, (n_u, 2))
     v = rng.uniform(1e-5, 1e-4, (n_u, 2))
+    v[-1, 1] = 0.0  # degenerate at the last update: the test keeps update 3's
     spec = TINY_SPEC
     cfg = ScenarioConfig(
         spec=spec, updates=n_u, assignments_per_update=40, repetitions=2, seed=0,
@@ -312,8 +328,7 @@ def test_tau_experiment_replays_traces():
             RepetitionResult(
                 i, truth,
                 {"hierarchical": est}, {"hierarchical": est * 0},
-                {"hierarchical": d + 0.01 * i}, {"hierarchical": v},
-                {"hierarchical": np.ones((n_u, 2))}, (),
+                {"hierarchical": d + 0.01 * i}, {"hierarchical": v}, (),
             )
         )
     result = ScenarioResult(cfg, TauSpec.fixed(0.1), ("hierarchical",), reps)
@@ -321,9 +336,10 @@ def test_tau_experiment_replays_traces():
     assert set(comparison.metrics) == {"fixed", "dynamic", "learnt"}
     assert comparison.train_reps == (0,) and comparison.test_reps == (1,)
     assert comparison.learnt_tau > 0
-    # The corpus is the training rep's final differences, through the one
-    # metaprior path.
-    learnt = learn_tau(effects_from_differences(d[-1], v[-1]))
+    # The corpus is the training rep's final differences as its tests carry
+    # them, through the one metaprior path.
+    learnt = learn_tau(effects_from_differences([d[-1, 0], d[-2, 1]],
+                                                [v[-1, 0], v[-2, 1]]))
     assert comparison.learnt_tau == learnt.posterior_mean
     assert comparison.learnt_q97_5 == learnt.q97_5
     with pytest.raises(ValueError, match="was not run"):
