@@ -54,18 +54,18 @@ from .design import (
 from .estimate import marginalize
 from .glm import CountData
 from .metaprior import EffectObservation, effects_from_differences, learn_tau
-from .sampler import available_cpus, fork_processes
+from .sampler import available_cpus, fit_blas_threads, fork_processes
 from .seqtest import TauSpec, cell_differences, sequential_trace
 from .sim import (
     ANALYZE_SAMPLER,
     METHODS,
+    MetricsReport,
     ScenarioConfig,
     default_workers,
     desk_scenario,
     look_estimates,
     paper_scenario,
     run_scenario,
-    score,
     tau_experiment,
 )
 
@@ -127,20 +127,24 @@ def _config_hash(payload: dict) -> str:
 
 
 # Environment settings that change how many processes and threads a run
-# uses; a seed reproduces draws only at the same BLAS thread count.
+# uses. Fits run at one BLAS thread whatever they say, unless no OpenBLAS
+# thread setter was found ("blas_threads" null): then the draws may depend
+# on the BLAS thread count they set.
 _PROCESS_SETTINGS = ("HBAB_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _processes(chains: int, repetitions: int, workers: int) -> dict:
     """The CPUs of a run, the processes each of its fits runs ``chains``
     chains over (0 for a run without fits) when its ``repetitions`` are
-    mapped over up to ``workers`` processes, and the settings above."""
+    mapped over up to ``workers`` processes, the BLAS thread count of every
+    fit and the settings above."""
     # A fit in a forked repetition is in a worker process, where
     # fork_processes gives 1.
     limit = available_cpus() if fork_processes(repetitions, workers) <= 1 else 1
     return {
         "cpus": available_cpus(),
         "chain_processes": fork_processes(chains, limit),
+        "blas_threads": fit_blas_threads(),
         "environment": {name: os.environ.get(name) for name in _PROCESS_SETTINGS},
     }
 
@@ -327,22 +331,26 @@ def _csv_fields(fields) -> str:
 _DECISION_ROW = "%d,%d,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 
-def _decision_lines(result, tau_spec):
+def _decision_lines(result, tau_spec, significant):
     """``decisions.csv`` body, one string per (repetition, method, pair).
 
     The tests are replayed from the stored difference traces: a pair whose
     difference variance is zero at an update repeats its previous
     diff_mean, diff_var, bayes_factor and p_instant, and reads NaN there
-    before its first informative update.
+    before its first informative update. Each repetition's trace of each
+    method also fills its row of ``significant[method]``, the [repetitions,
+    updates, pairs] stack that ``metrics.csv`` is scored from, so no test
+    is traced twice.
     """
     labels = [_csv_fields(label) for label in _pair_labels(result.config.spec)]
     updates = range(1, result.config.updates + 1)
-    for rep in result.repetitions:
+    for i, rep in enumerate(result.repetitions):
         truth = ["h1" if h1 else "h0" for h1 in rep.truth.pair_is_h1]
         for m in result.methods:
             head = _csv_fields([m, tau_spec.kind])
             t = sequential_trace(rep.diff_mean[m], rep.diff_var[m], tau_spec,
                                  result.config.alpha)
+            significant[m][i] = t.significant
             columns = [np.ascontiguousarray(a.T) for a in (
                 t.diff_mean, t.diff_var, t.bayes_factor, t.p_instant, t.p_min,
                 t.significant)]
@@ -351,6 +359,9 @@ def _decision_lines(result, tau_spec):
                     _DECISION_ROW % (rep.rep, u, head, label, truth[p], *values)
                     for u, *values in zip(updates, *(c[p].tolist() for c in columns))
                 )
+            # Freed before the next trace is computed: two alive at once set
+            # the command's peak memory.
+            del t, columns
 
 
 def _write_metrics(path: str, reports) -> None:
@@ -376,15 +387,20 @@ def cmd_simulate(args) -> int:
     for w in result.warnings:
         manifest.warn(w)
 
-    _write_metrics(manifest.add_output(os.path.join(args.out, "metrics.csv")),
-                   [score(result)])
+    metrics_path = manifest.add_output(os.path.join(args.out, "metrics.csv"))
     header = ["rep", "update", "method", "tau_kind", "context", "content_a",
               "content_b", "truth", "diff_mean", "diff_var", "bayes_factor",
               "p_instant", "p_min", "significant"]
+    # [repetitions, updates, pairs]
+    shape = (config.repetitions, *result.repetitions[0].diff_mean[methods[0]].shape)
+    significant = {m: np.empty(shape, dtype=bool) for m in methods}
     _atomic_write(
         manifest.add_output(os.path.join(args.out, "decisions.csv")),
-        itertools.chain([",".join(header) + "\n"], _decision_lines(result, tau_spec)),
+        itertools.chain([",".join(header) + "\n"],
+                        _decision_lines(result, tau_spec, significant)),
     )
+    _write_metrics(metrics_path, [MetricsReport.of(result, result.repetitions,
+                                                   tau_spec.kind, significant)])
 
     if args.tau_experiment:
         comparison = tau_experiment(result)

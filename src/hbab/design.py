@@ -246,6 +246,10 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
             raise ValueError(f"factor name {name!r} is not a string")
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ValueError(f"factor {name!r}: values must be a list of strings")
+        # Output files join a combination's value labels with "|", so a label
+        # holding one could make two combinations read the same.
+        if any("|" in v for v in values):
+            raise ValueError(f"factor {name!r}: value labels must not contain '|'")
         fac = Factor(name, tuple(values))
         if role == "content":
             content.append(fac)

@@ -71,6 +71,18 @@ A fork copies only the calling thread, so a lock that another thread of
 the caller holds at that moment stays held in the workers; the mapped
 function must not need one.
 
+Every fit runs at one BLAS thread: ``sample`` sets OpenBLAS to one thread
+for its whole run, on the serial and the forked path alike (forked workers
+inherit the setting), and puts the process's count back when it returns.
+The thread count changes how OpenBLAS splits a matrix product and so the
+rounding of its sums, and at paper scale the draws; at one thread a seed
+draws the same at any CPU count or ``OPENBLAS_NUM_THREADS`` on the same BLAS
+build, and chain processes do not oversubscribe the CPUs with ``nproc``
+BLAS threads each. The setting is process-wide, so calls in several
+threads share one scope: the first to enter sets one thread and the last
+to leave restores the count. Where no OpenBLAS thread setter is found,
+fits run at the process's count, as ``fit_blas_threads`` reports.
+
 Split R-hat and effective sample size are vectorised over columns of
 draws [n_draws, n_chains, *k], a block of columns at a time.
 """
@@ -81,9 +93,10 @@ import math
 import multiprocessing
 import numbers
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import wraps
+from functools import cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -103,6 +116,7 @@ __all__ = [
     "available_cpus",
     "fork_processes",
     "fork_map",
+    "fit_blas_threads",
 ]
 
 _DIVERGENCE_THRESHOLD = 1000.0
@@ -638,6 +652,89 @@ def fork_map(fn: Callable, n: int, limit: int) -> list:
         return list(pool.map(_call_mapped, range(n)))
 
 
+# Thread-count setter and getter of an OpenBLAS library, tried in this
+# order; numpy's wheel renames them with a prefix and a suffix.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@cache
+def _openblas_thread_controls() -> tuple:
+    """(setter, getter) of the thread count of every OpenBLAS library mapped
+    into this process; empty without ``/proc`` or an OpenBLAS that exports
+    them. Looked up at the first fit, not at import."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "blas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return tuple(controls)
+
+
+def fit_blas_threads() -> int | None:
+    """The BLAS thread count every fit runs at: 1, or None where no OpenBLAS
+    thread setter was found and fits run at the process's count."""
+    return 1 if _openblas_thread_controls() else None
+
+
+class _OneBlasThread:
+    """Context in which every OpenBLAS library runs one thread.
+
+    The count is process-wide, so entries from several threads share one
+    scope: the first entry saves each library's count and sets 1, and the
+    last exit restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+        # A forked child holds a copy of the lock, which another thread of
+        # the parent may have held at the fork.
+        os.register_at_fork(after_in_child=self._new_lock)
+
+    def _new_lock(self):
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((setter, getter())
+                                    for setter, getter in _openblas_thread_controls())
+                for setter, _ in self._saved:
+                    setter(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for setter, count in self._saved:
+                    setter(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def sample(
     target: TargetDensity,
     config: SamplerConfig = SamplerConfig(),
@@ -668,36 +765,37 @@ def sample(
             f"{warm_start.draws.shape}) does not fit {config.chains} chains "
             f"in {target.dim} dimensions"
         )
-    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    warm = [None] * config.chains
-    if warm_start is not None:
-        with np.errstate(**_EXPECTED_OVERFLOW):
-            inv_mass = _window_metric(target.log_density_and_grad, warm_start.draws)
-        warm = [(q, inv_mass) for q in warm_start.positions]
+    with _one_blas_thread:
+        seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
+        warm = [None] * config.chains
+        if warm_start is not None:
+            with np.errstate(**_EXPECTED_OVERFLOW):
+                inv_mass = _window_metric(target.log_density_and_grad, warm_start.draws)
+            warm = [(q, inv_mass) for q in warm_start.positions]
 
-    def run(c):
-        with np.errstate(**_EXPECTED_OVERFLOW):
-            return _run_chain(target, config, seeds[c], warm[c])
+        def run(c):
+            with np.errstate(**_EXPECTED_OVERFLOW):
+                return _run_chain(target, config, seeds[c], warm[c])
 
-    chains = fork_map(run, config.chains, available_cpus())
-    all_draws = np.stack([chain_draws for chain_draws, _, _ in chains], axis=1)
-    divergences = sum(chain_div for _, chain_div, _ in chains)
+        chains = fork_map(run, config.chains, available_cpus())
+        all_draws = np.stack([chain_draws for chain_draws, _, _ in chains], axis=1)
+        divergences = sum(chain_div for _, chain_div, _ in chains)
 
-    if np.any(~np.isfinite(all_draws)):
-        raise RuntimeError("sampler produced non-finite draws")
+        if np.any(~np.isfinite(all_draws)):
+            raise RuntimeError("sampler produced non-finite draws")
 
-    labels = target.labels or tuple(f"x[{j}]" for j in range(target.dim))
-    warnings = []
-    total = config.kept_draws * config.chains
-    if divergences > 0.1 * total:
-        warnings.append(
-            f"{divergences}/{total} divergent transitions; "
-            "posterior geometry is likely pathological"
-        )
-    diag = Diagnostics.of(all_draws, labels, divergences, warnings)
-    carried = WarmStart(all_draws[-1].copy(), all_draws.reshape(-1, target.dim).copy())
-    return PosteriorSamples(all_draws, tuple(labels), diag, carried,
-                            tuple(calls for _, _, calls in chains))
+        labels = target.labels or tuple(f"x[{j}]" for j in range(target.dim))
+        warnings = []
+        total = config.kept_draws * config.chains
+        if divergences > 0.1 * total:
+            warnings.append(
+                f"{divergences}/{total} divergent transitions; "
+                "posterior geometry is likely pathological"
+            )
+        diag = Diagnostics.of(all_draws, labels, divergences, warnings)
+        carried = WarmStart(all_draws[-1].copy(), all_draws.reshape(-1, target.dim).copy())
+        return PosteriorSamples(all_draws, tuple(labels), diag, carried,
+                                tuple(calls for _, _, calls in chains))
 
 
 def _by_column_block(statistic):

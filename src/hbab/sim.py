@@ -403,6 +403,22 @@ class MetricsReport:
     fpr: dict[str, np.ndarray]
     fdr: dict[str, np.ndarray]
 
+    @classmethod
+    def of(cls, result: ScenarioResult, reps, tau_kind: str, significant) -> "MetricsReport":
+        """Metrics of ``reps``, repetitions of ``result``, whose tests under
+        a tau of kind ``tau_kind`` declared ``significant[method]``, the
+        stacked ``significant`` of their sequential traces [len(reps),
+        updates, pairs]."""
+        rmse, fnr, fpr, fdr = {}, {}, {}, {}
+        for m in result.methods:
+            errors = np.stack(
+                [np.abs(r.estimate_mean[m] - r.truth.rates[None, :]) for r in reps]
+            )
+            rmse[m] = errors.mean(axis=(0, 2))
+            labels = np.stack([r.truth.pair_is_h1 for r in reps])
+            fnr[m], fpr[m], fdr[m] = _decision_metrics(significant[m], labels)
+        return cls(tau_kind, result.methods, rmse, fnr, fpr, fdr)
+
     def rows(self):
         """Long-format (update, method, tau_kind, metric, value) tuples."""
         for metric in ("rmse", "fnr", "fpr", "fdr"):
@@ -412,12 +428,11 @@ class MetricsReport:
                     yield u, method, self.tau_kind, metric, float(value)
 
 
-def _decision_metrics(p_min_traces, labels, alpha):
-    """FNR/FPR/FDR curves from stacked p_min traces.
+def _decision_metrics(significant, labels):
+    """FNR/FPR/FDR curves from stacked significance traces.
 
-    p_min_traces: [reps, updates, pairs]; labels: [reps, pairs] booleans.
+    significant: [reps, updates, pairs] booleans; labels: [reps, pairs] booleans.
     """
-    significant = p_min_traces < alpha
     n_reps, n_u, _ = significant.shape
     fnr = np.full(n_u, np.nan)
     fpr = np.full(n_u, np.nan)
@@ -449,26 +464,16 @@ def score(
     than the run's or restricted to a subset of repetitions (as used by the
     train/test splits). The tests are ``sequential_trace`` of the stored
     differences."""
-    config = result.config
     reps = result.repetitions
     if repetitions is not None:
         reps = [reps[i] for i in repetitions]
     tau = tau_spec or result.tau_spec
-
-    rmse, fnr, fpr, fdr = {}, {}, {}, {}
-    for m in result.methods:
-        errors = np.stack(
-            [np.abs(r.estimate_mean[m] - r.truth.rates[None, :]) for r in reps]
-        )
-        rmse[m] = errors.mean(axis=(0, 2))
-        traces = np.stack(
-            [sequential_trace(r.diff_mean[m], r.diff_var[m], tau, config.alpha).p_min
-             for r in reps]
-        )
-        labels = np.stack([r.truth.pair_is_h1 for r in reps])
-        fnr[m], fpr[m], fdr[m] = _decision_metrics(traces, labels, config.alpha)
-
-    return MetricsReport(tau.kind, result.methods, rmse, fnr, fpr, fdr)
+    significant = {
+        m: np.stack([sequential_trace(r.diff_mean[m], r.diff_var[m], tau,
+                                      result.config.alpha).significant for r in reps])
+        for m in result.methods
+    }
+    return MetricsReport.of(result, reps, tau.kind, significant)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,16 @@ TINY_SCENARIO = {
 }
 
 
+# Two content factors whose value labels hold "|": the pairs a|b + c and
+# a + b|c would both read "a|b|c" in the output files.
+PIPE_DESIGN = {
+    "factors": [
+        {"name": "f1", "role": "content", "values": ["a|b", "a"]},
+        {"name": "f2", "role": "content", "values": ["c", "b|c"]},
+    ]
+}
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -118,6 +128,7 @@ class TestSimulate:
         assert recorded == {
             "cpus": len(os.sched_getaffinity(0)),
             "chain_processes": processes,
+            "blas_threads": 1 if sampler_module._openblas_thread_controls() else None,
             "environment": {name: os.environ.get(name) for name in (
                 "HBAB_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         }
@@ -132,6 +143,42 @@ class TestSimulate:
             assert chain_runs.forked(processes)
             assert chain_runs.callers() == {os.getpid()}
         assert multiprocessing.active_children() == []
+
+    def test_manifest_records_no_blas_threads_without_a_setter(self, tmp_path, monkeypatch):
+        # Where no OpenBLAS thread setter is found, fits run at the process's
+        # BLAS thread count, and the manifest says so.
+        monkeypatch.setattr(sampler_module, "_openblas_thread_controls", lambda: ())
+        cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "repetitions": 1})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["processes"]["blas_threads"] is None
+
+    def test_each_repetition_and_method_is_traced_once(self, tmp_path, monkeypatch):
+        # decisions.csv and metrics.csv come from the same sequential traces.
+        import hbab.cli
+        import hbab.sim
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sequential_trace(*args, **kwargs)
+
+        for module in (hbab.cli, hbab.sim):
+            monkeypatch.setattr(module, "sequential_trace", counted)
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "methods": ["mle"], "repetitions": 3})
+        assert main(["simulate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 3
+
+    def test_pipe_in_a_value_label_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "methods": ["mle"], "spec": PIPE_DESIGN})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        assert "must not contain '|'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_worker_count_exits_2_before_any_output(self, tmp_path, monkeypatch,
                                                                 capsys):
@@ -513,6 +560,14 @@ class TestAnalyze:
                      "--out", str(tmp_path / "s")]) == 2
         assert "invalid scenario config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+    def test_pipe_in_a_value_label_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        design = write_json(tmp_path / "design.json", PIPE_DESIGN)
+        counts = write_counts(tmp_path / "counts.csv", default_counts(updates=1))
+        assert main(["analyze", "--design", design, "--counts", counts,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "must not contain '|'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_excess_responses_exit_2(self, tmp_path, capsys):
         rows = default_counts(updates=1)

@@ -193,6 +193,7 @@ MSG = {"name": "msg", "role": "content", "values": ["m0", "m1"]}
     ({"factors": [{**MSG, "name": 3}]}, "is not a string"),
     ({"factors": [{"name": "msg", "role": "content"}]}, "missing key 'values'"),
     ({"factors": [{**MSG, "role": "both"}]}, "role must be"),
+    ({"factors": [{**MSG, "values": ["m0", "a|b"]}]}, "must not contain '|'"),
 ])
 def test_malformed_spec_config_raises_value_error(config, message):
     with pytest.raises(ValueError, match=message):

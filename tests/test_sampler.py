@@ -2,6 +2,8 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -332,6 +334,128 @@ class TestParallelChains:
         assert multiprocessing.active_children() == []
 
 
+# One fit of the 256-cell paper design, large enough that OpenBLAS splits
+# its products over threads: the SHA-256 of its draws and of its cells' rate
+# means.
+PAPER_FIT = """
+import hashlib
+from hbab.design import build_design_matrix
+from hbab.estimate import hb_estimate
+from hbab.glm import CountData, fit_posterior
+from hbab.sampler import SamplerConfig
+from hbab.sim import _rep_seed_sequences, generate_truth, paper_scenario, stream_updates
+
+config = paper_scenario(seed=7)
+truth_seed, stream_seed = _rep_seed_sequences(config, 0)
+looks = stream_updates(generate_truth(config, truth_seed), config, stream_seed)[:10]
+X = build_design_matrix(config.spec, interaction_order=2)
+data = CountData(sum(u.assignments for u in looks), sum(u.responses for u in looks))
+samples = fit_posterior(data, X, SamplerConfig(chains=2, warmup_draws=50, kept_draws=100,
+                                               max_tree_depth=8, seed=3))
+for values in (samples.draws, hb_estimate(samples, X).means):
+    print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+class TestOneBlasThread:
+    """Every fit runs at one BLAS thread, so its draws do not depend on the
+    thread count, and leaves the caller's count as it found it."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        """The getter of this process's OpenBLAS thread count, set to 2
+        for the test and put back after it."""
+        controls = sampler_module._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread setter in this process")
+        (setter, getter), = controls[:1]
+        before = getter()
+        setter(2)
+        yield getter
+        setter(before)
+
+    @staticmethod
+    def one_thread_target(blas_threads):
+        """A standard normal whose density fails at any other thread count."""
+        def fn(x):
+            if blas_threads() != 1:
+                raise RuntimeError(f"density evaluated at {blas_threads()} BLAS threads")
+            return float(-0.5 * x @ x), -x
+
+        return TargetDensity(2, fn)
+
+    def test_paper_draws_do_not_depend_on_blas_threads(self):
+        runs = {}
+        for threads in (None, "1", "2"):
+            env = {key: value for key, value in os.environ.items()
+                   if key not in ("OPENBLAS_NUM_THREADS", "HBAB_WORKERS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", PAPER_FIT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = proc.stdout.split()
+        assert len(runs[None]) == 2
+        assert runs[None] == runs["1"] == runs["2"]
+
+    def test_paper_draws_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path):
+        # With 2 workers each repetition fits in its own worker, chains one
+        # after another; with 1 the fits fork their chains. Each fit leaves
+        # a file named by its draws' SHA-256 in its worker count's folder.
+        import hbab.sim
+        from hbab.sim import paper_scenario, run_scenario
+
+        hb_estimate = hbab.sim.hb_estimate
+
+        def recorded(samples, X):
+            digest = hashlib.sha256(samples.draws.tobytes()).hexdigest()
+            (tmp_path / workers / digest).touch()
+            return hb_estimate(samples, X)
+
+        monkeypatch.setattr(hbab.sim, "hb_estimate", recorded)
+        cfg = paper_scenario(seed=2, updates=1, repetitions=2, sampler=SamplerConfig(
+            chains=2, warmup_draws=50, kept_draws=100, max_tree_depth=8))
+        results = {}
+        for workers in ("1", "2"):
+            (tmp_path / workers).mkdir()
+            monkeypatch.setenv("HBAB_WORKERS", workers)
+            results[workers] = run_scenario(cfg, methods=("hierarchical",))
+        draws = [{p.name for p in (tmp_path / w).iterdir()} for w in ("1", "2")]
+        assert len(draws[0]) == 2 and draws[0] == draws[1]
+        for a, b in zip(results["1"].repetitions, results["2"].repetitions):
+            assert np.array_equal(a.estimate_mean["hierarchical"],
+                                  b.estimate_mean["hierarchical"])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fit_runs_at_one_thread_and_restores_the_count(self, blas_threads, cpus):
+        cfg = SamplerConfig(chains=2, warmup_draws=50, kept_draws=100, seed=1)
+        TestParallelChains.on_cpus(cpus, sample, self.one_thread_target(blas_threads), cfg)
+        assert blas_threads() == 2
+
+    def test_threads_sampling_at_once_restore_the_count(self, blas_threads):
+        # More threads than CPUs, switching often: a thread that restored
+        # the count while another still samples fails that one's density.
+        cfg = SamplerConfig(chains=1, warmup_draws=50, kept_draws=100)
+        target = self.one_thread_target(blas_threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as threads:
+                runs = list(threads.map(lambda seed: sample(target, replace(cfg, seed=seed)),
+                                        range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 8
+        assert blas_threads() == 2
+
+    def test_without_a_setter_fits_run_at_the_process_count(self, monkeypatch):
+        monkeypatch.setattr(sampler_module, "_openblas_thread_controls", lambda: ())
+        assert sampler_module.fit_blas_threads() is None
+        cfg = SamplerConfig(chains=2, warmup_draws=50, kept_draws=100, seed=1)
+        assert sample(std_normal_target(2), cfg).draws.shape == (100, 2, 2)
+
+
 class TestForkMap:
     def test_results_come_back_in_index_order(self):
         def fn(i):
@@ -544,8 +668,9 @@ class TestWarmStart:
 
     def test_hierarchical_cold_and_warm_draws_are_pinned(self):
         # Bit for bit: the SHA-256 of a desk-scale cold fit's draws and of
-        # the warm fit that follows it at the next look. Paper-scale draws
-        # depend on the BLAS thread count, so the pin is at desk scale.
+        # the warm fit that follows it at the next look. Fits run at one BLAS
+        # thread, so draws at any scale do not depend on the thread count;
+        # the desk scale keeps the pin quick.
         from hbab.design import build_design_matrix
         from hbab.glm import CountData, fit_posterior
         from hbab.sim import _rep_seed_sequences, desk_scenario, generate_truth, stream_updates
