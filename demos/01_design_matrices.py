@@ -23,10 +23,11 @@ spec = ExperimentSpec(
     ),
 )
 
+# One row of value indices per cell, one column per factor.
 cells = enumerate_cells(spec)
 print(f"{len(cells)} cells; the first few:")
 for cell in cells[:4]:
-    print("  ", spec.describe_cell(cell))
+    print("  ", cell.tolist(), spec.describe_cell(cell))
 
 X = build_design_matrix(spec, interaction_order=2)
 print(f"\ndesign matrix: {X.rows} rows x {X.cols} columns")

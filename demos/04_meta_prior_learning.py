@@ -9,19 +9,19 @@ be.
 
 import numpy as np
 
-from hbab import EffectObservation, TauSpec, learn_tau
+from hbab import TauSpec, learn_tau
 from hbab.seqtest import bayes_factor
 
 rng = np.random.default_rng(7)
 
 # A synthetic corpus of 300 past experiments: true dispersion 0.01, each
-# measured with its own noise level.
+# measured with its own noise level. A corpus is two arrays: the observed
+# effects and their standard errors.
 tau_true = 0.01
 noise = rng.uniform(0.01, 0.05, 300)
 deltas = rng.normal(0.0, np.sqrt(noise**2 + tau_true))
-corpus = [EffectObservation(float(d), float(s)) for d, s in zip(deltas, noise)]
 
-learnt = learn_tau(corpus)
+learnt = learn_tau(deltas, noise)
 print(f"true dispersion: {tau_true}")
 print(f"learnt: mean {learnt.posterior_mean:.4f}, "
       f"95% CI [{learnt.q2_5:.4f}, {learnt.q97_5:.4f}]")
@@ -39,7 +39,6 @@ for spec in (TauSpec.fixed(0.1), TauSpec.learnt(learnt.point_value_for_testing))
 
 # A corpus with no real effects: the posterior collapses toward zero and
 # the plug-in value is floored.
-null_corpus = [EffectObservation(0.0, 1e-5) for _ in range(50)]
-floored = learn_tau(null_corpus)
+floored = learn_tau(np.zeros(50), np.full(50, 1e-5))
 print(f"\nall-null corpus: posterior mean {floored.posterior_mean:.2e}, "
       f"plug-in floored at {floored.point_value_for_testing:.0e}")

@@ -16,8 +16,8 @@ print(f"scenario: {config.spec.n_cells} cells, {config.updates} updates, "
       f"{config.repetitions} repetitions, "
       f"{config.assignments_per_update} assignments per update")
 
-result = run_scenario(config, TauSpec.fixed(0.1))
-report = score(result)
+result = run_scenario(config)
+report = score(result, TauSpec.fixed(0.1))
 
 print("\nmean absolute estimation error per update:")
 print(f"{'update':>6} {'hierarchical':>13} {'plain':>8}")

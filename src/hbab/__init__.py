@@ -15,7 +15,6 @@ from .conjugate import (
     shrinkage_coefficients,
 )
 from .design import (
-    Cell,
     DesignMatrix,
     ExperimentSpec,
     Factor,
@@ -26,7 +25,7 @@ from .design import (
 )
 from .estimate import CellEstimate, CellEstimates, hb_estimate, marginalize, mle_estimates
 from .glm import CountData, fit_posterior
-from .metaprior import EffectObservation, LearntTau, learn_tau
+from .metaprior import LearntTau, learn_tau
 from .sampler import PosteriorSamples, SamplerConfig, posterior_summary, sample
 from .seqtest import ComparisonResult, TauSpec, bayes_factor, run_all_comparisons
 from .sim import (
@@ -46,7 +45,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell",
     "CellEstimate",
     "CellEstimates",
     "ComparisonResult",
@@ -54,7 +52,6 @@ __all__ = [
     "ConjugatePosterior",
     "CountData",
     "DesignMatrix",
-    "EffectObservation",
     "ExperimentSpec",
     "Factor",
     "LearntTau",

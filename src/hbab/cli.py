@@ -53,8 +53,8 @@ from .design import (
 )
 from .estimate import marginalize
 from .glm import CountData
-from .metaprior import EffectObservation, effects_from_differences, learn_tau
-from .sampler import available_cpus, fit_blas_threads, fork_processes
+from .metaprior import effects_from_differences, learn_tau
+from .sampler import TARGET_ACCEPT, available_cpus, fit_blas_threads, fork_processes
 from .seqtest import TauSpec, cell_differences, sequential_trace
 from .sim import (
     ANALYZE_SAMPLER,
@@ -288,14 +288,16 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
             kwargs["sampler"] = replace(base.sampler, **overrides["sampler"])
         config = replace(base, seed=args.seed, **kwargs)
         tau_spec = TauSpec.fixed(0.1)
-        if overrides.get("tau"):
+        if "tau" in overrides:
             _check_keys(overrides["tau"], ("kind", "value"), "tau.")
             tau_spec = TauSpec(**overrides["tau"])
     except (TypeError, ValueError, KeyError, AttributeError) as exc:
         raise InputError(f"invalid scenario config: {exc}") from exc
-    methods = tuple(overrides.get("methods", METHODS))
-    if not methods or not set(methods) <= set(METHODS):
-        raise InputError(f"invalid scenario config: methods must be drawn from {METHODS}")
+    methods = overrides.get("methods", list(METHODS))
+    if not (isinstance(methods, list) and methods and all(m in METHODS for m in methods)):
+        raise InputError("invalid scenario config: methods must be a non-empty list "
+                         f"drawn from {METHODS}")
+    methods = tuple(methods)
     if len(set(methods)) < len(methods):
         raise InputError(f"invalid scenario config: methods repeat in {list(methods)}")
     if args.tau_experiment and config.repetitions < 2:
@@ -310,8 +312,10 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
         "seed": args.seed,
         "spec": spec_to_dict(config.spec),
         **{key: getattr(config, key) for key in _SCENARIO_VALUES},
-        "sampler": {f.name: getattr(config.sampler, f.name)
-                    for f in fields(config.sampler) if f.name != "seed"},
+        # The sampler's fixed acceptance target is a setting of every fit.
+        "sampler": {"target_accept": TARGET_ACCEPT,
+                    **{f.name: getattr(config.sampler, f.name)
+                       for f in fields(config.sampler) if f.name != "seed"}},
         "tau": {"kind": tau_spec.kind, "value": tau_spec.value},
         "methods": list(methods),
     }
@@ -383,7 +387,7 @@ def cmd_simulate(args) -> int:
     manifest = _Manifest("simulate", payload, seed=args.seed, chains=chains,
                          repetitions=config.repetitions, workers=workers)
 
-    result = run_scenario(config, tau_spec, methods)
+    result = run_scenario(config, methods)
     for w in result.warnings:
         manifest.warn(w)
 
@@ -542,6 +546,10 @@ def cmd_analyze(args) -> int:
     pooled_spec = ExperimentSpec(spec.content_factors)
     pair_labels = _pair_labels(spec) + [
         (_POOLED_CONTEXT, a, b) for _, a, b in _pair_labels(pooled_spec)]
+    cell_labels = [[f.values[i] for f, i in zip(spec.factors, cell)]
+                   for cell in enumerate_cells(spec).tolist()]
+    content_labels = [[f.values[i] for f, i in zip(spec.content_factors, combo)]
+                      for combo in contents]
 
     method = "hierarchical" if args.method == "hb" else "mle"
     looks = look_estimates(increments, X, (method,), ANALYZE_SAMPLER,
@@ -551,23 +559,18 @@ def cmd_analyze(args) -> int:
         for w in fit_warnings:
             manifest.warn(f"update {u}: {w}")
         ests = estimates[method]
-        for cell, mean, var in zip(enumerate_cells(spec), ests.means.tolist(),
-                                   ests.variances.tolist()):
-            est_rows.append(
-                (u, *(f.values[i] for f, i in zip(spec.factors, cell.value_indices)),
-                 args.method, _fmt(mean), _fmt(var))
-            )
+        est_rows += ((u, *labels, args.method, _fmt(mean), _fmt(var))
+                     for labels, mean, var in zip(cell_labels, ests.means.tolist(),
+                                                  ests.variances.tolist()))
 
         # Content factors are the leading digits of the cell order, so a
         # context's traffic is a column sum.
         traffic = data.assignments.reshape(len(contents), n_contexts).sum(axis=0)
         marginals = marginalize(ests, spec, traffic.astype(float))
-        for m, mean, var in zip(contents, marginals.means.tolist(),
-                                marginals.variances.tolist()):
-            marg_rows.append(
-                (u, *(f.values[v] for f, v in zip(spec.content_factors, m)),
-                 args.method, _fmt(mean), _fmt(var))
-            )
+        marg_rows += ((u, *labels, args.method, _fmt(mean), _fmt(var))
+                      for labels, mean, var in zip(content_labels,
+                                                   marginals.means.tolist(),
+                                                   marginals.variances.tolist()))
         d, v = cell_differences(spec, ests)
         pooled_d, pooled_v = cell_differences(pooled_spec, marginals)
         diff_mean.append(np.concatenate([d, pooled_d]))
@@ -609,7 +612,8 @@ def cmd_analyze(args) -> int:
 # --------------------------------------------------------------- learn-tau
 
 
-def _effects_from_csv(path: str) -> list[EffectObservation]:
+def _effects_from_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(delta, noise_sd)`` corpus of an effects CSV."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -618,26 +622,30 @@ def _effects_from_csv(path: str) -> list[EffectObservation]:
                 f"malformed effects header: expected 'delta,noise_sd', "
                 f"got {','.join(header or [])!r}"
             )
-        out = []
+        deltas, sds = [], []
         for line_no, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise InputError(f"row {line_no}: expected 2 columns")
             try:
                 delta, sd = float(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise InputError(f"row {line_no}: {exc}") from exc
             if not math.isfinite(delta):
                 raise InputError(f"row {line_no}: delta must be finite")
             if not (sd > 0 and math.isfinite(sd)):
                 raise InputError(f"row {line_no}: noise_sd must be positive")
-            out.append(EffectObservation(delta, sd))
-    return out
+            deltas.append(delta)
+            sds.append(sd)
+    return np.array(deltas, dtype=float), np.array(sds, dtype=float)
 
 
 _RESULT_COLUMNS = ("update", "context", "content_a", "content_b", "diff_mean",
                    "diff_var")
 
 
-def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]:
-    """Scan comparison/decision CSVs for final-update effects per pair.
+def _effects_from_results_dir(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Scan comparison/decision CSVs for final-update effects per pair, as a
+    ``(delta, noise_sd)`` corpus.
 
     A file without the comparison columns is skipped; rows of other methods
     are ignored when the file has a ``method`` column. ``analyze``'s
@@ -645,7 +653,7 @@ def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]
     the per-context rows already counted, not independent evidence.
     Effects come in the order their pairs first appear.
     """
-    effects = []
+    diff_mean, diff_var = [], []
     for root, _, files in os.walk(path):
         for name in sorted(files):
             if not name.endswith(".csv"):
@@ -671,35 +679,34 @@ def _effects_from_results_dir(path: str, method: str) -> list[EffectObservation]
                         prev = finals.get(key)
                         if prev is None or update > prev[0]:
                             finals[key] = (update, row[i_d], row[i_v])
-                    d = [float(mean) for _, mean, _ in finals.values()]
-                    v = [float(var) for _, _, var in finals.values()]
+                    diff_mean += [float(mean) for _, mean, _ in finals.values()]
+                    diff_var += [float(var) for _, _, var in finals.values()]
                 except (ValueError, IndexError) as exc:
                     raise InputError(f"malformed results file {full!r}: {exc}") from exc
-            effects += effects_from_differences(d, v)
-    return effects
+    return effects_from_differences(diff_mean, diff_var)
 
 
 def cmd_learn_tau(args) -> int:
     if os.path.isdir(args.effects):
-        effects = _effects_from_results_dir(args.effects, args.method)
+        delta, noise_sd = _effects_from_results_dir(args.effects, args.method)
     else:
-        effects = _effects_from_csv(args.effects)
-    if len(effects) < 2:
-        raise InputError(
-            f"need at least 2 effect observations, found {len(effects)}"
-        )
+        delta, noise_sd = _effects_from_csv(args.effects)
+    n_effects = delta.size
+    if n_effects < 2:
+        raise InputError(f"need at least 2 effect observations, found {n_effects}")
 
-    corpus = "".join("%.17g,%.17g\n" % (e.delta, e.noise_sd) for e in effects)
+    corpus = "".join("%.17g,%.17g\n" % pair
+                     for pair in zip(delta.tolist(), noise_sd.tolist()))
     payload = {
         "effects": hashlib.sha256(corpus.encode("ascii")).hexdigest(),
-        "n_effects": len(effects),
+        "n_effects": n_effects,
         "seed": args.seed,
         "method": args.method,
     }
     os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest("learn-tau", payload, seed=args.seed)
 
-    learnt = learn_tau(effects)
+    learnt = learn_tau(delta, noise_sd)
     if learnt.point_value_for_testing <= 1e-8:
         manifest.warn(
             "corpus shows no excess dispersion; point value floored at 1e-8"
@@ -709,7 +716,7 @@ def cmd_learn_tau(args) -> int:
         manifest.add_output(os.path.join(args.out, "learnt_tau.json")),
         json.dumps(
             {
-                "n_effects": len(effects),
+                "n_effects": n_effects,
                 "posterior_mean": learnt.posterior_mean,
                 "quantiles": {
                     "2.5": learnt.q2_5,

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "Factor",
     "ExperimentSpec",
-    "Cell",
     "ColumnLabel",
     "DesignMatrix",
     "enumerate_cells",
@@ -101,18 +100,12 @@ class ExperimentSpec:
             idx = idx * len(fac.values) + val
         return idx
 
-    def describe_cell(self, cell: "Cell") -> str:
+    def describe_cell(self, cell) -> str:
+        """``name=value`` of each factor of ``cell``, one row of
+        ``enumerate_cells`` (or any sequence of value indices)."""
         return ", ".join(
-            f"{fac.name}={fac.values[i]}"
-            for fac, i in zip(self.factors, cell.value_indices)
+            f"{fac.name}={fac.values[i]}" for fac, i in zip(self.factors, cell)
         )
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One unique content-context combination, as value indices per factor."""
-
-    value_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -154,14 +147,16 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
 
-def enumerate_cells(spec: ExperimentSpec) -> list[Cell]:
-    """All cells in lexicographic order, content factors as leading digits.
+def enumerate_cells(spec: ExperimentSpec) -> np.ndarray:
+    """All cells in lexicographic order, content factors as leading digits:
+    the ``[cells, factors]`` integer array of each cell's value index of
+    each factor.
 
     The last factor varies fastest; the ordering is the deterministic basis
     for design-matrix rows, count-vector layouts, and seeding.
     """
-    ranges = [range(len(f.values)) for f in spec.factors]
-    return [Cell(combo) for combo in itertools.product(*ranges)]
+    sizes = [len(f.values) for f in spec.factors]
+    return np.indices(sizes).reshape(len(sizes), -1).T
 
 
 def build_design_matrix(spec: ExperimentSpec, interaction_order: int = 2) -> DesignMatrix:
@@ -182,8 +177,7 @@ def build_design_matrix(spec: ExperimentSpec, interaction_order: int = 2) -> Des
     if interaction_order == 2 and len(factors) < 2:
         raise ValueError("interactions require >= 2 factors")
 
-    # [cells, factors] value indices, in ``enumerate_cells`` order.
-    values = np.array([cell.value_indices for cell in enumerate_cells(spec)])
+    values = enumerate_cells(spec)
     labels: list[ColumnLabel] = [ColumnLabel("intercept")]
     blocks = [np.ones((len(values), 1))]
     for i, fac in enumerate(factors):

@@ -5,22 +5,23 @@ Observed experiment-level effects are modelled as draws from
 on average, and what is learnt is the excess dispersion tau beyond each
 effect's own sampling noise, under a HalfCauchy(5) prior. The posterior
 mean of tau plugs straight back into the sequential tests as the
-alternative-hypothesis variance.
+alternative-hypothesis variance. A corpus is two 1-D arrays: each
+effect's ``delta`` and its ``noise_sd``.
 
 The posterior is one-dimensional, so ``learn_tau`` integrates it by
 quadrature over log tau rather than sampling it: the same corpus always
 gives the same result, within about 1e-9 relative of adaptive quadrature
 on the corpora in the tests. ``tau_target`` is the one
-density; the grid evaluates it point by point. Effects enter the corpus
+density; the grid evaluates it point by point. Differences enter a corpus
 through ``effects_from_differences``, which keeps a difference only with
-a finite mean and a positive variance.
+a finite mean and a finite positive variance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.special import sici
@@ -29,7 +30,6 @@ from .glm import half_cauchy_log_density_log_scale
 from .sampler import TargetDensity
 
 __all__ = [
-    "EffectObservation",
     "LearntTau",
     "tau_target",
     "learn_tau",
@@ -47,18 +47,6 @@ _FIRST_STEP = 1e-3
 
 
 @dataclass(frozen=True)
-class EffectObservation:
-    """One observed effect size with its standard error."""
-
-    delta: float
-    noise_sd: float
-
-    def __post_init__(self):
-        if self.noise_sd <= 0:
-            raise ValueError("noise_sd must be positive")
-
-
-@dataclass(frozen=True)
 class LearntTau:
     posterior_mean: float
     q2_5: float
@@ -67,15 +55,18 @@ class LearntTau:
     point_value_for_testing: float
 
 
-def tau_target(effects: list[EffectObservation]) -> TargetDensity:
+def tau_target(delta: np.ndarray, noise_sd: np.ndarray) -> TargetDensity:
     """One-dimensional target over log(tau) for the dispersion model.
 
-    Effects are sorted before summation so the result is exactly invariant
-    to the corpus order, not just up to float round-off.
+    Effects are sorted by ``(delta, noise_sd)`` before summation so the
+    result is exactly invariant to the corpus order, not just up to float
+    round-off. Each variance is the Python-float square of its sd, one
+    libm ``pow`` per element: numpy's vectorised square can differ from it
+    in the last bit.
     """
-    ordered = sorted(effects, key=lambda e: (e.delta, e.noise_sd))
-    delta = np.array([e.delta for e in ordered])
-    noise_var = np.array([e.noise_sd**2 for e in ordered])
+    order = np.lexsort((noise_sd, delta))
+    delta = delta[order]
+    noise_var = np.array([sd**2 for sd in noise_sd[order].tolist()])
     b = _CAUCHY_SCALE
     log_b = math.log(b)
 
@@ -97,8 +88,9 @@ def tau_target(effects: list[EffectObservation]) -> TargetDensity:
     return TargetDensity(1, log_density_and_grad, ("log_tau",))
 
 
-def learn_tau(effects: list[EffectObservation]) -> LearntTau:
-    """Posterior over tau from a corpus of observed effects.
+def learn_tau(delta, noise_sd) -> LearntTau:
+    """Posterior over tau from a corpus of observed effects, the 1-D arrays
+    ``delta`` and ``noise_sd``.
 
     The log-tau posterior is integrated on a uniform grid of
     ``_GRID_POINTS`` nodes whose ends sit about ``_TAIL_NATS`` below the
@@ -111,10 +103,21 @@ def learn_tau(effects: list[EffectObservation]) -> LearntTau:
     posterior mean, floored just above zero so a corpus with no excess
     dispersion still yields a usable (if extremely skeptical) setting.
     Needs at least two observations; dispersion is meaningless for one.
+    Raises ``ValueError`` for arrays that are not 1-D of one length, for
+    non-finite values and for a ``noise_sd`` that is not positive.
     """
-    if len(effects) < 2:
+    delta = np.asarray(delta, dtype=float)
+    noise_sd = np.asarray(noise_sd, dtype=float)
+    if delta.ndim != 1 or delta.shape != noise_sd.shape:
+        raise ValueError(f"delta {delta.shape} and noise_sd {noise_sd.shape} must be "
+                         "1-D arrays of one length")
+    if delta.size < 2:
         raise ValueError("learning tau requires at least 2 effect observations")
-    density = tau_target(effects).log_density_and_grad
+    if not (np.isfinite(delta).all() and np.isfinite(noise_sd).all()):
+        raise ValueError("delta and noise_sd must be finite")
+    if not (noise_sd > 0).all():
+        raise ValueError("noise_sd must be positive")
+    density = tau_target(delta, noise_sd).log_density_and_grad
 
     def log_density(log_tau: float) -> float:
         return density(np.array([log_tau]))[0]
@@ -222,17 +225,16 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> fl
 
 
 def effects_from_differences(
-    diff_mean: Iterable[float], diff_var: Iterable[float]
-) -> list[EffectObservation]:
-    """Effects corpus from paired difference means and variances.
+    diff_mean, diff_var
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(delta, noise_sd)`` corpus of paired difference means and
+    variances.
 
-    A difference counts only with a finite mean and a positive variance;
-    a comparison that never produced a usable difference is skipped.
+    A difference counts only with a finite mean and a finite positive
+    variance; a comparison that never produced a usable difference is
+    skipped.
     """
-    return [
-        EffectObservation(d, math.sqrt(v))
-        for d, v in zip(np.asarray(diff_mean, float).tolist(),
-                        np.asarray(diff_var, float).tolist())
-        if math.isfinite(d) and v > 0
-    ]
-
+    d = np.asarray(diff_mean, dtype=float)
+    v = np.asarray(diff_var, dtype=float)
+    keep = np.isfinite(d) & (v > 0) & (v < math.inf)
+    return d[keep], np.sqrt(v[keep])

@@ -91,7 +91,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -124,6 +123,10 @@ _MASS_FLOOR = 1e-10
 _FD_STEP = 1e-4  # central-difference step, in posterior standard deviations
 _PROBES = 4  # warmup states whose curvature bounds the kept step
 _STABLE_STEP = 1.2  # bound on step * sqrt(stiffest whitened curvature)
+# Mean acceptance statistic that warmup tunes the step size to. Above the
+# usual 0.8: the dense metric's longer steps otherwise stall more often in
+# the narrow high-sigma neck of sparse hierarchical fits.
+TARGET_ACCEPT = 0.9
 # Columns per diagnostic pass. An FFT over every column of a paper-scale fit
 # at once holds about 6 MB of transforms, 16 columns about 0.4 MB; 32 still
 # raised a desk-scale run's peak RSS by about 1 MB.
@@ -154,9 +157,6 @@ class SamplerConfig:
     chains: int = 4
     warmup_draws: int = 500
     kept_draws: int = 500
-    # Above the usual 0.8: the dense metric's longer steps otherwise stall
-    # more often in the narrow high-sigma neck of sparse hierarchical fits.
-    target_accept: float = 0.9
     max_tree_depth: int = 10
     seed: int = 0
 
@@ -165,15 +165,10 @@ class SamplerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
-        if isinstance(self.target_accept, bool) or not isinstance(self.target_accept,
-                                                                  numbers.Real):
-            raise ValueError("target_accept must be a number")
         if self.chains < 1:
             raise ValueError("need at least one chain")
         if self.kept_draws < 100:
             raise ValueError("kept_draws must be >= 100 for diagnostic validity")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must lie in (0, 1)")
         if self.warmup_draws < 0 or self.max_tree_depth < 1:
             raise ValueError("invalid warmup_draws or max_tree_depth")
 
@@ -567,7 +562,7 @@ def _run_chain(target, config, chain_seed, warm=None):
         raise ValueError("target density or gradient is not finite at the initial point")
 
     step = _find_reasonable_step(fn, q, logp, grad, inv_mass, mass_factor, rng)
-    averager = _DualAveraging(step, config.target_accept)
+    averager = _DualAveraging(step, TARGET_ACCEPT)
     visited = []  # (q, grad) of each warmup state after the initial buffer
     window_start = 0
 
@@ -586,7 +581,7 @@ def _run_chain(target, config, chain_seed, warm=None):
             window_start = len(visited)
             window_ends.pop(0)
             step = _find_reasonable_step(fn, q, logp, grad, inv_mass, mass_factor, rng)
-            averager = _DualAveraging(step, config.target_accept)
+            averager = _DualAveraging(step, TARGET_ACCEPT)
 
     step = averager.adapted_step if config.warmup_draws > 0 else averager.step
     if visited:

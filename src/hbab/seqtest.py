@@ -32,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Cell, ExperimentSpec, comparison_cells, enumerate_comparisons
+from .design import (
+    ExperimentSpec,
+    comparison_cells,
+    enumerate_cells,
+    enumerate_comparisons,
+)
 from .estimate import CellEstimates
 
 __all__ = [
@@ -142,10 +147,9 @@ def cell_differences(
     missing = undefined[a_idx] | undefined[b_idx]
     if missing.any():
         i = int(np.argmax(missing))
-        ctx, a, b = enumerate_comparisons(spec)[i]
-        combo = a if undefined[a_idx[i]] else b
+        cell = a_idx[i] if undefined[a_idx[i]] else b_idx[i]
         raise ValueError(
-            f"no estimate for cell ({spec.describe_cell(Cell(combo + ctx))})"
+            f"no estimate for cell ({spec.describe_cell(enumerate_cells(spec)[cell])})"
         )
     if draws is None:
         return means[a_idx] - means[b_idx], variances[a_idx] + variances[b_idx]

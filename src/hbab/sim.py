@@ -103,6 +103,9 @@ class ScenarioConfig:
             raise ValueError("need updates >= 0 and at least one repetition")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if len(self.spec.factors) < 2:
+            raise ValueError("need at least 2 factors: the truth is drawn on "
+                             "interaction coefficients")
         if self.assignments_per_update < self.spec.n_cells:
             raise ValueError("need at least one assignment per cell per update")
         if self.h0_mode not in ("combined", "separate"):
@@ -349,7 +352,6 @@ def run_repetition(
 @dataclass(frozen=True)
 class ScenarioResult:
     config: ScenarioConfig
-    tau_spec: TauSpec
     methods: tuple[str, ...]
     repetitions: list[RepetitionResult]
 
@@ -369,9 +371,7 @@ def default_workers() -> int:
 
 
 def run_scenario(
-    config: ScenarioConfig,
-    tau_spec: TauSpec = TauSpec.fixed(0.1),
-    methods: tuple[str, ...] = METHODS,
+    config: ScenarioConfig, methods: tuple[str, ...] = METHODS
 ) -> ScenarioResult:
     """All repetitions of a scenario, mapped by ``sampler.fork_map`` over
     up to ``default_workers()`` processes (``HBAB_WORKERS``), and never
@@ -384,7 +384,7 @@ def run_scenario(
     """
     results = fork_map(lambda rep: run_repetition(config, rep, methods),
                        config.repetitions, default_workers())
-    return ScenarioResult(config, tau_spec, tuple(methods), results)
+    return ScenarioResult(config, tuple(methods), results)
 
 
 @dataclass(frozen=True)
@@ -457,23 +457,21 @@ def _decision_metrics(significant, labels):
 
 def score(
     result: ScenarioResult,
-    tau_spec: TauSpec | None = None,
+    tau_spec: TauSpec,
     repetitions: list[int] | None = None,
 ) -> MetricsReport:
-    """Metrics for a finished scenario, optionally scored under a tau other
-    than the run's or restricted to a subset of repetitions (as used by the
-    train/test splits). The tests are ``sequential_trace`` of the stored
-    differences."""
+    """Metrics for a finished scenario under ``tau_spec``, optionally
+    restricted to a subset of repetitions (as used by the train/test
+    splits). The tests are ``sequential_trace`` of the stored differences."""
     reps = result.repetitions
     if repetitions is not None:
         reps = [reps[i] for i in repetitions]
-    tau = tau_spec or result.tau_spec
     significant = {
-        m: np.stack([sequential_trace(r.diff_mean[m], r.diff_var[m], tau,
+        m: np.stack([sequential_trace(r.diff_mean[m], r.diff_var[m], tau_spec,
                                       result.config.alpha).significant for r in reps])
         for m in result.methods
     }
-    return MetricsReport.of(result, reps, tau.kind, significant)
+    return MetricsReport.of(result, reps, tau_spec.kind, significant)
 
 
 @dataclass(frozen=True)
@@ -518,16 +516,17 @@ def tau_experiment(result: ScenarioResult, method: str | None = None) -> TauComp
     test = list(range(n_train, n))
 
     # Each pair's final difference as the tests carry it: its last
-    # informative one. One trace is alive at a time.
+    # informative one, which does not depend on tau. One trace is alive at
+    # a time.
+    fixed = TauSpec.fixed(_TAU_EXPERIMENT_FIXED_TAU)
     traces = (sequential_trace(result.repetitions[i].diff_mean[method],
                                result.repetitions[i].diff_var[method],
-                               result.tau_spec, result.config.alpha) for i in train)
+                               fixed, result.config.alpha) for i in train)
     d, v = zip(*((t.diff_mean[-1].copy(), t.diff_var[-1].copy()) for t in traces))
-    effects = effects_from_differences(np.concatenate(d), np.concatenate(v))
-    learnt = learn_tau(effects)
+    learnt = learn_tau(*effects_from_differences(np.concatenate(d), np.concatenate(v)))
 
     specs = {
-        "fixed": TauSpec.fixed(_TAU_EXPERIMENT_FIXED_TAU),
+        "fixed": fixed,
         "dynamic": TauSpec.dynamic(),
         "learnt": TauSpec.learnt(learnt.point_value_for_testing),
     }

@@ -317,6 +317,26 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"tau": []}, "tau must be a JSON object"),
+        ({"tau": False}, "tau must be a JSON object"),
+        ({"tau": None}, "tau must be a JSON object"),
+        ({"tau": {}}, "kind"),
+        ({"methods": {"mle": 1}}, "methods must be a non-empty list"),
+        ({"methods": "mle"}, "methods must be a non-empty list"),
+        ({"spec": {"factors": TINY_DESIGN["factors"][:1]}}, "at least 2 factors"),
+    ], ids=["tau-list", "tau-false", "tau-null", "tau-empty", "methods-object",
+            "methods-string", "one-factor"])
+    def test_malformed_config_exits_2_before_any_output(self, tmp_path, capsys, override,
+                                                        message):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "methods": ["mle"], **override})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario config" in err and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides, args, expected", [
         ({**TINY_SCENARIO, "methods": ["mle"]}, ["--scale", "desk"],
          "873cbe3b250ead5ae0087c5dc84faeff58d292a37407e4368a169e940cbe2766"),
@@ -467,7 +487,7 @@ class TestAnalyze:
         code, out = self.run_analyze(tmp_path, rows)
         assert code == 0
         spec = spec_from_dict(TINY_DESIGN)
-        cells = {c.value_indices: k for k, c in enumerate(enumerate_cells(spec))}
+        cells = {tuple(c): k for k, c in enumerate(enumerate_cells(spec).tolist())}
         cum_a = np.zeros(spec.n_cells, dtype=np.int64)
         cum_r = np.zeros(spec.n_cells, dtype=np.int64)
         states, expected = None, []
@@ -683,8 +703,7 @@ def test_analyze_reproduces_a_simulated_repetition(tmp_path):
         for u, inc in enumerate(increments, start=1):
             for cell, a, r in zip(enumerate_cells(spec), inc.assignments.tolist(),
                                   inc.responses.tolist()):
-                writer.writerow([u, *(f.values[i] for f, i in zip(spec.factors,
-                                                                   cell.value_indices)),
+                writer.writerow([u, *(f.values[i] for f, i in zip(spec.factors, cell)),
                                  a, r])
     design = write_json(tmp_path / "design.json", spec_to_dict(spec))
     out = tmp_path / "out"
@@ -768,6 +787,15 @@ class TestLearnTau:
         path.write_text("delta,noise_sd\n0.1,0.0\n0.2,0.1\n")
         assert main(["learn-tau", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("row", ["0.1,0.2,junk", "0.1", ""])
+    def test_row_without_two_fields_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "effects.csv"
+        path.write_text(f"delta,noise_sd\n0.3,0.1\n{row}\n0.2,0.1\n")
+        out = tmp_path / "o"
+        assert main(["learn-tau", str(path), "--out", str(out)]) == 2
+        assert "row 3: expected 2 columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_singleton_corpus_exits_2(self, tmp_path):
         path = self.effects_file(tmp_path, [0.1])
         assert main(["learn-tau", path, "--out", str(tmp_path / "o")]) == 2
@@ -800,13 +828,26 @@ class TestLearnTau:
         (tmp_path / "decisions.csv").write_text("".join(lines))
         tracemalloc.start()
         try:
-            effects = _effects_from_results_dir(str(tmp_path), "mle")
+            delta, noise_sd = _effects_from_results_dir(str(tmp_path), "mle")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(effects) == 3000
-        assert effects[-1].delta == pytest.approx(0.4099521234567)
+        assert delta.shape == noise_sd.shape == (3000,)
+        assert delta[-1] == pytest.approx(0.4099521234567)
         assert peak < 3.0e6
+
+    def test_results_directory_skips_an_infinite_variance(self, tmp_path):
+        res = tmp_path / "res"
+        res.mkdir()
+        (res / "comparisons.csv").write_text(
+            "update,context,content_a,content_b,diff_mean,diff_var\n"
+            "1,c0,m0,m1,0.1,0.01\n"
+            "1,c1,m0,m1,0.2,inf\n"
+            "1,c2,m0,m1,0.3,0.02\n"
+        )
+        out = tmp_path / "o"
+        assert main(["learn-tau", str(res), "--out", str(out)]) == 0
+        assert json.loads((out / "learnt_tau.json").read_text())["n_effects"] == 2
 
     def test_short_row_in_results_directory_exits_2(self, tmp_path, capsys):
         res = tmp_path / "res"

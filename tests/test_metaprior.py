@@ -6,18 +6,14 @@ import pytest
 from scipy import integrate, optimize, stats
 
 import hbab.metaprior
-from hbab.metaprior import (
-    EffectObservation,
-    effects_from_differences,
-    learn_tau,
-    tau_target,
-)
+from hbab.metaprior import effects_from_differences, learn_tau, tau_target
 
 
 def synthetic_corpus(n, tau_true, noise_sd, seed):
+    """``(delta, noise_sd)`` arrays of ``n`` effects."""
     rng = np.random.default_rng(seed)
     deltas = rng.normal(0.0, np.sqrt(noise_sd**2 + tau_true), n)
-    return [EffectObservation(float(d), noise_sd) for d in deltas]
+    return deltas, np.full(n, float(noise_sd))
 
 
 def grid_posterior_mean(effects, cauchy_scale=5.0):
@@ -30,9 +26,9 @@ def grid_posterior_mean(effects, cauchy_scale=5.0):
     log_tau = np.linspace(-30.0, 12.0, 40_001)
     tau = np.exp(log_tau)
     log_post = np.log(stats.halfcauchy.pdf(tau, scale=cauchy_scale)) + log_tau
-    for e in effects:
-        v = e.noise_sd**2 + tau
-        log_post += stats.norm.logpdf(e.delta, 0.0, np.sqrt(v))
+    for delta, noise_sd in zip(*effects):
+        v = noise_sd**2 + tau
+        log_post += stats.norm.logpdf(delta, 0.0, np.sqrt(v))
     w = np.exp(log_post - log_post.max())
     return float(np.trapezoid(w * tau, log_tau) / np.trapezoid(w, log_tau))
 
@@ -45,8 +41,8 @@ def quad_posterior(effects, cauchy_scale=5.0):
     200 units of log tau to the left (where the tail decays only like tau)
     and 60 to the right, and quantiles by root-finding on the CDF.
     """
-    delta = np.array([e.delta for e in effects])
-    noise_var = np.array([e.noise_sd**2 for e in effects])
+    delta, noise_sd = effects
+    noise_var = noise_sd**2
 
     def log_post(x):
         tau = math.exp(x)
@@ -77,41 +73,40 @@ def quad_posterior(effects, cauchy_scale=5.0):
 
 class TestLearnTau:
     def test_no_dispersion_concentrates_near_zero(self):
-        effects = [EffectObservation(0.0, 1e-3) for _ in range(50)]
-        learnt = learn_tau(effects)
+        learnt = learn_tau(np.zeros(50), np.full(50, 1e-3))
         assert learnt.q97_5 < 1e-3
         assert learnt.point_value_for_testing >= 1e-8
 
     def test_recovers_known_dispersion(self):
         effects = synthetic_corpus(200, tau_true=0.01, noise_sd=0.02, seed=1)
-        learnt = learn_tau(effects)
+        learnt = learn_tau(*effects)
         assert 0.005 <= learnt.posterior_mean <= 0.02
 
     def test_matches_grid_integration(self):
         effects = synthetic_corpus(5, tau_true=0.05, noise_sd=0.1, seed=2)
-        learnt = learn_tau(effects)
+        learnt = learn_tau(*effects)
         oracle = grid_posterior_mean(effects)
         assert learnt.posterior_mean == pytest.approx(oracle, rel=1e-6)
 
     def test_permutation_invariant(self):
-        effects = synthetic_corpus(30, tau_true=0.02, noise_sd=0.05, seed=3)
+        # Rounded deltas tie, so the order of equal deltas comes from noise_sd.
+        delta = np.round(synthetic_corpus(30, tau_true=0.02, noise_sd=0.05, seed=3)[0], 2)
         rng = np.random.default_rng(4)
-        shuffled = list(effects)
-        rng.shuffle(shuffled)
-        a = learn_tau(effects)
-        b = learn_tau(shuffled)
-        assert a.posterior_mean == b.posterior_mean
+        noise_sd = rng.uniform(0.03, 0.07, 30)
+        order = rng.permutation(30)
+        a = learn_tau(delta, noise_sd)
+        b = learn_tau(delta[order], noise_sd[order])
+        assert a == b
 
     def test_scale_equivariant_within_mc_error(self):
         effects = synthetic_corpus(200, tau_true=0.01, noise_sd=0.02, seed=5)
-        scaled = [EffectObservation(2 * e.delta, 2 * e.noise_sd) for e in effects]
-        a = learn_tau(effects)
-        b = learn_tau(scaled)
+        a = learn_tau(*effects)
+        b = learn_tau(2 * effects[0], 2 * effects[1])
         assert b.posterior_mean / a.posterior_mean == pytest.approx(4.0, rel=0.12)
 
     def test_needs_at_least_two_effects(self):
         with pytest.raises(ValueError):
-            learn_tau([EffectObservation(0.1, 0.05)])
+            learn_tau([0.1], [0.05])
 
     @pytest.mark.parametrize("effects", [
         synthetic_corpus(5, tau_true=0.05, noise_sd=0.1, seed=2),
@@ -122,7 +117,7 @@ class TestLearnTau:
         synthetic_corpus(7680, tau_true=9e-4, noise_sd=0.01, seed=7),
     ], ids=["5", "200", "no-dispersion", "7680"])
     def test_matches_adaptive_quadrature(self, effects):
-        learnt = learn_tau(effects)
+        learnt = learn_tau(*effects)
         mean, (q2_5, median, q97_5) = quad_posterior(effects)
         assert learnt.posterior_mean == pytest.approx(mean, rel=1e-6)
         assert learnt.q2_5 == pytest.approx(q2_5, rel=1e-6)
@@ -143,19 +138,19 @@ class TestLearnTau:
             return dataclasses.replace(target, log_density_and_grad=counted)
 
         monkeypatch.setattr(hbab.metaprior, "tau_target", counting_target)
-        learn_tau(synthetic_corpus(200, tau_true=0.01, noise_sd=0.02, seed=1))
+        learn_tau(*synthetic_corpus(200, tau_true=0.01, noise_sd=0.02, seed=1))
         assert 256 <= len(calls) <= 400
 
     def test_quantiles_ordered(self):
         effects = synthetic_corpus(40, tau_true=0.02, noise_sd=0.05, seed=6)
-        learnt = learn_tau(effects)
+        learnt = learn_tau(*effects)
         assert learnt.q2_5 <= learnt.median <= learnt.q97_5
 
 
 @pytest.mark.parametrize("log_tau", [-600.0, 600.0])
 def test_tau_target_finite_at_extreme_log_scale(log_tau):
     # tau^2 and (noise + tau)^2 overflow here; the density and gradient must not.
-    target = tau_target(synthetic_corpus(50, 0.01, 0.05, seed=3))
+    target = tau_target(*synthetic_corpus(50, 0.01, 0.05, seed=3))
     lp, grad = target.log_density_and_grad(np.array([log_tau]))
     assert np.isfinite(lp)
     assert np.isfinite(grad).all()
@@ -165,12 +160,21 @@ class TestCollectEffects:
     """Which differences enter an effects corpus."""
 
     def test_differences_need_finite_mean_and_positive_variance(self):
-        effects = effects_from_differences(
-            [0.1, np.nan, np.inf, 0.2, 0.3, -0.4],
-            [1e-4, 1e-4, 1e-4, 0.0, np.nan, 4e-4],
+        delta, noise_sd = effects_from_differences(
+            [0.1, np.nan, np.inf, 0.2, 0.3, 0.5, -0.4],
+            [1e-4, 1e-4, 1e-4, 0.0, np.nan, np.inf, 4e-4],
         )
-        assert effects == [EffectObservation(0.1, 0.01), EffectObservation(-0.4, 0.02)]
+        assert delta.tolist() == [0.1, -0.4]
+        assert noise_sd.tolist() == [0.01, 0.02]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EffectObservation(0.1, 0.0)
+        for delta, noise_sd, message in [
+            ([0.1, 0.2], [0.05, 0.0], "noise_sd must be positive"),
+            ([0.1, 0.2], [0.05, -0.1], "noise_sd must be positive"),
+            ([0.1, 0.2], [0.05], "1-D arrays of one length"),
+            ([[0.1, 0.2]], [[0.05, 0.05]], "1-D arrays of one length"),
+            ([0.1, np.nan], [0.05, 0.05], "must be finite"),
+            ([0.1, 0.2], [0.05, np.inf], "must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                learn_tau(delta, noise_sd)

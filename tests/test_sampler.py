@@ -968,11 +968,6 @@ def test_config_validation():
         SamplerConfig(kept_draws=50)
     with pytest.raises(ValueError):
         SamplerConfig(chains=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(target_accept=1.5)
     for name in ("chains", "warmup_draws", "kept_draws", "max_tree_depth"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SamplerConfig(**{name: True})
-    for value in (True, "0.9"):
-        with pytest.raises(ValueError, match="target_accept must be a number"):
-            SamplerConfig(target_accept=value)

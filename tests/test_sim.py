@@ -172,7 +172,6 @@ def test_sampler_defaults_of_the_two_commands():
     settings = [(s.chains, s.warmup_draws, s.kept_draws, s.max_tree_depth)
                 for s in (SIMULATE_SAMPLER, ANALYZE_SAMPLER)]
     assert settings == [(2, 250, 150, 8), (2, 250, 200, 8)]
-    assert SIMULATE_SAMPLER.target_accept == ANALYZE_SAMPLER.target_accept
     assert desk_scenario().sampler == paper_scenario().sampler == SIMULATE_SAMPLER
 
 
@@ -223,7 +222,7 @@ def test_worker_count_must_be_an_integer(monkeypatch):
 
 def synthetic_result(significant_h, significant_m, labels, est_err=0.0):
     """ScenarioResult whose stored differences give the wanted tests at the
-    run's tau 0.1: a difference of 1 at variance 1e-4 is significant at
+    fixed tau 0.1: a difference of 1 at variance 1e-4 is significant at
     once, one of 0 never is. The grids are [updates, pairs] booleans, and a
     pair stays significant once it is."""
     spec = TINY_SPEC
@@ -249,7 +248,7 @@ def synthetic_result(significant_h, significant_m, labels, est_err=0.0):
     )
     for m, significant in (("hierarchical", significant_h), ("mle", significant_m)):
         assert np.array_equal(p_min(rep, m) < cfg.alpha, significant)
-    return ScenarioResult(cfg, TauSpec.fixed(0.1), ("hierarchical", "mle"), [rep])
+    return ScenarioResult(cfg, ("hierarchical", "mle"), [rep])
 
 
 NEVER = np.zeros((3, 2), dtype=bool)
@@ -259,13 +258,13 @@ class TestScore:
     def test_perfect_estimates_zero_error(self):
         labels = np.array([True, False])
         result = synthetic_result(NEVER, NEVER, labels)
-        report = score(result)
+        report = score(result, TauSpec.fixed(0.1))
         assert np.allclose(report.rmse["hierarchical"], 0.0)
 
     def test_no_significance_means_fnr_one_fpr_zero(self):
         labels = np.array([True, False])
         result = synthetic_result(NEVER, NEVER, labels)
-        report = score(result)
+        report = score(result, TauSpec.fixed(0.1))
         assert np.allclose(report.fnr["hierarchical"], 1.0)
         assert np.allclose(report.fpr["hierarchical"], 0.0)
         assert np.allclose(report.fdr["hierarchical"], 0.0)
@@ -274,20 +273,20 @@ class TestScore:
         labels = np.array([True, False])
         sig_h = np.array([[False, False], [True, False], [True, False]])
         result = synthetic_result(sig_h, NEVER, labels)
-        report = score(result)
+        report = score(result, TauSpec.fixed(0.1))
         assert np.allclose(report.fnr["hierarchical"], [1.0, 0.0, 0.0])
 
     def test_fdr_pools_counts(self):
         labels = np.array([True, False])
         sig_h = np.array([[True, True]])
         result = synthetic_result(sig_h, NEVER[:1], labels)
-        report = score(result)
+        report = score(result, TauSpec.fixed(0.1))
         assert report.fdr["hierarchical"][0] == pytest.approx(0.5)
 
     def test_rows_long_format(self):
         labels = np.array([True, False])
         result = synthetic_result(NEVER[:2], NEVER[:2], labels)
-        rows = list(score(result).rows())
+        rows = list(score(result, TauSpec.fixed(0.1)).rows())
         assert len(rows) == 4 * 2 * 2  # metrics x methods x updates
         assert rows[0][:4] == (1, "hierarchical", "fixed", "rmse")
 
@@ -331,15 +330,15 @@ def test_tau_experiment_replays_traces():
                 {"hierarchical": d + 0.01 * i}, {"hierarchical": v}, (),
             )
         )
-    result = ScenarioResult(cfg, TauSpec.fixed(0.1), ("hierarchical",), reps)
+    result = ScenarioResult(cfg, ("hierarchical",), reps)
     comparison = tau_experiment(result)
     assert set(comparison.metrics) == {"fixed", "dynamic", "learnt"}
     assert comparison.train_reps == (0,) and comparison.test_reps == (1,)
     assert comparison.learnt_tau > 0
     # The corpus is the training rep's final differences as its tests carry
     # them, through the one metaprior path.
-    learnt = learn_tau(effects_from_differences([d[-1, 0], d[-2, 1]],
-                                                [v[-1, 0], v[-2, 1]]))
+    learnt = learn_tau(*effects_from_differences([d[-1, 0], d[-2, 1]],
+                                                 [v[-1, 0], v[-2, 1]]))
     assert comparison.learnt_tau == learnt.posterior_mean
     assert comparison.learnt_q97_5 == learnt.q97_5
     with pytest.raises(ValueError, match="was not run"):
@@ -387,6 +386,6 @@ def test_presets_take_only_low_or_high_power(preset):
 def test_tau_experiment_needs_an_update():
     cfg = tiny_config(updates=0)
     reps = [run_repetition(cfg, i, methods=("mle",)) for i in range(2)]
-    result = ScenarioResult(cfg, TauSpec.fixed(0.1), ("mle",), reps)
+    result = ScenarioResult(cfg, ("mle",), reps)
     with pytest.raises(ValueError, match="at least 1 update"):
         tau_experiment(result)
