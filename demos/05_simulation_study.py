@@ -7,17 +7,19 @@ tested; the scorer turns the traces into estimation-error and decision-
 accuracy curves. Takes about 15 seconds on 2 CPUs, most of it sampling.
 """
 
-import numpy as np
+from hbab import desk_scenario, run_scenario, score
+from hbab.sim import scenario_from_dict
 
-from hbab import TauSpec, desk_scenario, run_scenario, score
-
-config = desk_scenario("low", seed=42, repetitions=2, updates=6)
+# The same mapping that `hbab simulate --seed 42 --config` reads from a JSON
+# file; every key it leaves out keeps the preset's value.
+config, tau, methods = scenario_from_dict({"repetitions": 2, "updates": 6},
+                                          desk_scenario("low", seed=42))
 print(f"scenario: {config.spec.n_cells} cells, {config.updates} updates, "
       f"{config.repetitions} repetitions, "
       f"{config.assignments_per_update} assignments per update")
 
-result = run_scenario(config)
-report = score(result, TauSpec.fixed(0.1))
+result = run_scenario(config, methods)
+report = score(result, tau)
 
 print("\nmean absolute estimation error per update:")
 print(f"{'update':>6} {'hierarchical':>13} {'plain':>8}")

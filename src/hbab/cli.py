@@ -6,8 +6,10 @@ sequential-testing pipeline on an externally supplied count stream;
 ``learn-tau`` fits the effect-size dispersion from a corpus of observed
 effects; ``oracle-check`` runs the closed-form verification battery.
 
-Fitting and verification live elsewhere: the per-look fit loop is
-``sim.look_estimates``, shared by ``simulate`` and ``analyze``, and the
+Fitting, parsing and verification live elsewhere: the per-look fit loop
+is ``sim.look_estimates``, shared by ``simulate`` and ``analyze``; the
+scenario config that ``simulate --config`` reads is parsed by
+``sim.scenario_from_dict``, whose ``ValueError`` exits 2; and the
 verification battery is ``conjugate.oracle_checks``. Besides reading,
 checking and writing, ``analyze`` only pools each look over contexts.
 
@@ -35,7 +37,6 @@ import os
 import platform
 import sys
 import tempfile
-from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -48,17 +49,15 @@ from .design import (
     enumerate_cells,
     enumerate_comparisons,
     load_experiment_spec,
-    spec_from_dict,
     spec_to_dict,
 )
 from .estimate import marginalize
-from .glm import CountData
+from .glm import MAX_ASSIGNMENTS, CountData
 from .metaprior import effects_from_differences, learn_tau
 from .sampler import TARGET_ACCEPT, available_cpus, fit_blas_threads, fork_processes
 from .seqtest import TauSpec, cell_differences, sequential_trace
 from .sim import (
     ANALYZE_SAMPLER,
-    METHODS,
     MetricsReport,
     ScenarioConfig,
     default_workers,
@@ -66,6 +65,8 @@ from .sim import (
     look_estimates,
     paper_scenario,
     run_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
     tau_experiment,
 )
 
@@ -236,89 +237,30 @@ def _check_context_labels(spec: ExperimentSpec) -> None:
 # ---------------------------------------------------------------- simulate
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {path!r}: {exc}") from exc
-
-
-# Scenario fields a config sets as plain values; ``spec`` and ``sampler``
-# are parsed, and the seed comes from --seed.
-_SCENARIO_VALUES = tuple(f.name for f in fields(ScenarioConfig)
-                         if f.name not in ("spec", "sampler", "seed"))
-_CONFIG_KEYS = (*_SCENARIO_VALUES, "spec", "sampler", "tau", "methods")
-# Keys a config might be expected to hold, and why it does not.
-_NOT_SETTABLE = {
-    "seed": "fit seeds come from --seed",
-    "sampler.seed": "fit seeds come from --seed",
-    "power": "pick the preset with --power",
-}
-
-
-def _check_keys(mapping, known, prefix: str = "") -> None:
-    """Reject a config object that is not a JSON object or that holds a key
-    outside ``known``."""
-    if not isinstance(mapping, dict):
-        raise InputError(f"invalid scenario config: {prefix[:-1] or 'the config'} "
-                         "must be a JSON object")
-    for key in mapping:
-        name = prefix + key
-        if name in _NOT_SETTABLE:
-            raise InputError(f"invalid scenario config: {name} is not settable; "
-                             f"{_NOT_SETTABLE[name]}")
-        if key not in known:
-            raise InputError(f"invalid scenario config: unknown key {name!r}")
-
-
 def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], dict]:
-    overrides = _load_json(args.config) if args.config else {}
-    _check_keys(overrides, _CONFIG_KEYS)
+    mapping = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                mapping = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot read config {args.config!r}: {exc}") from exc
     preset = desk_scenario if args.scale == "desk" else paper_scenario
-    base = preset(args.power)
-
-    kwargs = {key: overrides[key] for key in _SCENARIO_VALUES if key in overrides}
     try:
-        if "spec" in overrides:
-            kwargs["spec"] = spec_from_dict(overrides["spec"])
-        if "sampler" in overrides:
-            _check_keys(overrides["sampler"], [f.name for f in fields(base.sampler)],
-                        "sampler.")
-            kwargs["sampler"] = replace(base.sampler, **overrides["sampler"])
-        config = replace(base, seed=args.seed, **kwargs)
-        tau_spec = TauSpec.fixed(0.1)
-        if "tau" in overrides:
-            _check_keys(overrides["tau"], ("kind", "value"), "tau.")
-            tau_spec = TauSpec(**overrides["tau"])
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        config, tau_spec, methods = scenario_from_dict(mapping,
+                                                       preset(args.power, args.seed))
+    except ValueError as exc:
         raise InputError(f"invalid scenario config: {exc}") from exc
-    methods = overrides.get("methods", list(METHODS))
-    if not (isinstance(methods, list) and methods and all(m in METHODS for m in methods)):
-        raise InputError("invalid scenario config: methods must be a non-empty list "
-                         f"drawn from {METHODS}")
-    methods = tuple(methods)
-    if len(set(methods)) < len(methods):
-        raise InputError(f"invalid scenario config: methods repeat in {list(methods)}")
     if args.tau_experiment and config.repetitions < 2:
         raise InputError("--tau-experiment needs at least 2 repetitions")
     if args.tau_experiment and config.updates < 1:
         raise InputError("--tau-experiment needs at least 1 update")
     _check_context_labels(config.spec)
 
-    payload = {
-        "scale": args.scale,
-        "power": args.power,
-        "seed": args.seed,
-        "spec": spec_to_dict(config.spec),
-        **{key: getattr(config, key) for key in _SCENARIO_VALUES},
-        # The sampler's fixed acceptance target is a setting of every fit.
-        "sampler": {"target_accept": TARGET_ACCEPT,
-                    **{f.name: getattr(config.sampler, f.name)
-                       for f in fields(config.sampler) if f.name != "seed"}},
-        "tau": {"kind": tau_spec.kind, "value": tau_spec.value},
-        "methods": list(methods),
-    }
+    payload = {"scale": args.scale, "power": args.power, "seed": args.seed,
+               **scenario_to_dict(config, tau_spec, methods)}
+    # The sampler's fixed acceptance target is a setting of every fit.
+    payload["sampler"]["target_accept"] = TARGET_ACCEPT
     return config, tau_spec, methods, payload
 
 
@@ -459,6 +401,7 @@ def _read_counts(path: str, spec: ExperimentSpec):
             )
         per_update: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         n_cells = spec.n_cells
+        totals = [0] * n_cells  # each cell's assignments in the rows so far
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise InputError(f"row {line_no}: expected {len(expected)} columns")
@@ -483,6 +426,10 @@ def _read_counts(path: str, spec: ExperimentSpec):
                 )
             n_content = len(spec.content_factors)
             idx = spec.cell_index(tuple(combo[:n_content]), tuple(combo[n_content:]))
+            totals[idx] += a
+            if totals[idx] > MAX_ASSIGNMENTS:
+                raise InputError(f"row {line_no}: the assignments of cell "
+                                 f"({spec.describe_cell(combo)}) pass 2**53")
             if update not in per_update:
                 per_update[update] = (
                     np.zeros(n_cells, dtype=np.int64),
@@ -692,8 +639,6 @@ def cmd_learn_tau(args) -> int:
     else:
         delta, noise_sd = _effects_from_csv(args.effects)
     n_effects = delta.size
-    if n_effects < 2:
-        raise InputError(f"need at least 2 effect observations, found {n_effects}")
 
     corpus = "".join("%.17g,%.17g\n" % pair
                      for pair in zip(delta.tolist(), noise_sd.tolist()))
@@ -703,10 +648,12 @@ def cmd_learn_tau(args) -> int:
         "seed": args.seed,
         "method": args.method,
     }
-    os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest("learn-tau", payload, seed=args.seed)
-
-    learnt = learn_tau(delta, noise_sd)
+    try:
+        learnt = learn_tau(delta, noise_sd)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    os.makedirs(args.out, exist_ok=True)
     if learnt.point_value_for_testing <= 1e-8:
         manifest.warn(
             "corpus shows no excess dispersion; point value floored at 1e-8"
@@ -831,10 +778,7 @@ def main(argv=None) -> int:
         if args.seed < 0:  # seed sequences take non-negative integers only
             raise InputError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # sampler or other runtime failure

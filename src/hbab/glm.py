@@ -40,6 +40,10 @@ _MU_PRIOR_MEAN = 0.0
 _MU_PRIOR_SD = 10.0
 _SIGMA_SCALE = 5.0
 
+# The most assignments a cell may accumulate: counts enter the density as
+# floats, which hold every integer up to 2**53 exactly.
+MAX_ASSIGNMENTS = 2**53
+
 
 @dataclass(frozen=True)
 class CountData:

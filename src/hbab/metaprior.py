@@ -66,7 +66,11 @@ def tau_target(delta: np.ndarray, noise_sd: np.ndarray) -> TargetDensity:
     """
     order = np.lexsort((noise_sd, delta))
     delta = delta[order]
-    noise_var = np.array([sd**2 for sd in noise_sd[order].tolist()])
+    delta_sq = delta**2
+    try:
+        noise_var = np.array([sd**2 for sd in noise_sd[order].tolist()])
+    except OverflowError:
+        raise ValueError("noise_sd must square to a finite variance") from None
     b = _CAUCHY_SCALE
     log_b = math.log(b)
 
@@ -77,7 +81,7 @@ def tau_target(delta: np.ndarray, noise_sd: np.ndarray) -> TargetDensity:
         tau = np.exp(log_tau)
         v = noise_var + tau
         lp = half_cauchy_log_density_log_scale(log_tau, b)
-        lp += np.sum(-0.5 * np.log(2 * np.pi * v) - delta**2 / (2 * v))
+        lp += np.sum(-0.5 * np.log(2 * np.pi * v) - delta_sq / (2 * v))
         if not math.isfinite(lp):
             return -math.inf, np.zeros(1)
         d_tau = np.sum(0.5 * (delta / v) ** 2 - 0.5 / v)
@@ -104,7 +108,8 @@ def learn_tau(delta, noise_sd) -> LearntTau:
     dispersion still yields a usable (if extremely skeptical) setting.
     Needs at least two observations; dispersion is meaningless for one.
     Raises ``ValueError`` for arrays that are not 1-D of one length, for
-    non-finite values and for a ``noise_sd`` that is not positive.
+    non-finite values and for a ``noise_sd`` that is not positive or whose
+    square overflows.
     """
     delta = np.asarray(delta, dtype=float)
     noise_sd = np.asarray(noise_sd, dtype=float)
@@ -112,7 +117,7 @@ def learn_tau(delta, noise_sd) -> LearntTau:
         raise ValueError(f"delta {delta.shape} and noise_sd {noise_sd.shape} must be "
                          "1-D arrays of one length")
     if delta.size < 2:
-        raise ValueError("learning tau requires at least 2 effect observations")
+        raise ValueError(f"need at least 2 effect observations, found {delta.size}")
     if not (np.isfinite(delta).all() and np.isfinite(noise_sd).all()):
         raise ValueError("delta and noise_sd must be finite")
     if not (noise_sd > 0).all():
@@ -155,7 +160,9 @@ def _mode(slope: Callable[[float], float]) -> float:
     """Root of the log-tau slope, bracketed by doubling steps away from zero.
 
     The slope tends to +1 as tau -> 0 (the log-scale Jacobian) and is
-    negative for large tau, so a sign change always exists.
+    negative for large tau, so a sign change exists unless the density is
+    not finite: ``tau_target`` gives a zero slope there. Above log tau 700
+    it is never finite, and below -745 tau is 0, so the search stops there.
     """
     if slope(0.0) > 0:
         lo, hi = 0.0, 1.0
@@ -164,6 +171,8 @@ def _mode(slope: Callable[[float], float]) -> float:
     else:
         lo, hi = -1.0, 0.0
         while slope(lo) <= 0:
+            if lo < -745.0:
+                raise ValueError("the tau posterior has no finite mode for these effects")
             lo, hi = 2.0 * lo, lo
     return _bisect(lambda x: -slope(x), lo, hi, 1e-6)
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +74,8 @@ class TauSpec:
         if self.kind not in ("fixed", "dynamic", "learnt"):
             raise ValueError(f"unknown tau kind {self.kind!r}")
         if self.kind in ("fixed", "learnt") and (
-                isinstance(self.value, bool) or not 0 < (self.value or 0) < math.inf):
+                isinstance(self.value, bool) or not isinstance(self.value, numbers.Real)
+                or not 0 < self.value <= sys.float_info.max):
             raise ValueError(f"{self.kind} tau requires a finite positive number, "
                              f"got {self.value!r}")
         if self.kind == "dynamic" and self.value is not None:

@@ -15,6 +15,11 @@ rates are measured from the same runs. A repetition records the
 estimators' pair differences at every update; ``score``, ``tau_experiment``
 and the CLI's ``decisions.csv`` derive the sequential tests from them with
 ``seqtest.sequential_trace``.
+
+A scenario is a preset, ``desk_scenario`` or ``paper_scenario`` (each
+takes only ``power`` and ``seed``), changed by a scenario mapping: the
+JSON object that ``hbab simulate --config`` reads. ``scenario_from_dict``
+is its one parser and ``scenario_to_dict`` its inverse.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from __future__ import annotations
 import itertools
 import numbers
 import os
+import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,9 +39,11 @@ from .design import (
     Factor,
     build_design_matrix,
     comparison_cells,
+    spec_from_dict,
+    spec_to_dict,
 )
 from .estimate import CellEstimates, hb_estimate, mle_estimates
-from .glm import CountData, fit_posterior
+from .glm import MAX_ASSIGNMENTS, CountData, fit_posterior
 from .sampler import SamplerConfig, fork_map
 from .seqtest import TauSpec, cell_differences, sequential_trace
 
@@ -48,6 +56,8 @@ __all__ = [
     "TauComparison",
     "paper_scenario",
     "desk_scenario",
+    "scenario_from_dict",
+    "scenario_to_dict",
     "generate_truth",
     "stream_updates",
     "look_estimates",
@@ -101,6 +111,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a number")
         if self.updates < 0 or self.repetitions < 1:
             raise ValueError("need updates >= 0 and at least one repetition")
+        if int(self.assignments_per_update) * max(int(self.updates), 1) > MAX_ASSIGNMENTS:
+            raise ValueError("assignments_per_update × updates must not exceed 2**53, "
+                             "the most assignments a float holds exactly")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if len(self.spec.factors) < 2:
@@ -112,64 +125,119 @@ class ScenarioConfig:
             raise ValueError("h0_mode must be 'combined' or 'separate'")
         if not 0.0 <= self.h1_fraction <= 1.0:
             raise ValueError("h1_fraction must lie in [0, 1]")
-        if not (np.isfinite(self.interaction_effect_mean)
-                and 0 <= self.interaction_effect_sd < np.inf):
+        # Bounds rather than isfinite: a JSON integer may exceed any float.
+        if not (abs(self.interaction_effect_mean) <= sys.float_info.max
+                and 0 <= self.interaction_effect_sd <= sys.float_info.max):
             raise ValueError("need a finite interaction_effect_mean and a finite interaction_effect_sd >= 0")
 
 
-def _factorial_spec(values_per_factor: int) -> ExperimentSpec:
-    def values(prefix):
-        return tuple(f"{prefix}{i}" for i in range(values_per_factor))
-
-    return ExperimentSpec(
-        content_factors=(
-            Factor("title", values("t")),
-            Factor("image", values("i")),
-        ),
-        context_factors=(
-            Factor("country", values("co")),
-            Factor("device", values("d")),
-        ),
-    )
-
-
-def _is_high(power: str) -> bool:
+def _preset(values_per_factor: int, updates: int, traffic: tuple[int, int],
+            repetitions: int, power: str, seed: int) -> ScenarioConfig:
+    """Two content and two context factors of ``values_per_factor`` values
+    each. ``power`` picks the low or high ``traffic`` (assignments per
+    update) and interaction effects of mean and sd 0.2 or 0.5."""
     if power not in ("low", "high"):
         raise ValueError(f"power must be 'low' or 'high', got {power!r}")
-    return power == "high"
+    high = power == "high"
+
+    def factor(name, prefix):
+        return Factor(name, tuple(f"{prefix}{i}" for i in range(values_per_factor)))
+
+    spec = ExperimentSpec((factor("title", "t"), factor("image", "i")),
+                          (factor("country", "co"), factor("device", "d")))
+    effect = 0.5 if high else 0.2
+    return ScenarioConfig(spec, updates=updates, assignments_per_update=traffic[high],
+                          repetitions=repetitions, seed=seed,
+                          interaction_effect_mean=effect, interaction_effect_sd=effect)
 
 
-def paper_scenario(power: str = "low", seed: int = 0, **overrides) -> ScenarioConfig:
+def paper_scenario(power: str = "low", seed: int = 0) -> ScenarioConfig:
     """Full-scale setting: 4-value factors (256 cells), 30 updates, 80 reps.
     ``power`` picks the preset traffic and interaction effects."""
-    high = _is_high(power)
-    cfg = ScenarioConfig(
-        spec=_factorial_spec(4),
-        updates=30,
-        assignments_per_update=100_000 if high else 2500,
-        repetitions=80,
-        seed=seed,
-        interaction_effect_mean=0.5 if high else 0.2,
-        interaction_effect_sd=0.5 if high else 0.2,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    return _preset(4, 30, (2500, 100_000), 80, power, seed)
 
 
-def desk_scenario(power: str = "low", seed: int = 0, **overrides) -> ScenarioConfig:
+def desk_scenario(power: str = "low", seed: int = 0) -> ScenarioConfig:
     """Down-scaled setting for fast runs: 2-value factors (16 cells), 10
     updates, 8 repetitions, traffic scaled to keep per-cell counts in the
     same regime as the full-scale scenarios."""
-    high = _is_high(power)
-    cfg = ScenarioConfig(
-        spec=_factorial_spec(2),
-        updates=10,
-        assignments_per_update=6400 if high else 160,
-        repetitions=8,
-        seed=seed,
-        interaction_effect_mean=0.5 if high else 0.2,
-        interaction_effect_sd=0.5 if high else 0.2,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    return _preset(2, 10, (160, 6400), 8, power, seed)
+
+
+# Scenario fields a mapping sets as plain values; ``spec`` and ``sampler``
+# are parsed, and the seeds are the base config's.
+_SCENARIO_VALUES = tuple(f.name for f in fields(ScenarioConfig)
+                         if f.name not in ("spec", "sampler", "seed"))
+_SAMPLER_VALUES = tuple(f.name for f in fields(SamplerConfig) if f.name != "seed")
+# Keys a mapping might be expected to hold, and why it does not.
+_NOT_SETTABLE = {
+    "seed": "fit seeds come from --seed",
+    "sampler.seed": "fit seeds come from --seed",
+    "power": "pick the preset with --power",
+}
+
+
+def _check_keys(mapping, known, prefix: str = "") -> None:
+    """Reject a mapping that is not a JSON object or that holds a key
+    outside ``known``."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{prefix[:-1] or 'the config'} must be a JSON object")
+    for key in mapping:
+        name = f"{prefix}{key}"
+        if name in _NOT_SETTABLE:
+            raise ValueError(f"{name} is not settable; {_NOT_SETTABLE[name]}")
+        if key not in known:
+            raise ValueError(f"unknown key {name!r}")
+
+
+def _check_methods(methods) -> tuple[str, ...]:
+    """``methods`` as a tuple; ``ValueError`` unless it is a non-empty list
+    or tuple of distinct names from ``METHODS``."""
+    if not (isinstance(methods, (list, tuple)) and methods
+            and all(m in METHODS for m in methods)):
+        raise ValueError(f"methods must be a non-empty list drawn from {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods repeat in {list(methods)}")
+    return tuple(methods)
+
+
+def scenario_from_dict(
+    mapping, base: ScenarioConfig
+) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...]]:
+    """The scenario, tau and methods of a scenario mapping, the JSON object
+    that ``hbab simulate --config`` reads (see the README).
+
+    ``base``, ``desk_scenario(power, seed)`` or ``paper_scenario(power,
+    seed)``, keeps every value the mapping does not set; tau defaults to
+    fixed 0.1 and methods to ``METHODS``. Raises ``ValueError`` for a
+    mapping that is not an object, an unknown key, a seed or ``power`` (both
+    come from ``base``) and any value that a config rejects.
+    """
+    _check_keys(mapping, (*_SCENARIO_VALUES, "spec", "sampler", "tau", "methods"))
+    values = {key: mapping[key] for key in _SCENARIO_VALUES if key in mapping}
+    if "spec" in mapping:
+        values["spec"] = spec_from_dict(mapping["spec"])
+    if "sampler" in mapping:
+        _check_keys(mapping["sampler"], _SAMPLER_VALUES, "sampler.")
+        values["sampler"] = replace(base.sampler, **mapping["sampler"])
+    config = replace(base, **values)
+    tau = mapping.get("tau", {"kind": "fixed", "value": 0.1})
+    _check_keys(tau, ("kind", "value"), "tau.")
+    if "kind" not in tau:
+        raise ValueError("tau needs a kind: 'fixed', 'dynamic' or 'learnt'")
+    return config, TauSpec(**tau), _check_methods(mapping.get("methods", list(METHODS)))
+
+
+def scenario_to_dict(config: ScenarioConfig, tau: TauSpec, methods) -> dict:
+    """The scenario mapping of ``(config, tau, methods)``, every key set:
+    ``scenario_from_dict`` reads it back on a base with ``config``'s seeds."""
+    return {
+        "spec": spec_to_dict(config.spec),
+        **{key: getattr(config, key) for key in _SCENARIO_VALUES},
+        "sampler": {key: getattr(config.sampler, key) for key in _SAMPLER_VALUES},
+        "tau": {"kind": tau.kind, "value": tau.value},
+        "methods": list(methods),
+    }
 
 
 @dataclass(frozen=True)
@@ -324,6 +392,7 @@ def run_repetition(
     summary is recorded. Fully deterministic given the scenario seed and
     repetition index.
     """
+    methods = _check_methods(methods)
     spec = config.spec
     X = build_design_matrix(spec, interaction_order=2)
     truth_seed, stream_seed = _rep_seed_sequences(config, rep)
@@ -375,16 +444,18 @@ def run_scenario(
 ) -> ScenarioResult:
     """All repetitions of a scenario, mapped by ``sampler.fork_map`` over
     up to ``default_workers()`` processes (``HBAB_WORKERS``), and never
-    more processes than repetitions.
+    more processes than repetitions. ``methods`` are checked before any
+    process is forked.
 
     Repetitions are independent jobs with their own seed substreams, so
     the result does not depend on the worker count; they come back in
     repetition order. A fit inside a repetition worker runs its chains one
     after another; with one repetition process the fits fork their chains.
     """
+    methods = _check_methods(methods)
     results = fork_map(lambda rep: run_repetition(config, rep, methods),
                        config.repetitions, default_workers())
-    return ScenarioResult(config, tuple(methods), results)
+    return ScenarioResult(config, methods, results)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,56 @@ TINY_SCENARIO = {
 }
 
 
+# Scenario config cases that `simulate --config` rejects with exit 2 and
+# `sim.scenario_from_dict` with a ValueError; each is applied on top of
+# TINY_SCENARIO with methods ["mle"].
+NON_INTEGER_SAMPLER_COUNTS = [
+    ("warmup_draws", 10.5),
+    ("chains", 2.0),
+    ("chains", True),
+    ("kept_draws", 150.0),
+    ("max_tree_depth", 1.5),
+]
+
+BAD_SCENARIO_VALUES = [
+    {"interaction_effect_sd": -0.2},
+    {"assignments_per_update": 100.5},
+    {"interaction_effect_mean": float("nan")},
+    {"repetitions": True},
+    {"tau": {"kind": "dynamic", "value": 0.3}},
+    {"tau": {"kind": "fixed", "value": True}},
+    {"h1_fraction": True},
+    {"interaction_effect_mean": True},
+    {"interaction_effect_sd": True},
+    {"alpha": True},
+    {"sampler": {"target_accept": True}},
+]
+
+# (override, a part of the message)
+CONFIGS_BEYOND_THE_SCENARIO = [
+    ({"repetitons": 1}, "unknown key 'repetitons'"),
+    ({"tau": {"kind": "dynamic", "epsilon_floor": 1e-6}},
+     "unknown key 'tau.epsilon_floor'"),
+    ({"sampler": {"chain": 2}}, "unknown key 'sampler.chain'"),
+    ({"seed": 3}, "seed is not settable; fit seeds come from --seed"),
+    ({"power": "high"}, "power is not settable; pick the preset with --power"),
+    ({"power": "medium"}, "power is not settable; pick the preset with --power"),
+    ({"methods": ["mle", "mle"]}, "methods repeat"),
+]
+
+MALFORMED_CONFIGS = [
+    ({"tau": []}, "tau must be a JSON object"),
+    ({"tau": False}, "tau must be a JSON object"),
+    ({"tau": None}, "tau must be a JSON object"),
+    ({"tau": {}}, "kind"),
+    ({"methods": {"mle": 1}}, "methods must be a non-empty list"),
+    ({"methods": "mle"}, "methods must be a non-empty list"),
+    ({"spec": {"factors": TINY_DESIGN["factors"][:1]}}, "at least 2 factors"),
+]
+MALFORMED_CONFIG_IDS = ["tau-list", "tau-false", "tau-null", "tau-empty",
+                        "methods-object", "methods-string", "one-factor"]
+
+
 # Two content factors whose value labels hold "|": the pairs a|b + c and
 # a + b|c would both read "a|b|c" in the output files.
 PIPE_DESIGN = {
@@ -241,13 +291,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("field, value", [
-        ("warmup_draws", 10.5),
-        ("chains", 2.0),
-        ("chains", True),
-        ("kept_draws", 150.0),
-        ("max_tree_depth", 1.5),
-    ])
+    @pytest.mark.parametrize("field, value", NON_INTEGER_SAMPLER_COUNTS)
     def test_non_integer_sampler_count_exits_2(self, tmp_path, capsys, field, value):
         cfg = write_json(tmp_path / "cfg.json",
                          {**TINY_SCENARIO, "sampler": {field: value}})
@@ -255,25 +299,22 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", [
-        {"interaction_effect_sd": -0.2},
-        {"assignments_per_update": 100.5},
-        {"interaction_effect_mean": float("nan")},
-        {"repetitions": True},
-        {"tau": {"kind": "dynamic", "value": 0.3}},
-        {"tau": {"kind": "fixed", "value": True}},
-        {"h1_fraction": True},
-        {"interaction_effect_mean": True},
-        {"interaction_effect_sd": True},
-        {"alpha": True},
-        {"sampler": {"target_accept": True}},
-    ])
+    @pytest.mark.parametrize("override", BAD_SCENARIO_VALUES)
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, override):
         cfg = write_json(tmp_path / "cfg.json",
                          {**TINY_SCENARIO, "methods": ["mle"], **override})
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
         assert "invalid scenario config" in capsys.readouterr().err
+
+    def test_assignments_past_2_53_exit_2_before_any_output(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "methods": ["mle"],
+                                                 "assignments_per_update": 2**70})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario config" in err and "2**53" in err
+        assert not out.exists()
 
     def test_tau_experiment_without_updates_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json",
@@ -298,16 +339,7 @@ class TestSimulate:
         assert "fit seeds come from --seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("override, message", [
-        ({"repetitons": 1}, "unknown key 'repetitons'"),
-        ({"tau": {"kind": "dynamic", "epsilon_floor": 1e-6}},
-         "unknown key 'tau.epsilon_floor'"),
-        ({"sampler": {"chain": 2}}, "unknown key 'sampler.chain'"),
-        ({"seed": 3}, "seed is not settable; fit seeds come from --seed"),
-        ({"power": "high"}, "power is not settable; pick the preset with --power"),
-        ({"power": "medium"}, "power is not settable; pick the preset with --power"),
-        ({"methods": ["mle", "mle"]}, "methods repeat"),
-    ])
+    @pytest.mark.parametrize("override, message", CONFIGS_BEYOND_THE_SCENARIO)
     def test_config_beyond_the_scenario_exits_2(self, tmp_path, capsys, override,
                                                 message):
         cfg = write_json(tmp_path / "cfg.json",
@@ -317,16 +349,8 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("override, message", [
-        ({"tau": []}, "tau must be a JSON object"),
-        ({"tau": False}, "tau must be a JSON object"),
-        ({"tau": None}, "tau must be a JSON object"),
-        ({"tau": {}}, "kind"),
-        ({"methods": {"mle": 1}}, "methods must be a non-empty list"),
-        ({"methods": "mle"}, "methods must be a non-empty list"),
-        ({"spec": {"factors": TINY_DESIGN["factors"][:1]}}, "at least 2 factors"),
-    ], ids=["tau-list", "tau-false", "tau-null", "tau-empty", "methods-object",
-            "methods-string", "one-factor"])
+    @pytest.mark.parametrize("override, message", MALFORMED_CONFIGS,
+                             ids=MALFORMED_CONFIG_IDS)
     def test_malformed_config_exits_2_before_any_output(self, tmp_path, capsys, override,
                                                         message):
         cfg = write_json(tmp_path / "cfg.json",
@@ -606,6 +630,22 @@ class TestAnalyze:
         assert (f"row 2: need 0 <= responses <= assignments, got responses {responses}, "
                 f"assignments {assignments}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first, second, row", [
+        (2**63 - 1, 2**63 - 1, 2),
+        (2**52, 2**52 + 1, 6),
+    ], ids=["int64-max", "crossing-at-update-2"])
+    def test_assignments_past_2_53_name_the_row(self, tmp_path, capsys, first, second,
+                                               row):
+        # Counts are floats in the fit: past 2**53 they lose integers, and
+        # the int64 sum of two int64-max looks wraps negative.
+        rows = [(u, msg, ctx, a, 0) for u, a in ((1, first), (2, second))
+                for msg in ("m0", "m1") for ctx in ("c0", "c1")]
+        code, out = self.run_analyze(tmp_path, rows)
+        assert code == 2
+        assert (f"row {row}: the assignments of cell (msg=m0, ctx=c0) pass 2**53"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_mle_cell_without_traffic_exits_2(self, tmp_path, capsys):
         rows = default_counts(updates=1)
         rows[3] = (1, "m1", "c1", 0, 0)
@@ -794,6 +834,14 @@ class TestLearnTau:
         out = tmp_path / "o"
         assert main(["learn-tau", str(path), "--out", str(out)]) == 2
         assert "row 3: expected 2 columns" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noise_sd_whose_square_overflows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "effects.csv"
+        path.write_text("delta,noise_sd\n0.2,0.1\n0.1,1e200\n")
+        out = tmp_path / "o"
+        assert main(["learn-tau", str(path), "--out", str(out)]) == 2
+        assert "noise_sd must square to a finite variance" in capsys.readouterr().err
         assert not out.exists()
 
     def test_singleton_corpus_exits_2(self, tmp_path):

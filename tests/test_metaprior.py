@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -175,6 +176,28 @@ class TestCollectEffects:
             ([[0.1, 0.2]], [[0.05, 0.05]], "1-D arrays of one length"),
             ([0.1, np.nan], [0.05, 0.05], "must be finite"),
             ([0.1, 0.2], [0.05, np.inf], "must be finite"),
+            ([0.2, 0.1], [0.1, 1e200], "noise_sd must square to a finite variance"),
         ]:
             with pytest.raises(ValueError, match=message):
                 learn_tau(delta, noise_sd)
+
+    def test_density_that_is_nowhere_finite(self, monkeypatch):
+        # 1e154 squares to a finite 1e308, but 2 pi times it overflows, so
+        # the log density is -inf at every tau; the mode search used to
+        # double its bracket for ever. A bounded count of density calls
+        # turns such a hang into a failure.
+        calls = itertools.count()
+
+        def bounded_target(*args):
+            target = tau_target(*args)
+            density = target.log_density_and_grad
+
+            def bounded(z):
+                assert next(calls) < 10_000, "the mode search does not stop"
+                return density(z)
+
+            return dataclasses.replace(target, log_density_and_grad=bounded)
+
+        monkeypatch.setattr(hbab.metaprior, "tau_target", bounded_target)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="no finite mode"):
+            learn_tau([0.2, 0.1], [0.1, 1e154])

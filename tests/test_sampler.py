@@ -310,7 +310,7 @@ class TestParallelChains:
 
         monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
         monkeypatch.setenv("HBAB_WORKERS", "2")
-        cfg = desk_scenario(updates=1, repetitions=2, sampler=SamplerConfig(
+        cfg = replace(desk_scenario(), updates=1, repetitions=2, sampler=SamplerConfig(
             chains=2, warmup_draws=20, kept_draws=100, max_tree_depth=4))
         run_scenario(cfg, methods=("hierarchical",))
         assert chain_runs.serial()
@@ -325,7 +325,7 @@ class TestParallelChains:
 
         monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
         monkeypatch.setenv("HBAB_WORKERS", "2")
-        cfg = desk_scenario(updates=2, repetitions=1, sampler=SamplerConfig(
+        cfg = replace(desk_scenario(), updates=2, repetitions=1, sampler=SamplerConfig(
             chains=2, warmup_draws=20, kept_draws=100, max_tree_depth=4))
         run_scenario(cfg, methods=("hierarchical",))
         assert chain_runs.callers() == {os.getpid()}
@@ -413,8 +413,9 @@ class TestOneBlasThread:
             return hb_estimate(samples, X)
 
         monkeypatch.setattr(hbab.sim, "hb_estimate", recorded)
-        cfg = paper_scenario(seed=2, updates=1, repetitions=2, sampler=SamplerConfig(
-            chains=2, warmup_draws=50, kept_draws=100, max_tree_depth=8))
+        cfg = replace(paper_scenario(seed=2), updates=1, repetitions=2,
+                      sampler=SamplerConfig(chains=2, warmup_draws=50, kept_draws=100,
+                                            max_tree_depth=8))
         results = {}
         for workers in ("1", "2"):
             (tmp_path / workers).mkdir()

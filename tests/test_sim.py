@@ -1,15 +1,28 @@
+import json
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_cli import (
+    BAD_SCENARIO_VALUES,
+    CONFIGS_BEYOND_THE_SCENARIO,
+    MALFORMED_CONFIGS,
+    NON_INTEGER_SAMPLER_COUNTS,
+    TINY_SCENARIO,
+)
 
+import hbab.sim
 from hbab.design import ExperimentSpec, Factor, enumerate_comparisons
 from hbab.metaprior import effects_from_differences, learn_tau
 from hbab.sampler import SamplerConfig
 from hbab.seqtest import TauSpec, sequential_trace
 from hbab.sim import (
     ANALYZE_SAMPLER,
+    METHODS,
     SIMULATE_SAMPLER,
     GroundTruth,
     MetricsReport,
@@ -22,6 +35,8 @@ from hbab.sim import (
     paper_scenario,
     run_repetition,
     run_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
     score,
     stream_updates,
     tau_experiment,
@@ -373,6 +388,15 @@ def test_config_validation():
     assert tiny_config(h1_fraction=1, alpha=np.float32(0.1)).h1_fraction == 1
 
 
+def test_cumulative_assignments_stay_within_2_53():
+    # Counts are floats in the fit, exact only up to 2**53; int64 sums of
+    # larger ones wrap.
+    for apu, updates in ((2**52, 3), (2**70, 0), (np.int64(2**62), np.int64(30))):
+        with pytest.raises(ValueError, match=re.escape("must not exceed 2**53")):
+            tiny_config(assignments_per_update=apu, updates=updates)
+    assert tiny_config(assignments_per_update=2**52, updates=2).updates == 2
+
+
 @pytest.mark.parametrize("preset", [desk_scenario, paper_scenario])
 def test_presets_take_only_low_or_high_power(preset):
     for power in ("medium", "HIGH", None):
@@ -381,6 +405,8 @@ def test_presets_take_only_low_or_high_power(preset):
     low, high = preset("low"), preset("high")
     assert high.assignments_per_update > low.assignments_per_update
     assert high.interaction_effect_mean > low.interaction_effect_mean
+    with pytest.raises(TypeError):
+        preset("low", 0, updates=1)
 
 
 def test_tau_experiment_needs_an_update():
@@ -389,3 +415,137 @@ def test_tau_experiment_needs_an_update():
     result = ScenarioResult(cfg, ("mle",), reps)
     with pytest.raises(ValueError, match="at least 1 update"):
         tau_experiment(result)
+
+
+@pytest.mark.parametrize("methods, message", [
+    (("bayes",), "methods must be a non-empty list"),
+    ((), "methods must be a non-empty list"),
+    (("mle", "mle"), "methods repeat"),
+], ids=["unknown", "empty", "repeated"])
+def test_bad_methods_raise_before_any_work(monkeypatch, methods, message):
+    monkeypatch.setattr(hbab.sim, "fork_map", lambda *args: pytest.fail("forked"))
+    cfg = tiny_config()
+    for call in (lambda: run_scenario(cfg, methods),
+                 lambda: run_repetition(cfg, 0, methods),
+                 lambda: scenario_from_dict({"methods": list(methods)}, cfg)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+class TestScenarioFromDict:
+    """The scenario mapping that ``simulate --config`` reads. The rejected
+    cases are the ones the command exits 2 for."""
+
+    def parse(self, override):
+        return scenario_from_dict({**TINY_SCENARIO, "methods": ["mle"], **override},
+                                  desk_scenario("low", seed=1))
+
+    @pytest.mark.parametrize("preset", [desk_scenario, paper_scenario])
+    @pytest.mark.parametrize("power", ["low", "high"])
+    def test_round_trip_of_the_presets(self, preset, power):
+        base = preset(power, seed=3)
+        assert scenario_from_dict({}, base) == (base, TauSpec.fixed(0.1), METHODS)
+        for tau, methods in ((TauSpec.fixed(0.1), METHODS),
+                             (TauSpec.dynamic(), ("mle",)),
+                             (TauSpec.learnt(0.02), ("mle", "hierarchical"))):
+            mapping = scenario_to_dict(base, tau, methods)
+            assert scenario_from_dict(mapping, base) == (base, tau, methods)
+            # What a JSON file of the mapping reads back as.
+            assert scenario_from_dict(json.loads(json.dumps(mapping)), base) == (
+                base, tau, methods)
+
+    def test_round_trip_of_a_config_file(self):
+        base = desk_scenario("low", seed=1)
+        parsed = scenario_from_dict(TINY_SCENARIO, base)
+        config = parsed[0]
+        assert (config.spec.n_cells, config.updates, config.seed) == (4, 2, 1)
+        assert config.sampler == SamplerConfig(chains=1, warmup_draws=100,
+                                               kept_draws=100, max_tree_depth=6)
+        assert scenario_from_dict(scenario_to_dict(*parsed), base) == parsed
+
+    @pytest.mark.parametrize("field, value", NON_INTEGER_SAMPLER_COUNTS)
+    def test_non_integer_sampler_count(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            self.parse({"sampler": {field: value}})
+
+    @pytest.mark.parametrize("override", BAD_SCENARIO_VALUES)
+    def test_bad_value(self, override):
+        with pytest.raises(ValueError):
+            self.parse(override)
+
+    @pytest.mark.parametrize("override, message",
+                             CONFIGS_BEYOND_THE_SCENARIO + MALFORMED_CONFIGS)
+    def test_message(self, override, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.parse(override)
+
+    def test_config_that_is_not_an_object(self):
+        for mapping in ([], "mle", None, 3):
+            with pytest.raises(ValueError, match="the config must be a JSON object"):
+                scenario_from_dict(mapping, desk_scenario())
+
+
+# JSON values, and scenario mappings: some valid keys, of which up to two
+# then hold a value of about the right type or any JSON value, so that most
+# mappings get past the key checks into the config's own.
+_JSON_WORDS = st.sampled_from(["mle", "hierarchical", "fixed", "dynamic", "learnt",
+                               "combined", "separate", "content", "context", "a", "b"])
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _JSON_WORDS
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=3) | _JSON_WORDS, children,
+                                        max_size=4)),
+    max_leaves=12,
+)
+_SAMPLER_COUNTS = ("chains", "warmup_draws", "kept_draws", "max_tree_depth")
+# key: (valid values, values of about the right type)
+_SCENARIO_KEYS = {
+    "updates": (st.integers(0, 40), st.integers()),
+    "assignments_per_update": (st.integers(16, 10**6), st.integers()),
+    "repetitions": (st.integers(1, 100), st.integers()),
+    "interaction_effect_mean": (st.floats(-1, 1), _JSON_SCALARS),
+    "interaction_effect_sd": (st.floats(0, 1), _JSON_SCALARS),
+    "h1_fraction": (st.floats(0, 1), _JSON_SCALARS),
+    "h0_mode": (st.sampled_from(["combined", "separate"]), _JSON_SCALARS),
+    "alpha": (st.floats(0.01, 0.5), _JSON_SCALARS),
+    "spec": (st.just(TINY_SCENARIO["spec"]), st.fixed_dictionaries({
+        "factors": st.lists(st.fixed_dictionaries({
+            "name": st.text(max_size=2), "role": _JSON_WORDS,
+            "values": st.lists(st.text(max_size=2), max_size=3)}), max_size=3)})),
+    "sampler": (st.fixed_dictionaries({}, optional=dict.fromkeys(
+                    _SAMPLER_COUNTS, st.integers(100, 500))),
+                st.dictionaries(st.sampled_from([*_SAMPLER_COUNTS, "seed"]),
+                                st.integers(100, 500) | _JSON_SCALARS)),
+    "tau": (st.one_of(st.just({"kind": "dynamic"}), st.fixed_dictionaries({
+                "kind": st.sampled_from(["fixed", "learnt"]), "value": st.floats(1e-3, 1)})),
+            st.fixed_dictionaries({}, optional={"kind": _JSON_SCALARS,
+                                                "value": _JSON_SCALARS})),
+    "methods": (st.lists(st.sampled_from(METHODS), min_size=1, max_size=2, unique=True),
+                st.lists(_JSON_SCALARS, max_size=3)),
+}
+
+
+@st.composite
+def _scenario_mappings(draw):
+    mapping = draw(st.fixed_dictionaries(
+        {}, optional={key: valid for key, (valid, _) in _SCENARIO_KEYS.items()}))
+    for key in draw(st.lists(st.sampled_from(sorted(_SCENARIO_KEYS)), max_size=2)):
+        mapping[key] = draw(_SCENARIO_KEYS[key][1] | _JSON_VALUES)
+    return mapping
+
+
+@settings(max_examples=400, deadline=None)
+@given(mapping=st.one_of(_scenario_mappings(), _scenario_mappings(), _JSON_VALUES))
+# Mappings that raised TypeError before TauSpec and ScenarioConfig checked types.
+@example({"tau": {"value": 0.1}})
+@example({"tau": {"kind": "fixed", "value": "0.1"}})
+@example({"interaction_effect_mean": 10**400})
+@example({"interaction_effect_sd": 2**64})
+def test_any_json_mapping_parses_or_raises_value_error(mapping):
+    try:
+        config, tau, methods = scenario_from_dict(mapping, desk_scenario())
+    except ValueError:
+        return
+    assert isinstance(config, ScenarioConfig) and isinstance(tau, TauSpec)
+    assert methods and set(methods) <= set(METHODS)
