@@ -9,13 +9,18 @@ effects; ``oracle-check`` runs the closed-form verification battery.
 Fitting, parsing and verification live elsewhere: the per-look fit loop
 is ``sim.look_estimates``, shared by ``simulate`` and ``analyze``; the
 scenario config that ``simulate --config`` reads is parsed by
-``sim.scenario_from_dict``, whose ``ValueError`` exits 2; and the
-verification battery is ``conjugate.oracle_checks``. Besides reading,
-checking and writing, ``analyze`` only pools each look over contexts.
+``sim.scenario_from_dict``, whose ``ValueError`` exits 2, as does
+``sim.check_tau_experiment``'s; and the verification battery is
+``conjugate.oracle_checks``. Besides reading, checking and writing,
+``analyze`` only pools each look over contexts. ``learn-tau`` and
+``simulate --tau-experiment`` write one ``learnt_tau.json`` format, which
+``analyze --tau learnt:`` reads.
 
 Every command writes a JSON run manifest listing its inputs, seed, config
 hash (a hash of the command's settings and input contents, so the same
 inputs at another path hash the same), and every artifact produced.
+Every CSV input is read through ``_csv_reader``: one that is not UTF-8
+or not CSV exits 2.
 Tabular outputs are CSV with floats serialized to 17 significant digits,
 so reruns with the same seed reproduce files byte for byte; all files are
 written atomically.
@@ -27,6 +32,7 @@ Exit codes: 0 success, 1 verification-check failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -53,13 +59,14 @@ from .design import (
 )
 from .estimate import marginalize
 from .glm import MAX_ASSIGNMENTS, CountData
-from .metaprior import effects_from_differences, learn_tau
+from .metaprior import LearntTau, effects_from_differences, learn_tau
 from .sampler import TARGET_ACCEPT, available_cpus, fit_blas_threads, fork_processes
 from .seqtest import TauSpec, cell_differences, sequential_trace
 from .sim import (
     ANALYZE_SAMPLER,
     MetricsReport,
     ScenarioConfig,
+    check_tau_experiment,
     default_workers,
     desk_scenario,
     look_estimates,
@@ -109,12 +116,30 @@ def _atomic_write(path: str, content) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _csv_reader(path: str, what: str):
+    """A ``csv.reader`` of the file at ``path``. A file that cannot be
+    opened, is not UTF-8 or is not CSV (a field past the ``csv`` module's
+    size limit) is an ``InputError`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"malformed {what} {path!r}: {exc}") from exc
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
+
+
+def _write_json(path: str, payload) -> None:
+    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _file_sha256(path: str) -> str:
@@ -182,7 +207,7 @@ class _Manifest:
         self.data["finished"] = datetime.now(timezone.utc).isoformat()
         path = os.path.join(out_dir, "manifest.json")
         self.data["outputs"].append(os.path.abspath(path))
-        _atomic_write(path, json.dumps(self.data, indent=2) + "\n")
+        _write_json(path, self.data)
 
 
 def _parse_tau(text: str) -> TauSpec:
@@ -208,16 +233,16 @@ def _parse_tau(text: str) -> TauSpec:
     )
 
 
-def _combo_label(spec: ExperimentSpec, factors, combo) -> str:
+def _combo_label(factors, combo) -> str:
     return "|".join(f.values[i] for f, i in zip(factors, combo))
 
 
 def _pair_labels(spec: ExperimentSpec) -> list[tuple[str, str, str]]:
     """(context, content_a, content_b) labels of every pair, in
     ``enumerate_comparisons`` order."""
-    return [(_combo_label(spec, spec.context_factors, ctx),
-             _combo_label(spec, spec.content_factors, a),
-             _combo_label(spec, spec.content_factors, b))
+    return [(_combo_label(spec.context_factors, ctx),
+             _combo_label(spec.content_factors, a),
+             _combo_label(spec.content_factors, b))
             for ctx, a, b in enumerate_comparisons(spec)]
 
 
@@ -229,7 +254,7 @@ _POOLED_CONTEXT = "marginal"
 def _check_context_labels(spec: ExperimentSpec) -> None:
     """Reject a design whose rows would read as context-pooled rows."""
     for combo in spec.context_combinations():
-        if _combo_label(spec, spec.context_factors, combo) == _POOLED_CONTEXT:
+        if _combo_label(spec.context_factors, combo) == _POOLED_CONTEXT:
             raise InputError(f"context label {_POOLED_CONTEXT!r} is reserved for "
                              "the context-pooled rows of comparisons.csv")
 
@@ -249,15 +274,14 @@ def _resolve_scenario(args) -> tuple[ScenarioConfig, TauSpec, tuple[str, ...], d
     try:
         config, tau_spec, methods = scenario_from_dict(mapping,
                                                        preset(args.power, args.seed))
+        if args.tau_experiment:
+            check_tau_experiment(config)
     except ValueError as exc:
         raise InputError(f"invalid scenario config: {exc}") from exc
-    if args.tau_experiment and config.repetitions < 2:
-        raise InputError("--tau-experiment needs at least 2 repetitions")
-    if args.tau_experiment and config.updates < 1:
-        raise InputError("--tau-experiment needs at least 1 update")
     _check_context_labels(config.spec)
 
     payload = {"scale": args.scale, "power": args.power, "seed": args.seed,
+               "tau_experiment": args.tau_experiment,
                **scenario_to_dict(config, tau_spec, methods)}
     # The sampler's fixed acceptance target is a setting of every fit.
     payload["sampler"]["target_accept"] = TARGET_ACCEPT
@@ -352,22 +376,9 @@ def cmd_simulate(args) -> int:
         comparison = tau_experiment(result)
         _write_metrics(manifest.add_output(os.path.join(args.out, "tau_metrics.csv")),
                        comparison.metrics.values())
-        _atomic_write(
-            manifest.add_output(os.path.join(args.out, "learnt_tau.json")),
-            json.dumps(
-                {
-                    "posterior_mean": comparison.learnt_tau,
-                    "quantiles": {
-                        "2.5": comparison.learnt_q2_5,
-                        "97.5": comparison.learnt_q97_5,
-                    },
-                    "train_repetitions": list(comparison.train_reps),
-                    "test_repetitions": list(comparison.test_reps),
-                },
-                indent=2,
-            )
-            + "\n",
-        )
+        _write_learnt_tau(manifest, args.out, comparison.learnt,
+                          train_repetitions=list(comparison.train_reps),
+                          test_repetitions=list(comparison.test_reps))
 
     manifest.write(args.out)
     return 0
@@ -387,12 +398,7 @@ def _read_counts(path: str, spec: ExperimentSpec):
     value_index = {
         (f.name, v): j for f in factors for j, v in enumerate(f.values)
     }
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read counts file: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path, "counts file") as reader:
         header = next(reader, None)
         if header != expected:
             raise InputError(
@@ -559,10 +565,23 @@ def cmd_analyze(args) -> int:
 # --------------------------------------------------------------- learn-tau
 
 
+def _write_learnt_tau(manifest: _Manifest, out_dir: str, learnt: LearntTau,
+                      **extra) -> None:
+    """``learnt_tau.json`` of both ``learn-tau`` and ``simulate
+    --tau-experiment``: ``learnt``, whose ``point_value_for_testing`` is
+    what ``--tau learnt:`` reads, then the keys of ``extra``."""
+    _write_json(manifest.add_output(os.path.join(out_dir, "learnt_tau.json")), {
+        "n_effects": learnt.n_effects,
+        "posterior_mean": learnt.posterior_mean,
+        "quantiles": {"2.5": learnt.q2_5, "50": learnt.median, "97.5": learnt.q97_5},
+        "point_value_for_testing": learnt.point_value_for_testing,
+        **extra,
+    })
+
+
 def _effects_from_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The ``(delta, noise_sd)`` corpus of an effects CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path, "effects file") as reader:
         header = next(reader, None)
         if header != ["delta", "noise_sd"]:
             raise InputError(
@@ -606,8 +625,7 @@ def _effects_from_results_dir(path: str, method: str) -> tuple[np.ndarray, np.nd
             if not name.endswith(".csv"):
                 continue
             full = os.path.join(root, name)
-            with open(full, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
+            with _csv_reader(full, "results file") as reader:
                 column = {field: i for i, field in enumerate(next(reader, []))}
                 if not set(_RESULT_COLUMNS) <= column.keys():
                     continue
@@ -638,13 +656,12 @@ def cmd_learn_tau(args) -> int:
         delta, noise_sd = _effects_from_results_dir(args.effects, args.method)
     else:
         delta, noise_sd = _effects_from_csv(args.effects)
-    n_effects = delta.size
 
     corpus = "".join("%.17g,%.17g\n" % pair
                      for pair in zip(delta.tolist(), noise_sd.tolist()))
     payload = {
         "effects": hashlib.sha256(corpus.encode("ascii")).hexdigest(),
-        "n_effects": n_effects,
+        "n_effects": delta.size,
         "seed": args.seed,
         "method": args.method,
     }
@@ -659,23 +676,7 @@ def cmd_learn_tau(args) -> int:
             "corpus shows no excess dispersion; point value floored at 1e-8"
         )
 
-    _atomic_write(
-        manifest.add_output(os.path.join(args.out, "learnt_tau.json")),
-        json.dumps(
-            {
-                "n_effects": n_effects,
-                "posterior_mean": learnt.posterior_mean,
-                "quantiles": {
-                    "2.5": learnt.q2_5,
-                    "50": learnt.median,
-                    "97.5": learnt.q97_5,
-                },
-                "point_value_for_testing": learnt.point_value_for_testing,
-            },
-            indent=2,
-        )
-        + "\n",
-    )
+    _write_learnt_tau(manifest, args.out, learnt)
     manifest.write(args.out)
     return 0
 
@@ -703,10 +704,7 @@ def cmd_oracle_check(args) -> int:
         ],
         "all_passed": all(p for _, _, _, p in results),
     }
-    _atomic_write(
-        manifest.add_output(os.path.join(args.out, "oracle_report.json")),
-        json.dumps(report, indent=2) + "\n",
-    )
+    _write_json(manifest.add_output(os.path.join(args.out, "oracle_report.json")), report)
     _atomic_write(
         manifest.add_output(os.path.join(args.out, "oracle_report.txt")),
         "\n".join(lines) + "\n",

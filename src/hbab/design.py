@@ -136,7 +136,6 @@ class DesignMatrix:
 
     matrix: np.ndarray
     column_labels: tuple[ColumnLabel, ...] = field(repr=False)
-    interaction_order: int = 1
 
     @property
     def rows(self) -> int:
@@ -189,7 +188,7 @@ def build_design_matrix(spec: ExperimentSpec, interaction_order: int = 2) -> Des
                           for va in fa.values for vb in fb.values)
             n_b = len(fb.values)
             blocks.append(np.eye(len(fa.values) * n_b)[values[:, a] * n_b + values[:, b]])
-    return DesignMatrix(np.hstack(blocks), tuple(labels), interaction_order)
+    return DesignMatrix(np.hstack(blocks), tuple(labels))
 
 
 def enumerate_comparisons(

@@ -40,6 +40,8 @@ _TAU_FLOOR = 1e-8
 _CAUCHY_SCALE = 5.0  # tau ~ HalfCauchy(5)
 _GRID_POINTS = 256
 _TAIL_NATS = 40.0
+# exp overflows past this log tau.
+_MAX_LOG_TAU = math.log(np.finfo(float).max)
 # First bracketing step in log tau. The bracket ends lie about 9 posterior
 # sd from the mode, which comes closer than this only beyond about 1e8
 # effects.
@@ -48,6 +50,9 @@ _FIRST_STEP = 1e-3
 
 @dataclass(frozen=True)
 class LearntTau:
+    """The tau posterior of a corpus of ``n_effects`` effects."""
+
+    n_effects: int
     posterior_mean: float
     q2_5: float
     median: float
@@ -63,10 +68,15 @@ def tau_target(delta: np.ndarray, noise_sd: np.ndarray) -> TargetDensity:
     round-off. Each variance is the Python-float square of its sd, one
     libm ``pow`` per element: numpy's vectorised square can differ from it
     in the last bit.
+
+    Effects near the float limits overflow, divide by zero or subtract
+    infinities here, silently: a density that is not finite reads -inf, and
+    a NaN slope reads as not positive in ``learn_tau``'s mode search.
     """
     order = np.lexsort((noise_sd, delta))
     delta = delta[order]
-    delta_sq = delta**2
+    with np.errstate(over="ignore"):
+        delta_sq = delta**2
     try:
         noise_var = np.array([sd**2 for sd in noise_sd[order].tolist()])
     except OverflowError:
@@ -81,12 +91,13 @@ def tau_target(delta: np.ndarray, noise_sd: np.ndarray) -> TargetDensity:
         tau = np.exp(log_tau)
         v = noise_var + tau
         lp = half_cauchy_log_density_log_scale(log_tau, b)
-        lp += np.sum(-0.5 * np.log(2 * np.pi * v) - delta_sq / (2 * v))
-        if not math.isfinite(lp):
-            return -math.inf, np.zeros(1)
-        d_tau = np.sum(0.5 * (delta / v) ** 2 - 0.5 / v)
-        # 1 - 2 tau^2 / (b^2 + tau^2), without squaring tau.
-        grad = tau * d_tau - math.tanh(log_tau - log_b)
+        with np.errstate(all="ignore"):
+            lp += np.sum(-0.5 * np.log(2 * np.pi * v) - delta_sq / (2 * v))
+            if not math.isfinite(lp):
+                return -math.inf, np.zeros(1)
+            d_tau = np.sum(0.5 * (delta / v) ** 2 - 0.5 / v)
+            # 1 - 2 tau^2 / (b^2 + tau^2), without squaring tau.
+            grad = tau * d_tau - math.tanh(log_tau - log_b)
         return float(lp), np.array([grad])
 
     return TargetDensity(1, log_density_and_grad, ("log_tau",))
@@ -108,8 +119,9 @@ def learn_tau(delta, noise_sd) -> LearntTau:
     dispersion still yields a usable (if extremely skeptical) setting.
     Needs at least two observations; dispersion is meaningless for one.
     Raises ``ValueError`` for arrays that are not 1-D of one length, for
-    non-finite values and for a ``noise_sd`` that is not positive or whose
-    square overflows.
+    non-finite values, for a ``noise_sd`` that is not positive or whose
+    square overflows, and for a posterior that has no finite mode or has
+    not fallen ``_TAIL_NATS`` below it where tau overflows.
     """
     delta = np.asarray(delta, dtype=float)
     noise_sd = np.asarray(noise_sd, dtype=float)
@@ -135,11 +147,11 @@ def learn_tau(delta, noise_sd) -> LearntTau:
     if not math.isfinite(peak):
         raise ValueError("the tau posterior has no finite mode for these effects")
     floor = peak - _TAIL_NATS
-    log_tau = np.linspace(
-        _tail_end(log_density, mode, -1.0, floor),
-        _tail_end(log_density, mode, 1.0, floor),
-        _GRID_POINTS,
-    )
+    upper = _tail_end(log_density, mode, 1.0, floor)
+    if upper > _MAX_LOG_TAU:
+        raise ValueError("the tau posterior does not fall off before tau overflows "
+                         "for these effects")
+    log_tau = np.linspace(_tail_end(log_density, mode, -1.0, floor), upper, _GRID_POINTS)
     lp = np.array([log_density(x) for x in log_tau])
     weights = np.exp(lp - lp.max())
     weights /= weights.sum()
@@ -148,6 +160,7 @@ def learn_tau(delta, noise_sd) -> LearntTau:
         math.exp(_sinc_quantile(log_tau, weights, p)) for p in (0.025, 0.5, 0.975)
     )
     return LearntTau(
+        n_effects=delta.size,
         posterior_mean=mean,
         q2_5=q2_5,
         median=median,

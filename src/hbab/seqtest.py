@@ -174,6 +174,17 @@ def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
+def _log_ratio(v: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """log(v / vt), also where a tau past about 1e292 times v underflows the
+    ratio to 0: there it is log(v) - log(vt)."""
+    ratio = v / vt
+    under = ratio == 0
+    ratio[under] = 1.0
+    log_ratio = _libm(math.log, ratio)
+    log_ratio[under] = _libm(math.log, v[under]) - _libm(math.log, vt[under])
+    return log_ratio
+
+
 @dataclass(frozen=True)
 class SequentialTrace:
     """Sequential tests over ``[updates, ...]`` arrays, one row per update.
@@ -223,7 +234,7 @@ def sequential_trace(
         tau = float(tau_spec.value)
     with np.errstate(over="ignore"):  # float arithmetic overflows to inf
         vt = v + tau
-        log_k = 0.5 * _libm(math.log, v / vt) + d2 * tau / (2.0 * v * vt)
+        log_k = 0.5 * _log_ratio(v, vt) + d2 * tau / (2.0 * v * vt)
     p_instant = _libm(math.exp, -np.maximum(log_k, 0.0))
     bf = _libm(math.exp, np.minimum(log_k, _MAX_LOG_K))
 

@@ -11,10 +11,14 @@ settings. Content combinations are split into an "effect" half, whose
 interaction coefficients are drawn from a Normal(effect mean, sd^2), and a
 null half whose coefficients stay zero, so true-difference and
 no-difference pairs coexist in one simulated experiment and both error
-rates are measured from the same runs. A repetition records the
-estimators' pair differences at every update; ``score``, ``tau_experiment``
-and the CLI's ``decisions.csv`` derive the sequential tests from them with
-``seqtest.sequential_trace``.
+rates are measured from the same runs; ``h1_fraction`` 0 leaves only the
+null half. A repetition records the estimators' pair differences at every
+update; ``score``, ``tau_experiment`` and the CLI's ``decisions.csv``
+derive the sequential tests from them with ``seqtest.sequential_trace``.
+``tau_experiment`` learns tau on half the repetitions and keeps the
+``metaprior.LearntTau`` that ``learn_tau`` returns; ``check_tau_experiment``
+is its precondition, which ``hbab simulate --tau-experiment`` checks
+before the run.
 
 A scenario is a preset, ``desk_scenario`` or ``paper_scenario`` (each
 takes only ``power`` and ``seed``), changed by a scenario mapping: the
@@ -44,6 +48,7 @@ from .design import (
 )
 from .estimate import CellEstimates, hb_estimate, mle_estimates
 from .glm import MAX_ASSIGNMENTS, CountData, fit_posterior
+from .metaprior import LearntTau, effects_from_differences, learn_tau
 from .sampler import SamplerConfig, fork_map
 from .seqtest import TauSpec, cell_differences, sequential_trace
 
@@ -64,6 +69,7 @@ __all__ = [
     "run_repetition",
     "run_scenario",
     "score",
+    "check_tau_experiment",
     "tau_experiment",
     "naive_sequential_test_fpr",
     "default_workers",
@@ -80,12 +86,8 @@ ANALYZE_SAMPLER = replace(SIMULATE_SAMPLER, kept_draws=200)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulated-experiment setting.
-
-    ``h0_mode`` selects whether the null half lives inside the same truth
-    as the effect half ("combined", default) or the whole truth is null
-    ("separate").
-    """
+    """One simulated-experiment setting. ``h1_fraction`` 0 makes every pair
+    null."""
 
     spec: ExperimentSpec
     updates: int = 30
@@ -95,7 +97,6 @@ class ScenarioConfig:
     interaction_effect_mean: float = 0.2
     interaction_effect_sd: float = 0.2
     h1_fraction: float = 0.5
-    h0_mode: str = "combined"
     alpha: float = 0.05
     sampler: SamplerConfig = SIMULATE_SAMPLER
 
@@ -121,8 +122,6 @@ class ScenarioConfig:
                              "interaction coefficients")
         if self.assignments_per_update < self.spec.n_cells:
             raise ValueError("need at least one assignment per cell per update")
-        if self.h0_mode not in ("combined", "separate"):
-            raise ValueError("h0_mode must be 'combined' or 'separate'")
         if not 0.0 <= self.h1_fraction <= 1.0:
             raise ValueError("h1_fraction must lie in [0, 1]")
         # Bounds rather than isfinite: a JSON integer may exceed any float.
@@ -267,16 +266,15 @@ def _drawable_interaction_columns(X: DesignMatrix, n_contents: int, n_h1: int) -
 def generate_truth(config: ScenarioConfig, rep_seed) -> GroundTruth:
     """Ground truth for one repetition.
 
-    Intercept and first-order coefficients are zero. In "combined" mode
-    the interaction coefficients tied exclusively to the first
-    ``h1_fraction`` of content combinations are sampled; everything else
-    stays zero, which pins every null-half cell at rate one half. In
-    "separate" mode no coefficient is sampled and all pairs are null.
+    Intercept and first-order coefficients are zero. The interaction
+    coefficients tied exclusively to the first ``h1_fraction`` of content
+    combinations are sampled; everything else stays zero, which pins every
+    null-half cell at rate one half.
     """
     spec = config.spec
     X = build_design_matrix(spec, interaction_order=2)
     n_contents = len(spec.content_combinations())
-    n_h1 = round(config.h1_fraction * n_contents) if config.h0_mode == "combined" else 0
+    n_h1 = round(config.h1_fraction * n_contents)
 
     beta = np.zeros(X.cols)
     if n_h1:
@@ -328,7 +326,6 @@ class RepetitionResult:
     rep: int
     truth: GroundTruth
     estimate_mean: dict[str, np.ndarray]
-    estimate_var: dict[str, np.ndarray]
     diff_mean: dict[str, np.ndarray]
     diff_var: dict[str, np.ndarray]
     warnings: tuple[str, ...]
@@ -401,7 +398,6 @@ def run_repetition(
 
     n_u, n_c, n_p = config.updates, spec.n_cells, comparison_cells(spec)[0].size
     est_mean = {m: np.full((n_u, n_c), np.nan) for m in methods}
-    est_var = {m: np.full((n_u, n_c), np.nan) for m in methods}
     diff_mean = {m: np.full((n_u, n_p), np.nan) for m in methods}
     diff_var = {m: np.full((n_u, n_p), np.nan) for m in methods}
     warnings = []
@@ -412,10 +408,8 @@ def run_repetition(
         warnings += [f"rep {rep} update {u + 1} (hierarchical): {w}" for w in fit_warnings]
         for m, ests in estimates.items():
             est_mean[m][u] = ests.means
-            est_var[m][u] = ests.variances
             diff_mean[m][u], diff_var[m][u] = cell_differences(spec, ests)
-    return RepetitionResult(rep, truth, est_mean, est_var, diff_mean, diff_var,
-                            tuple(warnings))
+    return RepetitionResult(rep, truth, est_mean, diff_mean, diff_var, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -547,11 +541,11 @@ def score(
 
 @dataclass(frozen=True)
 class TauComparison:
-    """Train/test evaluation of tau strategies on one scenario."""
+    """Train/test evaluation of tau strategies on one scenario: tau
+    ``learnt`` from ``train_reps``, and each strategy's ``metrics`` on
+    ``test_reps``."""
 
-    learnt_tau: float
-    learnt_q2_5: float
-    learnt_q97_5: float
+    learnt: LearntTau
     train_reps: tuple[int, ...]
     test_reps: tuple[int, ...]
     metrics: dict[str, MetricsReport]
@@ -561,26 +555,28 @@ _TAU_EXPERIMENT_FIXED_TAU = 0.1  # the fixed strategy's tau
 _TAU_EXPERIMENT_TRAIN_FRACTION = 0.5
 
 
-def tau_experiment(result: ScenarioResult, method: str | None = None) -> TauComparison:
+def check_tau_experiment(config: ScenarioConfig) -> None:
+    """``ValueError`` unless ``config`` gives ``tau_experiment`` a
+    repetition on each side of its split and an update to learn tau from."""
+    if config.repetitions < 2:
+        raise ValueError("the tau experiment needs at least 2 repetitions")
+    if config.updates < 1:
+        raise ValueError("the tau experiment needs at least 1 update to learn tau from")
+
+
+def tau_experiment(result: ScenarioResult) -> TauComparison:
     """Compare fixed, dynamic, and learnt tau settings.
 
     The repetitions are split in half: the dispersion parameter is learnt
     from every pair's final difference in the first half and all three
     strategies are scored on the second half only (the fixed one at tau
-    0.1). Effects come from ``method``, by default the hierarchical
-    estimates if the run has them and its first method otherwise.
+    0.1). Effects come from the hierarchical estimates if the run has them
+    and from its first method otherwise. Raises ``ValueError`` where
+    ``check_tau_experiment`` does.
     """
-    from .metaprior import effects_from_differences, learn_tau
-
-    if method is None:
-        method = "hierarchical" if "hierarchical" in result.methods else result.methods[0]
-    if method not in result.methods:
-        raise ValueError(f"method {method!r} was not run; have {result.methods}")
+    check_tau_experiment(result.config)
+    method = "hierarchical" if "hierarchical" in result.methods else result.methods[0]
     n = len(result.repetitions)
-    if n < 2:
-        raise ValueError("tau_experiment needs at least 2 repetitions")
-    if result.config.updates < 1:
-        raise ValueError("tau_experiment needs at least 1 update to learn tau from")
     # At least one repetition on each side for any n >= 2.
     n_train = int(round(_TAU_EXPERIMENT_TRAIN_FRACTION * n))
     train = list(range(n_train))
@@ -605,14 +601,7 @@ def tau_experiment(result: ScenarioResult, method: str | None = None) -> TauComp
         kind: score(result, tau_spec=spec, repetitions=test)
         for kind, spec in specs.items()
     }
-    return TauComparison(
-        learnt.posterior_mean,
-        learnt.q2_5,
-        learnt.q97_5,
-        tuple(train),
-        tuple(test),
-        metrics,
-    )
+    return TauComparison(learnt, tuple(train), tuple(test), metrics)
 
 
 def naive_sequential_test_fpr(

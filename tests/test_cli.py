@@ -270,6 +270,44 @@ class TestSimulate:
         assert {r["tau_kind"] for r in rows} == {"fixed", "dynamic", "learnt"}
         assert {r["method"] for r in rows} == {"mle"}
 
+    def test_learnt_tau_file_feeds_analyze(self, tmp_path):
+        # Both commands write one learnt_tau.json: learn-tau's keys, then
+        # simulate's split.
+        cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "methods": ["mle"]})
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(sim),
+                     "--tau-experiment"]) == 0
+        learnt = json.loads((sim / "learnt_tau.json").read_text())
+        assert list(learnt) == ["n_effects", "posterior_mean", "quantiles",
+                                "point_value_for_testing", "train_repetitions",
+                                "test_repetitions"]
+        assert list(learnt["quantiles"]) == ["2.5", "50", "97.5"]
+        assert (learnt["train_repetitions"], learnt["test_repetitions"]) == ([0], [1])
+        design = write_json(tmp_path / "design.json", TINY_DESIGN)
+        counts = write_counts(tmp_path / "counts.csv", default_counts(updates=1))
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--design", design, "--counts", counts, "--method", "mle",
+                     "--tau", f"learnt:{sim / 'learnt_tau.json'}", "--out", str(out)]) == 0
+
+    def test_config_hash_follows_the_tau_experiment(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {**TINY_SCENARIO, "methods": ["mle"]})
+        hashes = []
+        for name, flag in (("a", []), ("b", ["--tau-experiment"])):
+            out = tmp_path / name
+            assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out),
+                         *flag]) == 0
+            hashes.append(config_hash(out))
+        assert hashes[0] != hashes[1]
+
+    def test_h0_mode_is_an_unknown_key(self, tmp_path, capsys):
+        # h1_fraction 0 makes every pair null.
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "methods": ["mle"], "h0_mode": "separate"})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        assert "unknown key 'h0_mode'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--seed", "1", "--out", str(tmp_path / "o")]) == 2
@@ -322,6 +360,13 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o"), "--tau-experiment"]) == 2
         assert "at least 1 update" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        one_rep = write_json(tmp_path / "one.json",
+                             {**TINY_SCENARIO, "methods": ["mle"], "repetitions": 1})
+        assert main(["simulate", "--config", one_rep, "--seed", "1",
+                     "--out", str(tmp_path / "o"), "--tau-experiment"]) == 2
+        assert "at least 2 repetitions" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
         # Without the tau experiment a zero-update run stays valid.
         assert main(["simulate", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 0
@@ -363,11 +408,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize("overrides, args, expected", [
         ({**TINY_SCENARIO, "methods": ["mle"]}, ["--scale", "desk"],
-         "873cbe3b250ead5ae0087c5dc84faeff58d292a37407e4368a169e940cbe2766"),
+         "3fb1235a525f954f0d8d5142794af3d95da92d190e5d6f8078bdda910d239f54"),
         ({**TINY_SCENARIO, "methods": ["mle"]}, ["--scale", "paper", "--power", "high"],
-         "121a448f860194032010c2346bf7353ae131139382c78fd3b67bc55065ef5db3"),
+         "fa1ebca0700df6588c2fcb636056a205cd70036ecdd8a6323ac6bbc3beb20245"),
         ({"methods": ["mle"], "updates": 1, "repetitions": 1}, [],
-         "fee6305199359ed34417a53f4fd2271bdbaabb778f94995ba8768f48dbafeba1"),
+         "c4773700e71d93168d610247e58fe70d8a2c4547adbc89129f7e2170e122c28f"),
     ])
     def test_config_hash_is_stable(self, tmp_path, overrides, args, expected):
         # Pinned: renaming, adding or dropping a payload field changes every
@@ -758,7 +803,10 @@ def test_analyze_reproduces_a_simulated_repetition(tmp_path):
 
     est = read("estimates.csv", ("mean", "variance"))
     assert np.array_equal(est[..., 0], rep.estimate_mean["mle"], equal_nan=True)
-    assert np.array_equal(est[..., 1], rep.estimate_var["mle"], equal_nan=True)
+    cum_a = np.cumsum([inc.assignments for inc in increments], axis=0)
+    cum_r = np.cumsum([inc.responses for inc in increments], axis=0)
+    variances = [mle_estimates(CountData(a, r)).variances for a, r in zip(cum_a, cum_r)]
+    assert np.array_equal(est[..., 1], variances, equal_nan=True)
     traces = read("comparisons.csv", ("diff_mean", "diff_var", "p_min"),
                   lambda row: row["context"] != "marginal")
     t = sequential_trace(rep.diff_mean["mle"], rep.diff_var["mle"], TauSpec.fixed(0.1),
@@ -843,6 +891,21 @@ class TestLearnTau:
         assert main(["learn-tau", str(path), "--out", str(out)]) == 2
         assert "noise_sd must square to a finite variance" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("data", [b"delta,noise_sd\n0.1,0.2\n0.2\xff,0.1\n",
+                                      b'delta,noise_sd\n0.1,"%s"\n' % (b"9" * 200_000)],
+                             ids=["not-utf8", "field-past-the-csv-limit"])
+    def test_effects_that_are_not_a_utf8_csv_exit_2(self, tmp_path, capsys, data):
+        res = tmp_path / "res"
+        res.mkdir()
+        (res / "comparisons.csv").write_bytes(
+            b"update,context,content_a,content_b,diff_mean,diff_var\n" + data)
+        (tmp_path / "effects.csv").write_bytes(data)
+        for path in ("effects.csv", "res"):
+            out = tmp_path / "o"
+            assert main(["learn-tau", str(tmp_path / path), "--out", str(out)]) == 2
+            assert "malformed" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_singleton_corpus_exits_2(self, tmp_path):
         path = self.effects_file(tmp_path, [0.1])

@@ -99,7 +99,7 @@ class TestLogPosterior:
         params = random_params(rng, X6.cols)
         data = random_counts(rng, X6.rows)
         perm = rng.permutation(X6.rows)
-        Xp = DesignMatrix(X6.matrix[perm], X6.column_labels, X6.interaction_order)
+        Xp = DesignMatrix(X6.matrix[perm], X6.column_labels)
         datap = CountData(data.assignments[perm], data.responses[perm])
         assert target_log_posterior(params, datap, Xp) == pytest.approx(
             straight_line_log_posterior(params, data, X6), rel=1e-12

@@ -21,7 +21,7 @@ PINS = {
         {
             "decisions.csv": "847b48a713248f6fde92b4cd87f4dc385f46e864845381fe1a0630b7d314e479",
             "metrics.csv": "0599f87d4ed20d661cf3b6513d11f6ff93bf04ea5dee4676c96b2b16d10c189c",
-            "config_hash": "641a0395ecab11f7a47f0dda5030d11b459f3c78ea08c00c1faa268ce65bd909",
+            "config_hash": "0cbdbe20c8c7e7c0659536217efb030f58dc00c966d61c41dd07ad2ae2f7c4a4",
         },
     ),
     "desk-tau-experiment": (
@@ -29,10 +29,10 @@ PINS = {
         {"methods": ["mle"]},
         {
             "decisions.csv": "f1bf6fbda580167abe03e7b8c1daeb202e83ed1cc4f04fdeb17fd84f1e614976",
-            "learnt_tau.json": "69246d43c55372d0349f9f6c0c6e82cd4ebeb0ac521fca85ec658701a8460693",
+            "learnt_tau.json": "bee17858b956fe070326f05a78e71beb038178a99cadb3579f8e8dd82605e27a",
             "metrics.csv": "d85f3ce3b4f176a302498cb42e3d0e4b1f8e9d479d1c6a5ceaddc1cb5ff5751e",
             "tau_metrics.csv": "7d55aa7f581e4f988641a0ede654cc2eb3669a57db8f04d1a72c868ec740c94f",
-            "config_hash": "0e754543673b66750a0f1021c8fb7dd74993e73821024b84b24098a66d4ae664",
+            "config_hash": "5e6a5a1bc0b7273caa47239b0fe2f16dc6eab0e79e1419f86f71b73fa5623f66",
         },
     ),
     "desk-high-all-effects": (
@@ -41,18 +41,18 @@ PINS = {
         {
             "decisions.csv": "d81107fad917f45138d3ed9d4e5e4fa0f396e60e6ec47b4a51447cb9f2899ef5",
             "metrics.csv": "a45c055c475e6a09ec0e4c7c6999d46fd2dd5cf45454f950247a2c6bca29292c",
-            "config_hash": "d2bf2b488b634ddc8560b3f39159a40f9be1a793474f95cb89be5175150319d4",
+            "config_hash": "ec888c4ce6e316cab51ac4b4b8b9848978dc5888e2865dc6042f2ba08a7c2d0b",
         },
     ),
     "separate-null-tau-experiment": (
         ["--scale", "desk", "--tau-experiment"],
-        {"methods": ["mle"], "h0_mode": "separate"},
+        {"methods": ["mle"], "h1_fraction": 0.0},
         {
             "decisions.csv": "c31fc43103c946cd89cd3193537f15ad7c3d9afd8590312c2468d855330570c6",
-            "learnt_tau.json": "c743c60558ca15a0c026683f2701dd9cafe19775f9fb195acd53ebe062eae650",
+            "learnt_tau.json": "b4787029c4d342194e7d012618c1ebc508993949d277ff20109663da26ede1af",
             "metrics.csv": "1879a2e3877ca9b2cc46fb9666bd3cac6c57bd819fb6676e43669206707e5e8b",
             "tau_metrics.csv": "070567fb9170389205e5d2f04a8af0c0a0002c576b958e12d503225fe8459e39",
-            "config_hash": "5e48e49bdc2461de9a9ee691fe245b85e90a55e223d25084ada123900fadf372",
+            "config_hash": "2927acfc6adbe1b2a4105cc495bfd7cd2a0982a3a0e6b5ab873debd09170a353",
         },
     ),
 }

@@ -29,6 +29,7 @@ from hbab.sim import (
     RepetitionResult,
     ScenarioConfig,
     ScenarioResult,
+    check_tau_experiment,
     desk_scenario,
     generate_truth,
     naive_sequential_test_fpr,
@@ -72,7 +73,9 @@ def tiny_config(**overrides):
 
 class TestGenerateTruth:
     def test_separate_mode_is_all_null(self):
-        cfg = tiny_config(h0_mode="separate")
+        # The separate null scenario is h1_fraction 0: no content
+        # combination in the effect half, every pair null.
+        cfg = tiny_config(h1_fraction=0)
         truth = generate_truth(cfg, 1)
         assert np.allclose(truth.rates, 0.5)
         assert not truth.pair_is_h1.any()
@@ -223,7 +226,7 @@ def test_run_scenario_ignores_the_worker_count(monkeypatch, tmp_path, workers):
         assert np.array_equal(a.truth.rates, b.truth.rates)
         assert a.warnings == b.warnings
         for method in methods:
-            for field in ("estimate_mean", "estimate_var", "diff_mean", "diff_var"):
+            for field in ("estimate_mean", "diff_mean", "diff_var"):
                 assert np.array_equal(getattr(a, field)[method],
                                       getattr(b, field)[method], equal_nan=True)
             assert np.array_equal(p_min(a, method), p_min(b, method))
@@ -256,7 +259,6 @@ def synthetic_result(significant_h, significant_m, labels, est_err=0.0):
     rep = RepetitionResult(
         0, truth,
         {"hierarchical": est, "mle": est},
-        {"hierarchical": est * 0, "mle": est * 0},
         diffs,
         {"hierarchical": variances, "mle": variances},
         (),
@@ -341,7 +343,7 @@ def test_tau_experiment_replays_traces():
         reps.append(
             RepetitionResult(
                 i, truth,
-                {"hierarchical": est}, {"hierarchical": est * 0},
+                {"hierarchical": est},
                 {"hierarchical": d + 0.01 * i}, {"hierarchical": v}, (),
             )
         )
@@ -349,22 +351,18 @@ def test_tau_experiment_replays_traces():
     comparison = tau_experiment(result)
     assert set(comparison.metrics) == {"fixed", "dynamic", "learnt"}
     assert comparison.train_reps == (0,) and comparison.test_reps == (1,)
-    assert comparison.learnt_tau > 0
+    assert comparison.learnt.posterior_mean > 0
     # The corpus is the training rep's final differences as its tests carry
     # them, through the one metaprior path.
-    learnt = learn_tau(*effects_from_differences([d[-1, 0], d[-2, 1]],
-                                                 [v[-1, 0], v[-2, 1]]))
-    assert comparison.learnt_tau == learnt.posterior_mean
-    assert comparison.learnt_q97_5 == learnt.q97_5
-    with pytest.raises(ValueError, match="was not run"):
-        tau_experiment(result, method="mle")
+    assert comparison.learnt == learn_tau(*effects_from_differences(
+        [d[-1, 0], d[-2, 1]], [v[-1, 0], v[-2, 1]]))
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="assignment"):
         tiny_config(assignments_per_update=2)
-    with pytest.raises(ValueError, match="h0_mode"):
-        tiny_config(h0_mode="bogus")
+    with pytest.raises(TypeError, match="h0_mode"):
+        tiny_config(h0_mode="separate")
     with pytest.raises(ValueError, match="repetition"):
         tiny_config(repetitions=0)
     with pytest.raises(ValueError, match="alpha"):
@@ -415,6 +413,12 @@ def test_tau_experiment_needs_an_update():
     result = ScenarioResult(cfg, ("mle",), reps)
     with pytest.raises(ValueError, match="at least 1 update"):
         tau_experiment(result)
+    # The check that simulate --tau-experiment runs before any work.
+    with pytest.raises(ValueError, match="at least 1 update"):
+        check_tau_experiment(cfg)
+    with pytest.raises(ValueError, match="at least 2 repetitions"):
+        check_tau_experiment(tiny_config(repetitions=1))
+    check_tau_experiment(tiny_config())
 
 
 @pytest.mark.parametrize("methods, message", [
@@ -489,7 +493,7 @@ class TestScenarioFromDict:
 # then hold a value of about the right type or any JSON value, so that most
 # mappings get past the key checks into the config's own.
 _JSON_WORDS = st.sampled_from(["mle", "hierarchical", "fixed", "dynamic", "learnt",
-                               "combined", "separate", "content", "context", "a", "b"])
+                               "content", "context", "a", "b"])
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _JSON_WORDS
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
@@ -507,7 +511,6 @@ _SCENARIO_KEYS = {
     "interaction_effect_mean": (st.floats(-1, 1), _JSON_SCALARS),
     "interaction_effect_sd": (st.floats(0, 1), _JSON_SCALARS),
     "h1_fraction": (st.floats(0, 1), _JSON_SCALARS),
-    "h0_mode": (st.sampled_from(["combined", "separate"]), _JSON_SCALARS),
     "alpha": (st.floats(0.01, 0.5), _JSON_SCALARS),
     "spec": (st.just(TINY_SCENARIO["spec"]), st.fixed_dictionaries({
         "factors": st.lists(st.fixed_dictionaries({
