@@ -1,10 +1,12 @@
 """Command-line entry points.
 
 Four batch commands: ``simulate`` runs the scenario harness and writes
-metric and decision-trace CSVs; ``analyze`` runs the estimation and
-sequential-testing pipeline on an externally supplied count stream;
-``learn-tau`` fits the effect-size dispersion from a corpus of observed
-effects; ``oracle-check`` runs the closed-form verification battery.
+metric and decision-trace CSVs, and the raw pair differences of every
+repetition as one numpy file, ``differences.npz``; ``analyze`` runs the
+estimation and sequential-testing pipeline on an externally supplied
+count stream; ``learn-tau`` fits the effect-size dispersion from a corpus
+of observed effects; ``oracle-check`` runs the closed-form verification
+battery.
 
 Fitting, parsing and verification live elsewhere: the per-look fit loop
 is ``sim.look_estimates``, shared by ``simulate`` and ``analyze``; the
@@ -20,7 +22,10 @@ Every command writes a JSON run manifest listing its inputs, seed, config
 hash (a hash of the command's settings and input contents, so the same
 inputs at another path hash the same), and every artifact produced.
 Every CSV input is read through ``_csv_reader``: one that is not UTF-8
-or not CSV exits 2.
+or not CSV exits 2. ``learn-tau`` reads a results directory's
+``differences.npz`` in place of the ``decisions.csv`` beside it, one
+repetition at a time; a file that is not a zip of float64
+``[repetitions, updates, pairs]`` arrays exits 2.
 Tabular outputs are CSV with floats serialized to 17 significant digits,
 so reruns with the same seed reproduce files byte for byte; all files are
 written atomically.
@@ -43,6 +48,8 @@ import os
 import platform
 import sys
 import tempfile
+import zipfile
+import zlib
 from datetime import datetime, timezone
 
 import numpy as np
@@ -61,7 +68,7 @@ from .estimate import marginalize
 from .glm import MAX_ASSIGNMENTS, CountData
 from .metaprior import LearntTau, effects_from_differences, learn_tau
 from .sampler import TARGET_ACCEPT, available_cpus, fit_blas_threads, fork_processes
-from .seqtest import TauSpec, cell_differences, sequential_trace
+from .seqtest import TauSpec, cell_differences, last_informative, sequential_trace
 from .sim import (
     ANALYZE_SAMPLER,
     MetricsReport,
@@ -95,18 +102,17 @@ def _default_file_mode() -> int:
     return 0o666 & ~umask
 
 
-def _atomic_write(path: str, content) -> None:
-    """Write ``content``, a string or an iterable of strings written in
-    turn, to a temporary file and move it onto ``path``; on any failure the
-    old file stays and the temporary one is removed."""
+@contextlib.contextmanager
+def _atomic_file(path: str, binary: bool = False):
+    """A new temporary file, text or ``binary``, that is moved onto
+    ``path`` once the block ends; on any failure the old file stays and the
+    temporary one is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            if isinstance(content, str):
-                fh.write(content)
-            else:
-                fh.writelines(content)
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", encoding="utf-8", newline="")) as fh:
+            yield fh
             # mkstemp creates the file 0600; outputs get the usual mode.
             os.fchmod(fh.fileno(), _default_file_mode())
         os.replace(tmp, path)
@@ -114,6 +120,16 @@ def _atomic_write(path: str, content) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, content) -> None:
+    """Write ``content``, a string or an iterable of strings written in
+    turn, through ``_atomic_file``."""
+    with _atomic_file(path) as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            fh.writelines(content)
 
 
 @contextlib.contextmanager
@@ -334,6 +350,42 @@ def _decision_lines(result, tau_spec, significant):
             del t, columns
 
 
+# ``simulate``'s raw pair differences, which ``learn-tau`` reads in place
+# of the decisions.csv beside them.
+_DIFFERENCES = "differences.npz"
+_DIFFERENCE_FIELDS = ("diff_mean", "diff_var")
+# The zip timestamp of every member, so reruns write the same bytes.
+_ZIP_TIME = (1980, 1, 1, 0, 0, 0)
+
+
+def _write_differences(path: str, result) -> None:
+    """``differences.npz``: ``<method>.diff_mean`` and ``<method>.diff_var``
+    of every method run, each the float64 ``[repetitions, updates, pairs]``
+    stack of the repetitions' arrays, pairs in ``decisions.csv`` order.
+
+    An uncompressed zip of ``.npy`` members, as ``np.savez`` writes, that
+    ``np.load`` reads with ``allow_pickle=False``. Each member is written
+    one repetition's ``[updates, pairs]`` block at a time, so the stack is
+    never built.
+    """
+    shape = (len(result.repetitions),
+             *result.repetitions[0].diff_mean[result.methods[0]].shape)
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    header = buf.getvalue()
+    with _atomic_file(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as archive:
+        for m in result.methods:
+            for field in _DIFFERENCE_FIELDS:
+                info = zipfile.ZipInfo(f"{m}.{field}.npy", date_time=_ZIP_TIME)
+                info.file_size = len(header) + 8 * math.prod(shape)
+                with archive.open(info, "w") as member:
+                    member.write(header)
+                    for rep in result.repetitions:
+                        member.write(np.ascontiguousarray(getattr(rep, field)[m],
+                                                          dtype="<f8"))
+
+
 def _write_metrics(path: str, reports) -> None:
     """``metrics.csv`` and ``tau_metrics.csv``: the long-format rows of
     each ``MetricsReport`` in turn."""
@@ -369,6 +421,7 @@ def cmd_simulate(args) -> int:
         itertools.chain([",".join(header) + "\n"],
                         _decision_lines(result, tau_spec, significant)),
     )
+    _write_differences(manifest.add_output(os.path.join(args.out, _DIFFERENCES)), result)
     _write_metrics(metrics_path, [MetricsReport.of(result, result.repetitions,
                                                    tau_spec.kind, significant)])
 
@@ -609,46 +662,125 @@ _RESULT_COLUMNS = ("update", "context", "content_a", "content_b", "diff_mean",
                    "diff_var")
 
 
-def _effects_from_results_dir(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Scan comparison/decision CSVs for final-update effects per pair, as a
-    ``(delta, noise_sd)`` corpus.
+def _final_differences_csv(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's final-update difference in a comparison or decision CSV,
+    in the order the pairs first appear; none for a file without the
+    comparison columns.
 
-    A file without the comparison columns is skipped; rows of other methods
-    are ignored when the file has a ``method`` column. ``analyze``'s
-    context-pooled rows are skipped too: each is a traffic-weighted mean of
-    the per-context rows already counted, not independent evidence.
-    Effects come in the order their pairs first appear.
+    Rows of other methods are ignored when the file has a ``method``
+    column. ``analyze``'s context-pooled rows are skipped too: each is a
+    traffic-weighted mean of the per-context rows already counted, not
+    independent evidence.
+    """
+    with _csv_reader(path, "results file") as reader:
+        column = {field: i for i, field in enumerate(next(reader, []))}
+        if not set(_RESULT_COLUMNS) <= column.keys():
+            return np.empty(0), np.empty(0)
+        i_update, i_ctx, i_a, i_b, i_d, i_v = map(column.get, _RESULT_COLUMNS)
+        i_rep, i_method = column.get("rep"), column.get("method")
+        finals = {}
+        try:
+            for row in reader:
+                if not row or (i_method is not None and row[i_method] != method):
+                    continue
+                if row[i_ctx] == _POOLED_CONTEXT:
+                    continue
+                key = ("" if i_rep is None else row[i_rep], row[i_ctx], row[i_a], row[i_b])
+                update = int(row[i_update])
+                prev = finals.get(key)
+                if prev is None or update > prev[0]:
+                    finals[key] = (update, row[i_d], row[i_v])
+            return (np.array([float(mean) for _, mean, _ in finals.values()]),
+                    np.array([float(var) for _, _, var in finals.values()]))
+        except (ValueError, IndexError) as exc:
+            raise InputError(f"malformed results file {path!r}: {exc}") from exc
+
+
+def _npy_header(member) -> tuple[tuple[int, ...], np.dtype]:
+    """The shape and dtype of the ``.npy`` zip member ``member``, read up to
+    its data; ``ValueError`` unless they are a C-ordered float64
+    ``[repetitions, updates, pairs]`` array's."""
+    version = np.lib.format.read_magic(member)
+    if version != (1, 0):  # what np.save writes for any such array
+        raise ValueError(f"{member.name} has .npy version {version}")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+    if fortran_order or dtype.kind != "f" or dtype.itemsize != 8 or len(shape) != 3:
+        raise ValueError(f"{member.name} holds a {'Fortran' if fortran_order else 'C'}"
+                         f"-ordered {dtype} array of shape {shape}, not a C-ordered "
+                         "float64 [repetitions, updates, pairs] array")
+    return shape, dtype
+
+
+def _npy_block(member, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """The next ``shape`` array of ``dtype`` in the ``.npy`` member ``member``."""
+    size = dtype.itemsize * math.prod(shape)
+    data = member.read(size)
+    if len(data) < size:
+        raise ValueError(f"{member.name} ends before its data does")
+    return np.frombuffer(data, dtype).reshape(shape)
+
+
+def _final_differences_npz(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each (repetition, pair)'s last informative difference in the
+    ``differences.npz`` at ``path``, repetition-major, as ``decisions.csv``
+    gives them; none if the file holds no arrays of ``method``. One
+    repetition's block of each array is read at a time."""
+    names = [f"{method}.{field}.npy" for field in _DIFFERENCE_FIELDS]
+    try:
+        with zipfile.ZipFile(path) as archive:
+            present = [name in archive.namelist() for name in names]
+            if not any(present):
+                return np.empty(0), np.empty(0)
+            if not all(present):
+                raise ValueError(f"{names[present.index(False)]} is missing")
+            with archive.open(names[0]) as means, archive.open(names[1]) as variances:
+                (shape, mean_dtype), (var_shape, var_dtype) = map(
+                    _npy_header, (means, variances))
+                if shape != var_shape:
+                    raise ValueError(f"{names[0]} has shape {shape} but {names[1]} "
+                                     f"has {var_shape}")
+                reps, pairs = shape[0], shape[2]
+                d, v = np.empty(reps * pairs), np.empty(reps * pairs)
+                for i in range(reps):
+                    d[i * pairs:(i + 1) * pairs], v[i * pairs:(i + 1) * pairs] = (
+                        last_informative(_npy_block(means, mean_dtype, shape[1:]),
+                                         _npy_block(variances, var_dtype, shape[1:])))
+    except OSError as exc:
+        raise InputError(f"cannot read differences file: {exc}") from exc
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise InputError(f"malformed differences file {path!r}: {exc}") from exc
+    return d, v
+
+
+def _effects_from_results_dir(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(delta, noise_sd)`` corpus of every pair's final difference in
+    the comparison and decision files under ``path``.
+
+    Files are read in the order of a walk with each directory's names
+    sorted. In a directory that holds ``simulate``'s ``differences.npz``,
+    that file is read in place of the ``decisions.csv`` beside it, at that
+    file's place in the walk: it holds the same final differences, without
+    parsing the decision text. Every other ``.csv`` is scanned by
+    ``_final_differences_csv``.
     """
     diff_mean, diff_var = [], []
     for root, _, files in os.walk(path):
-        for name in sorted(files):
-            if not name.endswith(".csv"):
-                continue
-            full = os.path.join(root, name)
-            with _csv_reader(full, "results file") as reader:
-                column = {field: i for i, field in enumerate(next(reader, []))}
-                if not set(_RESULT_COLUMNS) <= column.keys():
-                    continue
-                i_update, i_ctx, i_a, i_b, i_d, i_v = map(column.get, _RESULT_COLUMNS)
-                i_rep, i_method = column.get("rep"), column.get("method")
-                finals = {}
-                try:
-                    for row in reader:
-                        if not row or (i_method is not None and row[i_method] != method):
-                            continue
-                        if row[i_ctx] == _POOLED_CONTEXT:
-                            continue
-                        key = ("" if i_rep is None else row[i_rep], row[i_ctx], row[i_a],
-                               row[i_b])
-                        update = int(row[i_update])
-                        prev = finals.get(key)
-                        if prev is None or update > prev[0]:
-                            finals[key] = (update, row[i_d], row[i_v])
-                    diff_mean += [float(mean) for _, mean, _ in finals.values()]
-                    diff_var += [float(var) for _, _, var in finals.values()]
-                except (ValueError, IndexError) as exc:
-                    raise InputError(f"malformed results file {full!r}: {exc}") from exc
-    return effects_from_differences(diff_mean, diff_var)
+        names = {name for name in files if name.endswith(".csv")}
+        arrays = _DIFFERENCES in files
+        if arrays:
+            names.add("decisions.csv")
+        for name in sorted(names):
+            if arrays and name == "decisions.csv":
+                d, v = _final_differences_npz(os.path.join(root, _DIFFERENCES), method)
+            else:
+                d, v = _final_differences_csv(os.path.join(root, name), method)
+            diff_mean.append(d)
+            diff_var.append(v)
+    return effects_from_differences(np.concatenate([np.empty(0), *diff_mean]),
+                                    np.concatenate([np.empty(0), *diff_var]))
+
+
+_HASH_BLOCK = 1 << 12  # effects
 
 
 def cmd_learn_tau(args) -> int:
@@ -657,10 +789,16 @@ def cmd_learn_tau(args) -> int:
     else:
         delta, noise_sd = _effects_from_csv(args.effects)
 
-    corpus = "".join("%.17g,%.17g\n" % pair
-                     for pair in zip(delta.tolist(), noise_sd.tolist()))
+    # The corpus as "delta,noise_sd" lines, hashed a block of effects at a
+    # time: whole, its strings took about 170 bytes an effect.
+    corpus = hashlib.sha256()
+    for s in range(0, delta.size, _HASH_BLOCK):
+        corpus.update("".join(
+            "%.17g,%.17g\n" % pair for pair in zip(delta[s:s + _HASH_BLOCK].tolist(),
+                                                   noise_sd[s:s + _HASH_BLOCK].tolist())
+        ).encode("ascii"))
     payload = {
-        "effects": hashlib.sha256(corpus.encode("ascii")).hexdigest(),
+        "effects": corpus.hexdigest(),
         "n_effects": delta.size,
         "seed": args.seed,
         "method": args.method,

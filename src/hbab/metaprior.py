@@ -46,6 +46,7 @@ _MAX_LOG_TAU = math.log(np.finfo(float).max)
 # sd from the mode, which comes closer than this only beyond about 1e8
 # effects.
 _FIRST_STEP = 1e-3
+_SQUARE_BLOCK = 1 << 12  # effects squared through Python floats at once
 
 
 @dataclass(frozen=True)
@@ -78,29 +79,52 @@ def tau_target(delta: np.ndarray, noise_sd: np.ndarray) -> TargetDensity:
     with np.errstate(over="ignore"):
         delta_sq = delta**2
     try:
-        noise_var = np.array([sd**2 for sd in noise_sd[order].tolist()])
+        noise_var = _squares(noise_sd[order])
     except OverflowError:
         raise ValueError("noise_sd must square to a finite variance") from None
+    del order  # freed before the buffers below are made
     b = _CAUCHY_SCALE
     log_b = math.log(b)
+
+    # Every evaluation computes, in these buffers and in this order,
+    #   sum(-0.5 * log(2 * pi * v) - delta_sq / (2 * v)) and
+    #   sum(0.5 * (delta / v) ** 2 - 0.5 / v),
+    # bit for bit as the plain expressions would, without their temporaries.
+    v, a, c = (np.empty_like(noise_var) for _ in range(3))
 
     def log_density_and_grad(z):
         log_tau = z[0]
         if log_tau > 700.0:
             return -math.inf, np.zeros(1)
         tau = np.exp(log_tau)
-        v = noise_var + tau
+        np.add(noise_var, tau, out=v)
         lp = half_cauchy_log_density_log_scale(log_tau, b)
         with np.errstate(all="ignore"):
-            lp += np.sum(-0.5 * np.log(2 * np.pi * v) - delta_sq / (2 * v))
+            np.log(np.multiply(2 * np.pi, v, out=a), out=a)
+            np.multiply(-0.5, a, out=a)
+            np.divide(delta_sq, np.multiply(2, v, out=c), out=c)
+            lp += np.sum(np.subtract(a, c, out=a))
             if not math.isfinite(lp):
                 return -math.inf, np.zeros(1)
-            d_tau = np.sum(0.5 * (delta / v) ** 2 - 0.5 / v)
+            np.square(np.divide(delta, v, out=a), out=a)
+            np.multiply(0.5, a, out=a)
+            np.divide(0.5, v, out=c)
+            d_tau = np.sum(np.subtract(a, c, out=a))
             # 1 - 2 tau^2 / (b^2 + tau^2), without squaring tau.
             grad = tau * d_tau - math.tanh(log_tau - log_b)
         return float(lp), np.array([grad])
 
     return TargetDensity(1, log_density_and_grad, ("log_tau",))
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """The Python-float square of every element of ``x``, a block of
+    ``_SQUARE_BLOCK`` elements at a time: whole, the Python floats took
+    about 60 bytes an element."""
+    out = np.empty(x.size)
+    for s in range(0, x.size, _SQUARE_BLOCK):
+        out[s:s + _SQUARE_BLOCK] = [e**2 for e in x[s:s + _SQUARE_BLOCK].tolist()]
+    return out
 
 
 def learn_tau(delta, noise_sd) -> LearntTau:
@@ -174,8 +198,9 @@ def _mode(slope: Callable[[float], float]) -> float:
 
     The slope tends to +1 as tau -> 0 (the log-scale Jacobian) and is
     negative for large tau, so a sign change exists unless the density is
-    not finite: ``tau_target`` gives a zero slope there. Above log tau 700
-    it is never finite, and below -745 tau is 0, so the search stops there.
+    not finite: ``tau_target`` gives a zero slope there, or a NaN one where
+    the gradient's sum is not finite. Above log tau 700 it is never finite,
+    and below -745 tau is 0, so the search stops there.
     """
     if slope(0.0) > 0:
         lo, hi = 0.0, 1.0
@@ -183,7 +208,7 @@ def _mode(slope: Callable[[float], float]) -> float:
             lo, hi = hi, 2.0 * hi
     else:
         lo, hi = -1.0, 0.0
-        while slope(lo) <= 0:
+        while not slope(lo) > 0:  # a NaN slope too
             if lo < -745.0:
                 raise ValueError("the tau posterior has no finite mode for these effects")
             lo, hi = 2.0 * lo, lo
@@ -259,4 +284,5 @@ def effects_from_differences(
     d = np.asarray(diff_mean, dtype=float)
     v = np.asarray(diff_var, dtype=float)
     keep = np.isfinite(d) & (v > 0) & (v < math.inf)
-    return d[keep], np.sqrt(v[keep])
+    noise_sd = v[keep]
+    return d[keep], np.sqrt(noise_sd, out=noise_sd)

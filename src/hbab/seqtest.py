@@ -16,12 +16,13 @@ The kernel works on whole arrays: ``cell_differences`` turns one
 draws]`` matrix of draw-based estimates) into the difference summary of
 every pair, and ``sequential_trace`` folds ``[updates, pairs]`` summaries
 into Bayes factors and running p-values; re-scoring stored traces under
-another tau is one more ``sequential_trace`` call. ``run_all_comparisons``
-is a per-pair list view of it. The tests fold ``log_bayes_factor`` over
-one pair at a time as the reference the kernel must match bit for bit, so
-the kernel applies log, exp and squaring element by element through the
-same libm calls: numpy's vectorised forms can differ from them in the last
-bit.
+another tau is one more ``sequential_trace`` call. ``last_informative``
+gives each pair's final difference as the tests carry it, without tracing
+them. ``run_all_comparisons`` is a per-pair list view of the kernel. The
+tests fold ``log_bayes_factor`` over one pair at a time as the reference
+the kernel must match bit for bit, so the kernel applies log, exp and
+squaring element by element through the same libm calls: numpy's
+vectorised forms can differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "log_bayes_factor",
     "cell_differences",
     "sequential_trace",
+    "last_informative",
     "run_all_comparisons",
 ]
 
@@ -243,6 +245,26 @@ def sequential_trace(
     p_min = np.fmin.accumulate(np.concatenate([start[None], p_instant]), axis=0)[1:]
     return SequentialTrace(d, v, informative, log_k, bf, p_instant, p_min,
                            p_min < alpha)
+
+
+def last_informative(
+    diff_mean: np.ndarray, diff_var: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's last difference mean and variance with a positive
+    variance over the update axis 0 of ``[updates, ...]`` arrays, NaN for a
+    pair that never had one: the final row of ``sequential_trace``'s
+    ``diff_mean`` and ``diff_var``, which does not depend on tau."""
+    diff_mean = np.asarray(diff_mean, dtype=float)
+    diff_var = np.asarray(diff_var, dtype=float)
+    informative = diff_var > 0
+    if not informative.shape[0]:
+        return np.full(diff_var.shape[1:], math.nan), np.full(diff_var.shape[1:], math.nan)
+    # argmax finds each pair's first True in the reversed mask, a view.
+    last = informative.shape[0] - 1 - np.argmax(informative[::-1], axis=0)
+    seen = informative.any(axis=0)
+    d = np.take_along_axis(diff_mean, last[None], axis=0)[0]
+    v = np.take_along_axis(diff_var, last[None], axis=0)[0]
+    return np.where(seen, d, math.nan), np.where(seen, v, math.nan)
 
 
 def run_all_comparisons(

@@ -15,7 +15,8 @@ rates are measured from the same runs; ``h1_fraction`` 0 leaves only the
 null half. A repetition records the estimators' pair differences at every
 update; ``score``, ``tau_experiment`` and the CLI's ``decisions.csv``
 derive the sequential tests from them with ``seqtest.sequential_trace``.
-``tau_experiment`` learns tau on half the repetitions and keeps the
+``tau_experiment`` learns tau on half the repetitions, from each pair's
+final difference (``seqtest.last_informative``), and keeps the
 ``metaprior.LearntTau`` that ``learn_tau`` returns; ``check_tau_experiment``
 is its precondition, which ``hbab simulate --tau-experiment`` checks
 before the run.
@@ -50,7 +51,7 @@ from .estimate import CellEstimates, hb_estimate, mle_estimates
 from .glm import MAX_ASSIGNMENTS, CountData, fit_posterior
 from .metaprior import LearntTau, effects_from_differences, learn_tau
 from .sampler import SamplerConfig, fork_map
-from .seqtest import TauSpec, cell_differences, sequential_trace
+from .seqtest import TauSpec, cell_differences, last_informative, sequential_trace
 
 __all__ = [
     "ScenarioConfig",
@@ -582,18 +583,13 @@ def tau_experiment(result: ScenarioResult) -> TauComparison:
     train = list(range(n_train))
     test = list(range(n_train, n))
 
-    # Each pair's final difference as the tests carry it: its last
-    # informative one, which does not depend on tau. One trace is alive at
-    # a time.
-    fixed = TauSpec.fixed(_TAU_EXPERIMENT_FIXED_TAU)
-    traces = (sequential_trace(result.repetitions[i].diff_mean[method],
-                               result.repetitions[i].diff_var[method],
-                               fixed, result.config.alpha) for i in train)
-    d, v = zip(*((t.diff_mean[-1].copy(), t.diff_var[-1].copy()) for t in traces))
+    # Each pair's final difference as the tests carry it.
+    d, v = zip(*(last_informative(result.repetitions[i].diff_mean[method],
+                                  result.repetitions[i].diff_var[method]) for i in train))
     learnt = learn_tau(*effects_from_differences(np.concatenate(d), np.concatenate(v)))
 
     specs = {
-        "fixed": fixed,
+        "fixed": TauSpec.fixed(_TAU_EXPERIMENT_FIXED_TAU),
         "dynamic": TauSpec.dynamic(),
         "learnt": TauSpec.learnt(learnt.point_value_for_testing),
     }

@@ -1,11 +1,14 @@
 import csv
+import io
 import json
 import math
 import multiprocessing
 import os
 import platform
 import stat
+import time
 import tracemalloc
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -126,17 +129,39 @@ def default_counts(updates=2, n=50):
 
 
 class TestSimulate:
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         cfg = write_json(tmp_path / "cfg.json", TINY_SCENARIO)
         outs = []
-        for name in ("a", "b"):
+        now = time.time
+        for name, later in (("a", 0), ("b", 86_400)):
+            # The rerun a day later: a zip member stamped with the clock
+            # would differ.
+            monkeypatch.setattr(time, "time", lambda: now() + later)
             out = tmp_path / name
             code = main(["simulate", "--config", cfg, "--scale", "desk",
                          "--seed", "7", "--out", str(out)])
             assert code == 0
             outs.append(out)
-        for fname in ("metrics.csv", "decisions.csv"):
+        for fname in ("metrics.csv", "decisions.csv", "differences.npz"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_differences_file_holds_each_repetitions_differences(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {"methods": ["mle"]})
+        out = tmp_path / "run"
+        assert main(["simulate", "--scale", "desk", "--config", cfg, "--seed", "3",
+                     "--out", str(out)]) == 0
+        config = desk_scenario(seed=3)
+        reps = [run_repetition(config, i, methods=("mle",)) for i in range(config.repetitions)]
+        with np.load(out / "differences.npz", allow_pickle=False) as arrays:
+            assert sorted(arrays.files) == ["mle.diff_mean", "mle.diff_var"]
+            for field in ("diff_mean", "diff_var"):
+                stack = arrays[f"mle.{field}"]
+                assert stack.dtype == np.float64 and stack.shape == (8, 10, 24)
+                assert np.array_equal(stack, [getattr(r, field)["mle"] for r in reps],
+                                      equal_nan=True)
+        names = {p.rsplit("/", 1)[-1] for p in
+                 json.loads((out / "manifest.json").read_text())["outputs"]}
+        assert "differences.npz" in names
 
     def test_manifest_lists_outputs(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", TINY_SCENARIO)
@@ -959,6 +984,127 @@ class TestLearnTau:
         out = tmp_path / "o"
         assert main(["learn-tau", str(res), "--out", str(out)]) == 0
         assert json.loads((out / "learnt_tau.json").read_text())["n_effects"] == 2
+
+    @pytest.mark.parametrize("methods, method", [
+        (["mle"], "mle"),
+        (["mle", "hierarchical"], "mle"),
+        (["mle", "hierarchical"], "hierarchical"),
+    ])
+    def test_differences_file_gives_the_decisions_corpus(self, tmp_path, methods, method):
+        if methods == ["mle"]:
+            args = ["--scale", "desk", "--config",
+                    write_json(tmp_path / "cfg.json", {"methods": methods})]
+        else:
+            args = ["--config", write_json(tmp_path / "cfg.json", TINY_SCENARIO)]
+        res = tmp_path / "res"
+        assert main(["simulate", *args, "--seed", "3", "--out", str(res)]) == 0
+
+        def learn(out):
+            assert main(["learn-tau", str(res), "--method", method, "--out", str(out)]) == 0
+            return (out / "learnt_tau.json").read_bytes(), config_hash(out)
+
+        with_file = learn(tmp_path / "with")
+        (res / "differences.npz").unlink()
+        assert learn(tmp_path / "without") == with_file
+
+    def test_decisions_csv_beside_a_differences_file_is_not_read(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"methods": ["mle"]})
+        res = tmp_path / "res"
+        assert main(["simulate", "--scale", "desk", "--config", cfg, "--seed", "3",
+                     "--out", str(res)]) == 0
+        # Not UTF-8: reading it exits 2.
+        (res / "decisions.csv").write_bytes(b"\xff")
+        assert main(["learn-tau", str(res), "--method", "mle",
+                     "--out", str(tmp_path / "o")]) == 0
+        (res / "differences.npz").unlink()
+        assert main(["learn-tau", str(res), "--method", "mle",
+                     "--out", str(tmp_path / "o2")]) == 2
+        assert "malformed results file" in capsys.readouterr().err
+
+    @staticmethod
+    def npz_bytes(**arrays) -> bytes:
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return buf.getvalue()
+
+    def short_member_npz(self):
+        # The header's shape holds two repetitions, the data one.
+        npy = io.BytesIO()
+        np.save(npy, np.full((2, 3, 4), 0.5))
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as archive:
+            for field in ("diff_mean", "diff_var"):
+                archive.writestr(f"mle.{field}.npy", npy.getvalue()[:-8 * 12])
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("case, message", [
+        ("truncated", "File is not a zip file"),
+        ("not-a-zip", "File is not a zip file"),
+        ("object-dtype", "object array of shape (2, 3, 4)"),
+        ("fortran-order", "Fortran-ordered float64"),
+        ("two-dimensional", "float64 array of shape (3, 4)"),
+        ("mismatched-shape", "has shape (2, 3, 4) but mle.diff_var.npy has (2, 3, 5)"),
+        ("one-array", "mle.diff_var.npy is missing"),
+        ("short-member", "mle.diff_mean.npy ends before its data does"),
+    ])
+    def test_malformed_differences_file_exits_2_and_names_it(self, tmp_path, capsys, case,
+                                                             message):
+        block = np.full((2, 3, 4), 0.5)
+        data = {
+            "truncated": lambda: self.npz_bytes(**{
+                "mle.diff_mean": block, "mle.diff_var": block})[:-30],
+            "not-a-zip": lambda: b"delta,noise_sd\n0.1,0.2\n",
+            "object-dtype": lambda: self.npz_bytes(**{
+                "mle.diff_mean": block.astype(object), "mle.diff_var": block}),
+            "fortran-order": lambda: self.npz_bytes(**{
+                "mle.diff_mean": np.asfortranarray(block), "mle.diff_var": block}),
+            "two-dimensional": lambda: self.npz_bytes(**{
+                "mle.diff_mean": block[0], "mle.diff_var": block[0]}),
+            "mismatched-shape": lambda: self.npz_bytes(**{
+                "mle.diff_mean": block, "mle.diff_var": np.full((2, 3, 5), 0.5)}),
+            "one-array": lambda: self.npz_bytes(**{"mle.diff_mean": block}),
+            "short-member": self.short_member_npz,
+        }[case]()
+        res = tmp_path / "res"
+        res.mkdir()
+        (res / "differences.npz").write_bytes(data)
+        out = tmp_path / "o"
+        assert main(["learn-tau", str(res), "--method", "mle", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed differences file {str(res / 'differences.npz')!r}" in err
+        assert message in err
+        assert not out.exists()
+
+    def test_differences_file_without_the_method_adds_no_effects(self, tmp_path):
+        res = tmp_path / "res"
+        res.mkdir()
+        block = np.full((2, 3, 4), 0.5)
+        (res / "differences.npz").write_bytes(self.npz_bytes(**{
+            "hierarchical.diff_mean": block, "hierarchical.diff_var": block}))
+        (res / "comparisons.csv").write_text(
+            "update,context,content_a,content_b,diff_mean,diff_var\n"
+            "1,c0,m0,m1,0.1,0.01\n"
+            "1,c1,m0,m1,0.3,0.02\n"
+        )
+        out = tmp_path / "o"
+        assert main(["learn-tau", str(res), "--method", "mle", "--out", str(out)]) == 0
+        assert json.loads((out / "learnt_tau.json").read_text())["n_effects"] == 2
+        assert main(["learn-tau", str(res), "--method", "hierarchical",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "learnt_tau.json").read_text())["n_effects"] == 10
+
+    @pytest.mark.parametrize("rows", ["-1e-160,1e-160\n5e-324,1e-160\n",
+                                      "0,1e-160\n0,1e-160\n"])
+    def test_effects_without_a_finite_mode_exit_2(self, tmp_path, capsys, rows):
+        # The slope of the first is NaN below log tau -745; its posterior
+        # mean used to read above its own 97.5% quantile.
+        path = tmp_path / "effects.csv"
+        path.write_text("delta,noise_sd\n" + rows)
+        out = tmp_path / "o"
+        assert main(["learn-tau", str(path), "--out", str(out)]) == 2
+        assert ("the tau posterior has no finite mode for these effects"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_short_row_in_results_directory_exits_2(self, tmp_path, capsys):
         res = tmp_path / "res"

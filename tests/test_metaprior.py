@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, optimize, stats
 
 import hbab.metaprior
+from hbab.glm import half_cauchy_log_density_log_scale
 from hbab.metaprior import effects_from_differences, learn_tau, tau_target
 
 
@@ -146,6 +147,49 @@ class TestLearnTau:
         effects = synthetic_corpus(40, tau_true=0.02, noise_sd=0.05, seed=6)
         learnt = learn_tau(*effects)
         assert learnt.q2_5 <= learnt.median <= learnt.q97_5
+
+
+def plain_log_density_and_grad(delta, noise_sd, log_tau):
+    """``tau_target``'s density and slope as plain numpy expressions, each
+    operation making its own temporary: the reference the buffered density
+    must match bit for bit."""
+    order = np.lexsort((noise_sd, delta))
+    delta = delta[order]
+    with np.errstate(over="ignore"):
+        delta_sq = delta**2
+    noise_var = np.array([sd**2 for sd in noise_sd[order].tolist()])
+    if log_tau > 700.0:
+        return -math.inf, 0.0
+    tau = np.exp(log_tau)
+    v = noise_var + tau
+    lp = half_cauchy_log_density_log_scale(log_tau, 5.0)
+    with np.errstate(all="ignore"):
+        lp += np.sum(-0.5 * np.log(2 * np.pi * v) - delta_sq / (2 * v))
+        if not math.isfinite(lp):
+            return -math.inf, 0.0
+        d_tau = np.sum(0.5 * (delta / v) ** 2 - 0.5 / v)
+        grad = tau * d_tau - math.tanh(log_tau - math.log(5.0))
+    return float(lp), float(grad)
+
+
+def test_tau_target_equals_the_plain_expressions():
+    delta, noise_sd = synthetic_corpus(2000, tau_true=0.01, noise_sd=0.02, seed=8)
+    # Effects at the float limits: a subnormal, squares that underflow, a
+    # variance that vanishes beside any tau; then squares near overflow.
+    corpora = [
+        (np.concatenate([delta, [5e-324, -1e-160, 0.0]]),
+         np.concatenate([noise_sd, [1e-160, 1e-160, 5e-324]])),
+        (np.concatenate([delta, [1e150, -1e154]]), np.concatenate([noise_sd, [1e-8, 1e-300]])),
+    ]
+    values = []
+    for delta, noise_sd in corpora:
+        density = tau_target(delta, noise_sd).log_density_and_grad
+        for log_tau in [-1024.0, *np.linspace(-745.0, 700.0, 9).tolist(), -4.0, 701.0]:
+            lp, grad = density(np.array([log_tau]))
+            expected = plain_log_density_and_grad(delta, noise_sd, log_tau)
+            assert np.array_equal([lp, grad[0]], expected, equal_nan=True), log_tau
+            values.append(lp)
+    assert -math.inf in values and sum(map(math.isfinite, values)) > 12
 
 
 @pytest.mark.parametrize("log_tau", [-600.0, 600.0])

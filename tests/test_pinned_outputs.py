@@ -20,6 +20,7 @@ PINS = {
         {"methods": ["mle"], "repetitions": 2, "updates": 3},
         {
             "decisions.csv": "847b48a713248f6fde92b4cd87f4dc385f46e864845381fe1a0630b7d314e479",
+            "differences.npz": "a35fbda93b56e70c68a3b980b63f78e55fc19f6f9b36ca63c26d717430292549",
             "metrics.csv": "0599f87d4ed20d661cf3b6513d11f6ff93bf04ea5dee4676c96b2b16d10c189c",
             "config_hash": "0cbdbe20c8c7e7c0659536217efb030f58dc00c966d61c41dd07ad2ae2f7c4a4",
         },
@@ -29,6 +30,7 @@ PINS = {
         {"methods": ["mle"]},
         {
             "decisions.csv": "f1bf6fbda580167abe03e7b8c1daeb202e83ed1cc4f04fdeb17fd84f1e614976",
+            "differences.npz": "390b64f3cdc8312fb630c285d8d58cf133ad990c48ac0f517ce7c1c374a74911",
             "learnt_tau.json": "bee17858b956fe070326f05a78e71beb038178a99cadb3579f8e8dd82605e27a",
             "metrics.csv": "d85f3ce3b4f176a302498cb42e3d0e4b1f8e9d479d1c6a5ceaddc1cb5ff5751e",
             "tau_metrics.csv": "7d55aa7f581e4f988641a0ede654cc2eb3669a57db8f04d1a72c868ec740c94f",
@@ -40,6 +42,7 @@ PINS = {
         {"methods": ["mle"], "h1_fraction": 1.0},
         {
             "decisions.csv": "d81107fad917f45138d3ed9d4e5e4fa0f396e60e6ec47b4a51447cb9f2899ef5",
+            "differences.npz": "fc19e6fe557aac1e165e4c50a9be9fe4ec8596a3cddb5d529cd94bdb4aec8c07",
             "metrics.csv": "a45c055c475e6a09ec0e4c7c6999d46fd2dd5cf45454f950247a2c6bca29292c",
             "config_hash": "ec888c4ce6e316cab51ac4b4b8b9848978dc5888e2865dc6042f2ba08a7c2d0b",
         },
@@ -49,6 +52,7 @@ PINS = {
         {"methods": ["mle"], "h1_fraction": 0.0},
         {
             "decisions.csv": "c31fc43103c946cd89cd3193537f15ad7c3d9afd8590312c2468d855330570c6",
+            "differences.npz": "216505b839b9f5ea5376d98bb08ef92cfe5d98dcca0b76cbb061232bf8d83e8f",
             "learnt_tau.json": "b4787029c4d342194e7d012618c1ebc508993949d277ff20109663da26ede1af",
             "metrics.csv": "1879a2e3877ca9b2cc46fb9666bd3cac6c57bd819fb6676e43669206707e5e8b",
             "tau_metrics.csv": "070567fb9170389205e5d2f04a8af0c0a0002c576b958e12d503225fe8459e39",

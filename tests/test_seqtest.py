@@ -14,6 +14,7 @@ from hbab.seqtest import (
     TauSpec,
     bayes_factor,
     cell_differences,
+    last_informative,
     log_bayes_factor,
     run_all_comparisons,
     sequential_trace,
@@ -300,6 +301,37 @@ def test_kernel_is_bit_identical_to_the_scalar_reference():
                 or float(np.exp(min(lk, 709.0))) != math.exp(min(lk, 709.0))
             )
     assert all(naive_differs.values()), naive_differs
+
+
+@st.composite
+def difference_streams(draw):
+    """``[updates, pairs]`` difference traces, updates possibly 0, whose
+    variances are often zero or NaN: some pairs are never informative."""
+    updates, pairs = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    # Past about 1e154 a finite mean's square overflows the kernel's libm pow.
+    values = st.floats(-1e150, 1e150) | st.sampled_from([math.nan, math.inf, -math.inf])
+    variances = st.sampled_from([0.0, 0.0, math.nan, -1.0, 5e-324, 1e-4, math.inf])
+    d = draw(st.lists(values, min_size=updates * pairs, max_size=updates * pairs))
+    v = draw(st.lists(variances | values, min_size=updates * pairs,
+                      max_size=updates * pairs))
+    return (np.array(d, dtype=float).reshape(updates, pairs),
+            np.array(v, dtype=float).reshape(updates, pairs))
+
+
+@given(difference_streams())
+@settings(max_examples=200, deadline=None)
+def test_last_informative_is_the_traces_final_row(stream):
+    d, v = stream
+    last_d, last_v = last_informative(d, v)
+    if d.shape[0]:
+        with np.errstate(all="ignore"):
+            trace = sequential_trace(d, v, TauSpec.fixed(0.1))
+        expected_d, expected_v = trace.diff_mean[-1], trace.diff_var[-1]
+    else:
+        expected_d = expected_v = np.full(d.shape[1], np.nan)
+    # Bit for bit, NaN where NaN.
+    assert last_d.tobytes() == expected_d.tobytes()
+    assert last_v.tobytes() == expected_v.tobytes()
 
 
 def test_kernel_continues_from_a_prior_running_minimum():
