@@ -28,7 +28,10 @@ repetition at a time; a file that is not a zip of float64
 ``[repetitions, updates, pairs]`` arrays exits 2.
 Tabular outputs are CSV with floats serialized to 17 significant digits,
 so reruns with the same seed reproduce files byte for byte; all files are
-written atomically.
+written atomically. ``decisions.csv``, the largest, is written as UTF-8
+byte blocks that numpy joins from tables of its field strings, each
+distinct float formatted once (``_decision_blocks``); ``simulate``'s
+manifest records the wall seconds of each of its stages.
 
 Exit codes: 0 success, 1 verification-check failure, 2 input error,
 3 runtime failure.
@@ -48,6 +51,7 @@ import os
 import platform
 import sys
 import tempfile
+import time
 import zipfile
 import zlib
 from datetime import datetime, timezone
@@ -312,13 +316,72 @@ def _csv_fields(fields) -> str:
     return buf.getvalue()[:-1]
 
 
-# rep, update, "method,tau_kind", "context,content_a,content_b", truth,
-# diff_mean, diff_var, bayes_factor, p_instant, p_min, significant
-_DECISION_ROW = "%d,%d,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+# A row of decisions.csv is the concatenation of byte strings, one from each
+# of these tables: "rep,update,method,tau_kind," by update,
+# "context,content_a,content_b," by pair, "h0,"/"h1," by truth, "%.17g," of
+# each of diff_mean, diff_var, bayes_factor, p_instant and p_min by value,
+# and "0\n"/"1\n" by significance. Each table pads its strings to one width
+# with 0xFF, a byte that UTF-8 text never holds, so deleting every 0xFF of
+# a block of rows leaves the rows, whatever bytes the labels hold.
+_PAD = b"\xff"
+# "%.17g" takes at most 24 bytes, as "-2.2250738585072014e-308"; the spaces
+# that left-justify it in 24 become padding.
+_FLOAT_FORMAT = "%-24.17g,"
+_FORMAT_BLOCK = 1 << 12  # values formatted by one % call
+_ROW_BLOCK = 1 << 11  # rows joined at once
 
 
-def _decision_lines(result, tau_spec, significant):
-    """``decisions.csv`` body, one string per (repetition, method, pair).
+def _string_table(strings: list[str]) -> np.ndarray:
+    """``strings`` in UTF-8, padded to the longest, as an array of
+    fixed-size byte items."""
+    encoded = [s.encode("utf-8") for s in strings]
+    width = max(map(len, encoded), default=1)
+    return np.frombuffer(b"".join(b.ljust(width, _PAD) for b in encoded), f"V{width}")
+
+
+def _float_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The padded ``"%.17g,"`` table of ``values``' distinct float64 bit
+    patterns, each formatted once, and the row of each value in it, in
+    ``values``' shape: uint16 where that holds every row, else int32.
+
+    Keying on bits keeps ``-0.0`` apart from ``0.0`` and one NaN payload
+    from another.
+    """
+    bits = values.view(np.uint64).ravel()
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.empty(bits.size, bool)  # the first of each run of equal bits
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rows = np.empty(bits.size, np.uint16 if bits.size <= 1 << 16 else np.int32)
+    rows[order] = np.cumsum(first, dtype=np.int32) - 1
+    distinct = ordered[first].view(np.float64)
+    del order, ordered, first
+    table = np.empty(distinct.size, f"V{len(_FLOAT_FORMAT % 0.0)}")
+    for s in range(0, distinct.size, _FORMAT_BLOCK):
+        chunk = distinct[s:s + _FORMAT_BLOCK].tolist()
+        text = (_FLOAT_FORMAT * len(chunk) % tuple(chunk)).encode("ascii")
+        table[s:s + len(chunk)] = np.frombuffer(text.replace(b" ", _PAD), table.dtype)
+    return table, rows.reshape(values.shape)
+
+
+def _join_rows(segments) -> bytes:
+    """The rows whose k-th field is ``table[index[row]]`` of the k-th
+    ``(table, index)`` pair of ``segments``, joined without their padding."""
+    record = np.empty(len(segments[0][1]),
+                      [(str(k), table.dtype) for k, (table, _) in enumerate(segments)])
+    for k, (table, index) in enumerate(segments):
+        record[str(k)] = table[index]
+    return record.tobytes().translate(None, _PAD)
+
+
+_TRUTH = _string_table(["h0,", "h1,"])
+_SIGNIFICANT = _string_table(["0\n", "1\n"])
+
+
+def _decision_blocks(result, tau_spec, significant):
+    """``decisions.csv`` body as UTF-8 byte blocks, one row per
+    (repetition, method, pair, update) in that order.
 
     The tests are replayed from the stored difference traces: a pair whose
     difference variance is zero at an update repeats its previous
@@ -327,27 +390,43 @@ def _decision_lines(result, tau_spec, significant):
     method also fills its row of ``significant[method]``, the [repetitions,
     updates, pairs] stack that ``metrics.csv`` is scored from, so no test
     is traced twice.
+
+    Each float column of a trace is formatted once per distinct value and
+    dropped, then rows are joined from the tables, ``_ROW_BLOCK`` or so at
+    a time. The bytes are those of ``"%d,%d,%s,%s,%s,%.17g,%.17g,%.17g,"
+    "%.17g,%.17g,%d\\n"`` row by row.
     """
-    labels = [_csv_fields(label) for label in _pair_labels(result.config.spec)]
-    updates = range(1, result.config.updates + 1)
+    labels = _string_table([_csv_fields(label) + ","
+                            for label in _pair_labels(result.config.spec)])
+    n_updates = result.config.updates
+    updates = np.arange(n_updates)
+    step = max(1, _ROW_BLOCK // max(n_updates, 1))  # pairs a block
     for i, rep in enumerate(result.repetitions):
-        truth = ["h1" if h1 else "h0" for h1 in rep.truth.pair_is_h1]
+        truth = rep.truth.pair_is_h1.astype(np.intp)
         for m in result.methods:
             head = _csv_fields([m, tau_spec.kind])
+            heads = _string_table([f"{rep.rep},{u},{head}," for u in range(1, n_updates + 1)])
             t = sequential_trace(rep.diff_mean[m], rep.diff_var[m], tau_spec,
                                  result.config.alpha)
-            significant[m][i] = t.significant
-            columns = [np.ascontiguousarray(a.T) for a in (
-                t.diff_mean, t.diff_var, t.bayes_factor, t.p_instant, t.p_min,
-                t.significant)]
-            for p, label in enumerate(labels):
-                yield "".join(
-                    _DECISION_ROW % (rep.rep, u, head, label, truth[p], *values)
-                    for u, *values in zip(updates, *(c[p].tolist() for c in columns))
-                )
-            # Freed before the next trace is computed: two alive at once set
-            # the command's peak memory.
-            del t, columns
+            significant[m][i] = flags = t.significant
+            columns = [t.diff_mean, t.diff_var, t.bayes_factor, t.p_instant, t.p_min]
+            # Each column is freed once its table is made: the tables and the
+            # whole trace alive at once would set the command's peak memory.
+            del t
+            floats = []
+            while columns:
+                floats.append(_float_table(columns.pop(0)))
+            pairs = flags.shape[1]
+            for p in range(0, pairs, step):
+                span = slice(p, min(p + step, pairs))
+                yield _join_rows([
+                    (heads, np.tile(updates, span.stop - p)),
+                    (labels, np.arange(p, span.stop).repeat(n_updates)),
+                    (_TRUTH, np.repeat(truth[span], n_updates)),
+                    *((table, rows[:, span].T.ravel()) for table, rows in floats),
+                    (_SIGNIFICANT, flags[:, span].T.ravel().astype(np.intp)),
+                ])
+            del floats  # before the next trace
 
 
 # ``simulate``'s raw pair differences, which ``learn-tau`` reads in place
@@ -405,9 +484,19 @@ def cmd_simulate(args) -> int:
     manifest = _Manifest("simulate", payload, seed=args.seed, chains=chains,
                          repetitions=config.repetitions, workers=workers)
 
+    stages = manifest.data["stages_s"] = {}
+    clock = time.perf_counter()
+
+    def stage(name: str) -> None:
+        """Charge the wall time since the last stage to ``name``."""
+        nonlocal clock
+        now = time.perf_counter()
+        stages[name], clock = now - clock, now
+
     result = run_scenario(config, methods)
     for w in result.warnings:
         manifest.warn(w)
+    stage("run")
 
     metrics_path = manifest.add_output(os.path.join(args.out, "metrics.csv"))
     header = ["rep", "update", "method", "tau_kind", "context", "content_a",
@@ -416,12 +505,13 @@ def cmd_simulate(args) -> int:
     # [repetitions, updates, pairs]
     shape = (config.repetitions, *result.repetitions[0].diff_mean[methods[0]].shape)
     significant = {m: np.empty(shape, dtype=bool) for m in methods}
-    _atomic_write(
-        manifest.add_output(os.path.join(args.out, "decisions.csv")),
-        itertools.chain([",".join(header) + "\n"],
-                        _decision_lines(result, tau_spec, significant)),
-    )
+    with _atomic_file(manifest.add_output(os.path.join(args.out, "decisions.csv")),
+                      binary=True) as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        fh.writelines(_decision_blocks(result, tau_spec, significant))
+    stage("decisions.csv")
     _write_differences(manifest.add_output(os.path.join(args.out, _DIFFERENCES)), result)
+    stage(_DIFFERENCES)
     _write_metrics(metrics_path, [MetricsReport.of(result, result.repetitions,
                                                    tau_spec.kind, significant)])
 
@@ -432,6 +522,7 @@ def cmd_simulate(args) -> int:
         _write_learnt_tau(manifest, args.out, comparison.learnt,
                           train_repetitions=list(comparison.train_reps),
                           test_repetitions=list(comparison.test_reps))
+    stage("metrics")
 
     manifest.write(args.out)
     return 0

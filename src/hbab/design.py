@@ -243,6 +243,13 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         # holding one could make two combinations read the same.
         if any("|" in v for v in values):
             raise ValueError(f"factor {name!r}: value labels must not contain '|'")
+        # Output files are UTF-8; a lone surrogate has no encoding there.
+        for text in (name, *values):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"factor {name!r}: name and value labels must be "
+                                 f"UTF-8 text, got {text!r}") from None
         fac = Factor(name, tuple(values))
         if role == "content":
             content.append(fac)

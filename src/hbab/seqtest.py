@@ -58,6 +58,7 @@ __all__ = [
 _MAX_LOG_K = 709.0  # exp saturates just below the double-precision ceiling
 _DYNAMIC_TAU_FLOOR = 1e-8  # keeps a dynamic alternative distinct from the null
 _DRAW_BLOCK = 1 << 13  # draw differences held at once (64 KB)
+_LIBM_BLOCK = 1 << 12  # elements held as Python floats at once
 
 
 @dataclass(frozen=True)
@@ -171,9 +172,32 @@ def cell_differences(
 
 
 def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
-    """``fn(element, *args)`` for every element of ``x`` as a Python float."""
-    values = map(fn, x.ravel().tolist(), *(itertools.repeat(a) for a in args))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
+    """``fn(element, *args)`` for every element of ``x`` as a Python float,
+    ``_LIBM_BLOCK`` elements at a time: a whole trace's floats as Python
+    objects took 32 bytes an element."""
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for s in range(0, flat.size, _LIBM_BLOCK):
+        block = flat[s:s + _LIBM_BLOCK].tolist()
+        out[s:s + len(block)] = np.fromiter(
+            map(fn, block, *(itertools.repeat(a) for a in args)), float, len(block))
+    return out.reshape(x.shape)
+
+
+def _square_or_inf(x: float) -> float:
+    try:
+        return pow(x, 2)
+    except OverflowError:
+        return math.inf
+
+
+def _square(d: np.ndarray) -> np.ndarray:
+    """pow(x, 2) for every element x, also where a finite x past about
+    1.34e154 overflows it: there it is inf."""
+    try:
+        return _libm(pow, d, 2)
+    except OverflowError:  # rare, so only then is each element guarded
+        return _libm(_square_or_inf, d)
 
 
 def _log_ratio(v: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -229,7 +253,7 @@ def sequential_trace(
     d = np.where(seen, np.take_along_axis(raw_d, last.clip(0), axis=0), math.nan)
     v = np.where(seen, np.take_along_axis(raw_v, last.clip(0), axis=0), math.nan)
 
-    d2 = _libm(pow, d, 2)
+    d2 = _square(d)
     if tau_spec.kind == "dynamic":
         tau = np.maximum(d2, _DYNAMIC_TAU_FLOOR)
     else:

@@ -173,6 +173,10 @@ class TestSimulate:
         assert manifest["master_seed"] == 1
         names = {p.rsplit("/", 1)[-1] for p in manifest["outputs"]}
         assert {"metrics.csv", "decisions.csv", "manifest.json"} <= names
+        # Wall seconds of each stage, in the order they ran.
+        stages = manifest["stages_s"]
+        assert list(stages) == ["run", "decisions.csv", "differences.npz", "metrics"]
+        assert all(isinstance(s, float) and s >= 0 for s in stages.values())
         assert manifest["versions"] == {
             "hbab": hbab.__version__, "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__,
@@ -253,6 +257,17 @@ class TestSimulate:
         out = tmp_path / "run"
         assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
         assert "must not contain '|'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_that_is_not_utf8_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # A lone surrogate, as the JSON escape "\ud800" reads.
+        design = {"factors": [{**TINY_DESIGN["factors"][0], "values": ["\ud800", "m1"]},
+                              TINY_DESIGN["factors"][1]]}
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**TINY_SCENARIO, "methods": ["mle"], "spec": design})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        assert "must be UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_worker_count_exits_2_before_any_output(self, tmp_path, monkeypatch,

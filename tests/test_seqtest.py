@@ -308,8 +308,9 @@ def difference_streams(draw):
     """``[updates, pairs]`` difference traces, updates possibly 0, whose
     variances are often zero or NaN: some pairs are never informative."""
     updates, pairs = draw(st.integers(0, 6)), draw(st.integers(1, 5))
-    # Past about 1e154 a finite mean's square overflows the kernel's libm pow.
-    values = st.floats(-1e150, 1e150) | st.sampled_from([math.nan, math.inf, -math.inf])
+    # Every finite double: past about 1.34e154 a mean's square overflows to inf.
+    values = (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([math.nan, math.inf, -math.inf, 1.5e154, -1.7e308]))
     variances = st.sampled_from([0.0, 0.0, math.nan, -1.0, 5e-324, 1e-4, math.inf])
     d = draw(st.lists(values, min_size=updates * pairs, max_size=updates * pairs))
     v = draw(st.lists(variances | values, min_size=updates * pairs,
@@ -332,6 +333,19 @@ def test_last_informative_is_the_traces_final_row(stream):
     # Bit for bit, NaN where NaN.
     assert last_d.tobytes() == expected_d.tobytes()
     assert last_v.tobytes() == expected_v.tobytes()
+
+
+@pytest.mark.parametrize("tau_spec", [TauSpec.fixed(0.1), TauSpec.dynamic()])
+def test_a_difference_whose_square_overflows_reads_inf(tau_spec):
+    # pow(1.5e154, 2) raises OverflowError; the kernel takes it as inf.
+    with np.errstate(invalid="ignore"):
+        t = sequential_trace(np.array([[1.5e154, 0.5]]), np.array([[1.0, 1.0]]), tau_spec)
+    assert t.diff_mean[0, 0] == 1.5e154
+    reference = sequential_trace(np.array([[0.5]]), np.array([[1.0]]), tau_spec)
+    assert t.log_k[0, 1] == reference.log_k[0, 0]  # the libm square elsewhere
+    if tau_spec.kind == "fixed":
+        assert t.log_k[0, 0] == math.inf and t.p_instant[0, 0] == 0.0
+        assert t.significant[0, 0]
 
 
 def test_kernel_continues_from_a_prior_running_minimum():

@@ -16,7 +16,7 @@ from test_cli import (
 )
 
 import hbab.sim
-from hbab.design import ExperimentSpec, Factor, enumerate_comparisons
+from hbab.design import ExperimentSpec, Factor, enumerate_comparisons, spec_to_dict
 from hbab.metaprior import effects_from_differences, learn_tau
 from hbab.sampler import SamplerConfig
 from hbab.seqtest import TauSpec, sequential_trace
@@ -545,6 +545,13 @@ def _scenario_mappings(draw):
 @example({"tau": {"kind": "fixed", "value": "0.1"}})
 @example({"interaction_effect_mean": 10**400})
 @example({"interaction_effect_sd": 2**64})
+# Labels that ran to a runtime failure when decisions.csv was encoded.
+@example({"spec": {"factors": [
+    {"name": "msg", "role": "content", "values": ["\ud800", "m1"]},
+    {"name": "ctx", "role": "context", "values": ["c0", "c1"]}]}})
+@example({"spec": {"factors": [
+    {"name": "m\udfff", "role": "content", "values": ["m0", "m1"]},
+    {"name": "ctx", "role": "context", "values": ["c0", "c1"]}]}})
 def test_any_json_mapping_parses_or_raises_value_error(mapping):
     try:
         config, tau, methods = scenario_from_dict(mapping, desk_scenario())
@@ -552,3 +559,5 @@ def test_any_json_mapping_parses_or_raises_value_error(mapping):
         return
     assert isinstance(config, ScenarioConfig) and isinstance(tau, TauSpec)
     assert methods and set(methods) <= set(METHODS)
+    # Every name and label can be written to the UTF-8 outputs.
+    json.dumps(spec_to_dict(config.spec), ensure_ascii=False).encode("utf-8")
