@@ -57,7 +57,6 @@ import zlib
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from . import __version__, conjugate
 from .design import (
@@ -208,7 +207,6 @@ class _Manifest:
                 "hbab": __version__,
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "processes": _processes(chains, repetitions, workers),
             "outputs": [],

@@ -244,7 +244,12 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         if any("|" in v for v in values):
             raise ValueError(f"factor {name!r}: value labels must not contain '|'")
         # Output files are UTF-8; a lone surrogate has no encoding there.
+        # Their CSV rows leave a carriage return unquoted, and a reader ends
+        # the row there.
         for text in (name, *values):
+            if "\r" in text:
+                raise ValueError(f"factor {name!r}: name and value labels must not "
+                                 "contain a carriage return")
             try:
                 text.encode("utf-8")
             except UnicodeEncodeError:

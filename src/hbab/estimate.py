@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .design import DesignMatrix, ExperimentSpec
 from .glm import CountData
@@ -101,10 +100,13 @@ def hb_estimate(samples: PosteriorSamples, X: DesignMatrix) -> CellEstimates:
     eps = flat[:, samples.parameter_index("epsilon")]
     # The [draws, cells] product (this orientation fixes the bits) is
     # dropped once its contiguous transpose exists.
-    rates = np.ascontiguousarray(
-        expit(flat[:, beta_cols] @ X.matrix.T + eps[:, None]).T
-    )
-    return _summarize(rates)
+    logits = flat[:, beta_cols] @ X.matrix.T
+    logits += eps[:, None]
+    # exp(-x) overflows to inf below x = -709, where the rate reads 0.
+    with np.errstate(over="ignore"):
+        rates = 1.0 / (1.0 + np.exp(-logits))
+    del logits
+    return _summarize(np.ascontiguousarray(rates.T))
 
 
 def _summarize(draws: np.ndarray) -> CellEstimates:

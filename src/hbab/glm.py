@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .design import DesignMatrix
 from .sampler import (
@@ -67,10 +67,29 @@ def half_cauchy_log_density_log_scale(log_sigma: float, scale: float) -> float:
     """Half-Cauchy log density of sigma = exp(log_sigma), including the
     log-scale change-of-variables term, so exp of it integrates to one over
     the log_sigma axis."""
-    # log1p((sigma/scale)^2) written as softplus to survive huge log_sigma.
-    t = 2.0 * (log_sigma - math.log(scale))
-    softplus = t + math.log1p(math.exp(-t)) if t > 0 else math.log1p(math.exp(t))
-    return math.log(2.0 / (math.pi * scale)) - softplus + log_sigma
+    return _half_cauchy_log_scale(scale)(log_sigma)
+
+
+def _half_cauchy_log_scale(scale: float) -> Callable[[float], float]:
+    """``half_cauchy_log_density_log_scale`` at one ``scale``, with its
+    constants computed once."""
+    log_norm = math.log(2.0 / (math.pi * scale))
+    log_scale = math.log(scale)
+
+    def log_density(log_sigma: float) -> float:
+        # log1p((sigma/scale)^2) written as softplus to survive huge log_sigma.
+        t = 2.0 * (log_sigma - log_scale)
+        softplus = t + math.log1p(math.exp(-t)) if t > 0 else math.log1p(math.exp(t))
+        return log_norm - softplus + log_sigma
+
+    return log_density
+
+
+def _softplus_and_sigmoid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log(1 + exp(eta))`` and ``1 / (1 + exp(-eta))``, the second taken
+    from the first: it cannot overflow at any finite ``eta``."""
+    softplus = np.logaddexp(0.0, eta)
+    return softplus, np.exp(eta - softplus)
 
 
 def make_target(data: CountData, X: DesignMatrix) -> TargetDensity:
@@ -96,28 +115,33 @@ def make_target(data: CountData, X: DesignMatrix) -> TargetDensity:
     XmT = np.ascontiguousarray(Xm.T)
     af = a.astype(float)
     rf = r.astype(float)
-    binom_const = float(np.sum(gammaln(a + 1) - gammaln(r + 1) - gammaln(a - r + 1)))
+    binom_const = math.fsum(
+        term for ai, ri in zip(a.tolist(), r.tolist())
+        for term in (math.lgamma(ai + 1), -math.lgamma(ri + 1), -math.lgamma(ai - ri + 1)))
     norm_const = -0.5 * (P + 2) * math.log(2 * math.pi) - math.log(s)
+    half_cauchy = _half_cauchy_log_scale(b)
     log_b = math.log(b)
     s_sq = s * s
+    add, both = np.add.reduce, np.logical_and.reduce
 
     def raw(z):
-        beta_raw, mu, ls, eps = z[:P], z[P], z[P + 1], z[P + 2]
+        beta_raw = z[:P]
+        mu, ls, eps = z[P:].tolist()
         if ls > 700.0:  # scale beyond float range: no posterior mass out here
             return -math.inf, np.zeros(P + 3)
         sigma = math.exp(ls)
         eta = Xm @ (mu + sigma * beta_raw)
         eta += eps
-        if not np.isfinite(eta).all():
+        if not both(np.isfinite(eta)):
             return -math.inf, np.zeros(P + 3)
-        p = expit(eta)
+        softplus, p = _softplus_and_sigmoid(eta)
         resid = rf - af * p
         # r*log(p) + (a-r)*log(1-p) collapses to r*eta - a*softplus(eta).
-        loglik = float(rf @ eta) - float(af @ np.logaddexp(0.0, eta)) + binom_const
+        loglik = float(rf @ eta) - float(af @ softplus) + binom_const
 
         lp = (
             norm_const
-            + half_cauchy_log_density_log_scale(ls, b)
+            + half_cauchy(ls)
             - 0.5 * float(beta_raw @ beta_raw)
             - 0.5 * (mu - m) ** 2 / s_sq
             - 0.5 * eps * eps
@@ -129,10 +153,10 @@ def make_target(data: CountData, X: DesignMatrix) -> TargetDensity:
         grad = np.empty(P + 3)
         np.multiply(g_beta, sigma, out=grad[:P])
         grad[:P] -= beta_raw
-        grad[P] = float(g_beta.sum()) - (mu - m) / s_sq
+        grad[P] = float(add(g_beta)) - (mu - m) / s_sq
         # 1 - 2 sigma^2 / (b^2 + sigma^2) is the half-Cauchy and Jacobian term.
         grad[P + 1] = sigma * float(beta_raw @ g_beta) - math.tanh(ls - log_b)
-        grad[P + 2] = float(resid.sum()) - eps
+        grad[P + 2] = float(add(resid)) - eps
         return lp, grad
 
     labels = tuple(f"raw[{j}]" for j in range(P)) + ("mu", "log_sigma", "epsilon")

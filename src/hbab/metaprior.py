@@ -12,19 +12,20 @@ The posterior is one-dimensional, so ``learn_tau`` integrates it by
 quadrature over log tau rather than sampling it: the same corpus always
 gives the same result, within about 1e-9 relative of adaptive quadrature
 on the corpora in the tests. ``tau_target`` is the one
-density; the grid evaluates it point by point. Differences enter a corpus
-through ``effects_from_differences``, which keeps a difference only with
-a finite mean and a finite positive variance.
+density; the grid evaluates it point by point. The quantiles need the
+sine integral, which ``_si`` computes in numpy. Differences enter a
+corpus through ``effects_from_differences``, which keeps a difference
+only with a finite mean and a finite positive variance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import sici
 
 from .glm import half_cauchy_log_density_log_scale
 from .sampler import TargetDensity
@@ -42,11 +43,25 @@ _GRID_POINTS = 256
 _TAIL_NATS = 40.0
 # exp overflows past this log tau.
 _MAX_LOG_TAU = math.log(np.finfo(float).max)
+# The log tau range where tau is positive and the density can be finite,
+# and the points of the coarse grid that checks the mode search.
+_LOG_TAU_RANGE = (-745.0, 700.0)
+_SCAN_POINTS = 16
 # First bracketing step in log tau. The bracket ends lie about 9 posterior
 # sd from the mode, which comes closer than this only beyond about 1e8
 # effects.
 _FIRST_STEP = 1e-3
 _SQUARE_BLOCK = 1 << 12  # effects squared through Python floats at once
+# Si(x) below _SI_SWITCH in magnitude is a Gauss-Legendre rule of
+# _SI_NODES nodes, whose error there is rounding; above, the _SI_TERMS
+# terms of its asymptotic series err by less than 1e-15.
+_SI_SWITCH = 40.0
+_SI_NODES = 32
+_SI_TERMS = 10
+# Column 0 holds the coefficients of f(x) * x, column 1 those of
+# g(x) * x**2, as polynomials in 1 / x**2: (-1)**k (2k)! and (-1)**k (2k+1)!.
+_SI_SERIES = np.array([[(-1.0) ** k * math.factorial(2 * k),
+                        (-1.0) ** k * math.factorial(2 * k + 1)] for k in range(_SI_TERMS)])
 
 
 @dataclass(frozen=True)
@@ -94,7 +109,7 @@ def tau_target(delta: np.ndarray, noise_sd: np.ndarray) -> TargetDensity:
 
     def log_density_and_grad(z):
         log_tau = z[0]
-        if log_tau > 700.0:
+        if log_tau > _LOG_TAU_RANGE[1]:
             return -math.inf, np.zeros(1)
         tau = np.exp(log_tau)
         np.add(noise_var, tau, out=v)
@@ -168,6 +183,14 @@ def learn_tau(delta, noise_sd) -> LearntTau:
 
     mode = _mode(slope)
     peak = log_density(mode)
+    # The slope's first sign change can be a local mode far below the
+    # highest: bracket again around the best point of a coarse scan.
+    scan = np.linspace(*_scan_range(delta, noise_sd), _SCAN_POINTS)
+    scan_lp = np.array([log_density(x) for x in scan])
+    best = int(scan_lp.argmax())
+    if scan_lp[best] > peak:
+        mode = _climb(slope, scan[max(best - 1, 0)], scan[min(best + 1, _SCAN_POINTS - 1)])
+        peak = log_density(mode)
     if not math.isfinite(peak):
         raise ValueError("the tau posterior has no finite mode for these effects")
     floor = peak - _TAIL_NATS
@@ -180,9 +203,8 @@ def learn_tau(delta, noise_sd) -> LearntTau:
     weights = np.exp(lp - lp.max())
     weights /= weights.sum()
     mean = float(weights @ np.exp(log_tau))
-    q2_5, median, q97_5 = (
-        math.exp(_sinc_quantile(log_tau, weights, p)) for p in (0.025, 0.5, 0.975)
-    )
+    q2_5, median, q97_5 = (math.exp(q) for q in _sinc_quantiles(
+        log_tau, weights, np.array([0.025, 0.5, 0.975])).tolist())
     return LearntTau(
         n_effects=delta.size,
         posterior_mean=mean,
@@ -193,6 +215,21 @@ def learn_tau(delta, noise_sd) -> LearntTau:
     )
 
 
+def _scan_range(delta: np.ndarray, noise_sd: np.ndarray) -> tuple[float, float]:
+    """Log tau ends between which the tau posterior has its highest point.
+
+    Below the lower end, tau is under half an ulp of every noise variance,
+    so only the prior moves, and it rises up to tau = its scale. Above the
+    upper end, tau exceeds every squared effect and the prior's scale, so
+    every term falls.
+    """
+    log_b = math.log(_CAUCHY_SCALE)
+    with np.errstate(divide="ignore"):  # an all-zero delta
+        log_var, log_delta_sq = 2.0 * np.log([noise_sd.min(), np.abs(delta).max()])
+    return (max(min(log_var - 40.0, log_b), _LOG_TAU_RANGE[0]),
+            min(max(log_delta_sq, log_b), _LOG_TAU_RANGE[1]))
+
+
 def _mode(slope: Callable[[float], float]) -> float:
     """Root of the log-tau slope, bracketed by doubling steps away from zero.
 
@@ -200,7 +237,9 @@ def _mode(slope: Callable[[float], float]) -> float:
     negative for large tau, so a sign change exists unless the density is
     not finite: ``tau_target`` gives a zero slope there, or a NaN one where
     the gradient's sum is not finite. Above log tau 700 it is never finite,
-    and below -745 tau is 0, so the search stops there.
+    and below -745 tau is 0, so the search stops there. The root found is
+    the first local mode out from log tau 0, which ``learn_tau`` checks
+    against a coarse scan of ``_scan_range``.
     """
     if slope(0.0) > 0:
         lo, hi = 0.0, 1.0
@@ -209,10 +248,16 @@ def _mode(slope: Callable[[float], float]) -> float:
     else:
         lo, hi = -1.0, 0.0
         while not slope(lo) > 0:  # a NaN slope too
-            if lo < -745.0:
+            if lo < _LOG_TAU_RANGE[0]:
                 raise ValueError("the tau posterior has no finite mode for these effects")
             lo, hi = 2.0 * lo, lo
-    return _bisect(lambda x: -slope(x), lo, hi, 1e-6)
+    return _climb(slope, lo, hi)
+
+
+def _climb(slope: Callable[[float], float], lo: float, hi: float) -> float:
+    """Where ``slope`` turns from positive to not positive on ``[lo, hi]``,
+    to 1e-6."""
+    return float(_bisect(lambda x: -slope(float(x)), lo, hi, 1e-6))
 
 
 def _tail_end(
@@ -237,8 +282,9 @@ def _tail_end(
     return mode + direction * step
 
 
-def _sinc_quantile(x: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Quantile ``p`` of normalised weights on the uniform grid ``x``.
+def _sinc_quantiles(x: np.ndarray, weights: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Quantiles ``ps`` of normalised weights on the uniform grid ``x``,
+    bisected together.
 
     Integrates the sinc interpolant of the weights (Stenger's sinc
     indefinite integration): node k contributes
@@ -246,29 +292,67 @@ def _sinc_quantile(x: np.ndarray, weights: np.ndarray, p: float) -> float:
     """
     h = x[1] - x[0]
 
-    def cdf_minus_p(t: float) -> float:
-        si, _ = sici(np.pi * (t - x) / h)
-        return float(weights @ (0.5 + si / np.pi)) - p
+    def cdf_minus_p(t: np.ndarray) -> np.ndarray:
+        terms = 0.5 + _si(np.pi * (t[:, None] - x) / h) / np.pi
+        return np.array([weights @ row for row in terms]) - ps
 
-    return _bisect(cdf_minus_p, x[0], x[-1], 1e-12)
+    return _bisect(cdf_minus_p, x[0], np.full(ps.shape, x[-1]), 1e-12)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Where ``f`` turns from negative to non-negative on ``[lo, hi]``.
+@functools.cache
+def _si_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights w / u of the Gauss-Legendre rule on [0, 1], so
+    that Si(x) is ``sin(x * u) @ (w / u)``; made on first use, as the
+    eigenvalue solve costs milliseconds."""
+    nodes, weights = np.polynomial.legendre.leggauss(_SI_NODES)
+    nodes = 0.5 * (nodes + 1.0)
+    return nodes, 0.5 * weights / nodes
 
-    Stops once the bracket is narrower than ``tol`` relative to its ends
-    (absolute below 1), which float spacing always allows. Plain bisection:
-    importing ``scipy.optimize`` would add about 0.35 s and 20 MB to every
-    command's start-up (measured on a 2-vCPU Xeon), for roots that a few
-    dozen halvings find.
+
+def _si(x: np.ndarray) -> np.ndarray:
+    """The sine integral Si(x), the integral of sin(t) / t from 0 to x, of
+    every element of ``x``, within 2e-14.
+
+    Si is odd. For |x| below ``_SI_SWITCH``, the integral of sin(x u) / u
+    over [0, 1] by Gauss-Legendre quadrature; above, the asymptotic series
+    pi/2 - f(x) cos x - g(x) sin x (Abramowitz & Stegun 5.2.34-35).
     """
-    while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
+    ax = np.abs(x)
+    out = np.empty_like(ax)
+    near = ax < _SI_SWITCH
+    nodes, weights = _si_rule()
+    out[near] = np.sin(ax[near, None] * nodes) @ weights
+    far = ~near
+    x_far = ax[far]
+    inv = 1.0 / x_far
+    inv_sq = inv * inv
+    powers = np.empty((_SI_TERMS, x_far.size))
+    powers[0] = 1.0
+    for k in range(1, _SI_TERMS):
+        np.multiply(powers[k - 1], inv_sq, out=powers[k])
+    f, g = _SI_SERIES.T @ powers
+    out[far] = 0.5 * np.pi - f * inv * np.cos(x_far) - g * inv_sq * np.sin(x_far)
+    return np.copysign(out, x)
+
+
+def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float) -> np.ndarray:
+    """Where ``f`` turns from negative to non-negative on ``[lo, hi]``, for
+    each element of the broadcast ends; ``f`` maps an array of points to
+    an array of values.
+
+    An element stops once its bracket is narrower than ``tol`` relative to
+    its ends (absolute below 1), which float spacing always allows. Plain
+    bisection: the roots here need no more than a few dozen halvings.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
+    while True:
+        wide = hi - lo > tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        if not wide.any():
+            return mid
+        below = f(mid) < 0
+        lo = np.where(wide & below, mid, lo)
+        hi = np.where(wide & ~below, mid, hi)
 
 
 def effects_from_differences(

@@ -615,10 +615,10 @@ def naive_sequential_test_fpr(
     test rejects at any update so far. The repeated evaluation inflates
     the error rate far beyond the nominal level.
     """
-    from scipy.stats import norm
+    from statistics import NormalDist  # imports decimal: only when called
 
     rng = np.random.Generator(np.random.Philox(seed))
-    z_crit = norm.ppf(1.0 - alpha / 2.0)
+    z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     rejected = np.zeros(repetitions, dtype=bool)
     cum_a = np.zeros(repetitions)
     cum_b = np.zeros(repetitions)

@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy
 
 import hbab
 from hbab import sampler as sampler_module
@@ -179,7 +178,7 @@ class TestSimulate:
         assert all(isinstance(s, float) and s >= 0 for s in stages.values())
         assert manifest["versions"] == {
             "hbab": hbab.__version__, "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__,
         }
 
     @pytest.mark.parametrize("workers, repetitions, methods, processes", [
@@ -689,6 +688,22 @@ class TestAnalyze:
                      "--out", str(tmp_path / "s")]) == 2
         assert "invalid scenario config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("name,label", [("msg", "m\r1"), ("msg\r", "m1")],
+                             ids=["value-label", "factor-name"])
+    def test_carriage_return_in_a_label_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                   name, label):
+        # Left unquoted in the output CSVs, it ended their rows early.
+        design = write_json(tmp_path / "design.json", {"factors": [
+            {"name": name, "role": "content", "values": ["m0", label]},
+            TINY_DESIGN["factors"][1]]})
+        counts = write_counts(tmp_path / "counts.csv", [
+            (u, label if msg == "m1" else msg, *rest)
+            for u, msg, *rest in default_counts(updates=1)])
+        assert main(["analyze", "--design", design, "--counts", counts, "--method", "mle",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "must not contain a carriage return" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_pipe_in_a_value_label_exits_2_and_writes_nothing(self, tmp_path, capsys):
         design = write_json(tmp_path / "design.json", PIPE_DESIGN)

@@ -7,6 +7,8 @@ trace it replays.
 """
 
 import collections
+import csv
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -18,7 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbab import cli
-from hbab.design import ExperimentSpec, Factor, enumerate_comparisons
+from hbab.design import (
+    ExperimentSpec,
+    Factor,
+    enumerate_comparisons,
+    spec_from_dict,
+    spec_to_dict,
+)
 from hbab.seqtest import TauSpec, sequential_trace
 from hbab.sim import ScenarioResult, paper_scenario, run_repetition
 
@@ -64,7 +72,8 @@ def both_writers(result, tau_spec):
     return out
 
 
-# Labels that CSV quoting, UTF-8 or NUL padding could get wrong.
+# Labels that CSV quoting, UTF-8 or NUL padding could get wrong; the
+# readers reject the lone "\r".
 _TRICKY = [",", '"', "\n", "\r", "\0", "é", "日"]
 _LABEL = st.sampled_from(["a\0", "a,b", '"q"', "", *_TRICKY]) | st.text(
     st.characters(exclude_categories=("Cs",)) | st.sampled_from(_TRICKY), max_size=4)
@@ -151,6 +160,28 @@ def test_block_writer_gives_the_reference_bytes(result, tau_spec, row_block, for
     assert blocks == reference
     for m in result.methods:
         assert np.array_equal(significant[m], expected[m])
+
+
+@settings(max_examples=100, deadline=None)
+@given(result=results())
+def test_rows_of_a_spec_the_reader_takes_read_back_whole(result):
+    spec = result.config.spec
+    try:
+        spec_from_dict(spec_to_dict(spec))
+    except ValueError:
+        assert any(c in label for f in (*spec.content_factors, *spec.context_factors)
+                   for label in f.values for c in "\r|")
+        return
+    significant = {m: np.empty((len(result.repetitions), result.config.updates,
+                                len(enumerate_comparisons(spec))), bool)
+                   for m in result.methods}
+    with np.errstate(all="ignore"):
+        text = b"".join(cli._decision_blocks(result, TauSpec.dynamic(), significant))
+    rows = list(csv.reader(io.StringIO(text.decode("utf-8"), newline="")))
+    labels = [list(label) for label in cli._pair_labels(spec)]
+    assert len(rows) == len(result.repetitions) * len(result.methods) * len(labels) * (
+        result.config.updates)
+    assert all(len(row) == 14 and row[4:7] in labels for row in rows)
 
 
 def test_writer_holds_no_more_than_the_trace_it_replays():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,17 +116,33 @@ class TestHbEstimate:
         beta = flat[:, :X.cols]
         eps = flat[:, samples.parameter_index("epsilon")]
         # The per-column 1-D reductions of the [draws, cells] rate product
-        # are the reference to the last bit.
-        product = expit(beta @ X.matrix.T + eps[:, None])
+        # are the reference to the last bit; scipy's expit, to rounding.
+        logits = beta @ X.matrix.T + eps[:, None]
+        product = 1.0 / (1.0 + np.exp(-logits))
         for k in range(X.rows):
             assert ests[k].mean == product[:, k].mean()
             assert ests[k].variance == product[:, k].var(ddof=1)
+            assert ests[k].mean == pytest.approx(expit(logits[:, k]).mean(), rel=1e-14)
             rates = np.array(
                 [1.0 / (1.0 + np.exp(-(X.matrix[k] @ b + e)))
                  for b, e in zip(beta, eps)]
             )
             assert ests[k].mean == pytest.approx(rates.mean(), rel=1e-12)
             assert ests[k].variance == pytest.approx(rates.var(ddof=1), rel=1e-10)
+
+    def test_rates_are_finite_past_exp_overflow(self):
+        X = build_design_matrix(make_spec([2], []), interaction_order=1)
+        eps = np.array([-1e300, -800.0, 800.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = hb_estimate(manual_samples(np.zeros((4, X.cols)), eps), X)
+        assert np.array_equal(ests.draws, np.tile([0.0, 0.0, 1.0, 1.0], (X.rows, 1)))
+
+    def test_rates_match_expit(self):
+        X = build_design_matrix(make_spec([2], []), interaction_order=1)
+        eps = np.linspace(-40.0, 40.0, 20_001)
+        ests = hb_estimate(manual_samples(np.zeros((eps.size, X.cols)), eps), X)
+        np.testing.assert_allclose(ests.draws[0], expit(eps), rtol=1e-14, atol=0)
 
     def test_draws_are_one_matrix_viewed_per_cell(self):
         X = build_design_matrix(make_spec([2, 2], [2]), interaction_order=2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -140,6 +142,21 @@ def test_target_finite_at_extreme_log_scale(log_sigma):
     lp, grad = target.log_density_and_grad(z)
     assert np.isfinite(lp)
     assert np.isfinite(grad).all()
+
+
+def test_sigmoid_is_finite_past_exp_overflow():
+    eta = np.array([-1e300, -800.0, 800.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        softplus, p = glm_module._softplus_and_sigmoid(eta)
+    assert np.array_equal(p, [0.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(softplus, [0.0, 0.0, 800.0, 1e300])
+
+
+def test_sigmoid_matches_expit():
+    eta = np.linspace(-40.0, 40.0, 200_001)
+    _, p = glm_module._softplus_and_sigmoid(eta)
+    np.testing.assert_allclose(p, expit(eta), rtol=1e-14, atol=0)
 
 
 class TestFitPosterior:

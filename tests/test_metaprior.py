@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
+from scipy.special import sici
 
 import hbab.metaprior
 from hbab.glm import half_cauchy_log_density_log_scale
@@ -170,6 +171,14 @@ def plain_log_density_and_grad(delta, noise_sd, log_tau):
         d_tau = np.sum(0.5 * (delta / v) ** 2 - 0.5 / v)
         grad = tau * d_tau - math.tanh(log_tau - math.log(5.0))
     return float(lp), float(grad)
+
+
+def test_sine_integral_matches_scipy():
+    x = np.concatenate([np.linspace(-2000.0, 2000.0, 400_001),
+                        [0.0, 5e-324, -5e-324, 1e300, -1e300],
+                        np.nextafter(40.0, [0.0, 80.0]), -np.nextafter(40.0, [0.0, 80.0]),
+                        [40.0, -40.0]])
+    np.testing.assert_allclose(hbab.metaprior._si(x), sici(x)[0], rtol=0, atol=1e-13)
 
 
 def test_tau_target_equals_the_plain_expressions():

@@ -68,6 +68,9 @@ _SIGNED = st.tuples(st.sampled_from([1.0, -1.0]), _MAGNITUDES).map(lambda t: t[0
 _EFFECTS = st.tuples(_SIGNED, _MAGNITUDES)
 
 
+_TWO_MODES = [(0.0, 5e-324), (4.2778691198601664e+23, 1678409030765367.0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_EFFECTS, min_size=2, max_size=6) | st.lists(_EFFECTS, max_size=1))
 # Each of the next three printed RuntimeWarnings from the tau density. All
@@ -75,8 +78,9 @@ _EFFECTS = st.tuples(_SIGNED, _MAGNITUDES)
 @example(rows=[(-1e-160, 1e-160), (5e-324, 1e-160)])
 @example(rows=[(1e300, 1e-8), (-1e150, 1e-300)])
 @example(rows=[(0.0, 1e-160), (0.0, 1e-160)])
-# A grid past the log tau where exp overflows: exit 2.
-@example(rows=[(0.0, 5e-324), (4.2778691198601664e+23, 1678409030765367.0)])
+# A local mode at log tau 1.06, 3e16 nats below the highest at log tau 108,
+# sent the grid past the log tau where exp overflows: exit 2.
+@example(rows=_TWO_MODES)
 def test_learn_tau_on_any_effects_csv(rows):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -87,6 +91,17 @@ def test_learn_tau_on_any_effects_csv(rows):
             assert learnt["n_effects"] == len(rows)
             assert learnt["point_value_for_testing"] > 0
             read_json(tmp / "out" / "manifest.json")
+
+
+def test_learn_tau_finds_the_highest_of_two_modes(tmp_path):
+    path = tmp_path / "effects.csv"
+    path.write_text("delta,noise_sd\n" + "".join("%r,%r\n" % row for row in _TWO_MODES))
+    assert run(["learn-tau", path, "--out", tmp_path / "out"]) == 0
+    learnt = read_json(tmp_path / "out" / "learnt_tau.json")
+    q = learnt["quantiles"]
+    assert q["2.5"] < learnt["posterior_mean"] < q["97.5"]
+    # The highest mode sits near tau = delta**2 of the second effect.
+    assert 1e46 < q["50"] < 1e48
 
 
 _LABELS = ("a", "b", "c")
@@ -104,9 +119,9 @@ def _designs(draw):
              "values": draw(st.lists(st.sampled_from(_LABELS), min_size=2, max_size=3,
                                      unique=True))}
             for i, name in enumerate(names)]}
-    labels = st.sampled_from([*_LABELS, "marginal", "a|b", "", 1])
+    labels = st.sampled_from([*_LABELS, "marginal", "a|b", "a\rb", "", 1])
     return {"factors": draw(st.lists(st.fixed_dictionaries({
-        "name": st.sampled_from(["f", "g", ""]),
+        "name": st.sampled_from(["f", "g", "", "g\r"]),
         "role": st.sampled_from(["content", "context", "other"]),
         "values": st.lists(labels, max_size=3)}), max_size=3))}
 
@@ -184,6 +199,11 @@ _TWO_BY_TWO = json.dumps({"factors": [
                  "dynamic"))
 @example(inputs=(_TWO_BY_TWO, b'update,f,g,assignments,responses\n1,a,a,"%s",5\n'
                  % (b"9" * 200_000), "dynamic"))
+# A value label holding a lone carriage return exited 0 with output rows
+# that a CSV reader ends early.
+@example(inputs=(json.dumps({"factors": [
+    {"name": "f", "role": "content", "values": ["a", "a\rb"]}]}).encode(),
+    b"update,f,assignments,responses\n1,a,10,5\n1,\"a\rb\",10,4\n", "dynamic"))
 # A tau past about 1e292 times a pair's difference variance underflowed
 # their ratio to 0, whose math.log exited 3.
 @example(inputs=(_TWO_BY_TWO, b"update,f,g,assignments,responses\n" + b"".join(

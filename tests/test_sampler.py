@@ -690,7 +690,7 @@ class TestWarmStart:
         cold = fit_posterior(counts(2), X, cfg)
         warm = fit_posterior(counts(3), X, cfg, warm_start=cold.warm_start)
         digest = hashlib.sha256(cold.draws.tobytes() + warm.draws.tobytes()).hexdigest()
-        assert digest == "cb674d3a718f29edba241bf2bdc4d687b5ea332c604f10a714ab977ad876d45b"
+        assert digest == "9e14c2c77345a858cfe3efc4fa86833ffe57a2b7b1a5549905651da1576d069e"
 
 
 class TestWindowMetric:
