@@ -243,9 +243,9 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         # holding one could make two combinations read the same.
         if any("|" in v for v in values):
             raise ValueError(f"factor {name!r}: value labels must not contain '|'")
-        # Output files are UTF-8; a lone surrogate has no encoding there.
-        # Their CSV rows leave a carriage return unquoted, and a reader ends
-        # the row there.
+        # Output CSV rows leave a carriage return unquoted, and a reader ends
+        # the row there. Output files are UTF-8; a lone surrogate has no
+        # encoding there.
         for text in (name, *values):
             if "\r" in text:
                 raise ValueError(f"factor {name!r}: name and value labels must not "

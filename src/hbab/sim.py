@@ -615,7 +615,7 @@ def naive_sequential_test_fpr(
     test rejects at any update so far. The repeated evaluation inflates
     the error rate far beyond the nominal level.
     """
-    from statistics import NormalDist  # imports decimal: only when called
+    from statistics import NormalDist  # it imports decimal: only when called
 
     rng = np.random.Generator(np.random.Philox(seed))
     z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
