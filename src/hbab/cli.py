@@ -4,9 +4,10 @@ Four batch commands: ``simulate`` runs the scenario harness and writes
 metric and decision-trace CSVs, and the raw pair differences of every
 repetition as one numpy file, ``differences.npz``; ``analyze`` runs the
 estimation and sequential-testing pipeline on an externally supplied
-count stream; ``learn-tau`` fits the effect-size dispersion from a corpus
-of observed effects; ``oracle-check`` runs the closed-form verification
-battery.
+count stream and writes its estimate and comparison CSVs, and its
+per-context pair differences as the same ``differences.npz``;
+``learn-tau`` fits the effect-size dispersion from a corpus of observed
+effects; ``oracle-check`` runs the closed-form verification battery.
 
 Fitting, parsing and verification live elsewhere: the per-look fit loop
 is ``sim.look_estimates``, shared by ``simulate`` and ``analyze``; the
@@ -22,10 +23,10 @@ Every command writes a JSON run manifest listing its inputs, seed, config
 hash (a hash of the command's settings and input contents, so the same
 inputs at another path hash the same), and every artifact produced.
 Every CSV input is read through ``_csv_reader``: one that is not UTF-8
-or not CSV exits 2. ``learn-tau`` reads a results directory's
-``differences.npz`` in place of the ``decisions.csv`` beside it, one
-repetition at a time; a file that is not a zip of float64
-``[repetitions, updates, pairs]`` arrays exits 2.
+or not CSV exits 2. ``learn-tau`` reads a results directory through the
+``differences.npz`` files under it and nothing else, one repetition at a
+time; a directory without one, or a file that is not a zip of float64
+``[repetitions, updates, pairs]`` arrays, exits 2.
 Tabular outputs are CSV with floats serialized to 17 significant digits,
 so reruns with the same seed reproduce files byte for byte; all files are
 written atomically. ``decisions.csv``, the largest, is written as UTF-8
@@ -264,8 +265,8 @@ def _pair_labels(spec: ExperimentSpec) -> list[tuple[str, str, str]]:
             for ctx, a, b in enumerate_comparisons(spec)]
 
 
-# The context of ``analyze``'s context-pooled rows in ``comparisons.csv``;
-# ``learn-tau`` skips these rows when it scans a results directory.
+# The context of ``analyze``'s context-pooled rows in ``comparisons.csv``,
+# reserved so that its readers can tell those rows from the per-context ones.
 _POOLED_CONTEXT = "marginal"
 
 
@@ -427,40 +428,38 @@ def _decision_blocks(result, tau_spec, significant):
             del floats  # before the next trace
 
 
-# ``simulate``'s raw pair differences, which ``learn-tau`` reads in place
-# of the decisions.csv beside them.
+# The raw pair differences of a ``simulate`` or ``analyze`` run: the one
+# results record that ``learn-tau`` reads.
 _DIFFERENCES = "differences.npz"
 _DIFFERENCE_FIELDS = ("diff_mean", "diff_var")
 # The zip timestamp of every member, so reruns write the same bytes.
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 
 
-def _write_differences(path: str, result) -> None:
+def _write_differences(path: str, blocks: dict) -> None:
     """``differences.npz``: ``<method>.diff_mean`` and ``<method>.diff_var``
-    of every method run, each the float64 ``[repetitions, updates, pairs]``
-    stack of the repetitions' arrays, pairs in ``decisions.csv`` order.
+    of each method of ``blocks``, which maps it to its per-repetition
+    ``[updates, pairs]`` blocks of each field, ``(diff_means, diff_vars)``.
+    Each member is the float64 ``[repetitions, updates, pairs]`` stack of
+    its blocks.
 
     An uncompressed zip of ``.npy`` members, as ``np.savez`` writes, that
     ``np.load`` reads with ``allow_pickle=False``. Each member is written
-    one repetition's ``[updates, pairs]`` block at a time, so the stack is
-    never built.
+    one block at a time, so the stack is never built.
     """
-    shape = (len(result.repetitions),
-             *result.repetitions[0].diff_mean[result.methods[0]].shape)
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
-    header = buf.getvalue()
     with _atomic_file(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as archive:
-        for m in result.methods:
-            for field in _DIFFERENCE_FIELDS:
+        for m, fields in blocks.items():
+            for field, reps in zip(_DIFFERENCE_FIELDS, fields):
+                shape = (len(reps), *reps[0].shape)
+                buf = io.BytesIO()
+                np.lib.format.write_array_header_1_0(
+                    buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
                 info = zipfile.ZipInfo(f"{m}.{field}.npy", date_time=_ZIP_TIME)
-                info.file_size = len(header) + 8 * math.prod(shape)
+                info.file_size = buf.tell() + 8 * math.prod(shape)
                 with archive.open(info, "w") as member:
-                    member.write(header)
-                    for rep in result.repetitions:
-                        member.write(np.ascontiguousarray(getattr(rep, field)[m],
-                                                          dtype="<f8"))
+                    member.write(buf.getvalue())
+                    for block in reps:
+                        member.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def _write_metrics(path: str, reports) -> None:
@@ -508,7 +507,10 @@ def cmd_simulate(args) -> int:
         fh.write((",".join(header) + "\n").encode("ascii"))
         fh.writelines(_decision_blocks(result, tau_spec, significant))
     stage("decisions.csv")
-    _write_differences(manifest.add_output(os.path.join(args.out, _DIFFERENCES)), result)
+    reps = result.repetitions
+    _write_differences(manifest.add_output(os.path.join(args.out, _DIFFERENCES)),
+                       {m: ([rep.diff_mean[m] for rep in reps],
+                            [rep.diff_var[m] for rep in reps]) for m in result.methods})
     stage(_DIFFERENCES)
     _write_metrics(metrics_path, [MetricsReport.of(result, result.repetitions,
                                                    tau_spec.kind, significant)])
@@ -639,7 +641,8 @@ def cmd_analyze(args) -> int:
     contents = spec.content_combinations()
     # The context-pooled pairs are the comparisons of a spec without context.
     pooled_spec = ExperimentSpec(spec.content_factors)
-    pair_labels = _pair_labels(spec) + [
+    context_pairs = _pair_labels(spec)
+    pair_labels = context_pairs + [
         (_POOLED_CONTEXT, a, b) for _, a, b in _pair_labels(pooled_spec)]
     cell_labels = [[f.values[i] for f, i in zip(spec.factors, cell)]
                    for cell in enumerate_cells(spec).tolist()]
@@ -670,10 +673,11 @@ def cmd_analyze(args) -> int:
         pooled_d, pooled_v = cell_differences(pooled_spec, marginals)
         diff_mean.append(np.concatenate([d, pooled_d]))
         diff_var.append(np.concatenate([v, pooled_v]))
+    diff_mean, diff_var = np.array(diff_mean), np.array(diff_var)
 
     # Every update of every pair in one call, so both row families follow
     # the zero-variance rule of decisions.csv.
-    t = sequential_trace(np.array(diff_mean), np.array(diff_var), tau_spec, args.alpha)
+    t = sequential_trace(diff_mean, diff_var, tau_spec, args.alpha)
     columns = (t.diff_mean, t.diff_var, t.bayes_factor, t.p_instant, t.p_min,
                t.significant)
     cmp_rows = [
@@ -700,6 +704,11 @@ def cmd_analyze(args) -> int:
          "bayes_factor", "p_instant", "p_min", "significant"],
         cmp_rows,
     )
+    # The per-context pairs lead; the pooled ones, means of those, are not
+    # independent evidence and stay in comparisons.csv only.
+    per_context = slice(len(context_pairs))
+    _write_differences(manifest.add_output(os.path.join(args.out, _DIFFERENCES)),
+                       {method: ([diff_mean[:, per_context]], [diff_var[:, per_context]])})
     manifest.write(args.out)
     return 0
 
@@ -747,44 +756,6 @@ def _effects_from_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(deltas, dtype=float), np.array(sds, dtype=float)
 
 
-_RESULT_COLUMNS = ("update", "context", "content_a", "content_b", "diff_mean",
-                   "diff_var")
-
-
-def _final_differences_csv(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair's final-update difference in a comparison or decision CSV,
-    in the order the pairs first appear; none for a file without the
-    comparison columns.
-
-    Rows of other methods are ignored when the file has a ``method``
-    column. ``analyze``'s context-pooled rows are skipped too: each is a
-    traffic-weighted mean of the per-context rows already counted, not
-    independent evidence.
-    """
-    with _csv_reader(path, "results file") as reader:
-        column = {field: i for i, field in enumerate(next(reader, []))}
-        if not set(_RESULT_COLUMNS) <= column.keys():
-            return np.empty(0), np.empty(0)
-        i_update, i_ctx, i_a, i_b, i_d, i_v = map(column.get, _RESULT_COLUMNS)
-        i_rep, i_method = column.get("rep"), column.get("method")
-        finals = {}
-        try:
-            for row in reader:
-                if not row or (i_method is not None and row[i_method] != method):
-                    continue
-                if row[i_ctx] == _POOLED_CONTEXT:
-                    continue
-                key = ("" if i_rep is None else row[i_rep], row[i_ctx], row[i_a], row[i_b])
-                update = int(row[i_update])
-                prev = finals.get(key)
-                if prev is None or update > prev[0]:
-                    finals[key] = (update, row[i_d], row[i_v])
-            return (np.array([float(mean) for _, mean, _ in finals.values()]),
-                    np.array([float(var) for _, _, var in finals.values()]))
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"malformed results file {path!r}: {exc}") from exc
-
-
 def _npy_header(member) -> tuple[tuple[int, ...], np.dtype]:
     """The shape and dtype of the ``.npy`` zip member ``member``, read up to
     its data; ``ValueError`` unless they are a C-ordered float64
@@ -811,8 +782,8 @@ def _npy_block(member, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
 
 def _final_differences_npz(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Each (repetition, pair)'s last informative difference in the
-    ``differences.npz`` at ``path``, repetition-major, as ``decisions.csv``
-    gives them; none if the file holds no arrays of ``method``. One
+    ``differences.npz`` at ``path``, repetition-major in the file's pair
+    order; none if the file holds no arrays of ``method``. One
     repetition's block of each array is read at a time."""
     names = [f"{method}.{field}.npy" for field in _DIFFERENCE_FIELDS]
     try:
@@ -842,31 +813,20 @@ def _final_differences_npz(path: str, method: str) -> tuple[np.ndarray, np.ndarr
 
 
 def _effects_from_results_dir(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(delta, noise_sd)`` corpus of every pair's final difference in
-    the comparison and decision files under ``path``.
-
-    Files are read in the order of a walk with each directory's names
-    sorted. In a directory that holds ``simulate``'s ``differences.npz``,
-    that file is read in place of the ``decisions.csv`` beside it, at that
-    file's place in the walk: it holds the same final differences, without
-    parsing the decision text. Every other ``.csv`` is scanned by
-    ``_final_differences_csv``.
-    """
+    """The ``(delta, noise_sd)`` corpus of every (repetition, pair)'s final
+    difference in the ``differences.npz`` files under ``path``, read in the
+    order of a walk with each directory's names sorted; an ``InputError``
+    if there is none."""
     diff_mean, diff_var = [], []
-    for root, _, files in os.walk(path):
-        names = {name for name in files if name.endswith(".csv")}
-        arrays = _DIFFERENCES in files
-        if arrays:
-            names.add("decisions.csv")
-        for name in sorted(names):
-            if arrays and name == "decisions.csv":
-                d, v = _final_differences_npz(os.path.join(root, _DIFFERENCES), method)
-            else:
-                d, v = _final_differences_csv(os.path.join(root, name), method)
+    for root, dirs, files in os.walk(path):
+        dirs.sort()  # os.walk lists them in the filesystem's order
+        if _DIFFERENCES in files:
+            d, v = _final_differences_npz(os.path.join(root, _DIFFERENCES), method)
             diff_mean.append(d)
             diff_var.append(v)
-    return effects_from_differences(np.concatenate([np.empty(0), *diff_mean]),
-                                    np.concatenate([np.empty(0), *diff_var]))
+    if not diff_mean:
+        raise InputError(f"no {_DIFFERENCES} under results directory {path!r}")
+    return effects_from_differences(np.concatenate(diff_mean), np.concatenate(diff_var))
 
 
 _HASH_BLOCK = 1 << 12  # effects
@@ -977,9 +937,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lt = sub.add_parser("learn-tau", help="learn the effect-size dispersion")
     p_lt.add_argument("effects", help="effects CSV (delta,noise_sd) or a "
-                      "results directory holding comparison CSVs")
+                      "results directory holding differences.npz files")
     p_lt.add_argument("--method", default="hierarchical",
-                      help="method filter when scanning a results directory")
+                      help="method whose arrays are read from each "
+                      "differences.npz of a results directory")
     p_lt.add_argument("--seed", type=int, default=0,
                       help="recorded in the manifest; the quadrature result "
                       "does not depend on it")

@@ -7,7 +7,6 @@ import os
 import platform
 import stat
 import time
-import tracemalloc
 import zipfile
 from dataclasses import replace
 
@@ -20,6 +19,7 @@ from hbab.cli import _atomic_write, _effects_from_results_dir, main
 from hbab.design import enumerate_cells, spec_from_dict, spec_to_dict
 from hbab.estimate import mle_estimates
 from hbab.glm import CountData
+from hbab.metaprior import effects_from_differences
 from hbab.seqtest import TauSpec, run_all_comparisons, sequential_trace
 from hbab.sim import _rep_seed_sequences, desk_scenario, run_repetition, stream_updates
 
@@ -125,6 +125,43 @@ def default_counts(updates=2, n=50):
             for ctx in ("c0", "c1"):
                 rows.append((u, msg, ctx, n, int(rng.binomial(n, rate))))
     return rows
+
+
+def scan_final_differences(directory, method):
+    """The reference corpus of a results directory: each pair's final
+    (diff_mean, diff_var) in every ``comparisons.csv`` and ``decisions.csv``
+    under ``directory``, in the order of a sorted walk and of each pair's
+    first row, without the rows of other methods or of analyze's pooled
+    context."""
+    means, variances = [], []
+    for root, dirs, files in os.walk(directory):
+        dirs.sort()
+        for name in sorted({"comparisons.csv", "decisions.csv"} & set(files)):
+            finals = {}
+            with open(os.path.join(root, name), newline="") as fh:
+                for r in csv.DictReader(fh):  # each pair's updates ascend
+                    if r.get("method", method) == method and r["context"] != "marginal":
+                        key = (r.get("rep"), r["context"], r["content_a"], r["content_b"])
+                        finals[key] = float(r["diff_mean"]), float(r["diff_var"])
+            means += (d for d, _ in finals.values())
+            variances += (v for _, v in finals.values())
+    return means, variances
+
+
+def learn_tau_run(effects, out, method):
+    """``learnt_tau.json`` and the config hash of ``learn-tau`` on
+    ``effects`` with ``--method method``."""
+    assert main(["learn-tau", str(effects), "--method", method, "--out", str(out)]) == 0
+    return (out / "learnt_tau.json").read_bytes(), config_hash(out)
+
+
+def reference_learn_tau_run(directory, out, method):
+    """``learn_tau_run`` on an effects CSV of ``scan_final_differences``."""
+    delta, noise_sd = effects_from_differences(*scan_final_differences(directory, method))
+    effects = out.parent / f"{out.name}.csv"
+    effects.write_text("delta,noise_sd\n" + "".join(
+        "%r,%r\n" % pair for pair in zip(delta.tolist(), noise_sd.tolist())))
+    return learn_tau_run(effects, out, method)
 
 
 class TestSimulate:
@@ -869,6 +906,23 @@ def test_analyze_reproduces_a_simulated_repetition(tmp_path):
     for i, trace in enumerate((t.diff_mean, t.diff_var, t.p_min)):
         assert np.array_equal(traces[..., i], trace, equal_nan=True)
 
+    # The raw differences, zero variances included, bit for bit.
+    with np.load(out / "differences.npz", allow_pickle=False) as arrays:
+        assert sorted(arrays.files) == ["mle.diff_mean", "mle.diff_var"]
+        for field in ("diff_mean", "diff_var"):
+            got, expected = arrays[f"mle.{field}"], getattr(rep, field)["mle"]
+            assert got.shape == (1, *expected.shape)
+            assert np.array_equal(got[0], expected, equal_nan=True)
+            assert got[0].tobytes() == np.asarray(expected, "<f8").tobytes()
+
+    # simulate's record of the same repetition gives learn-tau the same corpus.
+    cfg = write_json(tmp_path / "cfg.json", {"methods": ["mle"], "repetitions": 1})
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scale", "desk", "--config", cfg, "--seed", "11",
+                 "--out", str(sim)]) == 0
+    assert (learn_tau_run(sim, tmp_path / "tau-sim", "mle")
+            == learn_tau_run(out, tmp_path / "tau-analyze", "mle"))
+
 
 class TestLearnTau:
     def effects_file(self, tmp_path, deltas, sd=0.02):
@@ -951,76 +1005,93 @@ class TestLearnTau:
                                       b'delta,noise_sd\n0.1,"%s"\n' % (b"9" * 200_000)],
                              ids=["not-utf8", "field-past-the-csv-limit"])
     def test_effects_that_are_not_a_utf8_csv_exit_2(self, tmp_path, capsys, data):
-        res = tmp_path / "res"
-        res.mkdir()
-        (res / "comparisons.csv").write_bytes(
-            b"update,context,content_a,content_b,diff_mean,diff_var\n" + data)
         (tmp_path / "effects.csv").write_bytes(data)
-        for path in ("effects.csv", "res"):
-            out = tmp_path / "o"
-            assert main(["learn-tau", str(tmp_path / path), "--out", str(out)]) == 2
-            assert "malformed" in capsys.readouterr().err
-            assert not out.exists()
+        out = tmp_path / "o"
+        assert main(["learn-tau", str(tmp_path / "effects.csv"), "--out", str(out)]) == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_singleton_corpus_exits_2(self, tmp_path):
         path = self.effects_file(tmp_path, [0.1])
         assert main(["learn-tau", path, "--out", str(tmp_path / "o")]) == 2
 
-    def test_reads_results_directory(self, tmp_path):
-        rows = default_counts(updates=2, n=400)
+    @staticmethod
+    def analyze_dir(tmp_path, rows, method="mle"):
         design = write_json(tmp_path / "design.json", TINY_DESIGN)
         counts = write_counts(tmp_path / "counts.csv", rows)
-        res = tmp_path / "res"
+        res = tmp_path / f"res-{method}"
         assert main(["analyze", "--design", design, "--counts", counts,
-                     "--method", "mle", "--out", str(res)]) == 0
-        out = tmp_path / "tau"
-        assert main(["learn-tau", str(res), "--out", str(out)]) == 0
-        payload = json.loads((out / "learnt_tau.json").read_text())
-        assert payload["n_effects"] == 2  # 2 contexts; the marginal row is skipped
+                     "--method", method, "--out", str(res)]) == 0
+        return res
 
-    def test_results_directory_keeps_only_each_pairs_final_difference(self, tmp_path):
-        # 3,000 pairs over two updates in simulate's 14-column layout. Kept
-        # whole, the final rows peak at about 3.8 MB; their two difference
-        # fields at about 2.2 MB.
-        lines = ["rep,update,method,tau_kind,context,content_a,content_b,truth,"
-                 "diff_mean,diff_var,bayes_factor,p_instant,p_min,significant\n"]
-        for rep in range(5):
-            for ctx in range(100):
-                for pair in range(6):
-                    for update in (1, 2):
-                        lines.append(f"{rep},{update},mle,fixed,c{ctx},m{pair},m{pair + 1},"
-                                     f"h1,0.{rep}{ctx:03d}{pair}{update}1234567,"
-                                     "0.0012345678901234567,1.2345678901234567,1,1,0\n")
-        (tmp_path / "decisions.csv").write_text("".join(lines))
-        tracemalloc.start()
-        try:
-            delta, noise_sd = _effects_from_results_dir(str(tmp_path), "mle")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert delta.shape == noise_sd.shape == (3000,)
-        assert delta[-1] == pytest.approx(0.4099521234567)
-        assert peak < 3.0e6
+    def test_reads_results_directory(self, tmp_path):
+        res = self.analyze_dir(tmp_path, default_counts(updates=2, n=400))
+        out = tmp_path / "tau"
+        assert main(["learn-tau", str(res), "--method", "mle", "--out", str(out)]) == 0
+        payload = json.loads((out / "learnt_tau.json").read_text())
+        assert payload["n_effects"] == 2  # 2 contexts; pooled pairs are not in the record
+
+    def test_method_an_analyze_run_did_not_fit_exits_2(self, tmp_path, capsys):
+        # An MLE run holds no hierarchical differences, the default --method.
+        res = self.analyze_dir(tmp_path, default_counts(updates=2, n=400))
+        out = tmp_path / "tau"
+        assert main(["learn-tau", str(res), "--out", str(out)]) == 2
+        assert "need at least 2 effect observations, found 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, learnt", [("mle", "mle"), ("hb", "hierarchical")])
+    def test_analyze_run_gives_its_comparisons_corpus(self, tmp_path, monkeypatch, method,
+                                                      learnt):
+        import hbab.cli
+
+        # A short sampler: this checks what is read, not how well a fit mixes.
+        monkeypatch.setattr(hbab.cli, "ANALYZE_SAMPLER", replace(
+            hbab.cli.ANALYZE_SAMPLER, warmup_draws=150, kept_draws=100, max_tree_depth=4))
+        # Context c0 has no responses at update 1, so its pair is first
+        # informative at update 2.
+        rows = [(u, m, c, n, 0 if (u, c) == (1, "c0") else r)
+                for u, m, c, n, r in default_counts(updates=3, n=400)]
+        res = self.analyze_dir(tmp_path, rows, method)
+        assert (learn_tau_run(res, tmp_path / "tau", learnt)
+                == reference_learn_tau_run(res, tmp_path / "reference", learnt))
+
+    def test_results_directory_walk_is_sorted(self, tmp_path):
+        # Subdirectories made in sorted order; os.walk lists them in the
+        # filesystem's order, which on ext4 is not sorted.
+        for i, name in enumerate("abcdefgh"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "differences.npz").write_bytes(self.npz_bytes(**{
+                "mle.diff_mean": np.array([[[i + 0.25, i + 0.5]]]),
+                "mle.diff_var": np.array([[[(i + 1) / 64, (i + 1) / 16]]])}))
+        delta, noise_sd = _effects_from_results_dir(str(tmp_path), "mle")
+        assert delta.tolist() == [i + f for i in range(8) for f in (0.25, 0.5)]
+        assert noise_sd.tolist() == [math.sqrt((i + 1) / d) for i in range(8)
+                                     for d in (64, 16)]
 
     def test_results_directory_skips_an_infinite_variance(self, tmp_path):
         res = tmp_path / "res"
         res.mkdir()
-        (res / "comparisons.csv").write_text(
-            "update,context,content_a,content_b,diff_mean,diff_var\n"
-            "1,c0,m0,m1,0.1,0.01\n"
-            "1,c1,m0,m1,0.2,inf\n"
-            "1,c2,m0,m1,0.3,0.02\n"
-        )
+        (res / "differences.npz").write_bytes(self.npz_bytes(**{
+            "mle.diff_mean": np.array([[[0.1, 0.2, 0.3]]]),
+            "mle.diff_var": np.array([[[0.01, math.inf, 0.02]]])}))
         out = tmp_path / "o"
-        assert main(["learn-tau", str(res), "--out", str(out)]) == 0
+        assert main(["learn-tau", str(res), "--method", "mle", "--out", str(out)]) == 0
         assert json.loads((out / "learnt_tau.json").read_text())["n_effects"] == 2
+
+    @staticmethod
+    def assert_no_differences_file(res, out, method, capsys):
+        assert main(["learn-tau", str(res), "--method", method, "--out", str(out)]) == 2
+        assert (f"no differences.npz under results directory {str(res)!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("methods, method", [
         (["mle"], "mle"),
         (["mle", "hierarchical"], "mle"),
         (["mle", "hierarchical"], "hierarchical"),
     ])
-    def test_differences_file_gives_the_decisions_corpus(self, tmp_path, methods, method):
+    def test_differences_file_gives_the_decisions_corpus(self, tmp_path, capsys, methods,
+                                                         method):
         if methods == ["mle"]:
             args = ["--scale", "desk", "--config",
                     write_json(tmp_path / "cfg.json", {"methods": methods})]
@@ -1028,28 +1099,23 @@ class TestLearnTau:
             args = ["--config", write_json(tmp_path / "cfg.json", TINY_SCENARIO)]
         res = tmp_path / "res"
         assert main(["simulate", *args, "--seed", "3", "--out", str(res)]) == 0
-
-        def learn(out):
-            assert main(["learn-tau", str(res), "--method", method, "--out", str(out)]) == 0
-            return (out / "learnt_tau.json").read_bytes(), config_hash(out)
-
-        with_file = learn(tmp_path / "with")
+        assert (learn_tau_run(res, tmp_path / "with", method)
+                == reference_learn_tau_run(res, tmp_path / "reference", method))
+        # Without the file, decisions.csv is not read in its place.
         (res / "differences.npz").unlink()
-        assert learn(tmp_path / "without") == with_file
+        self.assert_no_differences_file(res, tmp_path / "without", method, capsys)
 
     def test_decisions_csv_beside_a_differences_file_is_not_read(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"methods": ["mle"]})
         res = tmp_path / "res"
         assert main(["simulate", "--scale", "desk", "--config", cfg, "--seed", "3",
                      "--out", str(res)]) == 0
-        # Not UTF-8: reading it exits 2.
+        # Not UTF-8: reading it would exit 2.
         (res / "decisions.csv").write_bytes(b"\xff")
         assert main(["learn-tau", str(res), "--method", "mle",
                      "--out", str(tmp_path / "o")]) == 0
         (res / "differences.npz").unlink()
-        assert main(["learn-tau", str(res), "--method", "mle",
-                     "--out", str(tmp_path / "o2")]) == 2
-        assert "malformed results file" in capsys.readouterr().err
+        self.assert_no_differences_file(res, tmp_path / "o2", "mle", capsys)
 
     @staticmethod
     def npz_bytes(**arrays) -> bytes:
@@ -1107,21 +1173,20 @@ class TestLearnTau:
 
     def test_differences_file_without_the_method_adds_no_effects(self, tmp_path):
         res = tmp_path / "res"
-        res.mkdir()
+        for name in ("hb", "mle"):
+            (res / name).mkdir(parents=True)
         block = np.full((2, 3, 4), 0.5)
-        (res / "differences.npz").write_bytes(self.npz_bytes(**{
+        (res / "hb" / "differences.npz").write_bytes(self.npz_bytes(**{
             "hierarchical.diff_mean": block, "hierarchical.diff_var": block}))
-        (res / "comparisons.csv").write_text(
-            "update,context,content_a,content_b,diff_mean,diff_var\n"
-            "1,c0,m0,m1,0.1,0.01\n"
-            "1,c1,m0,m1,0.3,0.02\n"
-        )
+        (res / "mle" / "differences.npz").write_bytes(self.npz_bytes(**{
+            "mle.diff_mean": np.array([[[0.1, 0.3]]]),
+            "mle.diff_var": np.array([[[0.01, 0.02]]])}))
         out = tmp_path / "o"
         assert main(["learn-tau", str(res), "--method", "mle", "--out", str(out)]) == 0
         assert json.loads((out / "learnt_tau.json").read_text())["n_effects"] == 2
         assert main(["learn-tau", str(res), "--method", "hierarchical",
                      "--out", str(out)]) == 0
-        assert json.loads((out / "learnt_tau.json").read_text())["n_effects"] == 10
+        assert json.loads((out / "learnt_tau.json").read_text())["n_effects"] == 8
 
     @pytest.mark.parametrize("rows", ["-1e-160,1e-160\n5e-324,1e-160\n",
                                       "0,1e-160\n0,1e-160\n"])
@@ -1135,17 +1200,6 @@ class TestLearnTau:
         assert ("the tau posterior has no finite mode for these effects"
                 in capsys.readouterr().err)
         assert not out.exists()
-
-    def test_short_row_in_results_directory_exits_2(self, tmp_path, capsys):
-        res = tmp_path / "res"
-        res.mkdir()
-        (res / "comparisons.csv").write_text(
-            "update,context,content_a,content_b,diff_mean,diff_var\n"
-            "1,c0,m0,m1,0.1,0.01\n"
-            "1,c1,m0\n"
-        )
-        assert main(["learn-tau", str(res), "--out", str(tmp_path / "o")]) == 2
-        assert "malformed results file" in capsys.readouterr().err
 
 
 class TestOracleCheck:

@@ -1,8 +1,8 @@
-"""Byte pins of small MLE ``simulate`` runs.
+"""Byte pins of small MLE ``simulate`` runs and of an MLE ``analyze`` run.
 
 The SHA-256 of every file a run writes besides ``manifest.json``, and of
-its ``config_hash``. A refactor of ``design``, ``sim``, ``seqtest`` or the
-CLI writers that changes a single byte shows here. The hashes are the
+its ``config_hash``. A refactor of ``design``, ``sim``, ``seqtest``,
+``estimate`` or the CLI writers that changes a single byte shows here. The hashes are the
 results of this platform's libm, as the references in ``bench/reference``
 are: another libm may differ in the last bit of a float and so in a hash.
 """
@@ -74,3 +74,45 @@ def test_simulate_outputs_are_pinned(tmp_path, name):
            for p in out.iterdir() if p.name != "manifest.json"}
     got["config_hash"] = json.loads((out / "manifest.json").read_text())["config_hash"]
     assert got == expected
+
+
+# A 3 x 2 design over four looks of fixed counts. Context c0 has no
+# responses at look 1, so its pairs are first informative at look 2.
+ANALYZE_DESIGN = {"factors": [
+    {"name": "msg", "role": "content", "values": ["m0", "m1", "m2"]},
+    {"name": "ctx", "role": "context", "values": ["c0", "c1"]},
+]}
+
+ANALYZE_PINS = {
+    "estimates.csv": "3b331bf7ab37b2ec32f52c0e826cfd779bb1eb717cc26fa40b4c376f2336abb8",
+    "marginal_estimates.csv": "8c6129b8fab8633722fd6d8743d05f9493a3dc2aa37958f16f0d3454041d56de",
+    "comparisons.csv": "289c9cdb3cf4cb521514158883b2f7486dc771b14aefa8746b71093a5cf2f9fd",
+    "differences.npz": "47b045ca40c25d2cf712ba175f079110b3e9ba5eb2241c2326f75122787453f2",
+    "config_hash": "72bd7b700fdd72f583a720bf01379661eaa1be7429abb58050ed9f230fb0ab01",
+}
+
+
+def analyze_counts() -> str:
+    lines = ["update,msg,ctx,assignments,responses"]
+    for u in range(1, 5):
+        for m, msg in enumerate(("m0", "m1", "m2")):
+            for c, ctx in enumerate(("c0", "c1")):
+                responses = 20 + (7 * u + 5 * m + 3 * c) % 13
+                if (u, ctx) == (1, "c0"):
+                    responses = 0
+                lines.append(f"{u},{msg},{ctx},{150 + 10 * c},{responses}")
+    return "\n".join(lines) + "\n"
+
+
+def test_analyze_outputs_are_pinned(tmp_path):
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(ANALYZE_DESIGN))
+    counts = tmp_path / "counts.csv"
+    counts.write_text(analyze_counts())
+    out = tmp_path / "out"
+    assert main(["analyze", "--design", str(design), "--counts", str(counts),
+                 "--method", "mle", "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir() if p.name != "manifest.json"}
+    got["config_hash"] = json.loads((out / "manifest.json").read_text())["config_hash"]
+    assert got == ANALYZE_PINS
