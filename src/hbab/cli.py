@@ -780,17 +780,22 @@ def _npy_block(member, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(data, dtype).reshape(shape)
 
 
-def _final_differences_npz(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+def _final_differences_npz(
+    path: str, method: str
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Each (repetition, pair)'s last informative difference in the
     ``differences.npz`` at ``path``, repetition-major in the file's pair
-    order; none if the file holds no arrays of ``method``. One
-    repetition's block of each array is read at a time."""
+    order, and the methods the file holds arrays of; no differences if
+    ``method`` is not one of them. One repetition's block of each array is
+    read at a time."""
     names = [f"{method}.{field}.npy" for field in _DIFFERENCE_FIELDS]
+    suffix = f".{_DIFFERENCE_FIELDS[0]}.npy"
     try:
         with zipfile.ZipFile(path) as archive:
+            held = [name[:-len(suffix)] for name in archive.namelist() if name.endswith(suffix)]
             present = [name in archive.namelist() for name in names]
             if not any(present):
-                return np.empty(0), np.empty(0)
+                return np.empty(0), np.empty(0), held
             if not all(present):
                 raise ValueError(f"{names[present.index(False)]} is missing")
             with archive.open(names[0]) as means, archive.open(names[1]) as variances:
@@ -809,23 +814,28 @@ def _final_differences_npz(path: str, method: str) -> tuple[np.ndarray, np.ndarr
         raise InputError(f"cannot read differences file: {exc}") from exc
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise InputError(f"malformed differences file {path!r}: {exc}") from exc
-    return d, v
+    return d, v, held
 
 
 def _effects_from_results_dir(path: str, method: str) -> tuple[np.ndarray, np.ndarray]:
     """The ``(delta, noise_sd)`` corpus of every (repetition, pair)'s final
     difference in the ``differences.npz`` files under ``path``, read in the
     order of a walk with each directory's names sorted; an ``InputError``
-    if there is none."""
-    diff_mean, diff_var = [], []
+    if there is none, or if none holds differences of ``method``."""
+    diff_mean, diff_var, held = [], [], set()
     for root, dirs, files in os.walk(path):
         dirs.sort()  # os.walk lists them in the filesystem's order
         if _DIFFERENCES in files:
-            d, v = _final_differences_npz(os.path.join(root, _DIFFERENCES), method)
+            d, v, methods = _final_differences_npz(os.path.join(root, _DIFFERENCES), method)
             diff_mean.append(d)
             diff_var.append(v)
+            held.update(methods)
     if not diff_mean:
         raise InputError(f"no {_DIFFERENCES} under results directory {path!r}")
+    if method not in held:
+        raise InputError(
+            f"no {method} differences in the {_DIFFERENCES} files under results directory "
+            f"{path!r}; they hold {', '.join(sorted(held)) or 'none'} (see --method)")
     return effects_from_differences(np.concatenate(diff_mean), np.concatenate(diff_var))
 
 

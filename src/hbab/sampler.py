@@ -11,13 +11,16 @@ chain's stream never depends on how many chains run.
 Warmup follows Stan's scheme of a step-only initial buffer, metric windows
 that double in length and a step-only tail, with a short buffer: 25
 transitions, a first window of 25 draws and a 50-transition tail, so 250
-warmup draws set metrics after transitions 50, 100 and 200. On the
-identity metric, a rank-deficient hierarchical fit needs a tiny step and
-runs nearly every trajectory to the depth cap; the buffer only has to bring
-the chain near the posterior bulk, since the curvature supplies most of the
-first metric. A curvature metric at the random starting point itself does
-not work: there many cell logits are saturated and the stiff directions
-are missed.
+warmup draws set metrics after transitions 50, 100 and 200. A run without a
+warm start starts at a random point on the identity metric. There a
+rank-deficient hierarchical fit needs a tiny step and runs nearly every
+trajectory to the depth cap; the buffer only has to bring the chain near
+the posterior bulk, since the curvature supplies most of the first metric.
+A curvature metric at a random starting point does not work: there many
+cell logits are saturated and the stiff directions are missed. So the
+hierarchical model never samples that way: ``glm.fit_posterior`` hands
+every fit without an earlier one a warm start drawn from a nested Laplace
+approximation (below).
 
 The metric (inverse mass matrix) starts as the identity. At each window
 end it is rebuilt from the window's ``n`` draws and the curvature of the
@@ -44,6 +47,8 @@ integrator unstable, and a chain that wanders in rejects nearly every
 trajectory until it finds its way out. So the kept step is also bounded by
 the curvature at the stiffest warmup states: a few, picked by their
 whitened gradients, each probed with a Hessian (``2 * dim`` density calls).
+A chain started in the bulk visits few states outside it during warmup, so
+a warm start may name more states to pick from, its ``probes``.
 
 A sequential test refits the same model to slightly more data at every
 look, and each posterior is close to the one before. A run therefore
@@ -54,10 +59,16 @@ rule above from the pooled draws and the new target's curvature at their
 mean. It drops the first window end, so 250 warmup draws set metrics
 after transitions 100 and 200; the buffer, the tail, the step search and
 the step bound are a cold run's. What this skips is the identity-metric
-phase, which costs a cold run about 40% of its density calls. Warm
-chains are not dispersed starts, so their split R-hat checks that the
-chains agree with each other, not that they have forgotten where they
-started.
+phase, which costs a cold run about 40% of its density calls. A
+``WarmStart`` need not come from a run: the hierarchical model's first fit
+builds one from independent draws of its nested Laplace approximation,
+one per chain and about 300 pooled, which are also its probes. ``sample``
+takes such a start as the function that builds it and runs that function,
+and the first metric, in the processes that run the chains, so the
+calling process holds none of their working memory. Warm chains started
+at a previous run's positions are not dispersed starts, so their split
+R-hat checks that the chains agree with each other, not that they have
+forgotten where they started.
 
 Chains share no state, so a fit runs them at the same time with
 ``fork_map``: over one forked process per chain, up to the CPUs the
@@ -201,10 +212,13 @@ class Diagnostics:
 class WarmStart:
     """What a fit hands to the next fit of a nearby target, in the sampler's
     own coordinates: each chain's last kept position [chains, dim] and all
-    kept draws pooled over chains [n, dim]."""
+    kept draws pooled over chains [n, dim]. A start built for the target
+    itself may also name ``probes`` [k, dim], states of the target that
+    ``_stable_step`` weighs beside each chain's warmup states."""
 
     positions: np.ndarray
     draws: np.ndarray
+    probes: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -214,8 +228,9 @@ class PosteriorSamples:
     ``warm_start`` carries the raw kept state of the run into a later
     ``sample`` call, whatever coordinates the draws are reported in.
     ``gradient_evaluations`` counts each chain's density-and-gradient
-    calls, wherever the chain ran; the ``2 * dim`` calls of a warm start's
-    first metric are the run's, not a chain's, and are not counted.
+    calls, wherever the chain ran, a warm start's probes among them; the
+    calls that build a warm start and its first metric are the run's, not
+    a chain's, and are not counted.
     """
 
     draws: np.ndarray
@@ -536,8 +551,9 @@ def _run_chain(target, config, chain_seed, warm=None):
 
     A cold chain (``warm`` None) starts at a uniform draw from [-1, 1]^dim
     on the identity metric. A warm chain starts at ``warm = (position,
-    metric)`` and drops the first window end, whose only job is to leave
-    the identity metric; its first window runs on to the second end.
+    metric, probes)`` and drops the first window end, whose only job is to
+    leave the identity metric; its first window runs on to the second end.
+    The kept step's bound also weighs the ``probes`` states, if any.
     """
     calls = 0
 
@@ -549,11 +565,12 @@ def _run_chain(target, config, chain_seed, warm=None):
     dim = target.dim
     rng = np.random.Generator(np.random.Philox(chain_seed))
     init_buffer, window_ends = _adaptation_windows(config.warmup_draws)
+    probes = None
     if warm is None:
         q = rng.uniform(-1.0, 1.0, dim)
         inv_mass = mass_factor = np.eye(dim)
     else:
-        q, inv_mass = warm
+        q, inv_mass, probes = warm
         mass_factor = _momentum_factor(inv_mass)
         window_ends = window_ends[1:]
 
@@ -584,6 +601,8 @@ def _run_chain(target, config, chain_seed, warm=None):
             averager = _DualAveraging(step, TARGET_ACCEPT)
 
     step = averager.adapted_step if config.warmup_draws > 0 else averager.step
+    if probes is not None:
+        visited += [(p, fn(p)[1]) for p in probes]
     if visited:
         step = min(step, _stable_step(fn, visited, inv_mass))
     draws = np.empty((config.kept_draws, dim))
@@ -733,7 +752,7 @@ _one_blas_thread = _OneBlasThread()
 def sample(
     target: TargetDensity,
     config: SamplerConfig = SamplerConfig(),
-    warm_start: WarmStart | None = None,
+    warm_start: WarmStart | Callable[[], WarmStart] | None = None,
 ) -> PosteriorSamples:
     """Draw from the target with per-chain adaptation, then freeze the step.
 
@@ -748,29 +767,41 @@ def sample(
     ``warm_start``, the ``warm_start`` of an earlier run on a nearby target
     of the same dimension and chain count, starts each chain at its
     counterpart's last kept position, on a first metric from the earlier
-    run's pooled draws and this target's curvature at their mean.
+    run's pooled draws and this target's curvature at their mean. It may
+    also be a deterministic function that builds one. The function and the
+    first metric run where the chains do, once in each process that runs
+    chains.
     """
-    if warm_start is not None and (
-        warm_start.positions.shape != (config.chains, target.dim)
-        or warm_start.draws.ndim != 2
-        or warm_start.draws.shape[1] != target.dim
-    ):
-        raise ValueError(
-            f"warm start (positions {warm_start.positions.shape}, draws "
-            f"{warm_start.draws.shape}) does not fit {config.chains} chains "
-            f"in {target.dim} dimensions"
-        )
+
+    def checked(warm):
+        if (warm.positions.shape != (config.chains, target.dim)
+                or warm.draws.ndim != 2 or warm.draws.shape[1] != target.dim):
+            raise ValueError(
+                f"warm start (positions {warm.positions.shape}, draws "
+                f"{warm.draws.shape}) does not fit {config.chains} chains "
+                f"in {target.dim} dimensions"
+            )
+        return warm
+
+    if isinstance(warm_start, WarmStart):
+        checked(warm_start)
+
+    @cache
+    def warm_and_metric():
+        warm = checked(warm_start() if callable(warm_start) else warm_start)
+        with np.errstate(**_EXPECTED_OVERFLOW):
+            return warm, _window_metric(target.log_density_and_grad, warm.draws)
+
     with _one_blas_thread:
         seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-        warm = [None] * config.chains
-        if warm_start is not None:
-            with np.errstate(**_EXPECTED_OVERFLOW):
-                inv_mass = _window_metric(target.log_density_and_grad, warm_start.draws)
-            warm = [(q, inv_mass) for q in warm_start.positions]
 
         def run(c):
+            start = None
+            if warm_start is not None:
+                warm, inv_mass = warm_and_metric()
+                start = (warm.positions[c], inv_mass, warm.probes)
             with np.errstate(**_EXPECTED_OVERFLOW):
-                return _run_chain(target, config, seeds[c], warm[c])
+                return _run_chain(target, config, seeds[c], start)
 
         chains = fork_map(run, config.chains, available_cpus())
         all_draws = np.stack([chain_draws for chain_draws, _, _ in chains], axis=1)

@@ -1036,7 +1036,21 @@ class TestLearnTau:
         res = self.analyze_dir(tmp_path, default_counts(updates=2, n=400))
         out = tmp_path / "tau"
         assert main(["learn-tau", str(res), "--out", str(out)]) == 2
-        assert "need at least 2 effect observations, found 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no hierarchical differences" in err and "they hold mle" in err
+        assert not out.exists()
+
+    def test_method_no_file_holds_names_every_method_held(self, tmp_path, capsys):
+        # One file of each method, neither the one asked for.
+        for name, method in (("a", "mle"), ("b", "hierarchical")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "differences.npz").write_bytes(self.npz_bytes(**{
+                f"{method}.diff_mean": np.array([[[0.1, 0.2]]]),
+                f"{method}.diff_var": np.array([[[0.01, 0.02]]])}))
+        out = tmp_path / "tau"
+        assert main(["learn-tau", str(tmp_path), "--method", "other", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "no other differences" in err and "they hold hierarchical, mle" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("method, learnt", [("mle", "mle"), ("hb", "hierarchical")])

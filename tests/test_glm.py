@@ -7,14 +7,16 @@ from scipy.special import expit
 
 from hbab.design import DesignMatrix, build_design_matrix
 from hbab.glm import (
+    MAX_ASSIGNMENTS,
     CountData,
     fit_posterior,
     half_cauchy_log_density_log_scale,
     make_target,
+    nested_laplace_draws,
 )
 from hbab import glm as glm_module
 from hbab import sampler as sampler_module
-from hbab.sampler import SamplerConfig, effective_sample_size, split_r_hat
+from hbab.sampler import SamplerConfig, WarmStart, effective_sample_size, sample, split_r_hat
 from tests.test_design import make_spec
 
 SPEC6 = make_spec([2, 3], [])
@@ -207,6 +209,93 @@ class TestFitPosterior:
                                                        kept_draws=200, max_tree_depth=1,
                                                        seed=1))
         assert any("cell logits mixed poorly" in w for w in s.diagnostics.warnings)
+
+
+def cell_rates(draws, X):
+    """Cell response rates of draws [..., P + 3] in the target's coordinates."""
+    P = X.cols
+    beta = draws[..., P, None] + np.exp(draws[..., P + 1, None]) * draws[..., :P]
+    return expit(beta @ X.matrix.T + draws[..., P + 2, None])
+
+
+class TestNestedLaplace:
+    """The nested Laplace mixture that every fit without a warm start
+    starts from."""
+
+    @staticmethod
+    def desk_look_1():
+        from hbab.sim import _rep_seed_sequences, desk_scenario, generate_truth, stream_updates
+
+        config = desk_scenario(seed=7)
+        truth_seed, stream_seed = _rep_seed_sequences(config, 0)
+        look = stream_updates(generate_truth(config, truth_seed), config, stream_seed)[0]
+        return CountData(look.assignments, look.responses), build_design_matrix(config.spec)
+
+    def test_mixture_agrees_with_a_long_nuts_fit(self):
+        # Desk look 1, about 10 assignments a cell, where a Gaussian in the
+        # logits is weakest. z divides each difference by its Monte-Carlo
+        # error: NUTS's from the ESS of the rates (of their squared
+        # deviations for the sd), the mixture's from its independent draws.
+        data, X = self.desk_look_1()
+        n = 4000
+        mixture = cell_rates(nested_laplace_draws(data, X, n, np.random.default_rng(1)), X)
+        s = fit_posterior(data, X, SamplerConfig(chains=2, warmup_draws=250, kept_draws=1000,
+                                                 max_tree_depth=8, seed=3))
+        nuts = expit(s.draws[..., :X.cols] @ X.matrix.T + s.draws[..., -1:])
+        mean, sd = nuts.mean(axis=(0, 1)), nuts.std(axis=(0, 1))
+        ess = effective_sample_size(nuts)
+        ess_sq = effective_sample_size((nuts - mean) ** 2)
+        m_mean, m_sd = mixture.mean(axis=0), mixture.std(axis=0)
+        z_mean = (m_mean - mean) / np.sqrt(sd**2 / ess + m_sd**2 / n)
+        z_sd = (m_sd - sd) / np.sqrt(sd**2 / (2 * ess_sq) + m_sd**2 / (2 * n))
+        for z in (z_mean, z_sd):
+            assert np.sqrt(np.mean(z**2)) < 2.0
+            assert np.abs(z).max() < 4.5
+
+    @pytest.mark.parametrize("assignments, responses", [
+        ([100] * 4, [100, 0, 50, 50]),
+        ([MAX_ASSIGNMENTS] * 4, [MAX_ASSIGNMENTS, 0, MAX_ASSIGNMENTS // 3, 7]),
+    ], ids=["separation", "max-assignments"])
+    def test_extreme_counts_give_finite_draws(self, assignments, responses):
+        # A cell at every response beside one at none; RuntimeWarnings are
+        # errors in the tests, so none was raised either.
+        X = build_design_matrix(make_spec([2], [2]))
+        draws = nested_laplace_draws(CountData(assignments, responses), X, 500,
+                                     np.random.default_rng(2))
+        assert draws.shape == (500, X.cols + 3)
+        assert np.isfinite(draws).all()
+
+    def test_deterministic_given_the_generator(self):
+        data, X = self.desk_look_1()
+        a, b = (nested_laplace_draws(data, X, 50, np.random.default_rng(5)) for _ in range(2))
+        np.testing.assert_array_equal(a, b)
+
+    def test_cold_fit_is_the_warm_path_from_the_mixture(self):
+        # Chains start at their own mixture draws and the rest are pooled
+        # and probed for the kept step; the mixture's stream is the one a
+        # spawn of one more child than the chains' adds, so the chains'
+        # streams are as they were.
+        cfg = SamplerConfig(chains=2, warmup_draws=100, kept_draws=100, max_tree_depth=6,
+                            seed=11)
+        data = TestFitPosterior.DATA
+        stream = np.random.SeedSequence(11).spawn(3)[-1]
+        start = nested_laplace_draws(data, X6, 302, np.random.Generator(np.random.Philox(stream)))
+        expected = sample(make_target(data, X6), cfg,
+                          WarmStart(start[:2], start[2:], probes=start[2:]))
+        assert np.array_equal(fit_posterior(data, X6, cfg).warm_start.draws,
+                              expected.warm_start.draws)
+
+    def test_warm_fit_builds_no_approximation(self, monkeypatch):
+        cfg = SamplerConfig(chains=2, warmup_draws=100, kept_draws=100, max_tree_depth=6,
+                            seed=12)
+        warm_start = fit_posterior(TestFitPosterior.DATA, X6, cfg).warm_start
+
+        def refused(*args):
+            raise AssertionError("a warm fit built a Laplace start")
+
+        monkeypatch.setattr(glm_module, "nested_laplace_draws", refused)
+        assert fit_posterior(TestFitPosterior.DATA, X6, cfg, warm_start).draws.shape == (
+            100, 2, X6.cols + 3)
 
 
 def test_half_cauchy_log_scale_normalized():

@@ -33,6 +33,8 @@ tmp = Path(sys.argv[1])
 codes = [
     main(["analyze", "--design", str(tmp / "design.json"), "--counts",
           str(tmp / "counts.csv"), "--method", "mle", "--out", str(tmp / "analyze")]),
+    main(["analyze", "--design", str(tmp / "design.json"), "--counts",
+          str(tmp / "counts.csv"), "--method", "hb", "--out", str(tmp / "analyze-hb")]),
     main(["simulate", "--scale", "desk", "--config", str(tmp / "cfg.json"), "--seed", "1",
           "--out", str(tmp / "simulate")]),
     main(["learn-tau", str(tmp / "simulate"), "--method", "mle",
@@ -50,4 +52,4 @@ def test_commands_import_no_scipy(tmp_path):
     subprocess.run([sys.executable, "-c", _COMMANDS, str(tmp_path)], env=env, check=True,
                    capture_output=True, timeout=300)
     result = json.loads((tmp_path / "result.json").read_text())
-    assert result == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}

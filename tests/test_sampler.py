@@ -18,6 +18,7 @@ from hbab.sampler import (
     PosteriorSamples,
     SamplerConfig,
     TargetDensity,
+    WarmStart,
     effective_sample_size,
     fork_map,
     fork_processes,
@@ -654,6 +655,32 @@ class TestWarmStart:
         )
         assert np.max(np.abs(emp - np.eye(12))) < 4 * np.sqrt(2.0 / ess)
 
+    def test_probes_join_the_kept_step_bound(self, monkeypatch):
+        # A warm start's probes are weighed beside each chain's warmup
+        # states. On a quartic target, whose curvature 3 x^2 grows away from
+        # 0, a far probe is the stiffest state, so it shortens the kept step
+        # and each kept trajectory takes more leapfrogs.
+        def quartic(x):
+            return -0.25 * float(np.sum(x**4)), -x**3
+
+        target = TargetDensity(2, quartic)
+        base = sample(target, self.CFG).warm_start
+        probes = np.array([[0.5, 0.0], [0.0, 6.0]])
+        weighed = []
+
+        def spy(fn, visited, inv_mass):
+            weighed.append(np.array([q for q, _ in visited]))
+            return _stable_step(fn, visited, inv_mass)
+
+        monkeypatch.setattr(sampler_module, "_stable_step", spy)
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 1)
+        plain = sample(target, self.CFG, base)
+        probed = sample(target, self.CFG, WarmStart(base.positions, base.draws, probes))
+        assert len(weighed) == 4
+        assert not any(np.isin(6.0, states) for states in weighed[:2])
+        assert all(np.array_equal(states[-2:], probes) for states in weighed[2:])
+        assert sum(probed.gradient_evaluations) > 1.4 * sum(plain.gradient_evaluations)
+
     def test_cold_start_draws_are_unchanged(self):
         # Pinned from the sampler before warm starts were added: a run
         # without a warm start draws exactly as it did.
@@ -669,9 +696,11 @@ class TestWarmStart:
 
     def test_hierarchical_cold_and_warm_draws_are_pinned(self):
         # Bit for bit: the SHA-256 of a desk-scale cold fit's draws and of
-        # the warm fit that follows it at the next look. Fits run at one BLAS
-        # thread, so draws at any scale do not depend on the thread count;
-        # the desk scale keeps the pin quick.
+        # the warm fit that follows it at the next look. The cold fit starts
+        # from its nested Laplace mixture, whose pooled draws are also its
+        # kept step's probes. Fits run at one BLAS thread, so
+        # draws at any scale do not depend on the thread count; the desk
+        # scale keeps the pin quick.
         from hbab.design import build_design_matrix
         from hbab.glm import CountData, fit_posterior
         from hbab.sim import _rep_seed_sequences, desk_scenario, generate_truth, stream_updates
@@ -690,7 +719,7 @@ class TestWarmStart:
         cold = fit_posterior(counts(2), X, cfg)
         warm = fit_posterior(counts(3), X, cfg, warm_start=cold.warm_start)
         digest = hashlib.sha256(cold.draws.tobytes() + warm.draws.tobytes()).hexdigest()
-        assert digest == "9e14c2c77345a858cfe3efc4fa86833ffe57a2b7b1a5549905651da1576d069e"
+        assert digest == "2ca5a693b4ea2434dadfbb93563d327625283da326ae6abd53d7f67b5664f4e2"
 
 
 class TestWindowMetric:
