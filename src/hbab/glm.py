@@ -328,7 +328,7 @@ def nested_laplace_draws(
 
 
 def _laplace_start(data: CountData, X: DesignMatrix, config: SamplerConfig) -> WarmStart:
-    """A cold fit's warm start: ``config.chains`` mixture draws of
+    """A fit's start: ``config.chains`` mixture draws of
     ``nested_laplace_draws`` as the chains' starts and ``_START_DRAWS`` more
     pooled, which are also the kept step's probes, from their own stream:
     the one a spawn of one more child than the chains' would add, so each
@@ -348,7 +348,6 @@ def fit_posterior(
     data: CountData,
     X: DesignMatrix,
     config: SamplerConfig,
-    warm_start: WarmStart | None = None,
 ) -> PosteriorSamples:
     """Run the sampler on the model and return draws in natural coordinates.
 
@@ -360,23 +359,20 @@ def fit_posterior(
     ``sigma`` and ``mu+epsilon``. Their warnings also report a fit whose
     cell logits mixed too poorly to be trusted.
 
-    ``warm_start`` is the ``warm_start`` of a fit of the same model to
-    earlier counts (see ``sampler.sample``); the result carries the
-    sampler's own for the next fit. Without one, the fit makes its own
-    from ``nested_laplace_draws``: each chain starts at its own mixture
-    draw, and ``_START_DRAWS`` more are pooled for the first metric. So no
-    fit of the model runs the sampler's identity-metric phase, which took
-    about 44% of a cold paper fit's gradients. The pooled draws are also
-    the start's probes: chains started in the bulk do not visit the
-    high-sigma neck during warmup, and the kept step must stay stable
-    there too. The approximation is built where the chains run, at one
-    BLAS thread, from the seed's stream after the chains', so the draws
-    depend only on the seed. NUTS still draws every estimate; the
-    approximation only places the start.
+    Every fit starts from its own ``nested_laplace_draws``: each chain at
+    its own mixture draw, with ``_START_DRAWS`` more pooled for the first
+    metric. So no fit of the model runs the sampler's identity-metric
+    phase, which took about 44% of a cold paper fit's gradients, and the
+    chains start dispersed, so their split R-hat also checks that they
+    forgot where they started. The pooled draws are also the start's
+    probes: chains started in the bulk do not visit the high-sigma neck
+    during warmup, and the kept step must stay stable there too. The
+    approximation is built where the chains run, at one BLAS thread, from
+    the seed's stream after the chains', so the draws depend only on the
+    data and the seed. NUTS still draws every estimate; the approximation
+    only places the start.
     """
-    if warm_start is None:
-        warm_start = partial(_laplace_start, data, X, config)
-    samples = sample(make_target(data, X), config, warm_start)
+    samples = sample(make_target(data, X), config, partial(_laplace_start, data, X, config))
     P = X.cols
 
     draws = samples.draws.copy()

@@ -19,8 +19,7 @@ the posterior bulk, since the curvature supplies most of the first metric.
 A curvature metric at a random starting point does not work: there many
 cell logits are saturated and the stiff directions are missed. So the
 hierarchical model never samples that way: ``glm.fit_posterior`` hands
-every fit without an earlier one a warm start drawn from a nested Laplace
-approximation (below).
+every fit a warm start drawn from a nested Laplace approximation (below).
 
 The metric (inverse mass matrix) starts as the identity. At each window
 end it is rebuilt from the window's ``n`` draws and the curvature of the
@@ -50,25 +49,23 @@ whitened gradients, each probed with a Hessian (``2 * dim`` density calls).
 A chain started in the bulk visits few states outside it during warmup, so
 a warm start may name more states to pick from, its ``probes``.
 
-A sequential test refits the same model to slightly more data at every
-look, and each posterior is close to the one before. A run therefore
-returns a ``WarmStart``: each chain's last kept position and all kept draws
-pooled, in the sampler's own coordinates. A later run given it starts each
-chain at its counterpart's position, on a first metric built by the window
-rule above from the pooled draws and the new target's curvature at their
-mean. It drops the first window end, so 250 warmup draws set metrics
-after transitions 100 and 200; the buffer, the tail, the step search and
-the step bound are a cold run's. What this skips is the identity-metric
-phase, which costs a cold run about 40% of its density calls. A
-``WarmStart`` need not come from a run: the hierarchical model's first fit
-builds one from independent draws of its nested Laplace approximation,
-one per chain and about 300 pooled, which are also its probes. ``sample``
-takes such a start as the function that builds it and runs that function,
-and the first metric, in the processes that run the chains, so the
-calling process holds none of their working memory. Warm chains started
-at a previous run's positions are not dispersed starts, so their split
-R-hat checks that the chains agree with each other, not that they have
-forgotten where they started.
+A run given a ``WarmStart``, a position per chain and pooled draws in the
+sampler's own coordinates, starts each chain at its position, on a first
+metric built by the window rule above from the pooled draws and the
+target's curvature at their mean. It drops the first window end, so 250
+warmup draws set metrics after transitions 100 and 200; the buffer, the
+tail, the step search and the step bound are a cold run's. What this skips
+is the identity-metric phase, which costs a cold run about 40% of its
+density calls. The hierarchical model builds a start for every fit from
+independent draws of its nested Laplace approximation, one per chain and
+about 300 pooled, which are also its probes. So its chains start
+dispersed, and their split R-hat checks that they have forgotten where
+they started. A sequential test fits every look this way, independently:
+a start carried from the previous look's draws saved gradients only by
+leaving out the probes, and with them cost what the Laplace start costs.
+``sample`` takes a start as the function that builds it and runs that
+function, and the first metric, in the processes that run the chains, so
+the calling process holds none of their working memory.
 
 Chains share no state, so a fit runs them at the same time with
 ``fork_map``: over one forked process per chain, up to the CPUs the
@@ -210,11 +207,11 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class WarmStart:
-    """What a fit hands to the next fit of a nearby target, in the sampler's
-    own coordinates: each chain's last kept position [chains, dim] and all
-    kept draws pooled over chains [n, dim]. A start built for the target
-    itself may also name ``probes`` [k, dim], states of the target that
-    ``_stable_step`` weighs beside each chain's warmup states."""
+    """Where a run starts, in the sampler's own coordinates: each chain's
+    first position [chains, dim] and draws [n, dim] near the target's bulk,
+    pooled for the first metric. It may also name ``probes`` [k, dim],
+    states of the target that ``_stable_step`` weighs beside each chain's
+    warmup states."""
 
     positions: np.ndarray
     draws: np.ndarray
@@ -225,8 +222,6 @@ class WarmStart:
 class PosteriorSamples:
     """Kept draws with shape [kept_draws, chains, dim] plus diagnostics.
 
-    ``warm_start`` carries the raw kept state of the run into a later
-    ``sample`` call, whatever coordinates the draws are reported in.
     ``gradient_evaluations`` counts each chain's density-and-gradient
     calls, wherever the chain ran, a warm start's probes among them; the
     calls that build a warm start and its first metric are the run's, not
@@ -236,7 +231,6 @@ class PosteriorSamples:
     draws: np.ndarray
     parameter_labels: tuple[str, ...]
     diagnostics: Diagnostics
-    warm_start: WarmStart | None = None
     gradient_evaluations: tuple[int, ...] = ()
 
     def flat(self) -> np.ndarray:
@@ -764,13 +758,12 @@ def sample(
     diagnostics warnings rather than raised, since the draws may still be
     usable.
 
-    ``warm_start``, the ``warm_start`` of an earlier run on a nearby target
-    of the same dimension and chain count, starts each chain at its
-    counterpart's last kept position, on a first metric from the earlier
-    run's pooled draws and this target's curvature at their mean. It may
-    also be a deterministic function that builds one. The function and the
-    first metric run where the chains do, once in each process that runs
-    chains.
+    ``warm_start``, a ``WarmStart`` for this target's dimension and chain
+    count, starts each chain at its own position, on a first metric from
+    the start's pooled draws and the target's curvature at their mean. It
+    may also be a deterministic function that builds one. The function and
+    the first metric run where the chains do, once in each process that
+    runs chains.
     """
 
     def checked(warm):
@@ -819,8 +812,7 @@ def sample(
                 "posterior geometry is likely pathological"
             )
         diag = Diagnostics.of(all_draws, labels, divergences, warnings)
-        carried = WarmStart(all_draws[-1].copy(), all_draws.reshape(-1, target.dim).copy())
-        return PosteriorSamples(all_draws, tuple(labels), diag, carried,
+        return PosteriorSamples(all_draws, tuple(labels), diag,
                                 tuple(calls for _, _, calls in chains))
 
 

@@ -357,20 +357,18 @@ def look_estimates(
     ``increments`` are the per-look counts and ``seeds`` the hierarchical
     fit's seed at each look. For each look, yields the cumulative counts,
     one ``CellEstimates`` per method of ``methods`` (drawn from
-    ``METHODS``) and the warnings of the hierarchical fit, which is
-    warm-started from the previous look's.
+    ``METHODS``) and the warnings of the hierarchical fit. Each look's fit
+    is independent: only the cumulative counts pass from one look to the
+    next, so a look's estimates depend on its counts and its seed alone.
     """
     cum_a = cum_r = 0  # new sums each look: a yielded CountData never changes
-    warm_start = None
     for inc, seed in zip(increments, seeds):
         cum_a = cum_a + inc.assignments
         cum_r = cum_r + inc.responses
         data = CountData(cum_a, cum_r)
         estimates, warnings = {}, ()
         if "hierarchical" in methods:
-            samples = fit_posterior(data, X, replace(sampler, seed=seed),
-                                    warm_start=warm_start)
-            warm_start = samples.warm_start
+            samples = fit_posterior(data, X, replace(sampler, seed=seed))
             warnings = samples.diagnostics.warnings
             estimates["hierarchical"] = hb_estimate(samples, X)
         if "mle" in methods:

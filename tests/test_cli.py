@@ -567,33 +567,45 @@ class TestAnalyze:
                             "update 2: cell logits mixed poorly"]
         assert "update 2: cell logits mixed poorly" in capsys.readouterr().err
 
-    def test_hb_fits_warm_start_from_the_previous_update(self, tmp_path, monkeypatch):
+    def test_hb_updates_are_fitted_independently(self, tmp_path, monkeypatch):
         import hbab.cli
         import hbab.sim
+        from hbab.design import build_design_matrix
+        from hbab.estimate import hb_estimate
+        from hbab.glm import fit_posterior
 
-        # A short sampler: this checks what each fit receives, not how well
-        # it mixes.
-        monkeypatch.setattr(hbab.cli, "ANALYZE_SAMPLER", replace(
-            hbab.sim.ANALYZE_SAMPLER, warmup_draws=150, kept_draws=100, max_tree_depth=4))
-        real_fit = hbab.sim.fit_posterior
-        received, returned = [], []
-
-        def recording_fit(*args, warm_start=None, **kwargs):
-            received.append(warm_start)
-            s = real_fit(*args, warm_start=warm_start, **kwargs)
-            returned.append(s.warm_start)
-            return s
-
-        monkeypatch.setattr(hbab.sim, "fit_posterior", recording_fit)
-        outs = [self.run_analyze(tmp_path, default_counts(updates=3), method="hb",
-                                 name=name) for name in ("a", "b")]
-        assert [code for code, _ in outs] == [0, 0]
-        assert received[0] is None and received[3] is None
-        for u in (1, 2):
-            assert received[u] is returned[u - 1]
-            assert received[3 + u] is returned[3 + u - 1]
+        # A short sampler: this checks what each fit depends on, not how
+        # well it mixes.
+        sampler = replace(hbab.sim.ANALYZE_SAMPLER, warmup_draws=150, kept_draws=100,
+                          max_tree_depth=4)
+        monkeypatch.setattr(hbab.cli, "ANALYZE_SAMPLER", sampler)
+        rows = default_counts(updates=3)
+        design = write_json(tmp_path / "design.json", TINY_DESIGN)
+        counts = write_counts(tmp_path / "counts.csv", rows)
+        outs = [tmp_path / name for name in ("a", "b")]
+        for out in outs:
+            assert main(["analyze", "--design", design, "--counts", counts, "--method", "hb",
+                         "--seed", "40", "--out", str(out)]) == 0
         for name in ("estimates.csv", "marginal_estimates.csv", "comparisons.csv"):
-            assert (outs[0][1] / name).read_bytes() == (outs[1][1] / name).read_bytes()
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+        # Update 3 is a fit of its cumulative counts under seed 40 + 3 alone:
+        # nothing of updates 1 and 2 but their counts reaches it.
+        spec = spec_from_dict(TINY_DESIGN)
+        cells = {(("m0", "m1")[m], ("c0", "c1")[c]): k
+                 for k, (m, c) in enumerate(enumerate_cells(spec).tolist())}
+        cum_a = np.zeros(spec.n_cells, dtype=np.int64)
+        cum_r = np.zeros(spec.n_cells, dtype=np.int64)
+        for _, m, c, n, r in rows:  # every row is at update 3 or before
+            cum_a[cells[m, c]] += n
+            cum_r[cells[m, c]] += r
+        X = build_design_matrix(spec, 2)
+        ests = hb_estimate(fit_posterior(CountData(cum_a, cum_r), X, replace(sampler, seed=43)),
+                           X)
+        with open(outs[0] / "estimates.csv") as fh:
+            got = [(float(r["mean"]), float(r["variance"]))
+                   for r in csv.DictReader(fh) if r["update"] == "3"]
+        assert got == list(zip(ests.means.tolist(), ests.variances.tolist()))
 
     def test_methods_share_pair_ordering(self, tmp_path):
         _, out_mle = self.run_analyze(tmp_path, default_counts(), name="mle_out")

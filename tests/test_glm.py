@@ -195,9 +195,7 @@ class TestFitPosterior:
         np.testing.assert_array_equal(diag.effective_sample_size[:X6.rows],
                                       effective_sample_size(logits))
         assert diag.split_r_hat[-1] == split_r_hat(s.draws[..., -3] + s.draws[..., -1])
-        # The natural-scale result keeps the sampler's own warm start and
-        # divergence count.
-        assert s.warm_start is runs[0].warm_start
+        # The natural-scale result keeps the sampler's own divergence count.
         assert diag.divergence_count == runs[0].diagnostics.divergence_count
         # One vectorised pass on the sampler's coordinates, one on these.
         assert passes == [runs[0].draws.shape, s.draws.shape[:2] + (len(names),)]
@@ -219,8 +217,7 @@ def cell_rates(draws, X):
 
 
 class TestNestedLaplace:
-    """The nested Laplace mixture that every fit without a warm start
-    starts from."""
+    """The nested Laplace mixture that every fit starts from."""
 
     @staticmethod
     def desk_look_1():
@@ -270,7 +267,7 @@ class TestNestedLaplace:
         a, b = (nested_laplace_draws(data, X, 50, np.random.default_rng(5)) for _ in range(2))
         np.testing.assert_array_equal(a, b)
 
-    def test_cold_fit_is_the_warm_path_from_the_mixture(self):
+    def test_cold_fit_is_the_warm_path_from_the_mixture(self, monkeypatch):
         # Chains start at their own mixture draws and the rest are pooled
         # and probed for the kept step; the mixture's stream is the one a
         # spawn of one more child than the chains' adds, so the chains'
@@ -282,20 +279,15 @@ class TestNestedLaplace:
         start = nested_laplace_draws(data, X6, 302, np.random.Generator(np.random.Philox(stream)))
         expected = sample(make_target(data, X6), cfg,
                           WarmStart(start[:2], start[2:], probes=start[2:]))
-        assert np.array_equal(fit_posterior(data, X6, cfg).warm_start.draws,
-                              expected.warm_start.draws)
+        runs, original = [], glm_module.sample
 
-    def test_warm_fit_builds_no_approximation(self, monkeypatch):
-        cfg = SamplerConfig(chains=2, warmup_draws=100, kept_draws=100, max_tree_depth=6,
-                            seed=12)
-        warm_start = fit_posterior(TestFitPosterior.DATA, X6, cfg).warm_start
+        def recorded(*args):
+            runs.append(original(*args))
+            return runs[-1]
 
-        def refused(*args):
-            raise AssertionError("a warm fit built a Laplace start")
-
-        monkeypatch.setattr(glm_module, "nested_laplace_draws", refused)
-        assert fit_posterior(TestFitPosterior.DATA, X6, cfg, warm_start).draws.shape == (
-            100, 2, X6.cols + 3)
+        monkeypatch.setattr(glm_module, "sample", recorded)
+        fit_posterior(data, X6, cfg)
+        assert np.array_equal(runs[0].draws, expected.draws)
 
 
 def test_half_cauchy_log_scale_normalized():

@@ -210,7 +210,6 @@ class TestParallelChains:
         assert np.array_equal(serial.draws, parallel.draws)
         assert serial.gradient_evaluations == parallel.gradient_evaluations
         assert serial.diagnostics.divergence_count == parallel.diagnostics.divergence_count
-        assert np.array_equal(serial.warm_start.draws, parallel.warm_start.draws)
 
     @pytest.mark.parametrize("case", ["cold", "warm", "broken", "overflow",
                                       "three_chains"])
@@ -218,7 +217,7 @@ class TestParallelChains:
         cfg = SamplerConfig(chains=2, warmup_draws=150, kept_draws=100, seed=8)
         target, warm_start = std_normal_target(3), None
         if case == "warm":
-            warm_start = sample(target, replace(cfg, seed=7)).warm_start
+            warm_start = start_from(sample(target, replace(cfg, seed=7)))
         elif case == "broken":
             target, cfg = broken_gradient_target(), replace(cfg, seed=3)
         elif case == "overflow":
@@ -579,6 +578,11 @@ def rank_deficient_target(scale):
     return TargetDensity(12, fn), np.linalg.inv(prec)
 
 
+def start_from(samples):
+    """A ``WarmStart`` at a run's last kept positions, its kept draws pooled."""
+    return WarmStart(samples.draws[-1], samples.flat())
+
+
 def chain_warmup_calls(target, seed, warm_start=None):
     """(density calls of each chain from its start to the step bound that
     follows its warmup, the run's samples). The chains run in this process,
@@ -618,20 +622,14 @@ class TestWarmStart:
         return sample(std_normal_target(dim), replace(self.CFG, chains=chains))
 
     def test_deterministic_given_seed(self):
-        warm_start = self.cold().warm_start
+        warm_start = start_from(self.cold())
         a = sample(std_normal_target(3), replace(self.CFG, seed=9), warm_start)
         b = sample(std_normal_target(3), replace(self.CFG, seed=9), warm_start)
         assert np.array_equal(a.draws, b.draws)
-        assert np.array_equal(a.warm_start.positions, b.warm_start.positions)
-
-    def test_carries_last_positions_and_pooled_draws(self):
-        s = self.cold()
-        assert np.array_equal(s.warm_start.positions, s.draws[-1])
-        assert np.array_equal(s.warm_start.draws, s.flat())
 
     @pytest.mark.parametrize("dim, chains", [(2, 2), (3, 3)])
     def test_mismatched_dim_or_chain_count_raises(self, dim, chains):
-        warm_start = self.cold(dim=dim, chains=chains).warm_start
+        warm_start = start_from(self.cold(dim=dim, chains=chains))
         with pytest.raises(ValueError, match="warm start"):
             sample(std_normal_target(3), self.CFG, warm_start)
 
@@ -641,7 +639,7 @@ class TestWarmStart:
         # warmup costs a fraction of the cold chains' (about 12,000 each).
         _, cold = chain_warmup_calls(rank_deficient_target(1e2)[0], 0)
         target, cov = rank_deficient_target(1.2e2)
-        counts, warm = chain_warmup_calls(target, 1, cold.warm_start)
+        counts, warm = chain_warmup_calls(target, 1, start_from(cold))
         assert len(counts) == 2
         assert max(counts) < 4_000
 
@@ -664,7 +662,7 @@ class TestWarmStart:
             return -0.25 * float(np.sum(x**4)), -x**3
 
         target = TargetDensity(2, quartic)
-        base = sample(target, self.CFG).warm_start
+        base = start_from(sample(target, self.CFG))
         probes = np.array([[0.5, 0.0], [0.0, 6.0]])
         weighed = []
 
@@ -695,12 +693,12 @@ class TestWarmStart:
         )
 
     def test_hierarchical_cold_and_warm_draws_are_pinned(self):
-        # Bit for bit: the SHA-256 of a desk-scale cold fit's draws and of
-        # the warm fit that follows it at the next look. The cold fit starts
-        # from its nested Laplace mixture, whose pooled draws are also its
-        # kept step's probes. Fits run at one BLAS thread, so
-        # draws at any scale do not depend on the thread count; the desk
-        # scale keeps the pin quick.
+        # Bit for bit: the SHA-256 of the draws of desk-scale fits at two
+        # consecutive looks. Each look is its own fit, started from its own
+        # nested Laplace mixture, whose pooled draws are also its kept step's
+        # probes; the second look starts from nothing of the first. Fits run
+        # at one BLAS thread, so draws at any scale do not depend on the
+        # thread count; the desk scale keeps the pin quick.
         from hbab.design import build_design_matrix
         from hbab.glm import CountData, fit_posterior
         from hbab.sim import _rep_seed_sequences, desk_scenario, generate_truth, stream_updates
@@ -716,10 +714,9 @@ class TestWarmStart:
 
         cfg = SamplerConfig(chains=2, warmup_draws=150, kept_draws=100, max_tree_depth=8,
                             seed=5)
-        cold = fit_posterior(counts(2), X, cfg)
-        warm = fit_posterior(counts(3), X, cfg, warm_start=cold.warm_start)
-        digest = hashlib.sha256(cold.draws.tobytes() + warm.draws.tobytes()).hexdigest()
-        assert digest == "2ca5a693b4ea2434dadfbb93563d327625283da326ae6abd53d7f67b5664f4e2"
+        fits = [fit_posterior(counts(n), X, cfg) for n in (2, 3)]
+        digest = hashlib.sha256(b"".join(s.draws.tobytes() for s in fits)).hexdigest()
+        assert digest == "af5e39bc20019b21fc705eccc4524a11212206fca101f6c34f8272d5d2f3fb43"
 
 
 class TestWindowMetric:

@@ -185,6 +185,28 @@ class TestRunRepetition:
         rep = run_repetition(cfg, 0, methods=("mle",))
         assert set(rep.estimate_mean) == {"mle"}
 
+    def test_each_look_is_a_standalone_fit(self):
+        # Look u's hierarchical estimates are a fit of its cumulative counts
+        # under its own seed alone: nothing of earlier looks but their
+        # counts reaches it.
+        from dataclasses import replace
+
+        from hbab.design import build_design_matrix
+        from hbab.estimate import hb_estimate
+        from hbab.glm import CountData, fit_posterior
+        from hbab.sim import _fit_seed, _rep_seed_sequences
+
+        cfg = tiny_config(updates=3)
+        rep = run_repetition(cfg, 1, methods=("hierarchical",))
+        looks = stream_updates(rep.truth, cfg, _rep_seed_sequences(cfg, 1)[1])
+        X = build_design_matrix(cfg.spec, interaction_order=2)
+        for u in (1, 2):
+            data = CountData(sum(inc.assignments for inc in looks[:u + 1]),
+                             sum(inc.responses for inc in looks[:u + 1]))
+            fit = fit_posterior(data, X, replace(cfg.sampler, seed=_fit_seed(cfg, 1, u)))
+            assert np.array_equal(rep.estimate_mean["hierarchical"][u],
+                                  hb_estimate(fit, X).means)
+
 
 def test_sampler_defaults_of_the_two_commands():
     settings = [(s.chains, s.warmup_draws, s.kept_draws, s.max_tree_depth)
@@ -195,8 +217,8 @@ def test_sampler_defaults_of_the_two_commands():
 
 @pytest.mark.parametrize("workers", ["1", "2", "5"])
 def test_run_scenario_ignores_the_worker_count(monkeypatch, tmp_path, workers):
-    # Hierarchical fits carry a warm start from update to update inside a
-    # repetition, never across repetitions.
+    # Every hierarchical fit depends only on its repetition's counts and its
+    # own seed, never on the process or the fits before it.
     import hbab.sim
 
     cfg = tiny_config(repetitions=3, updates=3, sampler=SamplerConfig(
