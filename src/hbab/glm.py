@@ -24,7 +24,6 @@ from .sampler import (
     PosteriorSamples,
     SamplerConfig,
     TargetDensity,
-    WarmStart,
     sample,
 )
 
@@ -175,7 +174,7 @@ _SPACING = (0.02, 0.5)
 _NEWTON_DECREMENT = 1e-10
 _NEWTON_STEPS = 100
 _ARMIJO = 1e-4
-# Mixture draws pooled for a cold fit's first metric, beside one start per chain.
+# Mixture draws pooled for a fit's first metric, beside one start per chain.
 _START_DRAWS = 300
 
 
@@ -327,19 +326,6 @@ def nested_laplace_draws(
     return draws
 
 
-def _laplace_start(data: CountData, X: DesignMatrix, config: SamplerConfig) -> WarmStart:
-    """A fit's start: ``config.chains`` mixture draws of
-    ``nested_laplace_draws`` as the chains' starts and ``_START_DRAWS`` more
-    pooled, which are also the kept step's probes, from their own stream:
-    the one a spawn of one more child than the chains' would add, so each
-    chain's stream stays as it is."""
-    stream = np.random.SeedSequence(config.seed).spawn(config.chains + 1)[-1]
-    start = nested_laplace_draws(data, X, config.chains + _START_DRAWS,
-                                 np.random.Generator(np.random.Philox(stream)))
-    pooled = start[config.chains:]
-    return WarmStart(start[:config.chains], pooled, probes=pooled)
-
-
 _MIN_CELL_ESS = 50.0
 _MAX_CELL_RHAT = 1.1
 
@@ -364,15 +350,16 @@ def fit_posterior(
     metric. So no fit of the model runs the sampler's identity-metric
     phase, which took about 44% of a cold paper fit's gradients, and the
     chains start dispersed, so their split R-hat also checks that they
-    forgot where they started. The pooled draws are also the start's
-    probes: chains started in the bulk do not visit the high-sigma neck
+    forgot where they started. The kept step's bound also weighs the pooled
+    draws: chains started in the bulk do not visit the high-sigma neck
     during warmup, and the kept step must stay stable there too. The
     approximation is built where the chains run, at one BLAS thread, from
-    the seed's stream after the chains', so the draws depend only on the
+    the stream ``sample`` gives a start, so the draws depend only on the
     data and the seed. NUTS still draws every estimate; the approximation
     only places the start.
     """
-    samples = sample(make_target(data, X), config, partial(_laplace_start, data, X, config))
+    samples = sample(make_target(data, X), config,
+                     partial(nested_laplace_draws, data, X, config.chains + _START_DRAWS))
     P = X.cols
 
     draws = samples.draws.copy()

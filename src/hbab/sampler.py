@@ -12,14 +12,14 @@ Warmup follows Stan's scheme of a step-only initial buffer, metric windows
 that double in length and a step-only tail, with a short buffer: 25
 transitions, a first window of 25 draws and a 50-transition tail, so 250
 warmup draws set metrics after transitions 50, 100 and 200. A run without a
-warm start starts at a random point on the identity metric. There a
+start begins at a random point on the identity metric. There a
 rank-deficient hierarchical fit needs a tiny step and runs nearly every
 trajectory to the depth cap; the buffer only has to bring the chain near
 the posterior bulk, since the curvature supplies most of the first metric.
 A curvature metric at a random starting point does not work: there many
 cell logits are saturated and the stiff directions are missed. So the
-hierarchical model never samples that way: ``glm.fit_posterior`` hands
-every fit a warm start drawn from a nested Laplace approximation (below).
+hierarchical model never samples that way: ``glm.fit_posterior`` starts
+every fit from draws of a nested Laplace approximation (below).
 
 The metric (inverse mass matrix) starts as the identity. At each window
 end it is rebuilt from the window's ``n`` draws and the curvature of the
@@ -47,25 +47,25 @@ trajectory until it finds its way out. So the kept step is also bounded by
 the curvature at the stiffest warmup states: a few, picked by their
 whitened gradients, each probed with a Hessian (``2 * dim`` density calls).
 A chain started in the bulk visits few states outside it during warmup, so
-a warm start may name more states to pick from, its ``probes``.
+a started run also picks from the pooled draws of its start.
 
-A run given a ``WarmStart``, a position per chain and pooled draws in the
-sampler's own coordinates, starts each chain at its position, on a first
-metric built by the window rule above from the pooled draws and the
-target's curvature at their mean. It drops the first window end, so 250
-warmup draws set metrics after transitions 100 and 200; the buffer, the
-tail, the step search and the step bound are a cold run's. What this skips
-is the identity-metric phase, which costs a cold run about 40% of its
-density calls. The hierarchical model builds a start for every fit from
-independent draws of its nested Laplace approximation, one per chain and
-about 300 pooled, which are also its probes. So its chains start
+A run's ``start`` is a function of a random generator that returns draws
+[n, dim] in the sampler's own coordinates, with ``n`` above the chain count.
+Chain ``c`` starts at draw ``c``, on a first metric built by the window
+rule above from the remaining draws, pooled, and the target's curvature at
+their mean. It drops the first window end, so 250 warmup draws set metrics
+after transitions 100 and 200; the buffer, the tail, the step search and
+the step bound are a cold run's. What this skips is the identity-metric
+phase, which costs a cold run about 40% of its density calls. The
+generator draws from the seed's stream after the chains': the child of a
+spawn of one more than the chains, so each chain's stream is the same with
+or without a start. The hierarchical model's start is ``chains`` plus 300
+independent draws of its nested Laplace approximation, so its chains start
 dispersed, and their split R-hat checks that they have forgotten where
-they started. A sequential test fits every look this way, independently:
-a start carried from the previous look's draws saved gradients only by
-leaving out the probes, and with them cost what the Laplace start costs.
-``sample`` takes a start as the function that builds it and runs that
-function, and the first metric, in the processes that run the chains, so
-the calling process holds none of their working memory.
+they started. A sequential test fits every look this way, independently.
+``sample`` runs ``start``, and the first metric, in the processes that run
+the chains, once in each, so the calling process holds none of their
+working memory.
 
 Chains share no state, so a fit runs them at the same time with
 ``fork_map``: over one forked process per chain, up to the CPUs the
@@ -113,7 +113,6 @@ __all__ = [
     "SamplerConfig",
     "Diagnostics",
     "PosteriorSamples",
-    "WarmStart",
     "Summary",
     "sample",
     "posterior_summary",
@@ -206,26 +205,13 @@ class Diagnostics:
 
 
 @dataclass(frozen=True)
-class WarmStart:
-    """Where a run starts, in the sampler's own coordinates: each chain's
-    first position [chains, dim] and draws [n, dim] near the target's bulk,
-    pooled for the first metric. It may also name ``probes`` [k, dim],
-    states of the target that ``_stable_step`` weighs beside each chain's
-    warmup states."""
-
-    positions: np.ndarray
-    draws: np.ndarray
-    probes: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class PosteriorSamples:
     """Kept draws with shape [kept_draws, chains, dim] plus diagnostics.
 
     ``gradient_evaluations`` counts each chain's density-and-gradient
-    calls, wherever the chain ran, a warm start's probes among them; the
-    calls that build a warm start and its first metric are the run's, not
-    a chain's, and are not counted.
+    calls, wherever the chain ran, those at a start's pooled draws for the
+    kept step's bound among them; the calls that build a start and its
+    first metric are the run's, not a chain's, and are not counted.
     """
 
     draws: np.ndarray
@@ -540,14 +526,14 @@ def _momentum_factor(inv_mass):
     return np.linalg.inv(np.linalg.cholesky(inv_mass)).T
 
 
-def _run_chain(target, config, chain_seed, warm=None):
+def _run_chain(target, config, chain_seed, start=None):
     """(kept draws, divergent kept transitions, density calls) of one chain.
 
-    A cold chain (``warm`` None) starts at a uniform draw from [-1, 1]^dim
-    on the identity metric. A warm chain starts at ``warm = (position,
-    metric, probes)`` and drops the first window end, whose only job is to
+    A cold chain (``start`` None) starts at a uniform draw from [-1, 1]^dim
+    on the identity metric. A started chain starts at ``start = (position,
+    metric, pooled)`` and drops the first window end, whose only job is to
     leave the identity metric; its first window runs on to the second end.
-    The kept step's bound also weighs the ``probes`` states, if any.
+    The kept step's bound also weighs the ``pooled`` states.
     """
     calls = 0
 
@@ -559,12 +545,12 @@ def _run_chain(target, config, chain_seed, warm=None):
     dim = target.dim
     rng = np.random.Generator(np.random.Philox(chain_seed))
     init_buffer, window_ends = _adaptation_windows(config.warmup_draws)
-    probes = None
-    if warm is None:
+    pooled = ()
+    if start is None:
         q = rng.uniform(-1.0, 1.0, dim)
         inv_mass = mass_factor = np.eye(dim)
     else:
-        q, inv_mass, probes = warm
+        q, inv_mass, pooled = start
         mass_factor = _momentum_factor(inv_mass)
         window_ends = window_ends[1:]
 
@@ -595,8 +581,7 @@ def _run_chain(target, config, chain_seed, warm=None):
             averager = _DualAveraging(step, TARGET_ACCEPT)
 
     step = averager.adapted_step if config.warmup_draws > 0 else averager.step
-    if probes is not None:
-        visited += [(p, fn(p)[1]) for p in probes]
+    visited += [(x, fn(x)[1]) for x in pooled]
     if visited:
         step = min(step, _stable_step(fn, visited, inv_mass))
     draws = np.empty((config.kept_draws, dim))
@@ -746,55 +731,46 @@ _one_blas_thread = _OneBlasThread()
 def sample(
     target: TargetDensity,
     config: SamplerConfig = SamplerConfig(),
-    warm_start: WarmStart | Callable[[], WarmStart] | None = None,
+    start: Callable[[np.random.Generator], np.ndarray] | None = None,
 ) -> PosteriorSamples:
     """Draw from the target with per-chain adaptation, then freeze the step.
 
-    Deterministic for a fixed (seed, config, target, warm_start): every
-    chain owns a counter-based substream spawned from the master seed by
-    chain index, and ``fork_map`` runs the chains over up to
-    ``available_cpus()`` processes with the same draws as one after
-    another. More than 10% divergent kept transitions is flagged in the
-    diagnostics warnings rather than raised, since the draws may still be
-    usable.
+    Deterministic for a fixed (seed, config, target, start): every chain
+    owns a counter-based substream spawned from the master seed by chain
+    index, and ``fork_map`` runs the chains over up to ``available_cpus()``
+    processes with the same draws as one after another. More than 10%
+    divergent kept transitions is flagged in the diagnostics warnings
+    rather than raised, since the draws may still be usable.
 
-    ``warm_start``, a ``WarmStart`` for this target's dimension and chain
-    count, starts each chain at its own position, on a first metric from
-    the start's pooled draws and the target's curvature at their mean. It
-    may also be a deterministic function that builds one. The function and
-    the first metric run where the chains do, once in each process that
-    runs chains.
+    ``start(rng)``, if given, returns draws [n, target.dim] with ``n`` above
+    ``config.chains``: chain ``c`` starts at draw ``c``, and the rest are
+    pooled for the first metric and weighed in the kept step's bound.
+    ``rng`` draws from the child of ``SeedSequence(config.seed)`` that a
+    spawn of ``config.chains + 1`` adds after the chains'. ``start`` and the
+    first metric run where the chains do, once in each process that runs
+    chains.
     """
-
-    def checked(warm):
-        if (warm.positions.shape != (config.chains, target.dim)
-                or warm.draws.ndim != 2 or warm.draws.shape[1] != target.dim):
-            raise ValueError(
-                f"warm start (positions {warm.positions.shape}, draws "
-                f"{warm.draws.shape}) does not fit {config.chains} chains "
-                f"in {target.dim} dimensions"
-            )
-        return warm
-
-    if isinstance(warm_start, WarmStart):
-        checked(warm_start)
+    *chain_seeds, start_seed = np.random.SeedSequence(config.seed).spawn(config.chains + 1)
 
     @cache
-    def warm_and_metric():
-        warm = checked(warm_start() if callable(warm_start) else warm_start)
+    def started():
+        draws = start(np.random.Generator(np.random.Philox(start_seed)))
+        if draws.ndim != 2 or draws.shape[0] <= config.chains or draws.shape[1] != target.dim:
+            raise ValueError(
+                f"start draws of shape {draws.shape} do not hold more than "
+                f"{config.chains} draws in {target.dim} dimensions"
+            )
         with np.errstate(**_EXPECTED_OVERFLOW):
-            return warm, _window_metric(target.log_density_and_grad, warm.draws)
+            return draws, _window_metric(target.log_density_and_grad, draws[config.chains:])
 
     with _one_blas_thread:
-        seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-
         def run(c):
-            start = None
-            if warm_start is not None:
-                warm, inv_mass = warm_and_metric()
-                start = (warm.positions[c], inv_mass, warm.probes)
+            chain_start = None
+            if start is not None:
+                draws, inv_mass = started()
+                chain_start = (draws[c], inv_mass, draws[config.chains:])
             with np.errstate(**_EXPECTED_OVERFLOW):
-                return _run_chain(target, config, seeds[c], start)
+                return _run_chain(target, config, chain_seeds[c], chain_start)
 
         chains = fork_map(run, config.chains, available_cpus())
         all_draws = np.stack([chain_draws for chain_draws, _, _ in chains], axis=1)

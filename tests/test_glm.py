@@ -16,7 +16,7 @@ from hbab.glm import (
 )
 from hbab import glm as glm_module
 from hbab import sampler as sampler_module
-from hbab.sampler import SamplerConfig, WarmStart, effective_sample_size, sample, split_r_hat
+from hbab.sampler import SamplerConfig, effective_sample_size, sample, split_r_hat
 from tests.test_design import make_spec
 
 SPEC6 = make_spec([2, 3], [])
@@ -269,16 +269,14 @@ class TestNestedLaplace:
 
     def test_cold_fit_is_the_warm_path_from_the_mixture(self, monkeypatch):
         # Chains start at their own mixture draws and the rest are pooled
-        # and probed for the kept step; the mixture's stream is the one a
-        # spawn of one more child than the chains' adds, so the chains'
-        # streams are as they were.
+        # for the first metric and the kept step's bound; ``sample`` hands
+        # the mixture its stream, so a start of the same draws samples alike.
         cfg = SamplerConfig(chains=2, warmup_draws=100, kept_draws=100, max_tree_depth=6,
                             seed=11)
         data = TestFitPosterior.DATA
         stream = np.random.SeedSequence(11).spawn(3)[-1]
         start = nested_laplace_draws(data, X6, 302, np.random.Generator(np.random.Philox(stream)))
-        expected = sample(make_target(data, X6), cfg,
-                          WarmStart(start[:2], start[2:], probes=start[2:]))
+        expected = sample(make_target(data, X6), cfg, lambda rng: start)
         runs, original = [], glm_module.sample
 
         def recorded(*args):

@@ -18,7 +18,6 @@ from hbab.sampler import (
     PosteriorSamples,
     SamplerConfig,
     TargetDensity,
-    WarmStart,
     effective_sample_size,
     fork_map,
     fork_processes,
@@ -215,17 +214,17 @@ class TestParallelChains:
                                       "three_chains"])
     def test_same_draws_as_one_chain_after_another(self, case):
         cfg = SamplerConfig(chains=2, warmup_draws=150, kept_draws=100, seed=8)
-        target, warm_start = std_normal_target(3), None
+        target, start = std_normal_target(3), None
         if case == "warm":
-            warm_start = start_from(sample(target, replace(cfg, seed=7)))
+            start = start_from(sample(target, replace(cfg, seed=7)))
         elif case == "broken":
             target, cfg = broken_gradient_target(), replace(cfg, seed=3)
         elif case == "overflow":
             target, cfg = overflowing_target(), replace(cfg, seed=3)
         elif case == "three_chains":
             cfg = replace(cfg, chains=3)
-        serial = self.on_cpus(1, sample, target, cfg, warm_start)
-        parallel = self.on_cpus(2, sample, target, cfg, warm_start)
+        serial = self.on_cpus(1, sample, target, cfg, start)
+        parallel = self.on_cpus(2, sample, target, cfg, start)
         self.check_same_run(serial, parallel)
         assert len(parallel.gradient_evaluations) == cfg.chains
         if case in ("broken", "overflow"):
@@ -579,11 +578,12 @@ def rank_deficient_target(scale):
 
 
 def start_from(samples):
-    """A ``WarmStart`` at a run's last kept positions, its kept draws pooled."""
-    return WarmStart(samples.draws[-1], samples.flat())
+    """A start at a run's last kept positions, its kept draws pooled."""
+    draws = np.concatenate([samples.draws[-1], samples.flat()])
+    return lambda rng: draws
 
 
-def chain_warmup_calls(target, seed, warm_start=None):
+def chain_warmup_calls(target, seed, start=None):
     """(density calls of each chain from its start to the step bound that
     follows its warmup, the run's samples). The chains run in this process,
     where the counters live."""
@@ -611,41 +611,73 @@ def chain_warmup_calls(target, seed, warm_start=None):
         mp.setattr(sampler_module, "_run_chain", counted_chain)
         mp.setattr(sampler_module, "_stable_step", at_warmup_end)
         mp.setattr(sampler_module, "available_cpus", lambda: 1)
-        samples = sample(replace(target, log_density_and_grad=counted), cfg, warm_start)
+        samples = sample(replace(target, log_density_and_grad=counted), cfg, start)
     return warmup_calls, samples
 
 
-class TestWarmStart:
+class TestStart:
     CFG = SamplerConfig(chains=2, warmup_draws=150, kept_draws=100, seed=8)
 
     def cold(self, dim=3, chains=2):
         return sample(std_normal_target(dim), replace(self.CFG, chains=chains))
 
     def test_deterministic_given_seed(self):
-        warm_start = start_from(self.cold())
-        a = sample(std_normal_target(3), replace(self.CFG, seed=9), warm_start)
-        b = sample(std_normal_target(3), replace(self.CFG, seed=9), warm_start)
+        start = start_from(self.cold())
+        a = sample(std_normal_target(3), replace(self.CFG, seed=9), start)
+        b = sample(std_normal_target(3), replace(self.CFG, seed=9), start)
         assert np.array_equal(a.draws, b.draws)
 
-    @pytest.mark.parametrize("dim, chains", [(2, 2), (3, 3)])
-    def test_mismatched_dim_or_chain_count_raises(self, dim, chains):
-        warm_start = start_from(self.cold(dim=dim, chains=chains))
-        with pytest.raises(ValueError, match="warm start"):
-            sample(std_normal_target(3), self.CFG, warm_start)
+    def test_start_draws_from_the_stream_after_the_chains(self):
+        # The stream of the child that a spawn of one more than the chains
+        # adds, so the chains' own streams are those of a cold run.
+        seen = []
+
+        def start(rng):
+            seen.append(rng.random())
+            return np.zeros((5, 3))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler_module, "available_cpus", lambda: 1)
+            sample(std_normal_target(3), replace(self.CFG, seed=9), start)
+        stream = np.random.SeedSequence(9).spawn(3)[-1]
+        assert seen == [np.random.Generator(np.random.Philox(stream)).random()]
+
+    def test_chain_c_starts_at_draw_c(self, monkeypatch):
+        draws = np.arange(15.0).reshape(5, 3) / 10.0
+        starts, run_chain = [], sampler_module._run_chain
+
+        def recorded(target, config, chain_seed, start):
+            starts.append(start)
+            return run_chain(target, config, chain_seed, start)
+
+        monkeypatch.setattr(sampler_module, "_run_chain", recorded)
+        monkeypatch.setattr(sampler_module, "available_cpus", lambda: 1)
+        sample(std_normal_target(3), self.CFG, lambda rng: draws)
+        assert len(starts) == 2
+        for c, (position, _, pooled) in enumerate(starts):
+            assert np.array_equal(position, draws[c])
+            assert np.array_equal(pooled, draws[2:])
+
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 3), (5,)],
+                             ids=["width", "no-pooled", "one-dimensional"])
+    def test_start_draws_of_the_wrong_shape_raise(self, shape):
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+            sample(std_normal_target(3), self.CFG, lambda rng: np.zeros(shape))
 
     def test_skips_the_identity_phase_on_a_rank_deficient_target(self):
-        # A cold fit, then a warm fit of the same model with 20% more data.
-        # The warm chains start near the bulk on a dense metric, so their
-        # warmup costs a fraction of the cold chains' (about 12,000 each).
+        # A cold fit, then a started fit of the same model with 20% more
+        # data. The started chains begin near the bulk on a dense metric, so
+        # their warmup, with the pooled draws weighed for the kept step,
+        # costs a fraction of the cold chains' (about 12,000 each).
         _, cold = chain_warmup_calls(rank_deficient_target(1e2)[0], 0)
         target, cov = rank_deficient_target(1.2e2)
-        counts, warm = chain_warmup_calls(target, 1, start_from(cold))
+        counts, started = chain_warmup_calls(target, 1, start_from(cold))
         assert len(counts) == 2
         assert max(counts) < 4_000
 
-        # Whitened by the true covariance, the warm draws have identity
+        # Whitened by the true covariance, the started draws have identity
         # covariance; entries agree within 4 Monte-Carlo SE.
-        white = warm.draws @ np.linalg.inv(np.linalg.cholesky(cov)).T
+        white = started.draws @ np.linalg.inv(np.linalg.cholesky(cov)).T
         emp = np.cov(white.reshape(-1, 12).T)
         ess = min(
             effective_sample_size((white[:, :, j] - white[:, :, j].mean()) ** 2)
@@ -653,17 +685,17 @@ class TestWarmStart:
         )
         assert np.max(np.abs(emp - np.eye(12))) < 4 * np.sqrt(2.0 / ess)
 
-    def test_probes_join_the_kept_step_bound(self, monkeypatch):
-        # A warm start's probes are weighed beside each chain's warmup
+    def test_pooled_draws_join_the_kept_step_bound(self, monkeypatch):
+        # A start's pooled draws are weighed beside each chain's warmup
         # states. On a quartic target, whose curvature 3 x^2 grows away from
-        # 0, a far probe is the stiffest state, so it shortens the kept step
-        # and each kept trajectory takes more leapfrogs.
+        # 0, a pooled draw far out is the stiffest state, so it shortens the
+        # kept step and each kept trajectory takes more leapfrogs.
         def quartic(x):
             return -0.25 * float(np.sum(x**4)), -x**3
 
         target = TargetDensity(2, quartic)
-        base = start_from(sample(target, self.CFG))
-        probes = np.array([[0.5, 0.0], [0.0, 6.0]])
+        base = start_from(sample(target, self.CFG))(None)
+        far = np.array([[0.0, 6.0]])
         weighed = []
 
         def spy(fn, visited, inv_mass):
@@ -672,11 +704,11 @@ class TestWarmStart:
 
         monkeypatch.setattr(sampler_module, "_stable_step", spy)
         monkeypatch.setattr(sampler_module, "available_cpus", lambda: 1)
-        plain = sample(target, self.CFG, base)
-        probed = sample(target, self.CFG, WarmStart(base.positions, base.draws, probes))
+        plain = sample(target, self.CFG, lambda rng: base)
+        probed = sample(target, self.CFG, lambda rng: np.concatenate([base, far]))
         assert len(weighed) == 4
         assert not any(np.isin(6.0, states) for states in weighed[:2])
-        assert all(np.array_equal(states[-2:], probes) for states in weighed[2:])
+        assert all(np.array_equal(states[-1:], far) for states in weighed[2:])
         assert sum(probed.gradient_evaluations) > 1.4 * sum(plain.gradient_evaluations)
 
     def test_cold_start_draws_are_unchanged(self):
