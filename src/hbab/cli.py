@@ -80,6 +80,7 @@ from .sim import (
     check_tau_experiment,
     default_workers,
     desk_scenario,
+    fit_telemetry,
     look_estimates,
     paper_scenario,
     run_scenario,
@@ -493,6 +494,9 @@ def cmd_simulate(args) -> int:
     result = run_scenario(config, methods)
     for w in result.warnings:
         manifest.warn(w)
+    if "hierarchical" in methods:
+        manifest.data["fits"] = fit_telemetry(
+            record for rep in result.repetitions for record in rep.fits)
     stage("run")
 
     metrics_path = manifest.add_output(os.path.join(args.out, "metrics.csv"))
@@ -652,10 +656,12 @@ def cmd_analyze(args) -> int:
     method = "hierarchical" if args.method == "hb" else "mle"
     looks = look_estimates(increments, X, (method,), ANALYZE_SAMPLER,
                            itertools.count(args.seed + 1))
-    est_rows, marg_rows, diff_mean, diff_var = [], [], [], []
-    for u, (data, estimates, fit_warnings) in enumerate(looks, start=1):
+    est_rows, marg_rows, diff_mean, diff_var, records = [], [], [], [], []
+    for u, (data, estimates, fit_warnings, record) in enumerate(looks, start=1):
         for w in fit_warnings:
             manifest.warn(f"update {u}: {w}")
+        if record is not None:
+            records.append(record)
         ests = estimates[method]
         est_rows += ((u, *labels, args.method, _fmt(mean), _fmt(var))
                      for labels, mean, var in zip(cell_labels, ests.means.tolist(),
@@ -674,6 +680,8 @@ def cmd_analyze(args) -> int:
         diff_mean.append(np.concatenate([d, pooled_d]))
         diff_var.append(np.concatenate([v, pooled_v]))
     diff_mean, diff_var = np.array(diff_mean), np.array(diff_var)
+    if method == "hierarchical":
+        manifest.data["fits"] = fit_telemetry(records)
 
     # Every update of every pair in one call, so both row families follow
     # the zero-variance rule of decisions.csv.

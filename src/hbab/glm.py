@@ -7,6 +7,11 @@ offset drawn once per fit. The priors are the paper's and fixed:
 ``mu ~ Normal(0, 10^2)`` and ``sigma ~ HalfCauchy(5)``. The sampler's
 target is non-centered, ``beta = mu + sigma * beta_raw`` with ``sigma`` on
 the log scale, which samples far better when the data are sparse.
+
+Two fits share that target: ``fit_laplace``, importance-corrected nested
+Laplace, which ``sim.look_estimates`` runs at every look, and
+``fit_posterior``, NUTS, its fallback and the reference it is checked
+against.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .sampler import (
     PosteriorSamples,
     SamplerConfig,
     TargetDensity,
+    one_blas_thread,
     sample,
 )
 
@@ -31,8 +37,13 @@ __all__ = [
     "CountData",
     "half_cauchy_log_density_log_scale",
     "make_target",
+    "log_density_batch",
     "nested_laplace_draws",
     "fit_posterior",
+    "LaplaceFit",
+    "LaplaceRecord",
+    "fit_laplace",
+    "pareto_k_hat",
 ]
 
 
@@ -102,8 +113,45 @@ def make_target(data: CountData, X: DesignMatrix) -> TargetDensity:
     of the natural parameters and the counts (binomial normalization
     included, so it is proper) plus the log-Jacobian ``P * log_sigma``, and
     its geometry avoids the funnel that defeats samplers when counts are
-    thin.
+    thin. It is ``log_density_batch`` at one point.
     """
+    rows = _log_density_rows(data, X)
+
+    def one(z):
+        lp, grad = rows(z[None])
+        return lp[0], grad[0]
+
+    P = X.cols
+    labels = tuple(f"raw[{j}]" for j in range(P)) + ("mu", "log_sigma", "epsilon")
+    return TargetDensity(dim=P + 3, log_density_and_grad=one, labels=labels)
+
+
+def log_density_batch(
+    data: CountData, X: DesignMatrix
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``make_target``'s density as a function of points ``z`` [n, P + 3]:
+    the log densities [n] and gradients [n, P + 3] of every row.
+
+    The products over cells and coefficients are one matrix product for all
+    rows, and each row's scalar terms are Python floats. At ``n`` 1 every
+    product and sum goes through the BLAS or numpy call that one point took
+    before there was a batch, so ``make_target``, which is this function at
+    ``n`` 1, keeps those bits; at larger ``n`` the BLAS multiplies matrices,
+    which may round the last bits differently. A row whose cell logits are
+    not finite, or whose log sigma passes 700 (a scale beyond float range
+    holds no posterior mass), reads -inf with a zero gradient.
+    """
+    rows = _log_density_rows(data, X)
+
+    def batch(z):
+        lp, grad = rows(z)
+        return np.array(lp), grad
+
+    return batch
+
+
+def _log_density_rows(data: CountData, X: DesignMatrix):
+    """``log_density_batch`` with the log densities as a list of floats."""
     if data.assignments.shape[0] != X.rows:
         raise ValueError("count vectors must have one entry per design row")
     P = X.cols
@@ -123,45 +171,59 @@ def make_target(data: CountData, X: DesignMatrix) -> TargetDensity:
     half_cauchy = _half_cauchy_log_scale(b)
     log_b = math.log(b)
     s_sq = s * s
-    add, both = np.add.reduce, np.logical_and.reduce
+    add, dot, finite = np.add.reduce, np.vecdot, np.isfinite
+    Xm_T, XmT_T = Xm.T, XmT.T
+    exp, tanh, nan, inf = math.exp, math.tanh, math.nan, math.inf
 
-    def raw(z):
-        beta_raw = z[:P]
-        mu, ls, eps = z[P:].tolist()
-        if ls > 700.0:  # scale beyond float range: no posterior mass out here
-            return -math.inf, np.zeros(P + 3)
-        sigma = math.exp(ls)
-        eta = Xm @ (mu + sigma * beta_raw)
-        eta += eps
-        if not both(np.isfinite(eta)):
-            return -math.inf, np.zeros(P + 3)
+    def rows(z):
+        beta_raw = z[:, :P]
+        scalars = z[:, P:].tolist()
+        sigma = np.array([[exp(ls) if ls <= 700.0 else nan] for _, ls, _ in scalars])
+        eta = (beta_raw * sigma + z[:, P:P + 1]) @ Xm_T
+        eta += z[:, P + 2:]
+        live = None
+        if not finite(eta).all():
+            # Rows out of range read -inf; zeroed, their arithmetic stays quiet.
+            live = finite(eta).all(axis=1)
+            eta[~live] = 0.0
+            sigma[~live] = 0.0
+            live = live.tolist()
         softplus, p = _softplus_and_sigmoid(eta)
         resid = rf - af * p
-        # r*log(p) + (a-r)*log(1-p) collapses to r*eta - a*softplus(eta).
-        loglik = float(rf @ eta) - float(af @ softplus) + binom_const
-
-        lp = (
-            norm_const
-            + half_cauchy(ls)
-            - 0.5 * float(beta_raw @ beta_raw)
-            - 0.5 * (mu - m) ** 2 / s_sq
-            - 0.5 * eps * eps
-            + loglik
-        )
-        if not math.isfinite(lp):
-            return -math.inf, np.zeros(P + 3)
-        g_beta = XmT @ resid
-        grad = np.empty(P + 3)
-        np.multiply(g_beta, sigma, out=grad[:P])
-        grad[:P] -= beta_raw
-        grad[P] = float(add(g_beta)) - (mu - m) / s_sq
-        # 1 - 2 sigma^2 / (b^2 + sigma^2) is the half-Cauchy and Jacobian term.
-        grad[P + 1] = sigma * float(beta_raw @ g_beta) - math.tanh(ls - log_b)
-        grad[P + 2] = float(add(resid)) - eps
+        g_beta = resid @ XmT_T
+        grad = np.empty((len(scalars), P + 3))
+        np.multiply(g_beta, sigma, out=grad[:, :P])
+        grad[:, :P] -= beta_raw
+        lp = []
+        for k, ((mu, ls, eps), (sig,), bb, r_eta, a_softplus, g_sum, bg, r_sum) in enumerate(zip(
+                scalars, sigma.tolist(), dot(beta_raw, beta_raw).tolist(),
+                dot(eta, rf).tolist(), dot(softplus, af).tolist(),
+                add(g_beta, axis=1).tolist(), dot(beta_raw, g_beta).tolist(),
+                add(resid, axis=1).tolist())):
+            if live is not None and not live[k]:
+                lp.append(-inf)
+                grad[k] = 0.0
+                continue
+            # r*log(p) + (a-r)*log(1-p) collapses to r*eta - a*softplus(eta).
+            value = (norm_const
+                     + half_cauchy(ls)
+                     - 0.5 * bb
+                     - 0.5 * (mu - m) ** 2 / s_sq
+                     - 0.5 * eps * eps
+                     + (r_eta - a_softplus + binom_const))
+            if -inf < value < inf:
+                lp.append(value)
+                row = grad[k]
+                row[P] = g_sum - (mu - m) / s_sq
+                # 1 - 2 sigma^2 / (b^2 + sigma^2) is the half-Cauchy and Jacobian term.
+                row[P + 1] = sig * bg - tanh(ls - log_b)
+                row[P + 2] = r_sum - eps
+            else:
+                lp.append(-inf)
+                grad[k] = 0.0
         return lp, grad
 
-    labels = tuple(f"raw[{j}]" for j in range(P)) + ("mu", "log_sigma", "epsilon")
-    return TargetDensity(dim=P + 3, log_density_and_grad=raw, labels=labels)
+    return rows
 
 
 # The nested Laplace approximation: how far below its peak the log-sigma
@@ -178,12 +240,24 @@ _ARMIJO = 1e-4
 _START_DRAWS = 300
 
 
-def nested_laplace_draws(
-    data: CountData, X: DesignMatrix, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``n`` draws [n, P + 3] in ``make_target``'s coordinates from a nested
-    Laplace approximation of the posterior (Rue, Martino & Chopin, JRSS-B
-    2009).
+@dataclass(frozen=True)
+class _Nodes:
+    """The log-sigma grid of a nested Laplace approximation: at node ``k``
+    log sigma ``modes[k, P + 1]``, the mode ``modes[k]`` given that log
+    sigma and its Laplace marginal ``log_marginals[k]``. ``factor(z)`` is
+    the (negative Hessian, upper Cholesky factor) pair over the free
+    coordinates ``free``; ``newton_iterations`` counts the Newton steps
+    of every node that the search evaluated."""
+
+    modes: np.ndarray
+    log_marginals: np.ndarray
+    free: np.ndarray
+    factor: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    newton_iterations: int
+
+
+def _laplace_nodes(data: CountData, X: DesignMatrix) -> _Nodes:
+    """The nodes of ``nested_laplace_draws``' approximation.
 
     Given log sigma, the model is a logistic regression in (beta_raw, mu,
     epsilon) with Gaussian priors, and its log density is strictly concave.
@@ -193,10 +267,8 @@ def nested_laplace_draws(
     the log determinant of that Hessian. The grid is centred on the best
     point of a search for the marginal's highest point, spaced at half the
     sd its curvature there implies, and runs out on each side until the
-    marginal has fallen ``_TAIL_NATS`` below its peak. A draw picks a node
-    by weight and draws that node's Gaussian; each node keeps only its mode
-    and weight, and only the nodes drawn are factored again. The nodes and
-    weights are deterministic; the draws depend on ``rng`` alone.
+    marginal has fallen ``_TAIL_NATS`` below its peak. Everything here is
+    deterministic.
     """
     density = make_target(data, X).log_density_and_grad
     P = X.cols
@@ -206,6 +278,7 @@ def nested_laplace_draws(
     assignments = data.assignments.astype(float)
     prior_precision = np.r_[np.ones(P), 1.0 / _MU_PRIOR_SD**2, 1.0]
     weighted = np.empty((X.rows, P + 2))
+    iterations = 0
 
     def weigh(z):
         """Fill ``weighted`` with W^1/2 A at ``z``. The rows of A are the cell
@@ -242,6 +315,7 @@ def nested_laplace_draws(
         """(log Laplace marginal, mode) at ``log_sigma``, from the mode
         ``start`` at another log sigma rescaled so that every cell logit
         stays as it was. The line search keeps each Newton step an ascent."""
+        nonlocal iterations
         z = start.copy()
         z[:P] *= math.exp(start[ls] - log_sigma)
         z[ls] = log_sigma
@@ -249,10 +323,14 @@ def nested_laplace_draws(
         neg_hessian, r = factor(z)
         for _ in range(_NEWTON_STEPS):
             g = grad[free]
-            step = np.linalg.solve(neg_hessian, g)
+            try:
+                step = np.linalg.solve(neg_hessian, g)
+            except np.linalg.LinAlgError:  # H rounds to singular: solve through R
+                step = np.linalg.solve(r, np.linalg.solve(r.T, g))
             decrement = float(g @ step)
             if not decrement > _NEWTON_DECREMENT:
                 break
+            iterations += 1
             t = 1.0
             while t > 1e-12:  # backtrack to sufficient ascent
                 trial = z.copy()
@@ -314,16 +392,199 @@ def nested_laplace_draws(
             if marginal(x) < peak - _TAIL_NATS:
                 break
 
-    log_weights = np.array([nodes[x][0] for x in grid])
-    weights = np.exp(log_weights - log_weights.max())
-    modes = np.array([nodes[x][1] for x in grid])
-    picks = rng.choice(len(grid), size=n, p=weights / weights.sum())
-    draws = modes[picks]
+    return _Nodes(np.array([nodes[x][1] for x in grid]),
+                  np.array([nodes[x][0] for x in grid]), free, factor, iterations)
+
+
+def _mixture_draws(nodes: _Nodes, n: int, rng: np.random.Generator, roots: dict):
+    """``n`` draws [n, P + 3] of the nodes' mixture and the log density of
+    each draw under the mixture, less a constant.
+
+    A draw picks a node by its Laplace marginal and draws that node's
+    Gaussian, with log sigma held at the node. ``roots`` caches, per node,
+    the Cholesky factor of its negative Hessian and that factor's log
+    determinant; only the nodes drawn are factored. The draws depend on
+    ``rng`` alone.
+    """
+    weights = np.exp(nodes.log_marginals - nodes.log_marginals.max())
+    probabilities = weights / weights.sum()
+    picks = rng.choice(len(weights), size=n, p=probabilities)
+    draws = nodes.modes[picks]
+    log_proposal = np.log(probabilities[picks])
+    free = nodes.free
     for k in np.unique(picks):
+        if k not in roots:
+            r = nodes.factor(nodes.modes[k])[1]
+            roots[k] = r, float(np.log(np.abs(np.diag(r))).sum())
+        r, log_det = roots[k]
         rows = np.flatnonzero(picks == k)
-        normals = rng.standard_normal((P + 2, rows.size))
-        draws[rows[:, None], free] += np.linalg.solve(factor(modes[k])[1], normals).T
-    return draws
+        normals = rng.standard_normal((free.size, rows.size))
+        draws[rows[:, None], free] += np.linalg.solve(r, normals).T
+        log_proposal[rows] += log_det - 0.5 * (normals * normals).sum(axis=0)
+    return draws, log_proposal
+
+
+def nested_laplace_draws(
+    data: CountData, X: DesignMatrix, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n`` draws [n, P + 3] in ``make_target``'s coordinates from a nested
+    Laplace approximation of the posterior (Rue, Martino & Chopin, JRSS-B
+    2009): a mixture over a log-sigma grid of the Gaussians of the
+    remaining coordinates given log sigma (``_laplace_nodes``). A draw picks
+    a node by weight and draws that node's Gaussian; each node keeps only
+    its mode and weight, and only the nodes drawn are factored again. The
+    nodes and weights are deterministic; the draws depend on ``rng`` alone.
+    """
+    return _mixture_draws(_laplace_nodes(data, X), n, rng, {})[0]
+
+
+# The importance-corrected fit: draws per block and the most blocks, the
+# ESS of the weights that ends the blocks and the Pareto k-hat that the
+# weights must not pass (PSIS's 0.7), and the draws it resamples. A block's
+# arrays stay small (a desk block's draws take 72 kB), so a fit adds little
+# to the peak memory of the process that runs it.
+_BLOCK_DRAWS = 250
+_MAX_BLOCKS = 40
+MIN_WEIGHT_ESS = 1000.0
+MAX_K_HAT = 0.7
+_RESAMPLED_DRAWS = 400
+
+
+@dataclass(frozen=True)
+class LaplaceRecord:
+    """What one ``fit_laplace`` did: the nodes of its log-sigma grid, the
+    Newton steps of its node search, the Pareto k-hat of its importance
+    weights and their effective sample size ``(sum w)^2 / sum w^2``.
+    ``trusted`` is whether k-hat is at most ``MAX_K_HAT`` and the ESS at
+    least ``MIN_WEIGHT_ESS``."""
+
+    nodes: int
+    newton_iterations: int
+    k_hat: float
+    weight_ess: float
+
+    @property
+    def trusted(self) -> bool:
+        return self.k_hat <= MAX_K_HAT and self.weight_ess >= MIN_WEIGHT_ESS
+
+
+@dataclass(frozen=True)
+class LaplaceFit:
+    """``fit_laplace``'s draws and record. ``samples`` holds
+    ``_RESAMPLED_DRAWS`` draws resampled by weight, as one chain [draws, 1,
+    P + 3], under ``fit_posterior``'s labels, so that ``hb_estimate`` reads
+    them as it reads a NUTS fit; its diagnostics cover no quantities."""
+
+    samples: PosteriorSamples
+    record: LaplaceRecord
+
+
+def fit_laplace(data: CountData, X: DesignMatrix, seed: int) -> LaplaceFit:
+    """The posterior by importance-corrected nested Laplace (INLA: Rue,
+    Martino & Chopin, JRSS-B 2009; checked by PSIS k-hat: Vehtari, Simpson,
+    Gelman, Yao & Gabry, JMLR 2024).
+
+    Blocks of ``_BLOCK_DRAWS`` draws of ``nested_laplace_draws``' mixture
+    are each weighted by the target's density over the mixture's
+    (``log_density_batch``), until the weights' ESS reaches
+    ``MIN_WEIGHT_ESS`` or ``_MAX_BLOCKS`` blocks are drawn. Log sigma is
+    held at the grid's nodes, which are equally spaced, so the weighted
+    draws estimate the posterior up to the error of the grid's quadrature
+    of log sigma. ``_RESAMPLED_DRAWS`` draws are then resampled by weight
+    (systematic resampling) and mapped to natural coordinates as
+    ``fit_posterior`` maps its draws.
+
+    Only one block's draws are held at a time: each block draws from its
+    own stream of ``seed``, and the resampled draws are drawn again from
+    the streams of their blocks. The fit runs at one BLAS thread
+    (``sampler.one_blas_thread``), so it depends on the counts and the seed
+    alone.
+    """
+    P = X.cols
+    seeds = np.random.SeedSequence(seed).spawn(_MAX_BLOCKS + 1)
+
+    def stream(key):
+        return np.random.Generator(np.random.Philox(seeds[key]))
+
+    with one_blas_thread:
+        nodes = _laplace_nodes(data, X)
+        density = log_density_batch(data, X)
+        roots = {}
+        blocks = []
+        log_weights = np.empty(0)
+        ess = 0.0
+        while len(blocks) < _MAX_BLOCKS and not ess >= MIN_WEIGHT_ESS:
+            draws, log_proposal = _mixture_draws(nodes, _BLOCK_DRAWS, stream(len(blocks)), roots)
+            with np.errstate(over="ignore", invalid="ignore"):  # a draw far in a tail
+                log_target = density(draws)[0]
+            blocks.append(log_target - log_proposal)
+            log_weights = np.concatenate(blocks)
+            ess = _weight_ess(log_weights)
+        k_hat = pareto_k_hat(log_weights)
+
+        weights = np.exp(log_weights - log_weights.max())
+        picks = _systematic_resample(weights, _RESAMPLED_DRAWS, stream(_MAX_BLOCKS))
+        block_of = picks // _BLOCK_DRAWS
+        kept = np.empty((_RESAMPLED_DRAWS, P + 3))
+        for b in np.unique(block_of):
+            rows = np.flatnonzero(block_of == b)
+            draws = _mixture_draws(nodes, _BLOCK_DRAWS, stream(b), roots)[0]
+            kept[rows] = draws[picks[rows] - b * _BLOCK_DRAWS]
+
+    sigma = np.exp(kept[:, P + 1])
+    kept[:, :P] = kept[:, P, None] + sigma[:, None] * kept[:, :P]
+    kept[:, P + 1] = sigma
+    labels = tuple(f"beta[{j}]" for j in range(P)) + ("mu", "sigma", "epsilon")
+    samples = PosteriorSamples(kept[:, None, :], labels,
+                               Diagnostics((), np.empty(0), np.empty(0), 0))
+    return LaplaceFit(samples, LaplaceRecord(len(nodes.modes), nodes.newton_iterations,
+                                             k_hat, ess))
+
+
+def _weight_ess(log_weights: np.ndarray) -> float:
+    """Effective sample size ``(sum w)^2 / sum w^2`` of importance weights."""
+    w = np.exp(log_weights - log_weights.max())
+    return float(w.sum() ** 2 / (w @ w))
+
+
+def _systematic_resample(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` indices drawn in proportion to ``weights``, one uniform offset
+    for all; ascending."""
+    cumulative = np.cumsum(weights)
+    points = (rng.uniform() + np.arange(n)) * (cumulative[-1] / n)
+    return np.minimum(np.searchsorted(cumulative, points, side="right"), len(weights) - 1)
+
+
+def pareto_k_hat(log_weights: np.ndarray) -> float:
+    """Pareto k-hat of importance weights, as PSIS fits it (Vehtari et al.,
+    JMLR 2024): the shape of a generalized Pareto distribution fitted to
+    the largest ``min(S / 5, 3 sqrt(S))`` of ``S`` weights, above the next
+    largest, by Zhang & Stephens' (Technometrics 2009) posterior-mean
+    estimate, shrunk toward 0.5 as a prior of 10 weights would. Above 0.7
+    the weights' estimates are not to be trusted; inf where fewer than five
+    weights exceed the threshold.
+    """
+    lw = np.sort(log_weights[np.isfinite(log_weights)])
+    tail = int(math.ceil(min(0.2 * lw.size, 3.0 * math.sqrt(lw.size))))
+    if tail < 5 or lw.size <= tail:
+        return math.inf
+    threshold = lw[-tail - 1]
+    x = np.exp(lw[-tail:] - lw[-1]) - math.exp(threshold - lw[-1])
+    if not x[-1] > 0.0:
+        return math.inf
+    n = x.size
+    m = 30 + int(math.sqrt(n))
+    b = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
+    b /= 3.0 * x[int(n / 4 + 0.5) - 1]
+    b += 1.0 / x[-1]
+    k = np.log1p(-b[:, None] * x).mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        profile = n * (np.log(-b / k) - k - 1.0)  # a b at 0 reads NaN and drops out
+        weights = 1.0 / np.exp(profile - profile[:, None]).sum(axis=1)
+    weights[~np.isfinite(weights)] = 0.0
+    b_post = float(weights @ b / weights.sum())
+    k_post = float(np.log1p(-b_post * x).mean())
+    return (n * k_post + 10 * 0.5) / (n + 10)
 
 
 _MIN_CELL_ESS = 50.0
@@ -355,8 +616,10 @@ def fit_posterior(
     during warmup, and the kept step must stay stable there too. The
     approximation is built where the chains run, at one BLAS thread, from
     the stream ``sample`` gives a start, so the draws depend only on the
-    data and the seed. NUTS still draws every estimate; the approximation
-    only places the start.
+    data and the seed; it only places the start, and NUTS draws. This is
+    the fallback of ``sim.look_estimates`` where ``fit_laplace`` is not
+    trusted, and the reference that the tests check ``fit_laplace``
+    against.
     """
     samples = sample(make_target(data, X), config,
                      partial(nested_laplace_draws, data, X, config.chains + _START_DRAWS))

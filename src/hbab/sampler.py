@@ -62,10 +62,11 @@ spawn of one more than the chains, so each chain's stream is the same with
 or without a start. The hierarchical model's start is ``chains`` plus 300
 independent draws of its nested Laplace approximation, so its chains start
 dispersed, and their split R-hat checks that they have forgotten where
-they started. A sequential test fits every look this way, independently.
-``sample`` runs ``start``, and the first metric, in the processes that run
-the chains, once in each, so the calling process holds none of their
-working memory.
+they started. A sequential test's look is sampled this way only where its
+importance-corrected nested Laplace fit (``glm.fit_laplace``) is not
+trusted. ``sample`` runs ``start``, and the first metric, in the processes
+that run the chains, once in each, so the calling process holds none of
+their working memory.
 
 Chains share no state, so a fit runs them at the same time with
 ``fork_map``: over one forked process per chain, up to the CPUs the
@@ -88,7 +89,8 @@ draws the same at any CPU count or ``OPENBLAS_NUM_THREADS`` on the same BLAS
 build, and chain processes do not oversubscribe the CPUs with ``nproc``
 BLAS threads each. The setting is process-wide, so calls in several
 threads share one scope: the first to enter sets one thread and the last
-to leave restores the count. Where no OpenBLAS thread setter is found,
+to leave restores the count. That scope is ``one_blas_thread``, which
+``glm.fit_laplace`` enters too. Where no OpenBLAS thread setter is found,
 fits run at the process's count, as ``fit_blas_threads`` reports.
 
 Split R-hat and effective sample size are vectorised over columns of
@@ -123,6 +125,7 @@ __all__ = [
     "fork_processes",
     "fork_map",
     "fit_blas_threads",
+    "one_blas_thread",
 ]
 
 _DIVERGENCE_THRESHOLD = 1000.0
@@ -725,7 +728,7 @@ class _OneBlasThread:
                     setter(count)
 
 
-_one_blas_thread = _OneBlasThread()
+one_blas_thread = _OneBlasThread()
 
 
 def sample(
@@ -763,7 +766,7 @@ def sample(
         with np.errstate(**_EXPECTED_OVERFLOW):
             return draws, _window_metric(target.log_density_and_grad, draws[config.chains:])
 
-    with _one_blas_thread:
+    with one_blas_thread:
         def run(c):
             chain_start = None
             if start is not None:

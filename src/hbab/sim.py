@@ -5,9 +5,11 @@ counts over sequential updates, runs the hierarchical and plain estimators
 on the accumulating data, and scores estimation error plus sequential
 decision accuracy (false negative / false positive / false discovery
 rates). ``look_estimates`` is the per-look fit loop that both
-``run_repetition`` and ``hbab analyze`` run on their count streams, and
-``SIMULATE_SAMPLER`` and ``ANALYZE_SAMPLER`` are the two commands' sampler
-settings. Content combinations are split into an "effect" half, whose
+``run_repetition`` and ``hbab analyze`` run on their count streams (nested
+Laplace, with NUTS where it is not trusted), ``fit_telemetry`` sums its
+fit records for the manifests, and ``SIMULATE_SAMPLER`` and
+``ANALYZE_SAMPLER`` are the two commands' settings of the NUTS fallback.
+Content combinations are split into an "effect" half, whose
 interaction coefficients are drawn from a Normal(effect mean, sd^2), and a
 null half whose coefficients stay zero, so true-difference and
 no-difference pairs coexist in one simulated experiment and both error
@@ -48,7 +50,7 @@ from .design import (
     spec_to_dict,
 )
 from .estimate import CellEstimates, hb_estimate, mle_estimates
-from .glm import MAX_ASSIGNMENTS, CountData, fit_posterior
+from .glm import MAX_ASSIGNMENTS, CountData, LaplaceRecord, fit_laplace, fit_posterior
 from .metaprior import LearntTau, effects_from_differences, learn_tau
 from .sampler import SamplerConfig, fork_map
 from .seqtest import TauSpec, cell_differences, last_informative, sequential_trace
@@ -67,6 +69,7 @@ __all__ = [
     "generate_truth",
     "stream_updates",
     "look_estimates",
+    "fit_telemetry",
     "run_repetition",
     "run_scenario",
     "score",
@@ -78,8 +81,8 @@ __all__ = [
 
 METHODS = ("hierarchical", "mle")
 
-# The hierarchical fit of each look: ``simulate``'s default, and
-# ``analyze``'s, which keeps more draws for its one stream.
+# The NUTS fallback of each look's hierarchical fit: ``simulate``'s
+# default, and ``analyze``'s, which keeps more draws for its one stream.
 SIMULATE_SAMPLER = SamplerConfig(chains=2, warmup_draws=250, kept_draws=150,
                                  max_tree_depth=8)
 ANALYZE_SAMPLER = replace(SIMULATE_SAMPLER, kept_draws=200)
@@ -321,7 +324,8 @@ class RepetitionResult:
     difference summary as ``cell_differences`` computed it from the
     estimates at each update, zero variances included. The sequential
     tests are not stored: ``sequential_trace`` derives them from these
-    differences under any tau, without refitting.
+    differences under any tau, without refitting. ``fits`` holds the
+    record of each update's hierarchical fit (``look_estimates``).
     """
 
     rep: int
@@ -330,6 +334,7 @@ class RepetitionResult:
     diff_mean: dict[str, np.ndarray]
     diff_var: dict[str, np.ndarray]
     warnings: tuple[str, ...]
+    fits: tuple[LaplaceRecord, ...] = ()
 
 
 def _rep_seed_sequences(config: ScenarioConfig, rep: int):
@@ -351,29 +356,64 @@ def look_estimates(
     methods: tuple[str, ...],
     sampler: SamplerConfig,
     seeds: Iterable[int],
-) -> Iterator[tuple[CountData, dict[str, CellEstimates], tuple[str, ...]]]:
+) -> Iterator[tuple[CountData, dict[str, CellEstimates], tuple[str, ...],
+                    LaplaceRecord | None]]:
     """Fit every look of a count stream.
 
     ``increments`` are the per-look counts and ``seeds`` the hierarchical
     fit's seed at each look. For each look, yields the cumulative counts,
     one ``CellEstimates`` per method of ``methods`` (drawn from
-    ``METHODS``) and the warnings of the hierarchical fit. Each look's fit
-    is independent: only the cumulative counts pass from one look to the
-    next, so a look's estimates depend on its counts and its seed alone.
+    ``METHODS``), the warnings of the hierarchical fit and the record of
+    its ``glm.fit_laplace`` (None without the hierarchical method).
+
+    The hierarchical fit is ``fit_laplace`` under the look's seed. Where
+    its record is not ``trusted`` (k-hat above ``glm.MAX_K_HAT``, or the
+    weights' ESS under ``glm.MIN_WEIGHT_ESS`` after its last block), the
+    look is fitted again by ``fit_posterior`` (NUTS) under ``sampler`` and
+    the same seed, and a warning names its k-hat; NUTS's own warnings
+    follow. Each look's fit is independent: only the cumulative counts
+    pass from one look to the next, so a look's estimates depend on its
+    counts and its seed alone.
     """
     cum_a = cum_r = 0  # new sums each look: a yielded CountData never changes
     for inc, seed in zip(increments, seeds):
         cum_a = cum_a + inc.assignments
         cum_r = cum_r + inc.responses
         data = CountData(cum_a, cum_r)
-        estimates, warnings = {}, ()
+        estimates, warnings, record = {}, (), None
         if "hierarchical" in methods:
-            samples = fit_posterior(data, X, replace(sampler, seed=seed))
-            warnings = samples.diagnostics.warnings
+            fit = fit_laplace(data, X, seed)
+            samples, record = fit.samples, fit.record
+            if not record.trusted:
+                samples = fit_posterior(data, X, replace(sampler, seed=seed))
+                warnings = (f"nested Laplace fit not trusted (k-hat {record.k_hat:.2f}, "
+                            f"weight ESS {record.weight_ess:.0f}); fitted by NUTS",
+                            *samples.diagnostics.warnings)
             estimates["hierarchical"] = hb_estimate(samples, X)
         if "mle" in methods:
             estimates["mle"] = mle_estimates(data)
-        yield data, estimates, warnings
+        yield data, estimates, warnings, record
+
+
+def fit_telemetry(records: Iterable[LaplaceRecord]) -> dict:
+    """A manifest's summary of the hierarchical fits whose ``look_estimates``
+    records are ``records``: looks fitted by nested Laplace and by the NUTS
+    fallback, the largest k-hat, the smallest ESS of the weights, and the
+    nodes and Newton steps summed over fits. A statistic over no fits, or
+    one that is not finite, reads None."""
+    records = list(records)
+
+    def finite(value):
+        return value if np.isfinite(value) else None
+
+    return {
+        "laplace_fits": sum(r.trusted for r in records),
+        "nuts_fallbacks": sum(not r.trusted for r in records),
+        "max_k_hat": finite(max((r.k_hat for r in records), default=np.nan)),
+        "min_weight_ess": finite(min((r.weight_ess for r in records), default=np.nan)),
+        "nodes": sum(r.nodes for r in records),
+        "newton_iterations": sum(r.newton_iterations for r in records),
+    }
 
 
 def run_repetition(
@@ -399,16 +439,19 @@ def run_repetition(
     est_mean = {m: np.full((n_u, n_c), np.nan) for m in methods}
     diff_mean = {m: np.full((n_u, n_p), np.nan) for m in methods}
     diff_var = {m: np.full((n_u, n_p), np.nan) for m in methods}
-    warnings = []
+    warnings, fits = [], []
 
     seeds = (_fit_seed(config, rep, u) for u in itertools.count())
     looks = look_estimates(updates, X, methods, config.sampler, seeds)
-    for u, (_, estimates, fit_warnings) in enumerate(looks):
+    for u, (_, estimates, fit_warnings, record) in enumerate(looks):
         warnings += [f"rep {rep} update {u + 1} (hierarchical): {w}" for w in fit_warnings]
+        if record is not None:
+            fits.append(record)
         for m, ests in estimates.items():
             est_mean[m][u] = ests.means
             diff_mean[m][u], diff_var[m][u] = cell_differences(spec, ests)
-    return RepetitionResult(rep, truth, est_mean, diff_mean, diff_var, tuple(warnings))
+    return RepetitionResult(rep, truth, est_mean, diff_mean, diff_var, tuple(warnings),
+                            tuple(fits))
 
 
 @dataclass(frozen=True)

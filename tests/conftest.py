@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -63,3 +64,19 @@ def chain_runs(tmp_path, monkeypatch):
     # reference, so repetitions are not marked.
     monkeypatch.setattr(sampler_module, "fork_map", marked_map)
     return ChainRuns(record)
+
+
+@pytest.fixture
+def nuts_fallback(monkeypatch):
+    """Every hierarchical look of ``sim.look_estimates`` from now on falls
+    back to NUTS: its nested Laplace fit runs, and its record reads k-hat
+    0.9. Forked repetition workers inherit the patch."""
+    import hbab.sim
+
+    fit_laplace = hbab.sim.fit_laplace
+
+    def untrusted(*args):
+        fit = fit_laplace(*args)
+        return replace(fit, record=replace(fit.record, k_hat=0.9))
+
+    monkeypatch.setattr(hbab.sim, "fit_laplace", untrusted)

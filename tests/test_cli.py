@@ -18,7 +18,7 @@ from hbab import sampler as sampler_module
 from hbab.cli import _atomic_write, _effects_from_results_dir, main
 from hbab.design import enumerate_cells, spec_from_dict, spec_to_dict
 from hbab.estimate import mle_estimates
-from hbab.glm import CountData
+from hbab.glm import MAX_ASSIGNMENTS, CountData
 from hbab.metaprior import effects_from_differences
 from hbab.seqtest import TauSpec, run_all_comparisons, sequential_trace
 from hbab.sim import _rep_seed_sequences, desk_scenario, run_repetition, stream_updates
@@ -224,11 +224,12 @@ class TestSimulate:
         (None, 2, ["mle"], 0),
         ("2", 1, ["mle", "hierarchical"], 2),
     ], ids=["None-methods0-2", "2-methods1-1", "None-methods2-0", "2-one_repetition-2"])
-    def test_manifest_records_processes(self, tmp_path, monkeypatch, chain_runs, workers,
-                                        repetitions, methods, processes):
+    def test_manifest_records_processes(self, tmp_path, monkeypatch, chain_runs, nuts_fallback,
+                                        workers, repetitions, methods, processes):
         # Each fit runs its 2 chains over 2 processes, or one after another
         # inside a repetition worker; an MLE-only run fits nothing. One
-        # repetition forks no repetition worker.
+        # repetition forks no repetition worker. Every look falls back to
+        # NUTS, so that every look runs chains.
         monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
         monkeypatch.delenv("HBAB_WORKERS", raising=False)
         if workers is not None:
@@ -548,7 +549,10 @@ class TestAnalyze:
             comps = list(csv.DictReader(fh))
         assert all(float(r["diff_var"]) > 0 for r in comps)
 
-    def test_hb_fit_warnings_reach_the_manifest(self, tmp_path, monkeypatch, capsys):
+    def test_hb_fit_warnings_reach_the_manifest(self, tmp_path, monkeypatch, capsys,
+                                                nuts_fallback):
+        # Each look falls back to NUTS, whose own warning follows the
+        # fallback's; the manifest counts the fits.
         import hbab.sim
 
         real_fit = hbab.sim.fit_posterior
@@ -562,23 +566,62 @@ class TestAnalyze:
         code, out = self.run_analyze(tmp_path, default_counts(updates=2), method="hb")
         assert code == 0
         with open(out / "manifest.json") as fh:
-            warnings = json.load(fh)["warnings"]
-        assert warnings == ["update 1: cell logits mixed poorly",
-                            "update 2: cell logits mixed poorly"]
+            manifest = json.load(fh)
+        warnings = manifest["warnings"]
+        assert [w.split(" (")[0] for w in warnings[::2]] == [
+            "update 1: nested Laplace fit not trusted", "update 2: nested Laplace fit not trusted"]
+        assert all("k-hat 0.90" in w and w.endswith("fitted by NUTS") for w in warnings[::2])
+        assert warnings[1::2] == ["update 1: cell logits mixed poorly",
+                                  "update 2: cell logits mixed poorly"]
         assert "update 2: cell logits mixed poorly" in capsys.readouterr().err
+        assert manifest["fits"]["laplace_fits"] == 0
+        assert manifest["fits"]["nuts_fallbacks"] == 2
+        assert manifest["fits"]["max_k_hat"] == 0.9
 
-    def test_hb_updates_are_fitted_independently(self, tmp_path, monkeypatch):
-        import hbab.cli
-        import hbab.sim
+    def test_hb_manifest_records_the_fits(self, tmp_path):
+        code, out = self.run_analyze(tmp_path, default_counts(updates=3), method="hb")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        fits = manifest["fits"]
+        assert set(fits) == {"laplace_fits", "nuts_fallbacks", "max_k_hat", "min_weight_ess",
+                             "nodes", "newton_iterations"}
+        assert fits["laplace_fits"] + fits["nuts_fallbacks"] == 3
+        assert fits["laplace_fits"] == 3 and manifest["warnings"] == []
+        assert 0.0 < fits["max_k_hat"] <= 0.7 and fits["min_weight_ess"] >= 1000
+        assert fits["nodes"] >= 9 and fits["newton_iterations"] > 0
+        _, mle = self.run_analyze(tmp_path, default_counts(updates=3), name="mle")
+        assert "fits" not in json.loads((mle / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("assignments, responses", [
+        ([100] * 4, [100, 0, 50, 50]),
+        ([MAX_ASSIGNMENTS] * 4, [MAX_ASSIGNMENTS // 4, MAX_ASSIGNMENTS // 2,
+                                 3 * (MAX_ASSIGNMENTS // 4), MAX_ASSIGNMENTS // 2]),
+    ], ids=["separation", "max-assignments"])
+    def test_hard_inputs_fall_back_and_say_so(self, tmp_path, capsys, assignments, responses):
+        # One cell at every response beside one at none, and the most
+        # assignments a cell may hold (4e18 a cell exits 2: it passes
+        # 2**53). The nested Laplace fit is not trusted, NUTS fits the look,
+        # and its own mixing warning stays.
+        cells = [("m0", "c0"), ("m0", "c1"), ("m1", "c0"), ("m1", "c1")]
+        rows = [(1, m, c, n, r) for (m, c), n, r in zip(cells, assignments, responses)]
+        code, out = self.run_analyze(tmp_path, rows, method="hb")
+        assert code == 0
+        for name in ("estimates.csv", "marginal_estimates.csv"):
+            with open(out / name) as fh:
+                values = [float(r[k]) for r in csv.DictReader(fh) for k in ("mean", "variance")]
+            assert values and np.isfinite(values).all()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["fits"]["laplace_fits"] == 0
+        assert manifest["fits"]["nuts_fallbacks"] == 1
+        assert manifest["warnings"][0].startswith("update 1: nested Laplace fit not trusted")
+        assert any("cell logits mixed poorly" in w for w in manifest["warnings"][1:])
+        assert "fitted by NUTS" in capsys.readouterr().err
+
+    def test_hb_updates_are_fitted_independently(self, tmp_path):
         from hbab.design import build_design_matrix
         from hbab.estimate import hb_estimate
-        from hbab.glm import fit_posterior
+        from hbab.glm import fit_laplace
 
-        # A short sampler: this checks what each fit depends on, not how
-        # well it mixes.
-        sampler = replace(hbab.sim.ANALYZE_SAMPLER, warmup_draws=150, kept_draws=100,
-                          max_tree_depth=4)
-        monkeypatch.setattr(hbab.cli, "ANALYZE_SAMPLER", sampler)
         rows = default_counts(updates=3)
         design = write_json(tmp_path / "design.json", TINY_DESIGN)
         counts = write_counts(tmp_path / "counts.csv", rows)
@@ -589,8 +632,9 @@ class TestAnalyze:
         for name in ("estimates.csv", "marginal_estimates.csv", "comparisons.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-        # Update 3 is a fit of its cumulative counts under seed 40 + 3 alone:
-        # nothing of updates 1 and 2 but their counts reaches it.
+        # Update 3 is a nested Laplace fit of its cumulative counts under
+        # seed 40 + 3 alone: nothing of updates 1 and 2 but their counts
+        # reaches it.
         spec = spec_from_dict(TINY_DESIGN)
         cells = {(("m0", "m1")[m], ("c0", "c1")[c]): k
                  for k, (m, c) in enumerate(enumerate_cells(spec).tolist())}
@@ -600,8 +644,9 @@ class TestAnalyze:
             cum_a[cells[m, c]] += n
             cum_r[cells[m, c]] += r
         X = build_design_matrix(spec, 2)
-        ests = hb_estimate(fit_posterior(CountData(cum_a, cum_r), X, replace(sampler, seed=43)),
-                           X)
+        fit = fit_laplace(CountData(cum_a, cum_r), X, 43)
+        assert fit.record.trusted
+        ests = hb_estimate(fit.samples, X)
         with open(outs[0] / "estimates.csv") as fh:
             got = [(float(r["mean"]), float(r["variance"]))
                    for r in csv.DictReader(fh) if r["update"] == "3"]
@@ -814,7 +859,7 @@ class TestAnalyze:
         def broken_fit(*args, **kwargs):
             raise ValueError("target density or gradient is not finite")
 
-        monkeypatch.setattr(hbab.sim, "fit_posterior", broken_fit)
+        monkeypatch.setattr(hbab.sim, "fit_laplace", broken_fit)
         code, _ = self.run_analyze(tmp_path, default_counts(updates=1), method="hb")
         assert code == 3
         assert "runtime failure" in capsys.readouterr().err

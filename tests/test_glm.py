@@ -1,3 +1,7 @@
+import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,10 +13,13 @@ from hbab.design import DesignMatrix, build_design_matrix
 from hbab.glm import (
     MAX_ASSIGNMENTS,
     CountData,
+    fit_laplace,
     fit_posterior,
     half_cauchy_log_density_log_scale,
+    log_density_batch,
     make_target,
     nested_laplace_draws,
+    pareto_k_hat,
 )
 from hbab import glm as glm_module
 from hbab import sampler as sampler_module
@@ -131,6 +138,96 @@ class TestTarget:
                 lambda v: target.log_density_and_grad(v)[0], z
             )
             assert np.allclose(analytic, numeric, atol=1e-5, rtol=1e-5)
+
+
+def one_point_density(data, X):
+    """The model's density as one point was computed before there was a
+    batch: the reference whose bits ``make_target`` must keep."""
+    P, Xm = X.cols, X.matrix
+    XmT = np.ascontiguousarray(Xm.T)
+    af, rf = data.assignments.astype(float), data.responses.astype(float)
+    binom_const = math.fsum(
+        term for ai, ri in zip(data.assignments.tolist(), data.responses.tolist())
+        for term in (math.lgamma(ai + 1), -math.lgamma(ri + 1), -math.lgamma(ai - ri + 1)))
+    norm_const = -0.5 * (P + 2) * math.log(2 * math.pi) - math.log(10.0)
+
+    def density(z):
+        beta_raw = z[:P]
+        mu, ls, eps = z[P:].tolist()
+        if ls > 700.0:
+            return -math.inf, np.zeros(P + 3)
+        sigma = math.exp(ls)
+        eta = Xm @ (mu + sigma * beta_raw)
+        eta += eps
+        if not np.logical_and.reduce(np.isfinite(eta)):
+            return -math.inf, np.zeros(P + 3)
+        softplus, p = glm_module._softplus_and_sigmoid(eta)
+        resid = rf - af * p
+        loglik = float(rf @ eta) - float(af @ softplus) + binom_const
+        lp = (norm_const + half_cauchy_log_density_log_scale(ls, 5.0)
+              - 0.5 * float(beta_raw @ beta_raw) - 0.5 * mu ** 2 / 100.0 - 0.5 * eps * eps
+              + loglik)
+        if not math.isfinite(lp):
+            return -math.inf, np.zeros(P + 3)
+        g_beta = XmT @ resid
+        grad = np.empty(P + 3)
+        np.multiply(g_beta, sigma, out=grad[:P])
+        grad[:P] -= beta_raw
+        grad[P] = float(np.add.reduce(g_beta)) - mu / 100.0
+        grad[P + 1] = sigma * float(beta_raw @ g_beta) - math.tanh(ls - math.log(5.0))
+        grad[P + 2] = float(np.add.reduce(resid)) - eps
+        return lp, grad
+
+    return density
+
+
+class TestBatchDensity:
+    """One density implementation, at one point and at many."""
+
+    @staticmethod
+    def scenario_data(preset, rng):
+        from hbab.sim import desk_scenario, paper_scenario
+
+        X = build_design_matrix((desk_scenario, paper_scenario)[preset]().spec,
+                                interaction_order=2)
+        return random_counts(rng, X.rows, max_assign=2000), X
+
+    @pytest.mark.parametrize("preset, shape", [(0, (16, 33)), (1, (256, 113))],
+                             ids=["desk", "paper"])
+    def test_one_point_keeps_its_bits(self, preset, shape):
+        # Bit for bit, so that every NUTS draw keeps its bits: the matrix
+        # products, the dot products and the row sums of a batch of one go
+        # through the calls that one point took.
+        rng = np.random.default_rng(20 + preset)
+        data, X = self.scenario_data(preset, rng)
+        assert (X.rows, X.cols) == shape
+        reference, target = one_point_density(data, X), make_target(data, X)
+        for _ in range(150):
+            z = rng.normal(size=X.cols + 3) * rng.uniform(0.05, 2.0)
+            z[X.cols + 1] = rng.uniform(-6.0, 4.0)
+            lp, grad = target.log_density_and_grad(z)
+            expected_lp, expected_grad = reference(z)
+            assert lp == expected_lp
+            assert grad.tobytes() == expected_grad.tobytes()
+
+    def test_rows_agree_with_one_point(self):
+        # Larger batches multiply matrices, so the last bits may differ.
+        rng = np.random.default_rng(3)
+        data, X = self.scenario_data(0, rng)
+        one = make_target(data, X).log_density_and_grad
+        z = rng.normal(size=(40, X.cols + 3)) * 0.5
+        z[3, X.cols + 1] = 800.0  # past float range: -inf, zero gradient
+        z[5, 0] = np.inf  # a non-finite cell logit
+        lp, grad = log_density_batch(data, X)(z)
+        assert lp.shape == (40,) and grad.shape == (40, X.cols + 3)
+        for k in range(40):
+            expected_lp, expected_grad = one(z[k])
+            if k in (3, 5):
+                assert lp[k] == expected_lp == -np.inf
+                assert not grad[k].any() and not expected_grad.any()
+            else:
+                assert lp[k] == pytest.approx(expected_lp, rel=1e-12)
+                np.testing.assert_allclose(grad[k], expected_grad, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("log_sigma", [-600.0, 600.0])
@@ -286,6 +383,126 @@ class TestNestedLaplace:
         monkeypatch.setattr(glm_module, "sample", recorded)
         fit_posterior(data, X6, cfg)
         assert np.array_equal(runs[0].draws, expected.draws)
+
+
+class TestParetoKHat:
+    @pytest.mark.parametrize("k", [0.25, 0.5, 1.0])
+    def test_recovers_the_tail_shape_of_pareto_weights(self, k):
+        # Weights with a Pareto tail of shape k, over 20,000 draws.
+        rng = np.random.default_rng(int(k * 100))
+        fits = [pareto_k_hat(np.log1p(rng.pareto(1.0 / k, 20_000))) for _ in range(4)]
+        assert np.mean(fits) == pytest.approx(k, abs=0.1)
+
+    def test_light_tails_read_low(self):
+        rng = np.random.default_rng(1)
+        assert pareto_k_hat(rng.normal(size=4000) * 0.3) < 0.3
+
+    def test_shift_invariant_and_ignores_zero_weights(self):
+        rng = np.random.default_rng(2)
+        lw = np.log1p(rng.pareto(2.0, 5000))
+        padded = np.r_[lw + 700.0, np.full(10, -np.inf)]
+        assert pareto_k_hat(padded) == pytest.approx(pareto_k_hat(lw), rel=1e-9)
+
+    def test_too_few_weights_read_inf(self):
+        assert pareto_k_hat(np.zeros(10)) == np.inf
+
+
+# A nested Laplace fit of the 256-cell paper design: the SHA-256 of its
+# draws and its record.
+PAPER_LAPLACE_FIT = """
+import hashlib
+from hbab.design import build_design_matrix
+from hbab.glm import CountData, fit_laplace
+from hbab.sim import _rep_seed_sequences, generate_truth, paper_scenario, stream_updates
+
+config = paper_scenario(seed=7)
+truth_seed, stream_seed = _rep_seed_sequences(config, 0)
+looks = stream_updates(generate_truth(config, truth_seed), config, stream_seed)[:10]
+X = build_design_matrix(config.spec, interaction_order=2)
+data = CountData(sum(u.assignments for u in looks), sum(u.responses for u in looks))
+fit = fit_laplace(data, X, 3)
+print(hashlib.sha256(fit.samples.draws.tobytes()).hexdigest(), repr(fit.record))
+"""
+
+
+class TestFitLaplace:
+    """The importance-corrected nested Laplace fit."""
+
+    def test_draws_and_record(self):
+        data, X = TestNestedLaplace.desk_look_1()
+        fit = fit_laplace(data, X, 5)
+        s = fit.samples
+        assert s.draws.shape == (400, 1, X.cols + 3)
+        assert s.parameter_labels[-3:] == ("mu", "sigma", "epsilon")
+        assert np.isfinite(s.draws).all() and (s.draws[..., -2] > 0).all()
+        record = fit.record
+        assert record.trusted
+        assert record.k_hat <= 0.7 and record.weight_ess >= 1000
+        assert record.nodes >= 3 and record.newton_iterations > 0
+
+    def test_a_function_of_the_counts_and_the_seed(self):
+        data, X = TestNestedLaplace.desk_look_1()
+        a, b, c = fit_laplace(data, X, 5), fit_laplace(data, X, 5), fit_laplace(data, X, 6)
+        assert a.samples.draws.tobytes() == b.samples.draws.tobytes()
+        assert a.record == b.record
+        assert not np.array_equal(a.samples.draws, c.samples.draws)
+
+    def test_agrees_with_a_long_nuts_fit(self):
+        # Desk look 1, about 10 assignments a cell, where the plain mixture
+        # is most biased. The NUTS reference runs 4 x 2000 draws so that its
+        # own Monte-Carlo error is small beside the fits'. z divides each
+        # difference by both errors: NUTS's from the ESS of the rates (of
+        # their squared deviations for the sd), the pooled Laplace fits'
+        # from the weights' ESS and the resampled draws.
+        data, X = TestNestedLaplace.desk_look_1()
+        fits = [fit_laplace(data, X, seed) for seed in range(5)]
+        draws = np.concatenate([f.samples.flat() for f in fits])
+        laplace = expit(draws[:, :X.cols] @ X.matrix.T + draws[:, -1:])
+        n = sum(1.0 / (1.0 / f.record.weight_ess + 1.0 / f.samples.flat().shape[0])
+                for f in fits)
+        s = fit_posterior(data, X, SamplerConfig(chains=4, warmup_draws=250, kept_draws=2000,
+                                                 max_tree_depth=8, seed=3))
+        nuts = expit(s.draws[..., :X.cols] @ X.matrix.T + s.draws[..., -1:])
+        mean, sd = nuts.mean(axis=(0, 1)), nuts.std(axis=(0, 1))
+        ess = effective_sample_size(nuts)
+        ess_sq = effective_sample_size((nuts - mean) ** 2)
+        l_mean, l_sd = laplace.mean(axis=0), laplace.std(axis=0)
+        z_mean = (l_mean - mean) / np.sqrt(sd**2 / ess + l_sd**2 / n)
+        z_sd = (l_sd - sd) / np.sqrt(sd**2 / (2 * ess_sq) + l_sd**2 / (2 * n))
+        for z in (z_mean, z_sd):
+            assert np.sqrt(np.mean(z**2)) < 2.0
+            assert np.abs(z).max() < 4.5
+
+    def test_paper_draws_do_not_depend_on_blas_threads(self):
+        # The batched density multiplies [250, 113] by [113, 256] matrices,
+        # which OpenBLAS splits over its threads; the fit runs at one.
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "PYTHONPATH")}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        runs = set()
+        for threads in (None, "1", "2"):
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", PAPER_LAPLACE_FIT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.add(proc.stdout)
+        (output,) = runs
+        assert len(output.split()[0]) == 64 and "LaplaceRecord(" in output
+
+    @pytest.mark.parametrize("assignments, responses, trusted", [
+        ([100] * 4, [100, 0, 50, 50], False),
+        ([MAX_ASSIGNMENTS] * 4, [MAX_ASSIGNMENTS // 4, MAX_ASSIGNMENTS // 2,
+                                 3 * (MAX_ASSIGNMENTS // 4), MAX_ASSIGNMENTS // 2], False),
+    ], ids=["separation", "max-assignments"])
+    def test_hard_inputs_are_not_trusted(self, assignments, responses, trusted):
+        # Finite draws, and a record that sends the look to NUTS. At 2**53
+        # assignments the Newton step's LU solve meets a Hessian that
+        # rounds to singular, and solves through the Cholesky factor.
+        X = build_design_matrix(make_spec([2], [2]))
+        fit = fit_laplace(CountData(assignments, responses), X, 1)
+        assert np.isfinite(fit.samples.draws).all()
+        assert fit.record.trusted == trusted
 
 
 def test_half_cauchy_log_scale_normalized():

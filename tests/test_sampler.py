@@ -301,10 +301,12 @@ class TestParallelChains:
         assert chain_runs.serial()
         assert chain_runs.callers() == {os.getpid()}
 
-    def test_repetition_workers_run_their_chains_serially(self, monkeypatch, chain_runs):
+    def test_repetition_workers_run_their_chains_serially(self, monkeypatch, chain_runs,
+                                                         nuts_fallback):
         # With HBAB_WORKERS=2 and 2 repetitions every fit runs in a
         # repetition worker, a child of this process, and runs its chains
-        # there, never in a worker's own child.
+        # there, never in a worker's own child. Every look falls back to
+        # NUTS, so that every look runs chains.
         from hbab.sim import desk_scenario, run_scenario
 
         monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)
@@ -318,8 +320,10 @@ class TestParallelChains:
         assert parents == {os.getpid()}
         assert multiprocessing.active_children() == []
 
-    def test_one_repetition_runs_here_and_forks_its_chains(self, monkeypatch, chain_runs):
-        # HBAB_WORKERS=2 forks no repetition worker for 1 repetition.
+    def test_one_repetition_runs_here_and_forks_its_chains(self, monkeypatch, chain_runs,
+                                                          nuts_fallback):
+        # HBAB_WORKERS=2 forks no repetition worker for 1 repetition; every
+        # look falls back to NUTS, so that every look runs chains.
         from hbab.sim import desk_scenario, run_scenario
 
         monkeypatch.setattr(sampler_module, "available_cpus", lambda: 2)

@@ -186,9 +186,28 @@ class TestRunRepetition:
         assert set(rep.estimate_mean) == {"mle"}
 
     def test_each_look_is_a_standalone_fit(self):
-        # Look u's hierarchical estimates are a fit of its cumulative counts
-        # under its own seed alone: nothing of earlier looks but their
-        # counts reaches it.
+        # Look u's hierarchical estimates are a nested Laplace fit of its
+        # cumulative counts under its own seed alone: nothing of earlier
+        # looks but their counts reaches it.
+        from hbab.design import build_design_matrix
+        from hbab.estimate import hb_estimate
+        from hbab.glm import CountData, fit_laplace
+        from hbab.sim import _fit_seed, _rep_seed_sequences
+
+        cfg = tiny_config(updates=3)
+        rep = run_repetition(cfg, 1, methods=("hierarchical",))
+        looks = stream_updates(rep.truth, cfg, _rep_seed_sequences(cfg, 1)[1])
+        X = build_design_matrix(cfg.spec, interaction_order=2)
+        assert len(rep.fits) == 3
+        for u in (1, 2):
+            data = CountData(sum(inc.assignments for inc in looks[:u + 1]),
+                             sum(inc.responses for inc in looks[:u + 1]))
+            fit = fit_laplace(data, X, _fit_seed(cfg, 1, u))
+            assert fit.record == rep.fits[u] and fit.record.trusted
+            assert np.array_equal(rep.estimate_mean["hierarchical"][u],
+                                  hb_estimate(fit.samples, X).means)
+
+    def test_an_untrusted_look_is_fitted_by_nuts_under_its_seed(self, nuts_fallback):
         from dataclasses import replace
 
         from hbab.design import build_design_matrix
@@ -196,16 +215,16 @@ class TestRunRepetition:
         from hbab.glm import CountData, fit_posterior
         from hbab.sim import _fit_seed, _rep_seed_sequences
 
-        cfg = tiny_config(updates=3)
-        rep = run_repetition(cfg, 1, methods=("hierarchical",))
-        looks = stream_updates(rep.truth, cfg, _rep_seed_sequences(cfg, 1)[1])
+        cfg = tiny_config(updates=2)
+        rep = run_repetition(cfg, 0, methods=("hierarchical",))
+        looks = stream_updates(rep.truth, cfg, _rep_seed_sequences(cfg, 0)[1])
         X = build_design_matrix(cfg.spec, interaction_order=2)
-        for u in (1, 2):
-            data = CountData(sum(inc.assignments for inc in looks[:u + 1]),
-                             sum(inc.responses for inc in looks[:u + 1]))
-            fit = fit_posterior(data, X, replace(cfg.sampler, seed=_fit_seed(cfg, 1, u)))
-            assert np.array_equal(rep.estimate_mean["hierarchical"][u],
-                                  hb_estimate(fit, X).means)
+        data = CountData(looks[0].assignments, looks[0].responses)
+        fit = fit_posterior(data, X, replace(cfg.sampler, seed=_fit_seed(cfg, 0, 0)))
+        assert np.array_equal(rep.estimate_mean["hierarchical"][0], hb_estimate(fit, X).means)
+        assert [r.trusted for r in rep.fits] == [False, False]
+        assert rep.warnings[0].startswith(
+            "rep 0 update 1 (hierarchical): nested Laplace fit not trusted (k-hat 0.90")
 
 
 def test_sampler_defaults_of_the_two_commands():
