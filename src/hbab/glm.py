@@ -160,10 +160,11 @@ def _log_density_rows(data: CountData, X: DesignMatrix):
     r = data.responses
     m, s, b = _MU_PRIOR_MEAN, _MU_PRIOR_SD, _SIGMA_SCALE
 
-    # Constants hoisted out of the sampler's hot loop.
+    # Constants hoisted out of the sampler's hot loop; the counts as one
+    # row, so that a batch of one point needs no broadcast.
     XmT = np.ascontiguousarray(Xm.T)
-    af = a.astype(float)
-    rf = r.astype(float)
+    af = a.astype(float)[None]
+    rf = r.astype(float)[None]
     binom_const = math.fsum(
         term for ai, ri in zip(a.tolist(), r.tolist())
         for term in (math.lgamma(ai + 1), -math.lgamma(ri + 1), -math.lgamma(ai - ri + 1)))
@@ -179,7 +180,9 @@ def _log_density_rows(data: CountData, X: DesignMatrix):
         beta_raw = z[:, :P]
         scalars = z[:, P:].tolist()
         sigma = np.array([[exp(ls) if ls <= 700.0 else nan] for _, ls, _ in scalars])
-        eta = (beta_raw * sigma + z[:, P:P + 1]) @ Xm_T
+        beta = beta_raw * sigma
+        beta += z[:, P:P + 1]
+        eta = beta @ Xm_T
         eta += z[:, P + 2:]
         live = None
         if not finite(eta).all():
@@ -188,12 +191,14 @@ def _log_density_rows(data: CountData, X: DesignMatrix):
             eta[~live] = 0.0
             sigma[~live] = 0.0
             live = live.tolist()
-        softplus, p = _softplus_and_sigmoid(eta)
-        resid = rf - af * p
+        softplus, resid = _softplus_and_sigmoid(eta)
+        resid *= af  # rf - af * p, in place
+        np.subtract(rf, resid, out=resid)
         g_beta = resid @ XmT_T
         grad = np.empty((len(scalars), P + 3))
-        np.multiply(g_beta, sigma, out=grad[:, :P])
-        grad[:, :P] -= beta_raw
+        grad_beta = grad[:, :P]
+        np.multiply(g_beta, sigma, out=grad_beta)
+        grad_beta -= beta_raw
         lp = []
         for k, ((mu, ls, eps), (sig,), bb, r_eta, a_softplus, g_sum, bg, r_sum) in enumerate(zip(
                 scalars, sigma.tolist(), dot(beta_raw, beta_raw).tolist(),
@@ -448,6 +453,9 @@ _MAX_BLOCKS = 40
 MIN_WEIGHT_ESS = 1000.0
 MAX_K_HAT = 0.7
 _RESAMPLED_DRAWS = 400
+# The spawn key of the fit's streams under its seed: above any chain index,
+# so that a NUTS fallback under the same seed shares none of them.
+_LAPLACE_STREAMS = 2**32
 
 
 @dataclass(frozen=True)
@@ -496,12 +504,13 @@ def fit_laplace(data: CountData, X: DesignMatrix, seed: int) -> LaplaceFit:
 
     Only one block's draws are held at a time: each block draws from its
     own stream of ``seed``, and the resampled draws are drawn again from
-    the streams of their blocks. The fit runs at one BLAS thread
+    the streams of their blocks. No stream is one that ``sample`` uses
+    under the same seed. The fit runs at one BLAS thread
     (``sampler.one_blas_thread``), so it depends on the counts and the seed
     alone.
     """
     P = X.cols
-    seeds = np.random.SeedSequence(seed).spawn(_MAX_BLOCKS + 1)
+    seeds = np.random.SeedSequence(seed, spawn_key=(_LAPLACE_STREAMS,)).spawn(_MAX_BLOCKS + 1)
 
     def stream(key):
         return np.random.Generator(np.random.Philox(seeds[key]))
