@@ -190,6 +190,7 @@ def _log_density_rows(data: CountData, X: DesignMatrix):
             live = finite(eta).all(axis=1)
             eta[~live] = 0.0
             sigma[~live] = 0.0
+            beta_raw = np.where(live[:, None], beta_raw, 0.0)
             live = live.tolist()
         softplus, resid = _softplus_and_sigmoid(eta)
         resid *= af  # rf - af * p, in place

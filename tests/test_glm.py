@@ -490,19 +490,19 @@ class TestFitLaplace:
         (output,) = runs
         assert len(output.split()[0]) == 64 and "LaplaceRecord(" in output
 
-    @pytest.mark.parametrize("assignments, responses, trusted", [
-        ([100] * 4, [100, 0, 50, 50], False),
+    @pytest.mark.parametrize("assignments, responses", [
+        ([100] * 4, [100, 0, 50, 50]),
         ([MAX_ASSIGNMENTS] * 4, [MAX_ASSIGNMENTS // 4, MAX_ASSIGNMENTS // 2,
-                                 3 * (MAX_ASSIGNMENTS // 4), MAX_ASSIGNMENTS // 2], False),
+                                 3 * (MAX_ASSIGNMENTS // 4), MAX_ASSIGNMENTS // 2]),
     ], ids=["separation", "max-assignments"])
-    def test_hard_inputs_are_not_trusted(self, assignments, responses, trusted):
+    def test_hard_inputs_are_not_trusted(self, assignments, responses):
         # Finite draws, and a record that sends the look to NUTS. At 2**53
         # assignments the Newton step's LU solve meets a Hessian that
         # rounds to singular, and solves through the Cholesky factor.
         X = build_design_matrix(make_spec([2], [2]))
         fit = fit_laplace(CountData(assignments, responses), X, 1)
         assert np.isfinite(fit.samples.draws).all()
-        assert fit.record.trusted == trusted
+        assert not fit.record.trusted
 
 
 def test_half_cauchy_log_scale_normalized():

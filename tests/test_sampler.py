@@ -401,10 +401,12 @@ class TestOneBlasThread:
         assert len(runs[None]) == 2
         assert runs[None] == runs["1"] == runs["2"]
 
-    def test_paper_draws_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path):
+    def test_paper_draws_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path,
+                                                           nuts_fallback):
         # With 2 workers each repetition fits in its own worker, chains one
-        # after another; with 1 the fits fork their chains. Each fit leaves
-        # a file named by its draws' SHA-256 in its worker count's folder.
+        # after another; with 1 the fits fork their chains (every look falls
+        # back to NUTS, so that it runs chains). Each fit leaves a file
+        # named by its draws' SHA-256 in its worker count's folder.
         import hbab.sim
         from hbab.sim import paper_scenario, run_scenario
 
