@@ -113,45 +113,8 @@ def make_target(data: CountData, X: DesignMatrix) -> TargetDensity:
     of the natural parameters and the counts (binomial normalization
     included, so it is proper) plus the log-Jacobian ``P * log_sigma``, and
     its geometry avoids the funnel that defeats samplers when counts are
-    thin. It is ``log_density_batch`` at one point.
+    thin.
     """
-    rows = _log_density_rows(data, X)
-
-    def one(z):
-        lp, grad = rows(z[None])
-        return lp[0], grad[0]
-
-    P = X.cols
-    labels = tuple(f"raw[{j}]" for j in range(P)) + ("mu", "log_sigma", "epsilon")
-    return TargetDensity(dim=P + 3, log_density_and_grad=one, labels=labels)
-
-
-def log_density_batch(
-    data: CountData, X: DesignMatrix
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``make_target``'s density as a function of points ``z`` [n, P + 3]:
-    the log densities [n] and gradients [n, P + 3] of every row.
-
-    The products over cells and coefficients are one matrix product for all
-    rows, and each row's scalar terms are Python floats. At ``n`` 1 every
-    product and sum goes through the BLAS or numpy call that one point took
-    before there was a batch, so ``make_target``, which is this function at
-    ``n`` 1, keeps those bits; at larger ``n`` the BLAS multiplies matrices,
-    which may round the last bits differently. A row whose cell logits are
-    not finite, or whose log sigma passes 700 (a scale beyond float range
-    holds no posterior mass), reads -inf with a zero gradient.
-    """
-    rows = _log_density_rows(data, X)
-
-    def batch(z):
-        lp, grad = rows(z)
-        return np.array(lp), grad
-
-    return batch
-
-
-def _log_density_rows(data: CountData, X: DesignMatrix):
-    """``log_density_batch`` with the log densities as a list of floats."""
     if data.assignments.shape[0] != X.rows:
         raise ValueError("count vectors must have one entry per design row")
     P = X.cols
@@ -160,11 +123,10 @@ def _log_density_rows(data: CountData, X: DesignMatrix):
     r = data.responses
     m, s, b = _MU_PRIOR_MEAN, _MU_PRIOR_SD, _SIGMA_SCALE
 
-    # Constants hoisted out of the sampler's hot loop; the counts as one
-    # row, so that a batch of one point needs no broadcast.
+    # Constants hoisted out of the sampler's hot loop.
     XmT = np.ascontiguousarray(Xm.T)
-    af = a.astype(float)[None]
-    rf = r.astype(float)[None]
+    af = a.astype(float)
+    rf = r.astype(float)
     binom_const = math.fsum(
         term for ai, ri in zip(a.tolist(), r.tolist())
         for term in (math.lgamma(ai + 1), -math.lgamma(ri + 1), -math.lgamma(ai - ri + 1)))
@@ -172,64 +134,100 @@ def _log_density_rows(data: CountData, X: DesignMatrix):
     half_cauchy = _half_cauchy_log_scale(b)
     log_b = math.log(b)
     s_sq = s * s
-    add, dot, finite = np.add.reduce, np.vecdot, np.isfinite
-    Xm_T, XmT_T = Xm.T, XmT.T
-    exp, tanh, nan, inf = math.exp, math.tanh, math.nan, math.inf
+    add, both = np.add.reduce, np.logical_and.reduce
 
-    def rows(z):
-        beta_raw = z[:, :P]
-        scalars = z[:, P:].tolist()
-        sigma = np.array([[exp(ls) if ls <= 700.0 else nan] for _, ls, _ in scalars])
-        beta = beta_raw * sigma
-        beta += z[:, P:P + 1]
-        eta = beta @ Xm_T
-        eta += z[:, P + 2:]
-        live = None
-        if not finite(eta).all():
-            # Rows out of range read -inf; zeroed, their arithmetic stays quiet.
-            live = finite(eta).all(axis=1)
-            eta[~live] = 0.0
-            sigma[~live] = 0.0
-            beta_raw = np.where(live[:, None], beta_raw, 0.0)
-            live = live.tolist()
-        softplus, resid = _softplus_and_sigmoid(eta)
-        resid *= af  # rf - af * p, in place
-        np.subtract(rf, resid, out=resid)
-        g_beta = resid @ XmT_T
-        grad = np.empty((len(scalars), P + 3))
-        grad_beta = grad[:, :P]
-        np.multiply(g_beta, sigma, out=grad_beta)
-        grad_beta -= beta_raw
-        lp = []
-        for k, ((mu, ls, eps), (sig,), bb, r_eta, a_softplus, g_sum, bg, r_sum) in enumerate(zip(
-                scalars, sigma.tolist(), dot(beta_raw, beta_raw).tolist(),
-                dot(eta, rf).tolist(), dot(softplus, af).tolist(),
-                add(g_beta, axis=1).tolist(), dot(beta_raw, g_beta).tolist(),
-                add(resid, axis=1).tolist())):
-            if live is not None and not live[k]:
-                lp.append(-inf)
-                grad[k] = 0.0
-                continue
-            # r*log(p) + (a-r)*log(1-p) collapses to r*eta - a*softplus(eta).
-            value = (norm_const
-                     + half_cauchy(ls)
-                     - 0.5 * bb
-                     - 0.5 * (mu - m) ** 2 / s_sq
-                     - 0.5 * eps * eps
-                     + (r_eta - a_softplus + binom_const))
-            if -inf < value < inf:
-                lp.append(value)
-                row = grad[k]
-                row[P] = g_sum - (mu - m) / s_sq
-                # 1 - 2 sigma^2 / (b^2 + sigma^2) is the half-Cauchy and Jacobian term.
-                row[P + 1] = sig * bg - tanh(ls - log_b)
-                row[P + 2] = r_sum - eps
-            else:
-                lp.append(-inf)
-                grad[k] = 0.0
+    def raw(z):
+        beta_raw = z[:P]
+        mu, ls, eps = z[P:].tolist()
+        if ls > 700.0:  # scale beyond float range: no posterior mass out here
+            return -math.inf, np.zeros(P + 3)
+        sigma = math.exp(ls)
+        eta = Xm @ (mu + sigma * beta_raw)
+        eta += eps
+        if not both(np.isfinite(eta)):
+            return -math.inf, np.zeros(P + 3)
+        softplus, p = _softplus_and_sigmoid(eta)
+        resid = rf - af * p
+        # r*log(p) + (a-r)*log(1-p) collapses to r*eta - a*softplus(eta).
+        loglik = float(rf @ eta) - float(af @ softplus) + binom_const
+
+        lp = (
+            norm_const
+            + half_cauchy(ls)
+            - 0.5 * float(beta_raw @ beta_raw)
+            - 0.5 * (mu - m) ** 2 / s_sq
+            - 0.5 * eps * eps
+            + loglik
+        )
+        if not math.isfinite(lp):
+            return -math.inf, np.zeros(P + 3)
+        g_beta = XmT @ resid
+        grad = np.empty(P + 3)
+        np.multiply(g_beta, sigma, out=grad[:P])
+        grad[:P] -= beta_raw
+        grad[P] = float(add(g_beta)) - (mu - m) / s_sq
+        # 1 - 2 sigma^2 / (b^2 + sigma^2) is the half-Cauchy and Jacobian term.
+        grad[P + 1] = sigma * float(beta_raw @ g_beta) - math.tanh(ls - log_b)
+        grad[P + 2] = float(add(resid)) - eps
         return lp, grad
 
-    return rows
+    labels = tuple(f"raw[{j}]" for j in range(P)) + ("mu", "log_sigma", "epsilon")
+    return TargetDensity(dim=P + 3, log_density_and_grad=raw, labels=labels)
+
+
+def log_density_batch(
+    data: CountData, X: DesignMatrix
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``make_target``'s density as a function of points ``z`` [n, P + 3]:
+    the log densities [n] and gradients [n, P + 3] of every row.
+
+    Every product over cells and coefficients is one matrix product for
+    all rows, so the last bits may differ from ``make_target``'s, which
+    computes one point with matrix-vector products and stays the sampler's
+    density. A row whose log sigma passes 700 or whose cell logits or log
+    density are not finite reads -inf with a zero gradient; the arithmetic
+    of such a row may raise floating-point warnings.
+    """
+    if data.assignments.shape[0] != X.rows:
+        raise ValueError("count vectors must have one entry per design row")
+    P = X.cols
+    Xm = X.matrix
+    af = data.assignments.astype(float)
+    rf = data.responses.astype(float)
+    m, s, b = _MU_PRIOR_MEAN, _MU_PRIOR_SD, _SIGMA_SCALE
+    binom_const = math.fsum(
+        term for ai, ri in zip(data.assignments.tolist(), data.responses.tolist())
+        for term in (math.lgamma(ai + 1), -math.lgamma(ri + 1), -math.lgamma(ai - ri + 1)))
+    const = -0.5 * (P + 2) * math.log(2 * math.pi) - math.log(s) + math.log(2.0 / (math.pi * b))
+    log_b = math.log(b)
+
+    def batch(z):
+        beta_raw = z[:, :P]
+        mu, ls, eps = z[:, P], z[:, P + 1], z[:, P + 2]
+        sigma = np.exp(np.minimum(ls, 700.0))
+        eta = (mu[:, None] + sigma[:, None] * beta_raw) @ Xm.T
+        eta += eps[:, None]
+        softplus, p = _softplus_and_sigmoid(eta)
+        resid = rf - af * p
+        # r*log(p) + (a-r)*log(1-p) collapses to r*eta - a*softplus(eta); the
+        # half-Cauchy on log sigma is log(2 / (pi b)) - log1p((sigma/b)^2) + ls.
+        lp = (const - np.logaddexp(0.0, 2.0 * (ls - log_b)) + ls
+              - 0.5 * np.einsum("ij,ij->i", beta_raw, beta_raw)
+              - 0.5 * (mu - m) ** 2 / (s * s) - 0.5 * eps * eps
+              + (eta @ rf - softplus @ af + binom_const))
+        g_beta = resid @ Xm
+        grad = np.empty(z.shape)
+        grad[:, :P] = sigma[:, None] * g_beta - beta_raw
+        grad[:, P] = g_beta.sum(axis=1) - (mu - m) / (s * s)
+        # 1 - 2 sigma^2 / (b^2 + sigma^2) is the half-Cauchy and Jacobian term.
+        grad[:, P + 1] = sigma * np.einsum("ij,ij->i", beta_raw, g_beta) - np.tanh(ls - log_b)
+        grad[:, P + 2] = resid.sum(axis=1) - eps
+        dead = (ls > 700.0) | ~np.isfinite(lp) | ~np.isfinite(eta).all(axis=1)
+        lp[dead] = -math.inf
+        grad[dead] = 0.0
+        return lp, grad
+
+    return batch
 
 
 # The nested Laplace approximation: how far below its peak the log-sigma

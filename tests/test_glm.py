@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -140,85 +139,26 @@ class TestTarget:
             assert np.allclose(analytic, numeric, atol=1e-5, rtol=1e-5)
 
 
-def one_point_density(data, X):
-    """The model's density as one point was computed before there was a
-    batch: the reference whose bits ``make_target`` must keep."""
-    P, Xm = X.cols, X.matrix
-    XmT = np.ascontiguousarray(Xm.T)
-    af, rf = data.assignments.astype(float), data.responses.astype(float)
-    binom_const = math.fsum(
-        term for ai, ri in zip(data.assignments.tolist(), data.responses.tolist())
-        for term in (math.lgamma(ai + 1), -math.lgamma(ri + 1), -math.lgamma(ai - ri + 1)))
-    norm_const = -0.5 * (P + 2) * math.log(2 * math.pi) - math.log(10.0)
-
-    def density(z):
-        beta_raw = z[:P]
-        mu, ls, eps = z[P:].tolist()
-        if ls > 700.0:
-            return -math.inf, np.zeros(P + 3)
-        sigma = math.exp(ls)
-        eta = Xm @ (mu + sigma * beta_raw)
-        eta += eps
-        if not np.logical_and.reduce(np.isfinite(eta)):
-            return -math.inf, np.zeros(P + 3)
-        softplus, p = glm_module._softplus_and_sigmoid(eta)
-        resid = rf - af * p
-        loglik = float(rf @ eta) - float(af @ softplus) + binom_const
-        lp = (norm_const + half_cauchy_log_density_log_scale(ls, 5.0)
-              - 0.5 * float(beta_raw @ beta_raw) - 0.5 * mu ** 2 / 100.0 - 0.5 * eps * eps
-              + loglik)
-        if not math.isfinite(lp):
-            return -math.inf, np.zeros(P + 3)
-        g_beta = XmT @ resid
-        grad = np.empty(P + 3)
-        np.multiply(g_beta, sigma, out=grad[:P])
-        grad[:P] -= beta_raw
-        grad[P] = float(np.add.reduce(g_beta)) - mu / 100.0
-        grad[P + 1] = sigma * float(beta_raw @ g_beta) - math.tanh(ls - math.log(5.0))
-        grad[P + 2] = float(np.add.reduce(resid)) - eps
-        return lp, grad
-
-    return density
-
-
 class TestBatchDensity:
-    """One density implementation, at one point and at many."""
-
-    @staticmethod
-    def scenario_data(preset, rng):
-        from hbab.sim import desk_scenario, paper_scenario
-
-        X = build_design_matrix((desk_scenario, paper_scenario)[preset]().spec,
-                                interaction_order=2)
-        return random_counts(rng, X.rows, max_assign=2000), X
+    """The batched density against ``make_target``'s, point by point."""
 
     @pytest.mark.parametrize("preset, shape", [(0, (16, 33)), (1, (256, 113))],
                              ids=["desk", "paper"])
-    def test_one_point_keeps_its_bits(self, preset, shape):
-        # Bit for bit, so that every NUTS draw keeps its bits: the matrix
-        # products, the dot products and the row sums of a batch of one go
-        # through the calls that one point took.
-        rng = np.random.default_rng(20 + preset)
-        data, X = self.scenario_data(preset, rng)
-        assert (X.rows, X.cols) == shape
-        reference, target = one_point_density(data, X), make_target(data, X)
-        for _ in range(150):
-            z = rng.normal(size=X.cols + 3) * rng.uniform(0.05, 2.0)
-            z[X.cols + 1] = rng.uniform(-6.0, 4.0)
-            lp, grad = target.log_density_and_grad(z)
-            expected_lp, expected_grad = reference(z)
-            assert lp == expected_lp
-            assert grad.tobytes() == expected_grad.tobytes()
+    def test_rows_agree_with_one_point(self, preset, shape):
+        from hbab.sim import desk_scenario, paper_scenario
 
-    def test_rows_agree_with_one_point(self):
-        # Larger batches multiply matrices, so the last bits may differ.
-        rng = np.random.default_rng(3)
-        data, X = self.scenario_data(0, rng)
+        rng = np.random.default_rng(3 + preset)
+        X = build_design_matrix((desk_scenario, paper_scenario)[preset]().spec,
+                                interaction_order=2)
+        assert (X.rows, X.cols) == shape
+        data = random_counts(rng, X.rows, max_assign=2000)
         one = make_target(data, X).log_density_and_grad
-        z = rng.normal(size=(40, X.cols + 3)) * 0.5
+        z = rng.normal(size=(40, X.cols + 3)) * rng.uniform(0.05, 2.0, size=(40, 1))
+        z[:, X.cols + 1] = rng.uniform(-6.0, 4.0, size=40)
         z[3, X.cols + 1] = 800.0  # past float range: -inf, zero gradient
         z[5, 0] = np.inf  # a non-finite cell logit
-        lp, grad = log_density_batch(data, X)(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lp, grad = log_density_batch(data, X)(z)
         assert lp.shape == (40,) and grad.shape == (40, X.cols + 3)
         for k in range(40):
             expected_lp, expected_grad = one(z[k])

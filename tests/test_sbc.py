@@ -94,17 +94,25 @@ def test_400_fits_under_the_test_prior(test_prior, per_cell, capsys):
     assert chi2.max() < CHI2_99_9DF, np.round(chi2, 1)
 
 
+# Under the model's own priors the Laplace fits as a whole may be
+# miscalibrated; k-hat must then send at least this share to NUTS, which
+# leaves fewer fits kept than the 50 whose calibration is tested.
+MIN_FALLBACK_SHARE = 0.9
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("per_cell", [10, 30])
 def test_fits_kept_under_the_models_priors(per_cell, capsys):
-    # Most prior draws saturate every desk cell, and k-hat sends nearly
-    # every fit to NUTS. The fits it keeps must be calibrated; the share
-    # that falls back is reported.
+    # Most prior draws saturate every desk cell. Where the ranks of every
+    # fit fail the chi-square, k-hat must flag nearly all of them; where at
+    # least 50 fits are kept, those must be calibrated.
     ranks, draws, records = sbc(400, per_cell, seed=200 + per_cell)
     kept = np.array([r.trusted for r in records])
     everything = chi_square(ranks, draws)
     with capsys.disabled():
         print(f"\n{per_cell} a cell: fallback share {1 - kept.mean():.3f}, chi-square of "
               f"every fit {np.round(everything, 1).tolist()}")
+    if everything.max() >= CHI2_99_9DF:
+        assert 1 - kept.mean() >= MIN_FALLBACK_SHARE, np.round(everything, 1)
     if kept.sum() >= 50:
         assert chi_square(ranks[kept], draws).max() < CHI2_99_9DF
